@@ -12,7 +12,7 @@ from .kernels import (
     parse_kernel_spec,
 )
 from .oracle import build_extended, stationary, tv_distance, validate, window_law
-from .tries import Alphabet, ContextTrie, dominates, graft, prefix_closure, prune_minimal
+from .tries import Alphabet, ContextTrie, dominates, prefix_closure, prune_minimal
 from .update_rule import build_slice, interval_table, phi, verify_measure
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "build_slice",
     "dominates",
     "full_markov_kernel",
-    "graft",
     "interval_table",
     "load_kernel",
     "memoryless_kernel",

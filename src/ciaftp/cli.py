@@ -24,7 +24,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import engine, oracle
-from .engine import RNG_ALGORITHM, RngStream, RunRow
+from .engine import RNG_ALGORITHM, RunRow
 from .errors import BudgetError, CiaftpError, KernelSpecError
 from .kernels import (
     RenewalSqrtKernel,
@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw exact stationary windows")
     common(p_sample, runs_default=1)
     p_sample.add_argument("--trace", default=None, metavar="PATH",
-                          help="write per-iteration records to PATH (CSV)")
+                          help="write per-iteration records to PATH (in --format)")
 
     p_validate = sub.add_parser("validate", help="compare sample law to the exact oracle")
     common(p_validate, runs_default=10**4)
@@ -116,33 +116,12 @@ def _header_lines(args: argparse.Namespace, seed: int, extra: Sequence[str] = ()
     return lines
 
 
-def _run_rows(kernel, args, seed: int, algorithm: str) -> List[RunRow]:
-    """Batch runs, optionally split across processes; rows ordered by id."""
-    n = args.runs
-    jobs = max(1, args.jobs)
-    kwargs = dict(
-        algorithm=algorithm,
-        max_iter=args.max_iter,
-        max_depth=args.max_depth,
-        max_nodes=args.max_nodes,
-        timing=not args.no_timing,
-    )
-    if jobs == 1 or n < 2 * jobs:
-        return engine.run_many(kernel, args.length, seed, 0, n, **kwargs)
-    import concurrent.futures
+ROW_FIELDS = ("run_id", "sample", "tau", "iterations", "node_touches", "wall_ns", "error")
+TRACE_FIELDS = ("run_id", "t", "leaf_count", "depth", "node_touches")
 
-    bounds = [(i * n) // jobs for i in range(jobs + 1)]
-    chunks = [(s, e - s) for s, e in zip(bounds, bounds[1:]) if e > s]
-    rows: List[RunRow] = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futs = [
-            pool.submit(engine.run_many, kernel, args.length, seed, start, count, **kwargs)
-            for start, count in chunks
-        ]
-        for fut in futs:
-            rows.extend(fut.result())
-    rows.sort(key=lambda r: r.run_id)
-    return rows
+
+def _budgets(args: argparse.Namespace) -> dict:
+    return {"max_iter": args.max_iter, "max_depth": args.max_depth, "max_nodes": args.max_nodes}
 
 
 def _row_dicts(kernel, rows: List[RunRow]) -> List[dict]:
@@ -173,72 +152,27 @@ def _csv_block(fieldnames: Sequence[str], dicts: List[dict], header: Sequence[st
     return buf.getvalue()
 
 
+def _render(args: argparse.Namespace, seed: int, fields: Sequence[str], dicts: List[dict],
+            key: str = "rows", header: bool = True) -> str:
+    """A table in the ``--format`` asked for: CSV (after the ``#`` header
+    lines unless ``header`` is off) or a JSON document with the metadata."""
+    if args.format == "json":
+        doc = {"meta": _meta_dict(args, seed), key: dicts}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _csv_block(fields, dicts, _header_lines(args, seed) if header else ())
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     kernel = load_kernel(args.kernel)
     seed = _resolve_seed(args)
+    rows = engine.run_many(
+        kernel, args.length, seed, 0, args.runs, timing=not args.no_timing,
+        trace=args.trace is not None, jobs=args.jobs, **_budgets(args),
+    )
     if args.trace is not None:
-        return _sample_with_trace(kernel, args, seed)
-    rows = _run_rows(kernel, args, seed, "ciaftp")
-    dicts = _row_dicts(kernel, rows)
-    fields = ("run_id", "sample", "tau", "iterations", "node_touches", "wall_ns", "error")
-    if args.format == "csv":
-        _emit(_csv_block(fields, dicts, _header_lines(args, seed)), args.out)
-    else:
-        _emit(
-            json.dumps(
-                {"meta": _meta_dict(args, seed), "rows": dicts}, indent=2, sort_keys=True
-            )
-            + "\n",
-            args.out,
-        )
-    failed = [r for r in rows if r.error is not None]
-    for r in failed:
-        print(f"ciaftp: error: {r.error}: run {r.run_id} exhausted its budget", file=sys.stderr)
-    return EXIT_FAIL if failed else EXIT_OK
-
-
-def _sample_with_trace(kernel, args, seed: int) -> int:
-    """Sequential sampling that also writes per-iteration records."""
-    import csv
-
-    rows: List[RunRow] = []
-    trace_buf = io.StringIO()
-    writer = csv.writer(trace_buf, lineterminator="\n")
-    writer.writerow(("run_id", "t", "leaf_count", "depth", "node_touches"))
-    for idx in range(args.runs):
-        rng = RngStream(seed + idx)
-        try:
-            result = engine.run(
-                kernel,
-                args.length,
-                rng,
-                max_iter=args.max_iter,
-                max_depth=args.max_depth,
-                max_nodes=args.max_nodes,
-                trace=True,
-            )
-        except BudgetError as exc:
-            d = exc.diagnostics
-            rows.append(
-                RunRow(idx, None, None, d.iterations if d else 0,
-                       d.node_touches if d else 0, 0, exc.code)
-            )
-            if d is not None and d.records:
-                for rec in d.records:
-                    writer.writerow((idx, rec.t, rec.leaf_count, rec.depth, rec.node_touches))
-            continue
-        d = result.diagnostics
-        rows.append(
-            RunRow(idx, result.sample, d.tau, d.iterations, d.node_touches,
-                   0 if args.no_timing else d.wall_ns)
-        )
-        for rec in d.records or ():
-            writer.writerow((idx, rec.t, rec.leaf_count, rec.depth, rec.node_touches))
-    with open(args.trace, "w", encoding="utf-8") as fh:
-        fh.write(trace_buf.getvalue())
-    dicts = _row_dicts(kernel, rows)
-    fields = ("run_id", "sample", "tau", "iterations", "node_touches", "wall_ns", "error")
-    _emit(_csv_block(fields, dicts, _header_lines(args, seed)), args.out)
+        records = [dict(run_id=r.run_id, **vars(rec)) for r in rows for rec in r.records or ()]
+        _emit(_render(args, seed, TRACE_FIELDS, records, key="records", header=False), args.trace)
+    _emit(_render(args, seed, ROW_FIELDS, _row_dicts(kernel, rows)), args.out)
     failed = [r for r in rows if r.error is not None]
     for r in failed:
         print(f"ciaftp: error: {r.error}: run {r.run_id} exhausted its budget", file=sys.stderr)
@@ -262,15 +196,7 @@ def _meta_dict(args: argparse.Namespace, seed: int) -> dict:
 def cmd_validate(args: argparse.Namespace) -> int:
     kernel = load_kernel(args.kernel)
     seed = _resolve_seed(args)
-    report = oracle.validate(
-        kernel,
-        args.length,
-        args.runs,
-        seed,
-        max_iter=args.max_iter,
-        max_depth=args.max_depth,
-        max_nodes=args.max_nodes,
-    )
+    report = oracle.validate(kernel, args.length, args.runs, seed, jobs=args.jobs, **_budgets(args))
     payload = {"meta": _meta_dict(args, seed), "report": report.to_json_dict()}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -285,7 +211,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     fmt = kernel.alphabet.format_word
     dicts: List[dict] = []
     for algo in algorithms:
-        for r in _run_rows(kernel, args, seed, algo):
+        rows = engine.run_many(kernel, args.length, seed, 0, args.runs, algorithm=algo,
+                               timing=not args.no_timing, jobs=args.jobs, **_budgets(args))
+        for r in rows:
             dicts.append(
                 {
                     "algorithm": algo,
@@ -300,7 +228,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
     fields = ("algorithm", "seed", "sample", "tau", "iterations",
               "node_touches", "wall_ns", "error")
-    _emit(_csv_block(fields, dicts, _header_lines(args, seed)), args.out)
+    _emit(_render(args, seed, fields, dicts), args.out)
     failed = [d for d in dicts if d["error"]]
     return EXIT_FAIL if failed else EXIT_OK
 

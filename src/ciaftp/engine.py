@@ -1,23 +1,33 @@
 """The backward-coupling sampling loop and its diagnostics.
 
 Each backward step consumes one uniform draw: the draw's slice tells which
-context suffices to determine the new symbol, and the previous composite map
-is looked up one symbol deeper.  The composite map is kept as a minimal
-labeled trie whose leaf labels are full length-L windows; the run stops when
-the trie collapses to its root, at which point the single label is an exact
-stationary sample.
+context suffices to determine the new symbol, and the composite map built
+so far is looked up one symbol deeper.  The run stops when the composite
+map is constant, at which point its single label is an exact stationary
+sample.
 
-Two algorithm variants share the update rule:
+One loop, :func:`_backward`, owns everything that does not depend on how
+the composite map is stored: the iteration and node budgets, the
+diagnostics, the per-iteration trace records, the regeneration times and
+the wall time.  Three representations of the composite map plug into it;
+each only advances by one draw and reports its work, size and sample:
 
-* :func:`run` - the adaptive-trie loop (with a run-length-compressed fast
-  path for the renewal kernel at window length 1, whose slice depth is too
-  heavy-tailed to materialize node by node);
-* :func:`pw_extended` - the classical baseline holding the full depth-d
-  trie of an order-d chain, used for complexity comparisons.
+* :class:`_TrieMap` - the minimal labeled trie of :func:`step`, whose leaf
+  labels are full length-L windows;
+* :class:`_CombMap` - a run-length-compressed trie for the renewal kernel
+  at window length 1, whose slice depth is too heavy-tailed to materialize
+  node by node;
+* :class:`_TableMap` - the full depth-d table of an order-d chain, the
+  classical baseline behind :func:`pw_extended`.
+
+:func:`run` picks the comb or the trie from its input alone, and
+:func:`run_many` is the batch driver for every command.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -107,12 +117,6 @@ def init_state(alphabet: Alphabet, length: int) -> ContextTrie:
     return complete_trie(alphabet, length, label_fn=lambda s: s)
 
 
-def detect_regeneration(slice_: UpdateSlice) -> bool:
-    """True iff a single draw already determines the next symbol for every
-    past (the slice is the root-only trie)."""
-    return slice_.is_regeneration
-
-
 def step(
     kernel: Kernel,
     state: ContextTrie,
@@ -156,37 +160,28 @@ class StepAudit:
     slice_: UpdateSlice
     unpruned: ContextTrie
     state: ContextTrie
-    prev_depth: int
 
 
-def run(
-    kernel: Kernel,
-    length: int,
+# -- the backward loop ------------------------------------------------------
+
+
+def _backward(
+    rep,
     rng: RngStream,
-    *,
-    max_iter: int = DEFAULT_MAX_ITER,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    trace: bool = False,
-    on_iteration: Optional[Callable[[StepAudit], None]] = None,
-    force_generic: bool = False,
+    max_iter: int,
+    max_nodes: int,
+    trace: bool,
+    start_ns: int,
+    after_step: Optional[Callable[[int], None]] = None,
 ) -> RunResult:
-    """Draw one exact stationary window of the given length.
+    """Compose draws backward in time until ``rep`` is constant.
 
-    Draws are consumed in backward time order (the first draw belongs to
-    time -1).  Budget violations raise with partial diagnostics attached.
+    ``rep`` holds the composite map: it has a ``coalesced`` flag,
+    ``advance(u)`` composes one more draw and returns (node touches, slice
+    depth, regenerated) or raises MaxDepthExceeded, ``size()`` gives
+    (leaf count, depth) for the trace records and ``sample()`` the constant
+    value.
     """
-    Limits(max_iter, max_depth, max_nodes).validate()
-    if (
-        not force_generic
-        and on_iteration is None
-        and length == 1
-        and isinstance(kernel, RenewalSqrtKernel)
-    ):
-        return _run_renewal_comb(kernel, rng, max_iter, max_depth, max_nodes, trace)
-
-    start_ns = time.perf_counter_ns()
-    state = init_state(kernel.alphabet, length)
     t = 0
     touches = 0
     max_slice_depth = 0
@@ -205,48 +200,70 @@ def run(
             wall_ns=time.perf_counter_ns() - start_ns,
         )
 
-    while not state.is_coalesced():
+    advance = rep.advance
+    while not rep.coalesced:
         if -t >= max_iter:
             raise IterationLimitExceeded(
                 f"no coalescence within {max_iter} iterations", diag(None)
             )
         u = rng.uniform()
         t -= 1
-        prev_depth = state.depth()
         try:
-            new_state, slice_, e_trie = step(kernel, state, u, max_depth)
+            step_touches, slice_depth, regenerated = advance(u)
         except MaxDepthExceeded as exc:
             raise MaxDepthExceeded(str(exc), diag(None)) from None
-        if slice_.depth > max_slice_depth:
-            max_slice_depth = slice_.depth
-        if slice_.is_regeneration:
+        if slice_depth > max_slice_depth:
+            max_slice_depth = slice_depth
+        if regenerated:
             regen.append(t)
-        step_touches = slice_.node_touches + e_trie.node_count()
         touches += step_touches
         if touches > max_nodes:
             raise NodeBudgetExceeded(
                 f"node budget {max_nodes} exhausted at t={t}", diag(None)
             )
-        state = new_state
         if records is not None:
-            records.append(IterationRecord(t, state.leaf_count(), state.depth(), step_touches))
-        if on_iteration is not None:
-            on_iteration(StepAudit(t, slice_, e_trie, state, prev_depth))
-
-    sample = state.root_label()
-    if len(sample) != length:
-        raise InvariantViolation(f"coalesced label {sample} is not a length-{length} window")
-    return RunResult(sample=sample, diagnostics=diag(t))
+            records.append(IterationRecord(t, *rep.size(), step_touches))
+        if after_step is not None:
+            after_step(t)
+    return RunResult(sample=rep.sample(), diagnostics=diag(t))
 
 
-# -- renewal fast path ----------------------------------------------------
-#
+class _TrieMap:
+    """The composite map as the minimal labeled trie of :func:`step`; the
+    last slice and unpruned trie are kept for :class:`StepAudit`."""
+
+    def __init__(self, kernel: Kernel, length: int, max_depth: int):
+        self.kernel = kernel
+        self.length = length
+        self.max_depth = max_depth
+        self.state = init_state(kernel.alphabet, length)
+        self.coalesced = self.state.is_coalesced()
+        self.slice_ = self.unpruned = None
+
+    def advance(self, u: float) -> Tuple[int, int, bool]:
+        self.state, slice_, self.unpruned = step(self.kernel, self.state, u, self.max_depth)
+        self.slice_ = slice_
+        self.coalesced = self.state.is_coalesced()
+        return slice_.node_touches + self.unpruned.node_count(), slice_.depth, slice_.is_regeneration
+
+    def size(self) -> Tuple[int, int]:
+        return self.state.leaf_count(), self.state.depth()
+
+    def sample(self) -> Context:
+        sample = self.state.root_label()
+        if len(sample) != self.length:
+            raise InvariantViolation(
+                f"coalesced label {sample} is not a length-{self.length} window"
+            )
+        return sample
+
+
 # For the renewal kernel every dictionary arising at window length 1 is a
 # "comb": leaves 0, 01, 011, ..., 01^(a-1) plus the all-ones leaf 1^a.  A
 # comb is stored as run-length-encoded labels along the 0-side plus the
 # spine label, so a step costs O(number of label changes) regardless of the
 # slice depth -- which has no finite expectation and cannot be materialized
-# node by node.  The recursion (cross-checked against the generic loop):
+# node by node.  The recursion (cross-checked against the trie map):
 #
 #   new 0-side label at depth j = old label at depth j+1 (old spine past
 #   the old end); new spine label = old label at depth 0; then equal labels
@@ -256,58 +273,30 @@ Label = Tuple[str, ...]
 _Runs = List[Tuple[Label, int]]
 
 
-def _run_renewal_comb(
-    kernel: RenewalSqrtKernel,
-    rng: RngStream,
-    max_iter: int,
-    max_depth: int,
-    max_nodes: int,
-    trace: bool,
-) -> RunResult:
-    start_ns = time.perf_counter_ns()
-    runs: _Runs = [(("0",), 1)]
-    spine: Label = ("1",)
-    depth = 1
-    t = 0
-    touches = 0
-    max_slice_depth = 0
-    records: Optional[List[IterationRecord]] = [] if trace else None
+class _CombMap:
+    """The composite map of the renewal kernel at window length 1."""
 
-    def diag(tau: Optional[int]) -> RunDiagnostics:
-        return RunDiagnostics(
-            tau=tau,
-            iterations=-t,
-            node_touches=touches,
-            max_slice_depth=max_slice_depth,
-            regeneration_times=[],
-            records=records,
-            seed=rng.seed,
-            wall_ns=time.perf_counter_ns() - start_ns,
-        )
+    __slots__ = ("slice_depth", "max_depth", "runs", "spine", "comb_depth", "coalesced")
 
-    while True:
-        if -t >= max_iter:
-            raise IterationLimitExceeded(
-                f"no coalescence within {max_iter} iterations", diag(None)
-            )
-        u = rng.uniform()
-        t -= 1
-        m = kernel.slice_depth(u)
-        if m > max_depth:
+    def __init__(self, kernel: RenewalSqrtKernel, max_depth: int):
+        self.slice_depth = kernel.slice_depth
+        self.max_depth = max_depth
+        self.runs: _Runs = [(("0",), 1)]
+        self.spine: Label = ("1",)
+        self.comb_depth = 1
+        self.coalesced = False
+
+    def advance(self, u: float) -> Tuple[int, int, bool]:
+        m = self.slice_depth(u)
+        if m > self.max_depth:
             raise MaxDepthExceeded(
-                f"slice for u={u!r} has depth {m}, above the {max_depth} bound", diag(None)
+                f"slice for u={u!r} has depth {m}, above the {self.max_depth} bound"
             )
-        if m > max_slice_depth:
-            max_slice_depth = m
-        touches += 4 * m + 2  # slice nodes + rebuilt trie nodes
-        if touches > max_nodes:
-            raise NodeBudgetExceeded(f"node budget {max_nodes} exhausted at t={t}", diag(None))
-
         # shift the 0-side labels one step deeper in time
+        runs = self.runs
         head_label, head_count = runs[0]
         shifted = runs[1:] if head_count == 1 else [(head_label, head_count - 1)] + runs[1:]
-        new_spine = head_label
-        available = depth - 1
+        available = self.comb_depth - 1
         if m <= available:
             new_runs: _Runs = []
             need = m
@@ -319,27 +308,99 @@ def _run_renewal_comb(
                 need -= take
         else:
             pad = m - available
-            new_runs = list(shifted)
+            spine = self.spine
+            new_runs = shifted
             if new_runs and new_runs[-1][0] == spine:
                 new_runs[-1] = (spine, new_runs[-1][1] + pad)
             else:
                 new_runs.append((spine, pad))
-        # absorb equal labels into the spine from the deep end
+        # absorb equal labels into the new spine (the old depth-0 label)
+        # from the deep end
         new_depth = m
-        while new_runs and new_runs[-1][0] == new_spine:
+        while new_runs and new_runs[-1][0] == head_label:
             new_depth -= new_runs[-1][1]
             new_runs.pop()
-        if not new_runs:
-            # constant map: coalesced
-            if records is not None:
-                records.append(IterationRecord(t, 1, 0, 4 * m + 2))
-            return RunResult(sample=new_spine, diagnostics=diag(t))
-        runs, spine, depth = new_runs, new_spine, new_depth
-        if records is not None:
-            records.append(IterationRecord(t, depth + 1, depth, 4 * m + 2))
+        self.runs, self.spine, self.comb_depth = new_runs, head_label, new_depth
+        self.coalesced = not new_runs
+        return 4 * m + 2, m, False  # slice nodes + rebuilt trie nodes
+
+    def size(self) -> Tuple[int, int]:
+        return self.comb_depth + 1, self.comb_depth
+
+    def sample(self) -> Context:
+        return self.spine
+
+
+def run(
+    kernel: Kernel,
+    length: int,
+    rng: RngStream,
+    *,
+    max_iter: int = DEFAULT_MAX_ITER,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    trace: bool = False,
+    on_iteration: Optional[Callable[[StepAudit], None]] = None,
+) -> RunResult:
+    """Draw one exact stationary window of the given length.
+
+    Draws are consumed in backward time order (the first draw belongs to
+    time -1).  Budget violations raise with partial diagnostics attached.
+    The renewal kernel at window length 1 runs on the comb unless
+    ``on_iteration`` asks for the tries of every step.
+    """
+    Limits(max_iter, max_depth, max_nodes).validate()
+    start_ns = time.perf_counter_ns()
+    if on_iteration is None and length == 1 and isinstance(kernel, RenewalSqrtKernel):
+        return _backward(_CombMap(kernel, max_depth), rng, max_iter, max_nodes, trace, start_ns)
+    rep = _TrieMap(kernel, length, max_depth)
+    after_step = None
+    if on_iteration is not None:
+        def after_step(t: int) -> None:
+            on_iteration(StepAudit(t, rep.slice_, rep.unpruned, rep.state))
+    return _backward(rep, rng, max_iter, max_nodes, trace, start_ns, after_step)
 
 
 # -- extended Propp-Wilson baseline ---------------------------------------
+
+
+class _TableMap:
+    """The composite map on every history of length max(order, L), with no
+    adaptive dictionary and no pruning benefit."""
+
+    def __init__(self, kernel: Kernel, order: int, length: int):
+        self.kernel = kernel
+        self.order = order
+        self.symbols = kernel.alphabet.symbols
+        self.m = max(order, length)
+        self.table: Dict[Context, Context] = {
+            h: h[-length:] for h in itertools.product(self.symbols, repeat=self.m)
+        }
+        self.coalesced = len(set(self.table.values())) == 1
+
+    def advance(self, u: float) -> Tuple[int, int, bool]:
+        m = self.m
+        m_next = max(self.order, m - 1)
+        new_table: Dict[Context, Context] = {}
+        for h in itertools.product(self.symbols, repeat=m_next):
+            g = phi(self.kernel, u, h)
+            if g is None:
+                raise InvariantViolation(
+                    f"order-{self.order} kernel unresolved at depth-{m_next} context {h}"
+                )
+            new_table[h] = self.table[(h + (g,))[-m:]]
+        self.table, self.m = new_table, m_next
+        self.coalesced = len(set(new_table.values())) == 1
+        # every node of the full depth-m trie is held, not only the leaves
+        n_sym = len(self.symbols)
+        touches = (n_sym ** (m_next + 1) - 1) // (n_sym - 1) if n_sym > 1 else m_next + 1
+        return touches, 0, False
+
+    def size(self) -> Tuple[int, int]:
+        return len(self.table), self.m
+
+    def sample(self) -> Context:
+        return next(iter(self.table.values()))
 
 
 def pw_extended(
@@ -354,72 +415,16 @@ def pw_extended(
 ) -> RunResult:
     """The classical baseline: the composite map over the full extended
     state space, with the same update rule and the same draw discipline as
-    :func:`run` but no adaptive dictionary and no pruning benefit."""
+    :func:`run`."""
     Limits(max_iter, max_depth, max_nodes).validate()
     order = kernel.order
     if order is None:
         raise UnsupportedOperation("pw_extended needs a finite-order kernel")
-    order = max(order, 1)
     if length < 1:
         raise ValueError("window length must be >= 1")
-
     start_ns = time.perf_counter_ns()
-    symbols = kernel.alphabet.symbols
-    n_sym = len(symbols)
-    import itertools
-
-    m = max(order, length)
-    window_map: Dict[Context, Context] = {
-        h: h[-length:] for h in itertools.product(symbols, repeat=m)
-    }
-    t = 0
-    touches = 0
-    records: Optional[List[IterationRecord]] = [] if trace else None
-
-    def diag(tau: Optional[int]) -> RunDiagnostics:
-        return RunDiagnostics(
-            tau=tau,
-            iterations=-t,
-            node_touches=touches,
-            max_slice_depth=0,
-            regeneration_times=[],
-            records=records,
-            seed=rng.seed,
-            wall_ns=time.perf_counter_ns() - start_ns,
-        )
-
-    def coalesced() -> bool:
-        values = iter(window_map.values())
-        first = next(values)
-        return all(v == first for v in values)
-
-    while not coalesced():
-        if -t >= max_iter:
-            raise IterationLimitExceeded(
-                f"no coalescence within {max_iter} iterations", diag(None)
-            )
-        u = rng.uniform()
-        t -= 1
-        m_next = max(order, m - 1)
-        new_map: Dict[Context, Context] = {}
-        for h in itertools.product(symbols, repeat=m_next):
-            g = phi(kernel, u, h)
-            if g is None:
-                raise InvariantViolation(
-                    f"order-{order} kernel unresolved at depth-{m_next} context {h}"
-                )
-            key = (h + (g,))[-m:]
-            new_map[h] = window_map[key]
-        window_map, m = new_map, m_next
-        # every node of the full depth-m trie is held, not only the leaves
-        touches += (n_sym ** (m + 1) - 1) // (n_sym - 1) if n_sym > 1 else m + 1
-        if touches > max_nodes:
-            raise NodeBudgetExceeded(f"node budget {max_nodes} exhausted at t={t}", diag(None))
-        if records is not None:
-            records.append(IterationRecord(t, n_sym**m, m, 0))
-
-    sample = next(iter(window_map.values()))
-    return RunResult(sample=sample, diagnostics=diag(t))
+    rep = _TableMap(kernel, max(order, 1), length)
+    return _backward(rep, rng, max_iter, max_nodes, trace, start_ns)
 
 
 # -- batch driver ---------------------------------------------------------
@@ -437,6 +442,7 @@ class RunRow:
     wall_ns: int
     error: Optional[str] = None
     max_slice_depth: int = 0
+    records: Optional[List[IterationRecord]] = None
 
 
 def run_many(
@@ -452,34 +458,42 @@ def run_many(
     max_nodes: int = DEFAULT_MAX_NODES,
     checker: Optional[Callable[[StepAudit], None]] = None,
     timing: bool = True,
+    trace: bool = False,
+    jobs: int = 1,
 ) -> List[RunRow]:
     """Independent runs with seeds ``seed_base + run_id``; budget errors
-    become rows with an error code instead of aborting the batch."""
+    become rows with an error code instead of aborting the batch.
+
+    ``trace`` keeps each run's iteration records on its row.  With
+    ``jobs > 1`` the runs are split into contiguous blocks over that many
+    processes, unless a ``checker`` has to see every step in this process;
+    the rows come back in run order and never depend on ``jobs``.
+    """
+    if jobs > 1 and count >= 2 * jobs and checker is None:
+        import concurrent.futures
+
+        kwargs = dict(algorithm=algorithm, max_iter=max_iter, max_depth=max_depth,
+                      max_nodes=max_nodes, timing=timing, trace=trace)
+        bounds = [start + (i * count) // jobs for i in range(jobs + 1)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            futs = [
+                pool.submit(run_many, kernel, length, seed_base, lo, hi - lo, **kwargs)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            return [row for fut in futs for row in fut.result()]
+
+    if algorithm == "ciaftp":
+        sampler = functools.partial(run, on_iteration=checker)
+    elif algorithm == "pw_extended":
+        sampler = pw_extended
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+
     rows: List[RunRow] = []
     for idx in range(start, start + count):
-        rng = RngStream(seed_base + idx)
         try:
-            if algorithm == "ciaftp":
-                result = run(
-                    kernel,
-                    length,
-                    rng,
-                    max_iter=max_iter,
-                    max_depth=max_depth,
-                    max_nodes=max_nodes,
-                    on_iteration=checker,
-                )
-            elif algorithm == "pw_extended":
-                result = pw_extended(
-                    kernel,
-                    length,
-                    rng,
-                    max_iter=max_iter,
-                    max_depth=max_depth,
-                    max_nodes=max_nodes,
-                )
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}")
+            result = sampler(kernel, length, RngStream(seed_base + idx), max_iter=max_iter,
+                             max_depth=max_depth, max_nodes=max_nodes, trace=trace)
         except (IterationLimitExceeded, MaxDepthExceeded, NodeBudgetExceeded) as exc:
             d = exc.diagnostics
             rows.append(
@@ -491,6 +505,7 @@ def run_many(
                     node_touches=d.node_touches if d else 0,
                     wall_ns=d.wall_ns if (d and timing) else 0,
                     error=exc.code,
+                    records=d.records if d else None,
                 )
             )
             continue
@@ -504,6 +519,7 @@ def run_many(
                 node_touches=d.node_touches,
                 wall_ns=d.wall_ns if timing else 0,
                 max_slice_depth=d.max_slice_depth,
+                records=d.records,
             )
         )
     return rows

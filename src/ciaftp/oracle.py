@@ -231,9 +231,11 @@ def validate(
     max_iter: Optional[int] = None,
     max_depth: Optional[int] = None,
     max_nodes: Optional[int] = None,
+    jobs: int = 1,
 ) -> ValidationReport:
-    """Compare the empirical window law of N engine runs against the exact
-    oracle law.  Any budget-failed run fails validation outright."""
+    """Compare the empirical window law of N engine runs (over ``jobs``
+    processes) against the exact oracle law.  Any budget-failed run fails
+    validation outright."""
     from . import engine
 
     d = kernel.order
@@ -251,7 +253,7 @@ def validate(
     if max_nodes is not None:
         limits["max_nodes"] = max_nodes
     rows = engine.run_many(
-        kernel, length, seed, 0, n_runs, algorithm=algorithm, timing=False, **limits
+        kernel, length, seed, 0, n_runs, algorithm=algorithm, timing=False, jobs=jobs, **limits
     )
     counts: Dict[Context, int] = {w: 0 for w in law.probs}
     n_failed = 0

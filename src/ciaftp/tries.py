@@ -92,10 +92,6 @@ class _Node:
         self.children = children
         self.label = label
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
 
 class ContextTrie:
     """A complete suffix dictionary, optionally with a label at each leaf.
@@ -205,12 +201,6 @@ class ContextTrie:
             node = node.children[ctx[-i]]
         return node
 
-    def is_leaf_context(self, ctx: Context) -> bool:
-        try:
-            return self.node_at(ctx).is_leaf
-        except (TrieStructureError, KeyError):
-            return False
-
     def leaves(self) -> Iterator[Tuple[Context, Any]]:
         """Yield ``(context, label)`` for every leaf."""
         yield from _iter_leaves(self.root, EMPTY)
@@ -277,30 +267,6 @@ class ContextTrie:
                     stack.append((node.children[g], g, indent + 1))
         return "\n".join(lines)
 
-    def to_dot(self) -> str:
-        lines = ["digraph trie {", "  node [shape=circle];"]
-        counter = 0
-        # (node, ctx, parent id, edge symbol); DFS in alphabet order
-        stack: list[tuple[_Node, Context, Optional[int], Optional[Symbol]]] = [
-            (self.root, EMPTY, None, None)
-        ]
-        while stack:
-            node, ctx, parent, sym = stack.pop()
-            my_id = counter
-            counter += 1
-            name = self.alphabet.format_word(ctx) or "eps"
-            if node.children is None:
-                lab = name if node.label is None else f"{name}\\n{_fmt_label(node.label)}"
-                lines.append(f'  n{my_id} [shape=box,label="{lab}"];')
-            else:
-                lines.append(f'  n{my_id} [label="{name}"];')
-                for g in reversed(self.alphabet.symbols):
-                    stack.append((node.children[g], (g,) + ctx, my_id, g))
-            if parent is not None:
-                lines.append(f'  n{parent} -> n{my_id} [label="{sym}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def _fmt_label(label: Any) -> str:
     if isinstance(label, tuple):
@@ -361,23 +327,6 @@ def prune_minimal(trie: ContextTrie) -> ContextTrie:
             else:
                 done[id(node)] = _Node(kids)
     return ContextTrie(trie.alphabet, done[id(trie.root)])
-
-
-def graft(trie: ContextTrie, at: Context, sub: ContextTrie) -> ContextTrie:
-    """Replace leaf ``at`` by the complete trie ``sub``.
-
-    A sub-leaf with context ``c`` becomes the leaf ``c + at`` (its symbols
-    are older than those of ``at``), carrying the sub-leaf's label.
-    """
-    if not trie.is_leaf_context(at):
-        raise TrieStructureError(f"graft target {at} is not a leaf")
-    new_leaves: Dict[Context, Any] = {}
-    for ctx, label in trie.leaves():
-        if ctx != at:
-            new_leaves[ctx] = label
-    for ctx, label in sub.leaves():
-        new_leaves[ctx + at] = label
-    return ContextTrie.from_leaves(trie.alphabet, new_leaves)
 
 
 def prefix_closure(d: ContextTrie) -> ContextTrie:

@@ -8,10 +8,11 @@ Whenever ``u`` is below the accumulated mass of a context, the update value
 is already determined by that context alone; the minimal labeled trie of
 contexts where this happens is the draw's *slice*.
 
-Floating-point discipline: every routine in this module accumulates the
-interval boundaries in one canonical order (ascending level; within a level,
-alphabet order), so interval membership never disagrees between table
-construction, pointwise evaluation, and slice expansion.
+Floating-point discipline: every routine in this module takes the interval
+boundaries from one helper, :func:`_level_ends`, in one canonical order
+(ascending level; within a level, alphabet order), so interval membership
+never disagrees between table construction, pointwise evaluation, and slice
+expansion.  The same helper closes every resolving level at exactly 1.0.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .errors import InvariantViolation, MaxDepthExceeded
-from .kernels import Kernel, RenewalSqrtKernel
+from .errors import MaxDepthExceeded
+from .kernels import Kernel, LowerBoundRow, RenewalSqrtKernel
 from .tries import Context, ContextTrie, Symbol, prune_minimal
 
 DEFAULT_MAX_DEPTH = 10_000
@@ -48,37 +49,49 @@ class UpdateSlice:
         return self.trie.is_coalesced()
 
 
-def _interval_stream(kernel: Kernel, w: Context) -> Iterator[IntervalAssignment]:
-    """All intervals for levels 0..len(w), in canonical order.
+def _level_ends(row: LowerBoundRow, prev: Tuple[float, ...], pos: float) -> List[float]:
+    """Right ends of one level's intervals, in alphabet order, for a level
+    that starts at ``pos``: symbol i gains ``row.lower[i] - prev[i]``.
 
-    Zero-width intervals are emitted too; callers that only care about mass
-    may skip them.
+    At a resolving level the last interval of nonzero width ends at exactly
+    1.0, so the intervals tile [0, 1) whatever the rounding of the sums and
+    every draw (``1 - 2**-53`` included) lands in one of them.
     """
-    symbols = kernel.alphabet.symbols
+    ends = []
+    for lower, before in zip(row.lower, prev):
+        pos += lower - before
+        ends.append(pos)
+    if pos != 1.0 and row.resolved:
+        last = len(ends) - 1
+        while last > 0 and row.lower[last] == prev[last]:
+            last -= 1
+        ends[last:] = [1.0] * (len(ends) - last)
+    return ends
+
+
+def _levels(kernel: Kernel, w: Context) -> Iterator[Tuple[int, float, List[float]]]:
+    """``(level, start, interval ends)`` for levels 0..len(w) of the chain
+    ``w``, in canonical order."""
     pos = 0.0
-    prev = (0.0,) * len(symbols)
+    prev = (0.0,) * kernel.alphabet.size
     for k in range(len(w) + 1):
         row = kernel.lower_bounds(w[len(w) - k:])
-        for i, g in enumerate(symbols):
-            inc = row.lower[i] - prev[i]
-            yield IntervalAssignment(k, g, pos, pos + inc)
-            pos += inc
-        prev = row.lower
+        ends = _level_ends(row, prev, pos)
+        yield k, pos, ends
+        pos, prev = ends[-1], row.lower
 
 
 def interval_table(kernel: Kernel, w: Context, u_cap: float = 1.0) -> List[IntervalAssignment]:
     """Interval layout for the chain ``w``, stopping after the first level
-    whose accumulated mass exceeds ``u_cap``."""
+    whose accumulated mass exceeds ``u_cap``.  Zero-width intervals are
+    listed too."""
     out: List[IntervalAssignment] = []
-    level_end = 0.0
-    current_level = 0
-    for iv in _interval_stream(kernel, w):
-        if iv.level != current_level:
-            if level_end > u_cap:
-                break
-            current_level = iv.level
-        out.append(iv)
-        level_end = iv.beta
+    for k, pos, ends in _levels(kernel, w):
+        if k and pos > u_cap:
+            break
+        for g, end in zip(kernel.alphabet.symbols, ends):
+            out.append(IntervalAssignment(k, g, pos, end))
+            pos = end
     return out
 
 
@@ -87,66 +100,57 @@ def phi(kernel: Kernel, u: float, s: Context) -> Optional[Symbol]:
     to determine it (``u`` at or above the accumulated context mass)."""
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
-    for iv in _interval_stream(kernel, s):
-        if iv.alpha <= u < iv.beta:
-            return iv.symbol
+    # the levels below the first one ending above u end at or below u, so
+    # the first interval ending above u holds it
+    for _, _, ends in _levels(kernel, s):
+        for g, end in zip(kernel.alphabet.symbols, ends):
+            if u < end:
+                return g
     return None
 
 
-def build_slice(
-    kernel: Kernel,
-    u: float,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    generic: bool = False,
-) -> UpdateSlice:
+def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) -> UpdateSlice:
     """Expand the minimal slice trie for draw ``u``.
 
     Depth-first from the root: a node whose accumulated mass exceeds ``u``
     becomes a leaf labeled with the update value; otherwise all children
     are expanded.  Kernels with a closed-form slice shape (the renewal
-    family) use it unless ``generic`` is set; both routes produce the same
-    trie.
+    family) use it; :func:`_generic_slice` builds the same trie node by node.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    if not generic and isinstance(kernel, RenewalSqrtKernel):
+    if isinstance(kernel, RenewalSqrtKernel):
         return _renewal_slice(kernel, u, max_depth)
     return _generic_slice(kernel, u, max_depth)
 
 
 def _generic_slice(kernel: Kernel, u: float, max_depth: int) -> UpdateSlice:
     symbols = kernel.alphabet.symbols
-    n_sym = len(symbols)
     touches = 0
     leaves = {}
-    zeros = (0.0,) * n_sym
     # stack entries: (context, accumulated position, previous-level bounds)
-    stack: List[Tuple[Context, float, Tuple[float, ...]]] = [((), 0.0, zeros)]
+    stack: List[Tuple[Context, float, Tuple[float, ...]]] = [((), 0.0, (0.0,) * len(symbols))]
     while stack:
         ctx, pos, prev = stack.pop()
         touches += 1
         row = kernel.lower_bounds(ctx)
-        symbol = None
-        for i, g in enumerate(symbols):
-            inc = row.lower[i] - prev[i]
-            if pos <= u < pos + inc:
-                symbol = g
-            pos += inc
-        if u < pos:
-            if symbol is None:
-                raise InvariantViolation(
-                    f"draw {u!r} below mass {pos!r} at {ctx} but in no interval"
-                )
-            leaves[ctx] = symbol
+        ends = _level_ends(row, prev, pos)
+        level_end = ends[-1]
+        if u < level_end:
+            # u >= pos, so the first interval ending above u holds it
+            for g, end in zip(symbols, ends):
+                if u < end:
+                    leaves[ctx] = g
+                    break
         else:
             if len(ctx) >= max_depth:
                 raise MaxDepthExceeded(
                     f"slice for u={u!r} did not resolve within depth {max_depth}"
                 )
             for g in symbols:
-                stack.append(((g,) + ctx, pos, row.lower))
+                stack.append(((g,) + ctx, level_end, row.lower))
     trie = prune_minimal(ContextTrie.from_leaves(kernel.alphabet, leaves))
     return UpdateSlice(u=u, trie=trie, depth=trie.depth(), node_touches=touches)
 

@@ -6,6 +6,7 @@ output doubles as a report.
 
 import collections
 import csv
+import hashlib
 import io
 import json
 import math
@@ -259,23 +260,34 @@ def test_09_benchmark_harness(tmp_path):
 
 
 def test_10_end_to_end_determinism(tmp_path, capsys):
-    """Byte-identical output for every command under --no-timing."""
+    """Byte-identical output for every command under --no-timing, equal to
+    the sha256 digests pinned from earlier releases."""
     commands = [
-        ["sample", "--kernel", kpath("desk_vlmc"), "--length", "2",
-         "--runs", "20", "--seed", "77", "--no-timing"],
-        ["sample", "--kernel", kpath("order1"), "--runs", "5", "--seed", "77",
-         "--format", "json", "--no-timing"],
-        ["sample", "--kernel", kpath("renewal_sqrt"), "--length", "1",
-         "--runs", "20", "--seed", "77", "--no-timing",
-         "--max-depth", str(10**12), "--max-nodes", str(10**15)],
-        ["validate", "--kernel", kpath("order1"), "--length", "1",
-         "--runs", "2000", "--seed", "77", "--no-timing"],
-        ["bench", "--kernel", kpath("order2"), "--length", "1",
-         "--runs", "20", "--seed", "77", "--no-timing"],
-        ["inspect", "--kernel", kpath("desk_vlmc"), "--length", "3"],
-        ["inspect", "--kernel", kpath("renewal_sqrt"), "--u", "0.5"],
+        (["sample", "--kernel", kpath("desk_vlmc"), "--length", "2",
+          "--runs", "20", "--seed", "77", "--no-timing"],
+         "fc5895c4fb0fa0e6513020d77c117f77974a4a343b69ebd1ea92004c930e8696"),
+        (["sample", "--kernel", kpath("order1"), "--runs", "5", "--seed", "77",
+          "--format", "json", "--no-timing"],
+         "4e654a71cca9620640039197863322cce9aa0986bb5327e4e1b4ae53f12ec0f1"),
+        (["sample", "--kernel", kpath("renewal_sqrt"), "--length", "1",
+          "--runs", "20", "--seed", "77", "--no-timing",
+          "--max-depth", str(10**12), "--max-nodes", str(10**15)],
+         "9592b77fad045e9010c66a7ec421b2fd16a1d833714e313c3bfbb990f0892d57"),
+        # validate's floats come from LAPACK, so it is checked on rerun only
+        (["validate", "--kernel", kpath("order1"), "--length", "1",
+          "--runs", "2000", "--seed", "77", "--no-timing"], None),
+        (["bench", "--kernel", kpath("order2"), "--length", "1",
+          "--runs", "20", "--seed", "77", "--no-timing"],
+         "2de2f85e16d865c2b4ccd0ba9375c771873d7bbd4349fafb9aa438f6bc3c0eee"),
+        (["inspect", "--kernel", kpath("desk_vlmc"), "--length", "3"],
+         "f2381c7a888a15c2694f98d145ca38ec03389e428a6c4503ddb3193fb43476b8"),
+        (["inspect", "--kernel", kpath("renewal_sqrt"), "--u", "0.5"],
+         "cf326e2a5e91d0f7f5ed95d3a7fe6999fed3747b2e36a5e59a34049dfb5bc760"),
+        # its last interval ends at exactly 1.0 (exact tiling)
+        (["inspect", "--kernel", kpath("order2"), "--u", "0.9"],
+         "74b65b91957dfd1f59b148350b626f7abdb1762ed487f5dbcbe8596383c369d3"),
     ]
-    for args in commands:
+    for args, digest in commands:
         outputs = []
         for _ in range(2):
             rc = cli.main(args)
@@ -283,4 +295,29 @@ def test_10_end_to_end_determinism(tmp_path, capsys):
             assert rc == 0, (args, rc)
             outputs.append(captured.out)
         assert outputs[0] == outputs[1], args
-    print(f"PASS: criterion 10 - {len(commands)} commands byte-identical on rerun")
+        if digest is not None:
+            assert hashlib.sha256(outputs[0].encode()).hexdigest() == digest, args
+
+    # --trace leaves the rows unchanged; the second case has a budget failure,
+    # whose partial records are traced too
+    traced = [
+        (["sample", "--kernel", kpath("desk_vlmc"), "--length", "2",
+          "--runs", "20", "--seed", "77", "--no-timing"], 0,
+         "fc5895c4fb0fa0e6513020d77c117f77974a4a343b69ebd1ea92004c930e8696",
+         "9b4d6eaf874710e82e66bb47575513d11b1883e9ce389c46b00de78f50d36fa2"),
+        (["sample", "--kernel", kpath("renewal_sqrt"), "--length", "1",
+          "--runs", "20", "--seed", "77", "--no-timing"], 1,
+         "44e516a17fa83cbd4ad82179814d390d3be4eda926f1ae05096f8d676446a219",
+         "74f62ad7145ada717904beb7f19626648e7a950aff0382e9657e054730e98daf"),
+    ]
+    trace = tmp_path / "trace.csv"
+    for args, code, out_digest, trace_digest in traced:
+        rc = cli.main(args + ["--trace", str(trace)])
+        out = capsys.readouterr().out
+        assert rc == code, args
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest, args
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest, args
+    print(
+        f"PASS: criterion 10 - {len(commands)} commands byte-identical on rerun, "
+        f"{len(traced)} traced samples match their pinned digests"
+    )

@@ -195,13 +195,20 @@ def test_bench_renewal_single_algorithm(capsys):
     assert {r[0] for r in rows} == {"ciaftp"}
 
 
-def test_jobs_do_not_change_output(capsys):
-    base = ["sample", "--kernel", kpath("desk_vlmc"), "--length", "2",
-            "--runs", "12", "--seed", "21", "--no-timing"]
-    rc1, out1, _ = run_cli(base + ["--jobs", "1"], capsys)
-    rc2, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
-    assert rc1 == rc2 == 0
-    assert out1 == out2
+def test_jobs_do_not_change_output(tmp_path, capsys):
+    sample = ["sample", "--kernel", kpath("desk_vlmc"), "--length", "2",
+              "--runs", "12", "--seed", "21", "--no-timing"]
+    trace = tmp_path / "trace.csv"
+    validate = ["validate", "--kernel", kpath("order1"), "--length", "1",
+                "--runs", "400", "--seed", "21", "--no-timing"]
+    for base in (sample, sample + ["--trace", str(trace)], validate):
+        rc1, out1, _ = run_cli(base + ["--jobs", "1"], capsys)
+        traced1 = trace.read_text() if "--trace" in base else None
+        rc2, out2, _ = run_cli(base + ["--jobs", "2"], capsys)
+        traced2 = trace.read_text() if "--trace" in base else None
+        assert rc1 == rc2 == 0
+        assert out1 == out2, base
+        assert traced1 == traced2, base
 
 
 def test_trace_file(tmp_path, capsys):
@@ -215,6 +222,17 @@ def test_trace_file(tmp_path, capsys):
     assert lines[0] == "run_id,t,leaf_count,depth,node_touches"
     assert len(lines) > 3
     assert {l.split(",")[0] for l in lines[1:]} == {"0", "1", "2"}
+
+    # --format applies to the rows and to the trace file
+    rc, out, _ = run_cli(
+        ["sample", "--kernel", kpath("desk_vlmc"), "--length", "2", "--runs", "3",
+         "--seed", "6", "--no-timing", "--trace", str(trace), "--format", "json"], capsys
+    )
+    assert rc == 0
+    assert [r["run_id"] for r in json.loads(out)["rows"]] == [0, 1, 2]
+    records = json.loads(trace.read_text())["records"]
+    assert len(records) == len(lines) - 1
+    assert ",".join(str(records[0][f]) for f in lines[0].split(",")) == lines[1]
 
 
 def test_inspect_slice_fixture(capsys):
@@ -250,3 +268,5 @@ def test_inspect_deterministic(capsys):
     rc1, out1, _ = run_cli(args, capsys)
     rc2, out2, _ = run_cli(args, capsys)
     assert rc1 == rc2 == 0 and out1 == out2
+    # the last interval of a resolving level ends at exactly 1.0
+    assert out1.splitlines()[-1] == "2,1,0.720891,1.0"

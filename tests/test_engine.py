@@ -79,13 +79,18 @@ def test_single_step_composition():
 
 
 def test_trace_records():
-    k = desk_vlmc()
-    res = run(k, 2, RngStream(4), trace=True)
-    recs = res.diagnostics.records
-    assert recs is not None and len(recs) == res.diagnostics.iterations
-    assert [r.t for r in recs] == list(range(-1, res.diagnostics.tau - 1, -1))
-    assert recs[-1].leaf_count == 1
-    assert sum(r.node_touches for r in recs) == res.diagnostics.node_touches
+    # the work counters mean the same for every sampler: one record per
+    # iteration, and the records' touches add up to the run's total
+    cases = [(run, desk_vlmc(), 2), (run, RenewalSqrtKernel(), 1), (pw_extended, desk_vlmc(), 1)]
+    for sampler, k, length in cases:
+        for seed in range(4, 10):
+            d = sampler(k, length, RngStream(seed), trace=True).diagnostics
+            recs = d.records
+            assert recs is not None and len(recs) == d.iterations
+            assert [r.t for r in recs] == list(range(-1, d.tau - 1, -1))
+            assert sum(r.node_touches for r in recs) == d.node_touches
+            if sampler is run:
+                assert recs[-1].leaf_count == 1
 
 
 def test_on_iteration_audit():
@@ -151,9 +156,10 @@ def test_renewal_comb_matches_generic():
     for seed in range(150):
         try:
             fast = run(k, 1, RngStream(seed), max_depth=3000, max_nodes=10**12)
+            # an on_iteration audit makes run() take the trie map
             slow = run(
                 k, 1, RngStream(seed), max_depth=3000, max_nodes=10**12,
-                force_generic=True,
+                on_iteration=lambda a: None,
             )
         except MaxDepthExceeded:
             continue
@@ -170,7 +176,7 @@ def test_renewal_comb_trace_matches_generic():
     fast = run(k, 1, RngStream(3), max_depth=10**6, max_nodes=10**12, trace=True)
     slow = run(
         k, 1, RngStream(3), max_depth=10**6, max_nodes=10**12,
-        trace=True, force_generic=True,
+        trace=True, on_iteration=lambda a: None,
     )
     assert [(r.t, r.leaf_count, r.depth) for r in fast.diagnostics.records] == [
         (r.t, r.leaf_count, r.depth) for r in slow.diagnostics.records
@@ -219,6 +225,10 @@ def test_run_many_rows():
     assert [(r.run_id, r.sample) for r in tail] == [
         (r.run_id, r.sample) for r in rows[15:]
     ]
+    # a checker sees every step in this process, whatever jobs says
+    seen = []
+    run_many(k, 1, 500, 0, 8, checker=lambda a: seen.append(a.t), jobs=2)
+    assert len(seen) == sum(r.iterations for r in rows[:8])
 
 
 def test_run_many_budget_rows():

@@ -9,7 +9,6 @@ from ciaftp.tries import (
     ContextTrie,
     complete_trie,
     dominates,
-    graft,
     is_suffix,
     iter_leaves_below,
     prefix_closure,
@@ -142,19 +141,6 @@ def test_prune_does_not_mutate_input():
     t = ContextTrie.from_leaves(BINARY, {("0",): "x", ("1",): "x"})
     prune_minimal(t)
     assert t.leaf_count() == 2
-
-
-def test_graft():
-    sub = ContextTrie.from_leaves(BINARY, {("0",): "p", ("1",): "q"})
-    g = graft(desk_trie(), ("0",), sub)
-    assert dict(g.leaves()) == {
-        ("0", "0"): "p",
-        ("1", "0"): "q",
-        ("0", "1"): "b",
-        ("1", "1"): "c",
-    }
-    with pytest.raises(TrieStructureError):
-        graft(desk_trie(), ("1",), sub)  # internal node, not a leaf
 
 
 def test_prefix_closure_fixture():

@@ -1,13 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciaftp.errors import MaxDepthExceeded
-from ciaftp.kernels import RenewalSqrtKernel, memoryless_kernel
+from ciaftp.engine import pw_extended, run
+from ciaftp.errors import IterationLimitExceeded, MaxDepthExceeded
+from ciaftp.kernels import RenewalSqrtKernel, load_kernel, memoryless_kernel
 from ciaftp.update_rule import (
+    DEFAULT_MAX_DEPTH,
+    _generic_slice,
     build_slice,
     interval_table,
     phi,
@@ -15,7 +19,27 @@ from ciaftp.update_rule import (
     verify_measure,
 )
 
-from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_context, random_vlmc
+from helpers import (
+    BINARY,
+    TERNARY,
+    all_contexts,
+    desk_vlmc,
+    order1_chain,
+    random_context,
+    random_vlmc,
+)
+
+KERNELS = Path(__file__).resolve().parent.parent / "kernels"
+TOP = 1.0 - 2.0**-53  # the largest draw Generator.random() can return
+
+
+class TopStream:
+    """A draw stream that always returns TOP."""
+
+    seed = None
+
+    def uniform(self) -> float:
+        return TOP
 
 
 def test_interval_layout_order1():
@@ -91,7 +115,7 @@ def test_renewal_slice_fixture():
 def test_renewal_slice_generic_agrees(u):
     k = RenewalSqrtKernel()
     fast = build_slice(k, u)
-    slow = build_slice(k, u, generic=True)
+    slow = _generic_slice(k, u, DEFAULT_MAX_DEPTH)
     assert fast.trie == slow.trie
     assert fast.depth == slow.depth
     assert fast.node_touches == slow.node_touches
@@ -103,7 +127,7 @@ def test_build_slice_max_depth():
     with pytest.raises(MaxDepthExceeded):
         build_slice(k, u, max_depth=100)
     with pytest.raises(MaxDepthExceeded):
-        build_slice(k, u, max_depth=100, generic=True)
+        _generic_slice(k, u, 100)
 
 
 @pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
@@ -159,3 +183,32 @@ def test_interval_table_u_cap_stops_early():
     hit = [iv for iv in table if iv.alpha <= u < iv.beta]
     assert len(hit) == 1
     assert hit[0].symbol == phi(k, u, w)
+
+
+def test_top_draw_resolves_on_shipped_kernels():
+    # the intervals tile [0, 1) exactly at every resolving context, so the
+    # top double lands in one of them
+    for path in sorted(KERNELS.glob("*.json")):
+        k = load_kernel(str(path))
+        if k.order is None:
+            # renewal: the resolving contexts are those holding a 0
+            contexts = [w for w in all_contexts(k.alphabet, 6) if "0" in w]
+        else:
+            contexts = list(all_contexts(k.alphabet, max(k.order, 1)))
+        for w in contexts:
+            assert phi(k, TOP, w) is not None, (path.name, w)
+            rep = verify_measure(k, w)
+            assert rep.ok and rep.coverage_error == 0.0, (path.name, w, rep.failures)
+        if k.order is None:
+            continue
+        assert build_slice(k, TOP).depth <= max(k.order, 1), path.name
+
+        def outcome(sampler, length):
+            try:
+                res = sampler(k, length, TopStream(), max_iter=50)
+            except IterationLimitExceeded as exc:
+                return exc.code, exc.diagnostics.iterations
+            return res.sample, res.diagnostics.tau
+
+        for length in (1, 2):
+            assert outcome(run, length) == outcome(pw_extended, length), (path.name, length)
