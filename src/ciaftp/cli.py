@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Four subcommands over a shared flag set:
+Four subcommands; each takes only the flags it uses:
 
 * ``sample``   - N independent exact draws, CSV/JSON rows
 * ``validate`` - statistical comparison against the exact oracle, JSON
@@ -48,29 +48,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, runs_default: int = 1) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--kernel", required=True, help="kernel spec JSON path")
         p.add_argument("--length", type=int, default=1, metavar="L")
+        p.add_argument("--max-depth", type=int, default=engine.DEFAULT_MAX_DEPTH)
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def sampler_flags(p: argparse.ArgumentParser, runs_default: int) -> None:
+        """The flags of the commands that run the sampler."""
+        common(p)
         p.add_argument("--runs", type=int, default=runs_default, metavar="N")
         p.add_argument("--seed", type=int, default=None, metavar="S")
         p.add_argument("--max-iter", type=int, default=engine.DEFAULT_MAX_ITER)
-        p.add_argument("--max-depth", type=int, default=engine.DEFAULT_MAX_DEPTH)
         p.add_argument("--max-nodes", type=int, default=engine.DEFAULT_MAX_NODES)
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--no-timing", action="store_true", help="zero wall-clock fields")
 
+    def row_flags(p: argparse.ArgumentParser, runs_default: int) -> None:
+        """The flags of the commands that print one row per run."""
+        sampler_flags(p, runs_default)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
     p_sample = sub.add_parser("sample", help="draw exact stationary windows")
-    common(p_sample, runs_default=1)
+    row_flags(p_sample, runs_default=1)
     p_sample.add_argument("--trace", default=None, metavar="PATH",
                           help="write per-iteration records to PATH (in --format)")
 
     p_validate = sub.add_parser("validate", help="compare sample law to the exact oracle")
-    common(p_validate, runs_default=10**4)
+    sampler_flags(p_validate, runs_default=10**4)
 
     p_bench = sub.add_parser("bench", help="adaptive engine vs. extended-chain baseline")
-    common(p_bench, runs_default=100)
+    row_flags(p_bench, runs_default=100)
 
     p_inspect = sub.add_parser("inspect", help="static kernel / slice views")
     common(p_inspect)
@@ -306,7 +314,7 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.length < 1 or args.runs < 1:
+    if args.length < 1 or getattr(args, "runs", 1) < 1:
         print("ciaftp: error: Usage: --length and --runs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -12,15 +12,27 @@ diagnostics, the per-iteration trace records, the regeneration times and
 the wall time.  Three representations of the composite map plug into it;
 each only advances by one draw and reports its work, size and sample:
 
-* :class:`_TrieMap` - the minimal labeled trie of :func:`step`, whose leaf
-  labels are full length-L windows;
+* :class:`_SharedMap` - the minimal labeled trie as immutable shared
+  subtrees, whose leaf labels are full length-L windows.  A step finds the
+  draw's slice in the kernel's gap table
+  (:class:`~ciaftp.update_rule.SliceTable`) by bisection, grafts the
+  previous map's subtrees under the slice leaves by reference and rebuilds
+  only the slice's internal nodes, so it costs O(slice size), not
+  O(state size).  Renewal slices are combs of depth
+  ``kernel.slice_depth(u)``, composed by loops;
 * :class:`_CombMap` - a run-length-compressed trie for the renewal kernel
   at window length 1, whose slice depth is too heavy-tailed to materialize
   node by node;
 * :class:`_TableMap` - the full depth-d table of an order-d chain, the
-  classical baseline behind :func:`pw_extended`.
+  classical baseline behind :func:`pw_extended`; it evaluates ``phi``
+  pointwise and shares no slice code with the other two.
 
-:func:`run` picks the comb or the trie from its input alone, and
+:func:`step` is the validated reference: it composes through
+:func:`~ciaftp.update_rule.build_slice`, ``ContextTrie.from_leaves`` and
+``prune_minimal``.  Under ``run(on_iteration=...)`` it is advanced beside
+the shared map (:class:`_AuditedMap`), which raises InvariantViolation on
+any step where they differ and hands the reference tries to the audit.
+:func:`run` picks the comb or the shared map from its input alone, and
 :func:`run_many` is the batch driver for every command.
 """
 
@@ -43,7 +55,7 @@ from .errors import (
 )
 from .kernels import Kernel, RenewalSqrtKernel
 from .tries import Alphabet, Context, ContextTrie, complete_trie, prune_minimal
-from .update_rule import DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, phi
+from .update_rule import DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, phi, slice_table
 
 DEFAULT_MAX_ITER = 10**6
 DEFAULT_MAX_NODES = 10**7
@@ -228,34 +240,197 @@ def _backward(
     return RunResult(sample=rep.sample(), diagnostics=diag(t))
 
 
-class _TrieMap:
-    """The composite map as the minimal labeled trie of :func:`step`; the
-    last slice and unpruned trie are kept for :class:`StepAudit`."""
+# Nodes of the shared-subtree map.  A leaf is ``(None, 1, 0, 1, label)``
+# and an internal node ``(children, leaf count, depth, tree size)``, with
+# children in alphabet order; the memos make the trace's sizes and the
+# node touches O(1).  A node is never changed once built, so a step grafts
+# the previous map's subtrees by reference.  Each label has one leaf object
+# per run: the initial map creates every leaf and later steps only graft
+# them, so a node whose children are all the same leaf object becomes that
+# leaf - the rule of tries.prune_minimal.  Grafted subtrees come from a
+# minimal map, so only the nodes a step rebuilds need the rule.  (The
+# initial map is built reduced too; it differs from the complete trie only
+# for a one-symbol alphabet, whose chain of L nodes is one leaf here.)
+
+
+def _node(kids: tuple) -> tuple:
+    first = kids[0]
+    if first[0] is None and kids.count(first) == len(kids):
+        return first
+    leaves = depth = size = 0
+    for k in kids:
+        leaves += k[1]
+        size += k[3]
+        if k[2] > depth:
+            depth = k[2]
+    return (kids, leaves, depth + 1, size + 1)
+
+
+def _map_leaves(root: tuple, symbols: Tuple[str, ...]) -> Dict[Context, Context]:
+    """``{context: label}`` of a shared-subtree map, like ContextTrie.leaves."""
+    out: Dict[Context, Context] = {}
+    stack = [(root, ())]
+    while stack:
+        node, ctx = stack.pop()
+        if node[0] is None:
+            out[ctx] = node[4]
+        else:
+            for g, child in zip(symbols, node[0]):
+                stack.append((child, (g,) + ctx))
+    return out
+
+
+class _SharedMap:
+    """The composite map as shared subtrees.
+
+    A step looks the draw's slice up in the kernel's
+    :class:`~ciaftp.update_rule.SliceTable`, walks the previous map along
+    each slice leaf's path, grafts the node it reaches and rebuilds only the
+    slice's internal nodes above the grafts.  The renewal kernel has no
+    finite table: its slice is the comb of depth ``kernel.slice_depth(u)``,
+    composed by loops because it can be far deeper than Python's recursion
+    limit.  Node touches count what :func:`step` counts: the slice's
+    touches plus the nodes of the unpruned composition.
+    """
+
+    __slots__ = ("length", "max_depth", "arity", "lookup", "slice_depth", "root", "coalesced")
 
     def __init__(self, kernel: Kernel, length: int, max_depth: int):
-        self.kernel = kernel
+        if length < 1:
+            raise ValueError("window length must be >= 1")
         self.length = length
         self.max_depth = max_depth
-        self.state = init_state(kernel.alphabet, length)
-        self.coalesced = self.state.is_coalesced()
-        self.slice_ = self.unpruned = None
+        symbols = kernel.alphabet.symbols
+        self.arity = len(symbols)
+        # the complete depth-L trie, leaf w labeled w, built from the leaves
+        # up; each level lists its contexts in itertools.product order, so
+        # the children (g,) + c of context c sit one stride apart
+        level = [(None, 1, 0, 1, w) for w in itertools.product(symbols, repeat=length)]
+        for k in range(length - 1, -1, -1):
+            stride = self.arity ** k
+            level = [_node(tuple(level[j::stride])) for j in range(stride)]
+        self.root = level[0]
+        self.coalesced = False  # a run composes at least one draw
+        if isinstance(kernel, RenewalSqrtKernel):
+            self.lookup = None
+            self.slice_depth = kernel.slice_depth
+        else:
+            self.lookup = slice_table(kernel).lookup
 
     def advance(self, u: float) -> Tuple[int, int, bool]:
-        self.state, slice_, self.unpruned = step(self.kernel, self.state, u, self.max_depth)
-        self.slice_ = slice_
-        self.coalesced = self.state.is_coalesced()
-        return slice_.node_touches + self.unpruned.node_count(), slice_.depth, slice_.is_regeneration
+        if self.lookup is None:
+            return self._advance_comb(u)
+        entry = self.lookup(u, self.max_depth)
+        root = self.root
+        n = self.arity
+        touches = entry.node_touches + entry.node_count
+        stack = []
+        for path in entry.shape:
+            if path is None:
+                kids = tuple(stack[-n:])
+                del stack[-n:]
+                stack.append(_node(kids))
+            else:
+                node = root
+                for i in path:
+                    kids = node[0]
+                    if kids is None:
+                        break
+                    node = kids[i]
+                touches += node[3] - 1
+                stack.append(node)
+        self.root = root = stack[0]
+        self.coalesced = root[0] is None
+        return touches, entry.depth, entry.is_regeneration
+
+    def _advance_comb(self, u: float) -> Tuple[int, int, bool]:
+        m = self.slice_depth(u)
+        if m > self.max_depth:
+            raise MaxDepthExceeded(
+                f"slice for u={u!r} has depth {m}, above the {self.max_depth} bound"
+            )
+        root = self.root
+        # the slice's 2m+1 touches and 2m+1 nodes, then the grafts: leaf
+        # 0 1^j emits 1 and grafts the node at path 1^(j+1) 0, the spine
+        # leaf 1^m emits 0 and grafts the node at path 0 1^m
+        touches = 4 * m + 2
+        grafts = []
+        node = root
+        for _ in range(m):
+            if node[0] is not None:
+                node = node[0][1]
+            graft = node if node[0] is None else node[0][0]
+            touches += graft[3] - 1
+            grafts.append(graft)
+        node = root if root[0] is None else root[0][0]
+        for _ in range(m):
+            if node[0] is None:
+                break
+            node = node[0][1]
+        touches += node[3] - 1
+        for graft in reversed(grafts):
+            node = _node((graft, node))
+        self.root = node
+        self.coalesced = node[0] is None
+        return touches, m, False
 
     def size(self) -> Tuple[int, int]:
-        return self.state.leaf_count(), self.state.depth()
+        return self.root[1], self.root[2]
 
     def sample(self) -> Context:
-        sample = self.state.root_label()
+        sample = self.root[4]
         if len(sample) != self.length:
             raise InvariantViolation(
                 f"coalesced label {sample} is not a length-{self.length} window"
             )
         return sample
+
+
+class _AuditedMap:
+    """A :class:`_SharedMap` with the reference :func:`step` advanced
+    beside it on every draw: any step where the two differ raises
+    InvariantViolation.  The reference's slice, unpruned trie and state are
+    kept for :class:`StepAudit`."""
+
+    def __init__(self, kernel: Kernel, length: int, max_depth: int):
+        self.kernel = kernel
+        self.max_depth = max_depth
+        self.map = _SharedMap(kernel, length, max_depth)
+        self.state = prune_minimal(init_state(kernel.alphabet, length))
+        self.slice_ = self.unpruned = None
+        self.coalesced = False
+
+    def advance(self, u: float) -> Tuple[int, int, bool]:
+        # (touches, slice depth, regenerated) of each, None for a budget error
+        got: Optional[Tuple[int, int, bool]] = None
+        want: Optional[Tuple[int, int, bool]] = None
+        try:
+            got = self.map.advance(u)
+        except MaxDepthExceeded:
+            pass
+        try:
+            self.state, self.slice_, self.unpruned = step(
+                self.kernel, self.state, u, self.max_depth)
+            want = (self.slice_.node_touches + self.unpruned.node_count(),
+                    self.slice_.depth, self.slice_.is_regeneration)
+        except MaxDepthExceeded:
+            if got is None:
+                raise
+        if got != want or (
+            _map_leaves(self.map.root, self.kernel.alphabet.symbols) != dict(self.state.leaves())
+        ):
+            raise InvariantViolation(
+                f"at u={u!r} the composite map gives {got} and the reference {want}"
+                ", or their states differ"
+            )
+        self.coalesced = self.map.coalesced
+        return got
+
+    def size(self) -> Tuple[int, int]:
+        return self.map.size()
+
+    def sample(self) -> Context:
+        return self.map.sample()
 
 
 # For the renewal kernel every dictionary arising at window length 1 is a
@@ -346,19 +521,25 @@ def run(
 
     Draws are consumed in backward time order (the first draw belongs to
     time -1).  Budget violations raise with partial diagnostics attached.
-    The renewal kernel at window length 1 runs on the comb unless
-    ``on_iteration`` asks for the tries of every step.
+    The renewal kernel at window length 1 runs on the comb.  With
+    ``on_iteration`` the shared-subtree map runs beside the reference
+    :func:`step`, which checks it on every draw and supplies the tries of
+    each :class:`StepAudit`.
     """
     Limits(max_iter, max_depth, max_nodes).validate()
     start_ns = time.perf_counter_ns()
-    if on_iteration is None and length == 1 and isinstance(kernel, RenewalSqrtKernel):
-        return _backward(_CombMap(kernel, max_depth), rng, max_iter, max_nodes, trace, start_ns)
-    rep = _TrieMap(kernel, length, max_depth)
-    after_step = None
-    if on_iteration is not None:
-        def after_step(t: int) -> None:
-            on_iteration(StepAudit(t, rep.slice_, rep.unpruned, rep.state))
-    return _backward(rep, rng, max_iter, max_nodes, trace, start_ns, after_step)
+    if on_iteration is None:
+        if length == 1 and isinstance(kernel, RenewalSqrtKernel):
+            rep = _CombMap(kernel, max_depth)
+        else:
+            rep = _SharedMap(kernel, length, max_depth)
+        return _backward(rep, rng, max_iter, max_nodes, trace, start_ns)
+    audited = _AuditedMap(kernel, length, max_depth)
+
+    def after_step(t: int) -> None:
+        on_iteration(StepAudit(t, audited.slice_, audited.unpruned, audited.state))
+
+    return _backward(audited, rng, max_iter, max_nodes, trace, start_ns, after_step)
 
 
 # -- extended Propp-Wilson baseline ---------------------------------------

@@ -72,6 +72,8 @@ class Kernel:
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
+        # the compiled slices of update_rule.slice_table, built on first use
+        self.slice_cache = None
 
     @property
     def order(self) -> Optional[int]:

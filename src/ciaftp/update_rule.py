@@ -11,16 +11,27 @@ contexts where this happens is the draw's *slice*.
 Floating-point discipline: every routine in this module takes the interval
 boundaries from one helper, :func:`_level_ends`, in one canonical order
 (ascending level; within a level, alphabet order), so interval membership
-never disagrees between table construction, pointwise evaluation, and slice
-expansion.  The same helper closes every resolving level at exactly 1.0.
+never disagrees between table construction, pointwise evaluation, slice
+expansion and the slice table.  The same helper closes every resolving
+level at exactly 1.0.
+
+Slices come in two forms.  :func:`build_slice` (node-by-node
+:func:`_generic_slice`, or the closed-form comb of the renewal kernel)
+returns a validated :class:`UpdateSlice` trie; it is the reference that
+``inspect``, the tests and the audits use.  The sampler's hot path uses a
+:class:`SliceTable` instead: for a finite-order kernel the slice is
+constant between consecutive interval ends, so the table finds a draw's
+gap by bisection and keeps one compact :class:`SliceEntry` per gap,
+compiled from :func:`build_slice` the first time a draw lands in it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .errors import MaxDepthExceeded
+from .errors import MaxDepthExceeded, UnsupportedOperation
 from .kernels import Kernel, LowerBoundRow, RenewalSqrtKernel
 from .tries import Context, ContextTrie, Symbol, prune_minimal
 
@@ -153,6 +164,115 @@ def _generic_slice(kernel: Kernel, u: float, max_depth: int) -> UpdateSlice:
                 stack.append(((g,) + ctx, level_end, row.lower))
     trie = prune_minimal(ContextTrie.from_leaves(kernel.alphabet, leaves))
     return UpdateSlice(u=u, trie=trie, depth=trie.depth(), node_touches=touches)
+
+
+# -- the slice table ---------------------------------------------------------
+
+WalkPath = Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SliceEntry:
+    """The slice shared by every draw in one gap of a :class:`SliceTable`,
+    compiled for composition.
+
+    ``shape`` is the slice trie in post-order, children in alphabet order:
+    each leaf is its walk path into the previous composite map (the index
+    of the emitted symbol first, then the leaf context's symbol indices
+    from newest to oldest), and ``None`` closes an internal node over the
+    last |G| items.  ``reach`` is the depth of the deepest node the
+    expansion visits before pruning: :func:`_generic_slice` raises
+    MaxDepthExceeded exactly when it exceeds ``max_depth``.
+    """
+
+    shape: Tuple[Optional[WalkPath], ...]
+    depth: int
+    node_touches: int
+    node_count: int
+    is_regeneration: bool
+    reach: int
+
+
+def _compile_entry(slice_: UpdateSlice, reach: int) -> SliceEntry:
+    """The :class:`SliceEntry` of a slice built by :func:`build_slice`."""
+    alphabet = slice_.trie.alphabet
+    shape: List[Optional[WalkPath]] = []
+    stack = [(slice_.trie.root, (), False)]
+    while stack:
+        node, path, closing = stack.pop()
+        if node.children is None:
+            shape.append((alphabet.index(node.label),) + path)
+        elif closing:
+            shape.append(None)
+        else:
+            stack.append((node, path, True))
+            for i in reversed(range(alphabet.size)):
+                stack.append((node.children[alphabet.symbols[i]], path + (i,), False))
+    return SliceEntry(tuple(shape), slice_.depth, slice_.node_touches,
+                      slice_.trie.node_count(), slice_.is_regeneration, reach)
+
+
+class SliceTable:
+    """The slices of a finite-order kernel, found by bisection.
+
+    Every comparison :func:`_generic_slice` makes is ``u < e`` for an
+    interval end ``e`` of a context it visits, and a context's ends do not
+    depend on ``u``: so the slice is constant on each gap between
+    consecutive ends.  The table collects the ends once, walking the
+    contexts some draw visits with the same ``(pos, prev)`` chain and
+    :func:`_level_ends` calls, and compiles a gap's entry from
+    :func:`build_slice` at the gap's left end the first time a draw lands
+    in it.
+    """
+
+    def __init__(self, kernel: Kernel):
+        if kernel.order is None:
+            raise UnsupportedOperation("a slice table needs a finite-order kernel")
+        self.kernel = kernel
+        ends = set()
+        # (smallest draw that expands the node, depth of its children), for
+        # every node some draw expands
+        self._expansions: List[Tuple[float, int]] = []
+        stack = [((), 0.0, (0.0,) * kernel.alphabet.size, 0.0)]
+        while stack:
+            ctx, pos, prev, reached = stack.pop()
+            row = kernel.lower_bounds(ctx)
+            level = _level_ends(row, prev, pos)
+            ends.update(level)
+            level_end = level[-1]
+            if level_end < 1.0:
+                expand_at = max(reached, level_end)
+                self._expansions.append((expand_at, len(ctx) + 1))
+                for g in kernel.alphabet.symbols:
+                    stack.append(((g,) + ctx, level_end, row.lower, expand_at))
+        self.breakpoints = sorted(ends)
+        self.entries: List[Optional[SliceEntry]] = [None] * (len(self.breakpoints) + 1)
+
+    def lookup(self, u: float, max_depth: int) -> SliceEntry:
+        """The entry of the gap holding the draw ``u`` (0 <= u < 1)."""
+        i = bisect_right(self.breakpoints, u)
+        entry = self.entries[i]
+        if entry is None:
+            entry = self.entries[i] = self._compile(i)
+        if entry.reach > max_depth:
+            raise MaxDepthExceeded(
+                f"slice for u={u!r} did not resolve within depth {max_depth}"
+            )
+        return entry
+
+    def _compile(self, i: int) -> SliceEntry:
+        left = self.breakpoints[i - 1] if i else 0.0
+        reach = max((d for at, d in self._expansions if at <= left), default=0)
+        return _compile_entry(build_slice(self.kernel, left, max(reach, 1)), reach)
+
+
+def slice_table(kernel: Kernel) -> SliceTable:
+    """The kernel's :class:`SliceTable`, built on first use and kept on the
+    kernel object."""
+    table = kernel.slice_cache
+    if table is None:
+        table = kernel.slice_cache = SliceTable(kernel)
+    return table
 
 
 def renewal_slice_leaves(m: int) -> dict:

@@ -120,6 +120,24 @@ def test_bad_flags(capsys):
     assert "Usage" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["inspect", "--format", "json"],
+    ["inspect", "--runs", "3"],
+    ["inspect", "--seed", "1"],
+    ["inspect", "--jobs", "2"],
+    ["inspect", "--max-iter", "5"],
+    ["inspect", "--max-nodes", "5"],
+    ["inspect", "--no-timing"],
+    ["validate", "--format", "csv"],
+])
+def test_unused_flags_are_usage_errors(flags, capsys):
+    # a command rejects the flags it would ignore
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flags[0], "--kernel", kpath("order1"), *flags[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_env_seed_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CIAFTP_SEED", "4242")
     rc, out, _ = run_cli(

@@ -1,6 +1,11 @@
+import dataclasses
+from bisect import bisect_right
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ciaftp import engine, tries, update_rule
 from ciaftp.engine import (
     RngStream,
     StepAudit,
@@ -11,16 +16,20 @@ from ciaftp.engine import (
     step,
 )
 from ciaftp.errors import (
+    BudgetError,
+    InvariantViolation,
     IterationLimitExceeded,
     MaxDepthExceeded,
     NodeBudgetExceeded,
     UnsupportedOperation,
 )
-from ciaftp.kernels import RenewalSqrtKernel, memoryless_kernel
-from ciaftp.tries import dominates, prefix_closure
-from ciaftp.update_rule import build_slice
+from ciaftp.kernels import RenewalSqrtKernel, load_kernel, memoryless_kernel
+from ciaftp.tries import ContextTrie, dominates, prefix_closure
+from ciaftp.update_rule import DEFAULT_MAX_DEPTH, slice_table
 
 from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
+
+KERNELS = Path(__file__).resolve().parent.parent / "kernels"
 
 
 def test_rng_stream_determinism():
@@ -270,3 +279,79 @@ def test_regeneration_detection_matches_slice():
     # a regenerating draw coalesces immediately
     if regen:
         assert res.diagnostics.tau == min(seen)[0]
+
+
+def _outcome(k, length, seed, **kwargs):
+    """Everything a run reports, budget failures included."""
+    try:
+        res = run(k, length, RngStream(seed), trace=True, **kwargs)
+    except BudgetError as exc:
+        d, value = exc.diagnostics, exc.code
+    else:
+        d, value = res.diagnostics, res.sample
+    return (value, d.tau, d.iterations, d.node_touches, d.max_slice_depth,
+            d.regeneration_times, [vars(r) for r in d.records])
+
+
+def test_hot_path_matches_audited_reference():
+    # under on_iteration the reference step runs beside the shared-subtree
+    # map and raises on any difference; without it the map runs alone and
+    # must report exactly the same
+    cases = []
+    for path in sorted(KERNELS.glob("*.json")):
+        k = load_kernel(str(path))
+        for length in (1, 2, 3):
+            budget = {"max_depth": 300} if k.order is None else {}
+            cases.append((k, length, budget))
+    order6 = load_kernel(str(KERNELS / "order6.json"))
+    cases.append((order6, 1, {"max_depth": 3}))
+    failures = 0
+    for k, length, budget in cases:
+        for seed in range(6):
+            plain = _outcome(k, length, seed, **budget)
+            audited = _outcome(k, length, seed, on_iteration=lambda a: None, **budget)
+            assert plain == audited, (k.family, k.order, length, budget, seed)
+            failures += isinstance(plain[0], str)
+    assert failures > 0  # the budget failures are compared too
+
+
+@pytest.mark.parametrize("corrupt", ["touches", "symbol"])
+def test_audit_catches_a_corrupt_slice_entry(monkeypatch, corrupt):
+    k = desk_vlmc()
+    table = slice_table(k)
+    # corrupt the gap of the first draw, which every run composes
+    u = RngStream(5).uniform()
+    i = bisect_right(table.breakpoints, u)
+    entry = table.lookup(u, DEFAULT_MAX_DEPTH)
+    if corrupt == "touches":
+        bad = dataclasses.replace(entry, node_touches=entry.node_touches + 1)
+    else:
+        first = next(p for p in entry.shape if p is not None)
+        flipped = (1 - first[0],) + first[1:]
+        bad = dataclasses.replace(
+            entry, shape=tuple(flipped if p is first else p for p in entry.shape))
+    monkeypatch.setattr(table, "entries", table.entries[:i] + [bad] + table.entries[i + 1:])
+    run(k, 3, RngStream(5))  # the hot path alone cannot tell
+    with pytest.raises(InvariantViolation):
+        run(k, 3, RngStream(5), on_iteration=lambda a: None)
+
+
+def test_compiled_hot_path_skips_the_reference(monkeypatch):
+    # once the gaps a run needs are compiled, it builds no ContextTrie,
+    # prunes nothing, expands no slice and asks the kernel for no rows
+    kernels = [(load_kernel(str(KERNELS / "order6.json")), 1), (desk_vlmc(), 3)]
+    before = [[run(k, length, RngStream(seed)).sample for seed in range(30)]
+              for k, length in kernels]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference machinery ran on the hot path")
+
+    for owner in (engine, tries, update_rule):
+        monkeypatch.setattr(owner, "prune_minimal", refuse)
+    for owner, name in [(ContextTrie, "from_leaves"), (ContextTrie, "find_suffix"),
+                        (engine, "step"), (engine, "build_slice"),
+                        (update_rule, "build_slice"), (update_rule, "_generic_slice")]:
+        monkeypatch.setattr(owner, name, refuse)
+    for (k, length), samples in zip(kernels, before):
+        monkeypatch.setattr(k, "lower_bounds", refuse)
+        assert [run(k, length, RngStream(seed)).sample for seed in range(30)] == samples

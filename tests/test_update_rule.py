@@ -16,6 +16,7 @@ from ciaftp.update_rule import (
     interval_table,
     phi,
     renewal_slice_leaves,
+    slice_table,
     verify_measure,
 )
 
@@ -119,6 +120,61 @@ def test_renewal_slice_generic_agrees(u):
     assert fast.trie == slow.trie
     assert fast.depth == slow.depth
     assert fast.node_touches == slow.node_touches
+
+
+def _finite_kernels():
+    named = [(p.name, load_kernel(str(p))) for p in sorted(KERNELS.glob("*.json"))]
+    rng = np.random.Generator(np.random.PCG64(53))
+    for alphabet in (BINARY, TERNARY):
+        for i in range(8):
+            named.append((f"random{alphabet.size}-{i}",
+                          random_vlmc(rng, alphabet, int(rng.integers(1, 8)))))
+    return [(name, k) for name, k in named if k.order is not None]
+
+
+def _entry_leaves(entry, alphabet):
+    """{context: symbol} of a table entry, decoded from its walk paths."""
+    return {
+        tuple(alphabet.symbols[i] for i in reversed(path[1:])): alphabet.symbols[path[0]]
+        for path in entry.shape if path is not None
+    }
+
+
+def _slice_or_error(fn):
+    try:
+        return fn()
+    except MaxDepthExceeded as exc:
+        return str(exc)
+
+
+def test_slice_table_matches_generic_slice():
+    # the table's entry for a draw is the slice _generic_slice builds for it:
+    # at both ends of every gap, at 0 and at the top draw
+    for name, k in _finite_kernels():
+        table = slice_table(k)
+        assert slice_table(k) is table
+        ends = table.breakpoints
+        probes = {0.0, TOP}
+        for i in range(len(ends) + 1):
+            left = ends[i - 1] if i else 0.0
+            right = ends[i] if i < len(ends) else 1.0
+            if left < right and left < 1.0:
+                probes.update((left, min(math.nextafter(right, 0.0), TOP)))
+        for u in sorted(probes):
+            ref = _generic_slice(k, u, DEFAULT_MAX_DEPTH)
+            entry = table.lookup(u, DEFAULT_MAX_DEPTH)
+            assert _entry_leaves(entry, k.alphabet) == dict(ref.trie.leaves()), (name, u)
+            assert (entry.depth, entry.node_touches, entry.node_count, entry.is_regeneration) == (
+                ref.depth, ref.node_touches, ref.trie.node_count(), ref.is_regeneration
+            ), (name, u)
+            # below the kernel order, the table refuses exactly the draws
+            # the expansion refuses, with the same message
+            for max_depth in range(1, k.order):
+                refused = _slice_or_error(lambda: _generic_slice(k, u, max_depth))
+                looked_up = _slice_or_error(lambda: table.lookup(u, max_depth))
+                assert isinstance(refused, str) == isinstance(looked_up, str), (name, u, max_depth)
+                if isinstance(refused, str):
+                    assert refused == looked_up
 
 
 def test_build_slice_max_depth():
