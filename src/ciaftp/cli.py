@@ -216,26 +216,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     algorithms = ["ciaftp"]
     if kernel.order is not None:
         algorithms.append("pw_extended")
-    fmt = kernel.alphabet.format_word
     dicts: List[dict] = []
     for algo in algorithms:
         rows = engine.run_many(kernel, args.length, seed, 0, args.runs, algorithm=algo,
                                timing=not args.no_timing, jobs=args.jobs, **_budgets(args))
-        for r in rows:
-            dicts.append(
-                {
-                    "algorithm": algo,
-                    "seed": seed + r.run_id,
-                    "sample": fmt(r.sample) if r.sample is not None else "",
-                    "tau": "" if r.tau is None else r.tau,
-                    "iterations": r.iterations,
-                    "node_touches": r.node_touches,
-                    "wall_ns": r.wall_ns,
-                    "error": r.error or "",
-                }
-            )
-    fields = ("algorithm", "seed", "sample", "tau", "iterations",
-              "node_touches", "wall_ns", "error")
+        dicts += [{"algorithm": algo, "seed": seed + d.pop("run_id"), **d}
+                  for d in _row_dicts(kernel, rows)]
+    fields = ("algorithm", "seed") + ROW_FIELDS[1:]
     _emit(_render(args, seed, fields, dicts), args.out)
     failed = [d for d in dicts if d["error"]]
     return EXIT_FAIL if failed else EXIT_OK
@@ -303,6 +290,8 @@ def _inspect_kernel(kernel, args, buf: io.StringIO) -> None:
     buf.write(f"{bound.bound!r} finite={bound.sum_finite}\n")
 
 
+POSITIVE_FLAGS = ("length", "runs", "jobs", "max_iter", "max_depth", "max_nodes")
+
 _COMMANDS = {
     "sample": cmd_sample,
     "validate": cmd_validate,
@@ -314,8 +303,10 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.length < 1 or getattr(args, "runs", 1) < 1:
-        print("ciaftp: error: Usage: --length and --runs must be >= 1", file=sys.stderr)
+    # inspect takes only some of the counts and budgets
+    low = [f"--{name.replace('_', '-')}" for name in POSITIVE_FLAGS if getattr(args, name, 1) < 1]
+    if low:
+        print(f"ciaftp: error: Usage: {', '.join(low)} must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)

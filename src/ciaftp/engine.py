@@ -9,20 +9,21 @@ sample.
 One loop, :func:`_backward`, owns everything that does not depend on how
 the composite map is stored: the iteration and node budgets, the
 diagnostics, the per-iteration trace records, the regeneration times and
-the wall time.  Three representations of the composite map plug into it;
-each only advances by one draw and reports its work, size and sample:
+the wall time.  Each kernel family has one representation of the
+composite map, which only advances by one draw and reports its work, size
+and sample; the first two are built from the same immutable nodes:
 
-* :class:`_SharedMap` - the minimal labeled trie as immutable shared
-  subtrees, whose leaf labels are full length-L windows.  A step finds the
-  draw's slice in the kernel's gap table
+* :class:`_SharedMap` - finite-order kernels.  The minimal labeled trie
+  as shared subtrees, whose leaf labels are full length-L windows.  A step
+  finds the draw's slice in the kernel's gap table
   (:class:`~ciaftp.update_rule.SliceTable`) by bisection, grafts the
   previous map's subtrees under the slice leaves by reference and rebuilds
   only the slice's internal nodes, so it costs O(slice size), not
-  O(state size).  Renewal slices are combs of depth
-  ``kernel.slice_depth(u)``, composed by loops;
-* :class:`_CombMap` - a run-length-compressed trie for the renewal kernel
-  at window length 1, whose slice depth is too heavy-tailed to materialize
-  node by node;
+  O(state size);
+* :class:`_CombMap` - the renewal kernel, at every window length.  Its
+  slices are combs whose depth has no finite mean, so the map is kept as
+  run-length-compressed side subtrees along the all-ones spine and a step
+  costs O(number of runs), whatever the slice depth;
 * :class:`_TableMap` - the full depth-d table of an order-d chain, the
   classical baseline behind :func:`pw_extended`; it evaluates ``phi``
   pointwise and shares no slice code with the other two.
@@ -30,9 +31,9 @@ each only advances by one draw and reports its work, size and sample:
 :func:`step` is the validated reference: it composes through
 :func:`~ciaftp.update_rule.build_slice`, ``ContextTrie.from_leaves`` and
 ``prune_minimal``.  Under ``run(on_iteration=...)`` it is advanced beside
-the shared map (:class:`_AuditedMap`), which raises InvariantViolation on
-any step where they differ and hands the reference tries to the audit.
-:func:`run` picks the comb or the shared map from its input alone, and
+the family's map (:class:`_AuditedMap`), which raises InvariantViolation
+on any step where they differ and hands the reference tries to the audit.
+:func:`run` picks the family's map with :func:`_composite_map`, and
 :func:`run_many` is the batch driver for every command.
 """
 
@@ -240,17 +241,17 @@ def _backward(
     return RunResult(sample=rep.sample(), diagnostics=diag(t))
 
 
-# Nodes of the shared-subtree map.  A leaf is ``(None, 1, 0, 1, label)``
-# and an internal node ``(children, leaf count, depth, tree size)``, with
-# children in alphabet order; the memos make the trace's sizes and the
-# node touches O(1).  A node is never changed once built, so a step grafts
-# the previous map's subtrees by reference.  Each label has one leaf object
-# per run: the initial map creates every leaf and later steps only graft
-# them, so a node whose children are all the same leaf object becomes that
-# leaf - the rule of tries.prune_minimal.  Grafted subtrees come from a
-# minimal map, so only the nodes a step rebuilds need the rule.  (The
-# initial map is built reduced too; it differs from the complete trie only
-# for a one-symbol alphabet, whose chain of L nodes is one leaf here.)
+# Nodes of the composite map.  A leaf is ``(None, 1, 0, 1, label)`` and an
+# internal node ``(children, leaf count, depth, tree size)``, with children
+# in alphabet order; the memos make the trace's sizes and the node touches
+# O(1).  A node is never changed once built, so a step grafts the previous
+# map's subtrees by reference.  Each label has one leaf object: the initial
+# map creates every leaf and later steps only graft them, so a node whose
+# children are all the same leaf object becomes that leaf - the rule of
+# tries.prune_minimal.  Grafted subtrees come from a minimal map, so only
+# the nodes a step rebuilds need the rule.  (The initial map is built
+# reduced too; it differs from the complete trie only for a one-symbol
+# alphabet, whose chain of L nodes is one leaf here.)
 
 
 def _node(kids: tuple) -> tuple:
@@ -264,6 +265,33 @@ def _node(kids: tuple) -> tuple:
         if k[2] > depth:
             depth = k[2]
     return (kids, leaves, depth + 1, size + 1)
+
+
+def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
+    """The complete depth-L trie with leaf w labeled w.  Its nodes are
+    immutable, so runs share it: one of at most 4096 leaves, where set-up
+    is a large share of a run, is built once per alphabet and length and
+    kept for the life of the process (16 at most); a larger one is built
+    for each run and freed with it."""
+    if len(symbols) ** length <= 4096:
+        return _cached_initial_map(symbols, length)
+    return _build_initial_map(symbols, length)
+
+
+def _build_initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
+    if length < 1:
+        raise ValueError("window length must be >= 1")
+    # built from the leaves up; each level lists its contexts in
+    # itertools.product order, so the children (g,) + c of context c sit
+    # one stride apart
+    level = [(None, 1, 0, 1, w) for w in itertools.product(symbols, repeat=length)]
+    for k in range(length - 1, -1, -1):
+        stride = len(symbols) ** k
+        level = [_node(tuple(level[j::stride])) for j in range(stride)]
+    return level[0]
+
+
+_cached_initial_map = functools.lru_cache(maxsize=16)(_build_initial_map)
 
 
 def _map_leaves(root: tuple, symbols: Tuple[str, ...]) -> Dict[Context, Context]:
@@ -280,46 +308,36 @@ def _map_leaves(root: tuple, symbols: Tuple[str, ...]) -> Dict[Context, Context]
     return out
 
 
+def _window(leaf: tuple, length: int) -> Context:
+    """The label of the coalesced map's leaf, checked to be a window."""
+    sample = leaf[4]
+    if len(sample) != length:
+        raise InvariantViolation(f"coalesced label {sample} is not a length-{length} window")
+    return sample
+
+
 class _SharedMap:
-    """The composite map as shared subtrees.
+    """The composite map of a finite-order kernel, as shared subtrees.
 
     A step looks the draw's slice up in the kernel's
     :class:`~ciaftp.update_rule.SliceTable`, walks the previous map along
     each slice leaf's path, grafts the node it reaches and rebuilds only the
-    slice's internal nodes above the grafts.  The renewal kernel has no
-    finite table: its slice is the comb of depth ``kernel.slice_depth(u)``,
-    composed by loops because it can be far deeper than Python's recursion
-    limit.  Node touches count what :func:`step` counts: the slice's
-    touches plus the nodes of the unpruned composition.
+    slice's internal nodes above the grafts.  Node touches count what
+    :func:`step` counts: the slice's touches plus the nodes of the unpruned
+    composition.
     """
 
-    __slots__ = ("length", "max_depth", "arity", "lookup", "slice_depth", "root", "coalesced")
+    __slots__ = ("length", "max_depth", "arity", "lookup", "root", "coalesced")
 
     def __init__(self, kernel: Kernel, length: int, max_depth: int):
-        if length < 1:
-            raise ValueError("window length must be >= 1")
         self.length = length
         self.max_depth = max_depth
-        symbols = kernel.alphabet.symbols
-        self.arity = len(symbols)
-        # the complete depth-L trie, leaf w labeled w, built from the leaves
-        # up; each level lists its contexts in itertools.product order, so
-        # the children (g,) + c of context c sit one stride apart
-        level = [(None, 1, 0, 1, w) for w in itertools.product(symbols, repeat=length)]
-        for k in range(length - 1, -1, -1):
-            stride = self.arity ** k
-            level = [_node(tuple(level[j::stride])) for j in range(stride)]
-        self.root = level[0]
+        self.arity = kernel.alphabet.size
+        self.lookup = slice_table(kernel).lookup
+        self.root = _initial_map(kernel.alphabet.symbols, length)
         self.coalesced = False  # a run composes at least one draw
-        if isinstance(kernel, RenewalSqrtKernel):
-            self.lookup = None
-            self.slice_depth = kernel.slice_depth
-        else:
-            self.lookup = slice_table(kernel).lookup
 
     def advance(self, u: float) -> Tuple[int, int, bool]:
-        if self.lookup is None:
-            return self._advance_comb(u)
         entry = self.lookup(u, self.max_depth)
         root = self.root
         n = self.arity
@@ -343,59 +361,126 @@ class _SharedMap:
         self.coalesced = root[0] is None
         return touches, entry.depth, entry.is_regeneration
 
-    def _advance_comb(self, u: float) -> Tuple[int, int, bool]:
+    def size(self) -> Tuple[int, int]:
+        return self.root[1], self.root[2]
+
+    def sample(self) -> Context:
+        return _window(self.root, self.length)
+
+
+# Every map of the renewal kernel is a comb: side subtrees at the paths
+# 1^j 0, j < D, and a leaf at 1^D.  A depth-m renewal slice is a comb whose
+# leaf 0 1^j grafts the node at path 1^(j+1) 0 and whose spine leaf grafts
+# the node at 0 1^m, so the new map is a comb again: new side j is old side
+# j+1 (the old spine past the old end); below them hangs old side 0 followed
+# m steps along its ones, whose own sides (only in the first L-1 steps is it
+# internal) continue the comb down to its leaf; trailing sides that are that
+# leaf are absorbed into it.  Sides are kept as runs of one node object, so
+# a step costs O(number of runs), whatever the slice depth.
+
+
+class _CombMap:
+    """The composite map of the renewal kernel, at every window length."""
+
+    __slots__ = ("length", "slice_depth", "max_depth", "runs", "spine", "comb_depth",
+                 "coalesced")
+
+    def __init__(self, kernel: RenewalSqrtKernel, length: int, max_depth: int):
+        self.length = length
+        self.slice_depth = kernel.slice_depth
+        self.max_depth = max_depth
+        # (side node, count) from the root down: count spine levels whose
+        # 0-child is that node
+        self.runs: List[Tuple[tuple, int]] = []
+        node = _initial_map(kernel.alphabet.symbols, length)
+        while node[0] is not None:
+            side, node = node[0]
+            self.runs.append((side, 1))
+        self.spine = node
+        self.comb_depth = length
+        self.coalesced = False  # a run composes at least one draw
+
+    def advance(self, u: float) -> Tuple[int, int, bool]:
         m = self.slice_depth(u)
         if m > self.max_depth:
             raise MaxDepthExceeded(
                 f"slice for u={u!r} has depth {m}, above the {self.max_depth} bound"
             )
-        root = self.root
-        # the slice's 2m+1 touches and 2m+1 nodes, then the grafts: leaf
-        # 0 1^j emits 1 and grafts the node at path 1^(j+1) 0, the spine
-        # leaf 1^m emits 0 and grafts the node at path 0 1^m
+        runs = self.runs
+        head, head_count = runs[0]
+        shifted = runs[1:] if head_count == 1 else [(head, head_count - 1)] + runs[1:]
+        # the slice's 2m+1 touches and 2m+1 nodes, then the grafts
         touches = 4 * m + 2
-        grafts = []
-        node = root
-        for _ in range(m):
-            if node[0] is not None:
-                node = node[0][1]
-            graft = node if node[0] is None else node[0][0]
-            touches += graft[3] - 1
-            grafts.append(graft)
-        node = root if root[0] is None else root[0][0]
-        for _ in range(m):
-            if node[0] is None:
+        new_runs = []
+        need = m
+        for side, count in shifted:
+            take = count if count < need else need
+            new_runs.append((side, take))
+            touches += take * (side[3] - 1)
+            need -= take
+            if not need:
                 break
-            node = node[0][1]
-        touches += node[3] - 1
-        for graft in reversed(grafts):
-            node = _node((graft, node))
-        self.root = node
-        self.coalesced = node[0] is None
+        else:
+            new_runs.append((self.spine, need))
+        node = head
+        depth = m
+        if node[0] is not None:
+            for _ in range(m):
+                if node[0] is None:
+                    break
+                node = node[0][1]
+            touches += node[3] - 1
+            while node[0] is not None:
+                side, node = node[0]
+                new_runs.append((side, 1))
+                depth += 1
+        while new_runs and new_runs[-1][0] is node:
+            depth -= new_runs.pop()[1]
+        self.runs, self.spine, self.comb_depth = new_runs, node, depth
+        self.coalesced = not new_runs
         return touches, m, False
 
     def size(self) -> Tuple[int, int]:
-        return self.root[1], self.root[2]
+        leaves, depth, end = 1, self.comb_depth, 0
+        for side, count in self.runs:
+            leaves += count * side[1]
+            end += count
+            if end + side[2] > depth:
+                depth = end + side[2]
+        return leaves, depth
+
+    @property
+    def root(self) -> tuple:
+        """The map as one shared-subtree node (for the audit)."""
+        node = self.spine
+        for side, count in reversed(self.runs):
+            for _ in range(count):
+                node = _node((side, node))
+        return node
 
     def sample(self) -> Context:
-        sample = self.root[4]
-        if len(sample) != self.length:
-            raise InvariantViolation(
-                f"coalesced label {sample} is not a length-{self.length} window"
-            )
-        return sample
+        return _window(self.spine, self.length)
+
+
+def _composite_map(kernel: Kernel, length: int, max_depth: int):
+    """The representation of the kernel's family: the comb for the renewal
+    kernel, shared subtrees on the slice table for finite-order kernels."""
+    if isinstance(kernel, RenewalSqrtKernel):
+        return _CombMap(kernel, length, max_depth)
+    return _SharedMap(kernel, length, max_depth)
 
 
 class _AuditedMap:
-    """A :class:`_SharedMap` with the reference :func:`step` advanced
-    beside it on every draw: any step where the two differ raises
+    """The family's composite map with the reference :func:`step` advanced
+    beside it on every draw: any step where their work, slice depth,
+    regeneration flag, budget error, state or trace size differ raises
     InvariantViolation.  The reference's slice, unpruned trie and state are
     kept for :class:`StepAudit`."""
 
     def __init__(self, kernel: Kernel, length: int, max_depth: int):
         self.kernel = kernel
         self.max_depth = max_depth
-        self.map = _SharedMap(kernel, length, max_depth)
+        self.map = _composite_map(kernel, length, max_depth)
         self.state = prune_minimal(init_state(kernel.alphabet, length))
         self.slice_ = self.unpruned = None
         self.coalesced = False
@@ -416,12 +501,14 @@ class _AuditedMap:
         except MaxDepthExceeded:
             if got is None:
                 raise
+        leaves = dict(self.state.leaves())
         if got != want or (
-            _map_leaves(self.map.root, self.kernel.alphabet.symbols) != dict(self.state.leaves())
+            _map_leaves(self.map.root, self.kernel.alphabet.symbols) != leaves
+            or self.map.size() != (len(leaves), max(map(len, leaves)))
         ):
             raise InvariantViolation(
                 f"at u={u!r} the composite map gives {got} and the reference {want}"
-                ", or their states differ"
+                ", or their states or sizes differ"
             )
         self.coalesced = self.map.coalesced
         return got
@@ -431,79 +518,6 @@ class _AuditedMap:
 
     def sample(self) -> Context:
         return self.map.sample()
-
-
-# For the renewal kernel every dictionary arising at window length 1 is a
-# "comb": leaves 0, 01, 011, ..., 01^(a-1) plus the all-ones leaf 1^a.  A
-# comb is stored as run-length-encoded labels along the 0-side plus the
-# spine label, so a step costs O(number of label changes) regardless of the
-# slice depth -- which has no finite expectation and cannot be materialized
-# node by node.  The recursion (cross-checked against the trie map):
-#
-#   new 0-side label at depth j = old label at depth j+1 (old spine past
-#   the old end); new spine label = old label at depth 0; then equal labels
-#   are absorbed into the spine from the deep end.
-
-Label = Tuple[str, ...]
-_Runs = List[Tuple[Label, int]]
-
-
-class _CombMap:
-    """The composite map of the renewal kernel at window length 1."""
-
-    __slots__ = ("slice_depth", "max_depth", "runs", "spine", "comb_depth", "coalesced")
-
-    def __init__(self, kernel: RenewalSqrtKernel, max_depth: int):
-        self.slice_depth = kernel.slice_depth
-        self.max_depth = max_depth
-        self.runs: _Runs = [(("0",), 1)]
-        self.spine: Label = ("1",)
-        self.comb_depth = 1
-        self.coalesced = False
-
-    def advance(self, u: float) -> Tuple[int, int, bool]:
-        m = self.slice_depth(u)
-        if m > self.max_depth:
-            raise MaxDepthExceeded(
-                f"slice for u={u!r} has depth {m}, above the {self.max_depth} bound"
-            )
-        # shift the 0-side labels one step deeper in time
-        runs = self.runs
-        head_label, head_count = runs[0]
-        shifted = runs[1:] if head_count == 1 else [(head_label, head_count - 1)] + runs[1:]
-        available = self.comb_depth - 1
-        if m <= available:
-            new_runs: _Runs = []
-            need = m
-            for lab, cnt in shifted:
-                if need <= 0:
-                    break
-                take = min(cnt, need)
-                new_runs.append((lab, take))
-                need -= take
-        else:
-            pad = m - available
-            spine = self.spine
-            new_runs = shifted
-            if new_runs and new_runs[-1][0] == spine:
-                new_runs[-1] = (spine, new_runs[-1][1] + pad)
-            else:
-                new_runs.append((spine, pad))
-        # absorb equal labels into the new spine (the old depth-0 label)
-        # from the deep end
-        new_depth = m
-        while new_runs and new_runs[-1][0] == head_label:
-            new_depth -= new_runs[-1][1]
-            new_runs.pop()
-        self.runs, self.spine, self.comb_depth = new_runs, head_label, new_depth
-        self.coalesced = not new_runs
-        return 4 * m + 2, m, False  # slice nodes + rebuilt trie nodes
-
-    def size(self) -> Tuple[int, int]:
-        return self.comb_depth + 1, self.comb_depth
-
-    def sample(self) -> Context:
-        return self.spine
 
 
 def run(
@@ -521,18 +535,14 @@ def run(
 
     Draws are consumed in backward time order (the first draw belongs to
     time -1).  Budget violations raise with partial diagnostics attached.
-    The renewal kernel at window length 1 runs on the comb.  With
-    ``on_iteration`` the shared-subtree map runs beside the reference
-    :func:`step`, which checks it on every draw and supplies the tries of
-    each :class:`StepAudit`.
+    With ``on_iteration`` the kernel family's composite map runs beside the
+    reference :func:`step`, which checks it on every draw and supplies the
+    tries of each :class:`StepAudit`.
     """
     Limits(max_iter, max_depth, max_nodes).validate()
     start_ns = time.perf_counter_ns()
     if on_iteration is None:
-        if length == 1 and isinstance(kernel, RenewalSqrtKernel):
-            rep = _CombMap(kernel, max_depth)
-        else:
-            rep = _SharedMap(kernel, length, max_depth)
+        rep = _composite_map(kernel, length, max_depth)
         return _backward(rep, rng, max_iter, max_nodes, trace, start_ns)
     audited = _AuditedMap(kernel, length, max_depth)
 
@@ -676,31 +686,13 @@ def run_many(
             result = sampler(kernel, length, RngStream(seed_base + idx), max_iter=max_iter,
                              max_depth=max_depth, max_nodes=max_nodes, trace=trace)
         except (IterationLimitExceeded, MaxDepthExceeded, NodeBudgetExceeded) as exc:
-            d = exc.diagnostics
-            rows.append(
-                RunRow(
-                    run_id=idx,
-                    sample=None,
-                    tau=None,
-                    iterations=d.iterations if d else 0,
-                    node_touches=d.node_touches if d else 0,
-                    wall_ns=d.wall_ns if (d and timing) else 0,
-                    error=exc.code,
-                    records=d.records if d else None,
-                )
-            )
-            continue
-        d = result.diagnostics
-        rows.append(
-            RunRow(
-                run_id=idx,
-                sample=result.sample,
-                tau=d.tau,
-                iterations=d.iterations,
-                node_touches=d.node_touches,
-                wall_ns=d.wall_ns if timing else 0,
-                max_slice_depth=d.max_slice_depth,
-                records=d.records,
-            )
-        )
+            sample, error, d = None, exc.code, exc.diagnostics
+        else:
+            sample, error, d = result.sample, None, result.diagnostics
+        # a budget error's diagnostics have tau None
+        rows.append(RunRow(
+            run_id=idx, sample=sample, tau=d.tau, iterations=d.iterations,
+            node_touches=d.node_touches, wall_ns=d.wall_ns if timing else 0, error=error,
+            max_slice_depth=0 if error else d.max_slice_depth, records=d.records,
+        ))
     return rows

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import engine
 from .errors import (
     EnumerationGuardExceeded,
     PeriodicChain,
@@ -228,16 +229,14 @@ def validate(
     seed: int,
     *,
     algorithm: str = "ciaftp",
-    max_iter: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    max_nodes: Optional[int] = None,
+    max_iter: int = engine.DEFAULT_MAX_ITER,
+    max_depth: int = engine.DEFAULT_MAX_DEPTH,
+    max_nodes: int = engine.DEFAULT_MAX_NODES,
     jobs: int = 1,
 ) -> ValidationReport:
     """Compare the empirical window law of N engine runs (over ``jobs``
     processes) against the exact oracle law.  Any budget-failed run fails
     validation outright."""
-    from . import engine
-
     d = kernel.order
     if d is None:
         raise UnsupportedOperation("validation requires a finite-order kernel")
@@ -245,15 +244,9 @@ def validate(
     pi = stationary(chain)
     law = window_law(chain, pi, length)
 
-    limits = {}
-    if max_iter is not None:
-        limits["max_iter"] = max_iter
-    if max_depth is not None:
-        limits["max_depth"] = max_depth
-    if max_nodes is not None:
-        limits["max_nodes"] = max_nodes
     rows = engine.run_many(
-        kernel, length, seed, 0, n_runs, algorithm=algorithm, timing=False, jobs=jobs, **limits
+        kernel, length, seed, 0, n_runs, algorithm=algorithm, max_iter=max_iter,
+        max_depth=max_depth, max_nodes=max_nodes, timing=False, jobs=jobs,
     )
     counts: Dict[Context, int] = {w: 0 for w in law.probs}
     n_failed = 0

@@ -309,6 +309,15 @@ def test_10_end_to_end_determinism(tmp_path, capsys):
           "--runs", "20", "--seed", "77", "--no-timing"], 1,
          "44e516a17fa83cbd4ad82179814d390d3be4eda926f1ae05096f8d676446a219",
          "74f62ad7145ada717904beb7f19626648e7a950aff0382e9657e054730e98daf"),
+        # the renewal comb at longer windows, one MaxDepthExceeded each
+        (["sample", "--kernel", kpath("renewal_sqrt"), "--length", "2",
+          "--runs", "20", "--seed", "77", "--no-timing"], 1,
+         "e3c99d49db5312c2515662340258c06539c991904a243f8f5511f25bb54a835e",
+         "8412e375cd65150fe5126e6624f37e794498cffd3f1e163d50e0bcffc7142309"),
+        (["sample", "--kernel", kpath("renewal_sqrt"), "--length", "3",
+          "--runs", "20", "--seed", "77", "--no-timing"], 1,
+         "a4f6a2439284c47d98c76e6a738dc7c6c99cc18b182ce97148a4b7f37044c67c",
+         "1d63e6f7869bce18ef5ec3a128df14ac16537521fa30c3e563ed4f98c8732fd7"),
     ]
     trace = tmp_path / "trace.csv"
     for args, code, out_digest, trace_digest in traced:

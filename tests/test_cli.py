@@ -115,9 +115,22 @@ def test_bad_kernel_spec(tmp_path, capsys):
 
 
 def test_bad_flags(capsys):
-    rc, _, err = run_cli(["sample", "--kernel", kpath("order1"), "--runs", "0"], capsys)
-    assert rc == 2
-    assert "Usage" in err
+    # counts and budgets below 1 are usage errors, not tracebacks
+    for flags in [
+        ["sample", "--runs", "0"],
+        ["sample", "--length", "0"],
+        ["sample", "--max-depth", "0"],
+        ["sample", "--max-iter", "0"],
+        ["sample", "--max-nodes", "0"],
+        ["sample", "--jobs", "-2"],
+        ["validate", "--max-depth", "0"],
+        ["bench", "--max-nodes", "0"],
+        ["bench", "--jobs", "0"],
+        ["inspect", "--u", "0.5", "--max-depth", "0"],
+    ]:
+        rc, _, err = run_cli([flags[0], "--kernel", kpath("order1"), *flags[1:]], capsys)
+        assert rc == 2, flags
+        assert "Usage" in err, flags
 
 
 @pytest.mark.parametrize("flags", [

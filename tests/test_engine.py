@@ -161,35 +161,66 @@ def test_renewal_max_depth_budget():
 
 def test_renewal_comb_matches_generic():
     k = RenewalSqrtKernel()
-    checked = 0
-    for seed in range(150):
-        try:
-            fast = run(k, 1, RngStream(seed), max_depth=3000, max_nodes=10**12)
-            # an on_iteration audit makes run() take the trie map
-            slow = run(
-                k, 1, RngStream(seed), max_depth=3000, max_nodes=10**12,
-                on_iteration=lambda a: None,
-            )
-        except MaxDepthExceeded:
-            continue
-        assert fast.sample == slow.sample
-        assert fast.diagnostics.tau == slow.diagnostics.tau
-        assert fast.diagnostics.node_touches == slow.diagnostics.node_touches
-        assert fast.diagnostics.max_slice_depth == slow.diagnostics.max_slice_depth
-        checked += 1
-    assert checked > 100
+    for length, seeds in [(1, 150), (2, 40)]:
+        checked = 0
+        for seed in range(seeds):
+            try:
+                fast = run(k, length, RngStream(seed), max_depth=3000, max_nodes=10**12)
+                # the audit advances the reference step beside the comb and
+                # raises on any step where they differ
+                slow = run(
+                    k, length, RngStream(seed), max_depth=3000, max_nodes=10**12,
+                    on_iteration=lambda a: None,
+                )
+            except MaxDepthExceeded:
+                continue
+            assert fast.sample == slow.sample
+            assert fast.diagnostics.tau == slow.diagnostics.tau
+            assert fast.diagnostics.node_touches == slow.diagnostics.node_touches
+            assert fast.diagnostics.max_slice_depth == slow.diagnostics.max_slice_depth
+            checked += 1
+        assert checked > 2 * seeds // 3
 
 
 def test_renewal_comb_trace_matches_generic():
     k = RenewalSqrtKernel()
-    fast = run(k, 1, RngStream(3), max_depth=10**6, max_nodes=10**12, trace=True)
-    slow = run(
-        k, 1, RngStream(3), max_depth=10**6, max_nodes=10**12,
-        trace=True, on_iteration=lambda a: None,
-    )
-    assert [(r.t, r.leaf_count, r.depth) for r in fast.diagnostics.records] == [
-        (r.t, r.leaf_count, r.depth) for r in slow.diagnostics.records
-    ]
+    for length in (1, 2):
+        fast = run(k, length, RngStream(3), max_depth=10**6, max_nodes=10**12, trace=True)
+        slow = run(
+            k, length, RngStream(3), max_depth=10**6, max_nodes=10**12,
+            trace=True, on_iteration=lambda a: None,
+        )
+        assert [(r.t, r.leaf_count, r.depth) for r in fast.diagnostics.records] == [
+            (r.t, r.leaf_count, r.depth) for r in slow.diagnostics.records
+        ]
+
+
+def _one_touch_more(advance):
+    def corrupt(self, u):
+        touches, depth, regenerated = advance(self, u)
+        return touches + 1, depth, regenerated
+    return corrupt
+
+
+def _one_leaf_more(size):
+    def corrupt(self):
+        leaves, depth = size(self)
+        return leaves + 1, depth
+    return corrupt
+
+
+@pytest.mark.parametrize("length", [1, 2])
+@pytest.mark.parametrize("method, corrupt", [("advance", _one_touch_more),
+                                             ("size", _one_leaf_more)],
+                         ids=["touches", "size"])
+def test_audit_catches_a_corrupt_comb_step(monkeypatch, method, corrupt, length):
+    # negative control: under on_iteration the comb itself is audited,
+    # including the sizes the trace records take from it alone
+    monkeypatch.setattr(engine._CombMap, method, corrupt(getattr(engine._CombMap, method)))
+    k = RenewalSqrtKernel()
+    run(k, length, RngStream(3), max_depth=300, trace=True)  # the comb alone cannot tell
+    with pytest.raises(InvariantViolation):
+        run(k, length, RngStream(3), max_depth=300, on_iteration=lambda a: None)
 
 
 def test_renewal_never_coalesces_in_one_step():
