@@ -26,12 +26,7 @@ from typing import List, Optional, Sequence
 from . import engine, oracle
 from .engine import RNG_ALGORITHM, RunRow
 from .errors import BudgetError, CiaftpError, KernelSpecError
-from .kernels import (
-    RenewalSqrtKernel,
-    expected_depth_bound,
-    kernel_spec_digest,
-    load_kernel,
-)
+from .kernels import expected_depth_bound, kernel_spec_digest, load_kernel
 from .tries import prefix_closure
 from .update_rule import build_slice, interval_table
 
@@ -251,8 +246,9 @@ def _inspect_slice(kernel, args, buf: io.StringIO) -> None:
     if args.context is not None:
         ctx = kernel.alphabet.parse_word(args.context)
     else:
-        # deepest leaf: the last place the draw could still be undecided
-        ctx = max((s for s, _ in slice_.trie.leaves()), key=len)
+        # the smallest deepest leaf: the last place the draw could still be
+        # undecided, whatever order the trie lists its leaves in
+        ctx = min(s for s in slice_.trie.leaf_contexts() if len(s) == slice_.depth)
     buf.write(f"\n# interval table along context {kernel.alphabet.format_word(ctx) or 'ε'}\n")
     buf.write("level,symbol,alpha,beta\n")
     for iv in interval_table(kernel, ctx, u_cap=u):
@@ -278,7 +274,7 @@ def _inspect_kernel(kernel, args, buf: io.StringIO) -> None:
     depth_cap = 0
     while depth_cap < args.max_depth and kernel.alphabet.size ** (depth_cap + 1) <= 4096:
         depth_cap += 1
-    if isinstance(kernel, RenewalSqrtKernel):
+    if kernel.order is None:
         depth_cap = min(args.max_depth, 64)
     buf.write("# worst-case coupled mass by depth\nk,A_k_min\n")
     for k in range(depth_cap + 1):
@@ -310,8 +306,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"ciaftp: error: FileNotFound: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # an unreadable kernel file or unwritable --out path, e.g. FileNotFound
+        code = type(exc).__name__.removesuffix("Error")
+        print(f"ciaftp: error: {code}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KernelSpecError as exc:
         print(f"ciaftp: error: {exc.code}: {exc}", file=sys.stderr)

@@ -30,9 +30,12 @@ and sample; the first two are built from the same immutable nodes:
 
 :func:`step` is the validated reference: it composes through
 :func:`~ciaftp.update_rule.build_slice`, ``ContextTrie.from_leaves`` and
-``prune_minimal``.  Under ``run(on_iteration=...)`` it is advanced beside
-the family's map (:class:`_AuditedMap`), which raises InvariantViolation
-on any step where they differ and hands the reference tries to the audit.
+``prune_minimal``.  Its slices are expanded from the kernel's lower-bound
+rows for every family, the renewal kernel included, so the comb's
+closed-form slice depth is checked against the law.  Under
+``run(on_iteration=...)`` it is advanced beside the family's map
+(:class:`_AuditedMap`), which raises InvariantViolation on any step where
+they differ and hands the reference tries to the audit.
 :func:`run` picks the family's map with :func:`_composite_map`, and
 :func:`run_many` is the batch driver for every command.
 """
@@ -65,17 +68,15 @@ RNG_ALGORITHM = "pcg64"
 
 
 class RngStream:
-    """A named, seeded, portable uniform stream ([0, 1) doubles).
+    """A seeded, portable uniform stream ([0, 1) doubles).
 
-    Identical (algorithm, seed) gives an identical draw sequence on every
-    platform; independent runs derive their seeds as base + run index.
+    The generator is always :data:`RNG_ALGORITHM`; an identical seed gives
+    an identical draw sequence on every platform.  Independent runs derive
+    their seeds as base + run index.
     """
 
-    def __init__(self, seed: int, algorithm: str = RNG_ALGORITHM):
-        if algorithm != RNG_ALGORITHM:
-            raise UnsupportedOperation(f"unknown RNG algorithm {algorithm!r}")
+    def __init__(self, seed: int):
         self.seed = seed
-        self.algorithm = algorithm
         self.count = 0
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
@@ -101,7 +102,6 @@ class RunDiagnostics:
     regeneration_times: List[int] = field(default_factory=list)
     records: Optional[List[IterationRecord]] = None
     seed: Optional[int] = None
-    rng_algorithm: str = RNG_ALGORITHM
     wall_ns: int = 0
 
 
@@ -109,17 +109,6 @@ class RunDiagnostics:
 class RunResult:
     sample: Context
     diagnostics: RunDiagnostics
-
-
-@dataclass(frozen=True)
-class Limits:
-    max_iter: int = DEFAULT_MAX_ITER
-    max_depth: int = DEFAULT_MAX_DEPTH
-    max_nodes: int = DEFAULT_MAX_NODES
-
-    def validate(self) -> None:
-        if self.max_iter < 1 or self.max_depth < 1 or self.max_nodes < 1:
-            raise ValueError("limits must be positive")
 
 
 def init_state(alphabet: Alphabet, length: int) -> ContextTrie:
@@ -539,7 +528,8 @@ def run(
     reference :func:`step`, which checks it on every draw and supplies the
     tries of each :class:`StepAudit`.
     """
-    Limits(max_iter, max_depth, max_nodes).validate()
+    if max_iter < 1 or max_depth < 1 or max_nodes < 1:
+        raise ValueError("limits must be positive")
     start_ns = time.perf_counter_ns()
     if on_iteration is None:
         rep = _composite_map(kernel, length, max_depth)
@@ -607,7 +597,8 @@ def pw_extended(
     """The classical baseline: the composite map over the full extended
     state space, with the same update rule and the same draw discipline as
     :func:`run`."""
-    Limits(max_iter, max_depth, max_nodes).validate()
+    if max_iter < 1 or max_depth < 1 or max_nodes < 1:
+        raise ValueError("limits must be positive")
     order = kernel.order
     if order is None:
         raise UnsupportedOperation("pw_extended needs a finite-order kernel")

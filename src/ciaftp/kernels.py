@@ -206,14 +206,12 @@ class RenewalSqrtKernel(Kernel):
         return 1.0 - 1.0 / math.sqrt(trailing_ones + 1)
 
     def lower_bounds(self, s: Context) -> LowerBoundRow:
-        r = 0
-        for sym in reversed(s):
-            if sym == "1":
-                r += 1
-            elif sym == "0":
-                break
-            else:
-                raise UnknownSymbol(f"symbol {sym!r} not in alphabet ('0', '1')")
+        # only the symbols after the newest 0 are read
+        r = s[::-1].index("0") if "0" in s else len(s)
+        tail = s[len(s) - r:]
+        if tail.count("1") != r:
+            sym = next(x for x in reversed(tail) if x != "1")
+            raise UnknownSymbol(f"symbol {sym!r} not in alphabet ('0', '1')")
         if r == len(s):
             # all-ones context: only a lower bound on the 0-probability
             p0 = self.p_zero(r)

@@ -15,13 +15,13 @@ never disagrees between table construction, pointwise evaluation, slice
 expansion and the slice table.  The same helper closes every resolving
 level at exactly 1.0.
 
-Slices come in two forms.  :func:`build_slice` (node-by-node
-:func:`_generic_slice`, or the closed-form comb of the renewal kernel)
-returns a validated :class:`UpdateSlice` trie; it is the reference that
-``inspect``, the tests and the audits use.  The sampler's hot path uses a
-:class:`SliceTable` instead: for a finite-order kernel the slice is
-constant between consecutive interval ends, so the table finds a draw's
-gap by bisection and keeps one compact :class:`SliceEntry` per gap,
+Slices come in two forms.  :func:`build_slice` expands the slice node by
+node from the kernel's lower-bound rows alone, for finite and infinite
+memory alike, and returns a validated :class:`UpdateSlice` trie; it is the
+reference that ``inspect``, the tests and the audits use.  The sampler's
+hot path uses a :class:`SliceTable` instead: for a finite-order kernel the
+slice is constant between consecutive interval ends, so the table finds a
+draw's gap by bisection and keeps one compact :class:`SliceEntry` per gap,
 compiled from :func:`build_slice` the first time a draw lands in it.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import MaxDepthExceeded, UnsupportedOperation
-from .kernels import Kernel, LowerBoundRow, RenewalSqrtKernel
+from .kernels import Kernel, LowerBoundRow
 from .tries import Context, ContextTrie, Symbol, prune_minimal
 
 DEFAULT_MAX_DEPTH = 10_000
@@ -125,19 +125,13 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
 
     Depth-first from the root: a node whose accumulated mass exceeds ``u``
     becomes a leaf labeled with the update value; otherwise all children
-    are expanded.  Kernels with a closed-form slice shape (the renewal
-    family) use it; :func:`_generic_slice` builds the same trie node by node.
+    are expanded.  Only the kernel's lower-bound rows are read, so every
+    kernel family gets its slice the same way.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    if isinstance(kernel, RenewalSqrtKernel):
-        return _renewal_slice(kernel, u, max_depth)
-    return _generic_slice(kernel, u, max_depth)
-
-
-def _generic_slice(kernel: Kernel, u: float, max_depth: int) -> UpdateSlice:
     symbols = kernel.alphabet.symbols
     touches = 0
     leaves = {}
@@ -181,7 +175,7 @@ class SliceEntry:
     of the emitted symbol first, then the leaf context's symbol indices
     from newest to oldest), and ``None`` closes an internal node over the
     last |G| items.  ``reach`` is the depth of the deepest node the
-    expansion visits before pruning: :func:`_generic_slice` raises
+    expansion visits before pruning: :func:`build_slice` raises
     MaxDepthExceeded exactly when it exceeds ``max_depth``.
     """
 
@@ -215,7 +209,7 @@ def _compile_entry(slice_: UpdateSlice, reach: int) -> SliceEntry:
 class SliceTable:
     """The slices of a finite-order kernel, found by bisection.
 
-    Every comparison :func:`_generic_slice` makes is ``u < e`` for an
+    Every comparison :func:`build_slice` makes is ``u < e`` for an
     interval end ``e`` of a context it visits, and a context's ends do not
     depend on ``u``: so the slice is constant on each gap between
     consecutive ends.  The table collects the ends once, walking the
@@ -273,26 +267,6 @@ def slice_table(kernel: Kernel) -> SliceTable:
     if table is None:
         table = kernel.slice_cache = SliceTable(kernel)
     return table
-
-
-def renewal_slice_leaves(m: int) -> dict:
-    """Leaf map of a depth-m renewal slice: after a 0 the value is 1; on
-    the all-ones ball of depth m the value is 0."""
-    leaves = {("0",) + ("1",) * j: "1" for j in range(m)}
-    leaves[("1",) * m] = "0"
-    return leaves
-
-
-def _renewal_slice(kernel: RenewalSqrtKernel, u: float, max_depth: int) -> UpdateSlice:
-    m = kernel.slice_depth(u)
-    if m > max_depth:
-        raise MaxDepthExceeded(
-            f"slice for u={u!r} has depth {m}, above the {max_depth} bound"
-        )
-    trie = ContextTrie.from_leaves(kernel.alphabet, renewal_slice_leaves(m))
-    # same node count the generic expansion would touch: the all-ones spine
-    # plus both children of each spine node
-    return UpdateSlice(u=u, trie=trie, depth=m, node_touches=2 * m + 1)
 
 
 @dataclass

@@ -100,6 +100,14 @@ def test_missing_kernel_file(capsys):
     assert "FileNotFound" in err
 
 
+def test_kernel_path_is_a_directory(capsys):
+    # an unreadable kernel path is a usage error with one line, no traceback
+    rc, _, err = run_cli(["inspect", "--kernel", str(KERNELS)], capsys)
+    assert rc == 2
+    assert err.startswith("ciaftp: error: IsADirectory: ")
+    assert err.count("\n") == 1
+
+
 def test_bad_kernel_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -40,8 +40,6 @@ def test_rng_stream_determinism():
     assert xs == ys
     assert a.count == 5
     assert all(0.0 <= x < 1.0 for x in xs)
-    with pytest.raises(UnsupportedOperation):
-        RngStream(1, algorithm="mt19937")
 
 
 def test_init_state():
@@ -223,6 +221,17 @@ def test_audit_catches_a_corrupt_comb_step(monkeypatch, method, corrupt, length)
         run(k, length, RngStream(3), max_depth=300, on_iteration=lambda a: None)
 
 
+@pytest.mark.parametrize("length", [1, 2])
+def test_audit_catches_a_wrong_slice_depth(monkeypatch, length):
+    # negative control: the reference expands renewal slices from the lower
+    # bounds, so a closed-form slice depth one too deep is caught
+    slice_depth = RenewalSqrtKernel.slice_depth
+    monkeypatch.setattr(RenewalSqrtKernel, "slice_depth", lambda self, u: slice_depth(self, u) + 1)
+    with pytest.raises(InvariantViolation):
+        run(RenewalSqrtKernel(), length, RngStream(3), max_depth=300,
+            on_iteration=lambda a: None)
+
+
 def test_renewal_never_coalesces_in_one_step():
     k = RenewalSqrtKernel()
     for seed in range(50):
@@ -381,7 +390,7 @@ def test_compiled_hot_path_skips_the_reference(monkeypatch):
         monkeypatch.setattr(owner, "prune_minimal", refuse)
     for owner, name in [(ContextTrie, "from_leaves"), (ContextTrie, "find_suffix"),
                         (engine, "step"), (engine, "build_slice"),
-                        (update_rule, "build_slice"), (update_rule, "_generic_slice")]:
+                        (update_rule, "build_slice")]:
         monkeypatch.setattr(owner, name, refuse)
     for (k, length), samples in zip(kernels, before):
         monkeypatch.setattr(k, "lower_bounds", refuse)

@@ -101,6 +101,10 @@ def test_renewal_lower_bounds():
     row = k.lower_bounds(("0", "1", "1"))
     p0 = 1.0 - 1.0 / math.sqrt(3)
     assert row.resolved and row.lower == (p0, 1.0 - p0)
+    # only the symbols after the newest 0 are read
+    with pytest.raises(UnknownSymbol):
+        k.lower_bounds(("x", "1"))
+    assert k.lower_bounds(("x", "0", "1")).lower == k.lower_bounds(("0", "1")).lower
 
 
 def test_renewal_min_mass():

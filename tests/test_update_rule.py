@@ -11,11 +11,9 @@ from ciaftp.errors import IterationLimitExceeded, MaxDepthExceeded
 from ciaftp.kernels import RenewalSqrtKernel, load_kernel, memoryless_kernel
 from ciaftp.update_rule import (
     DEFAULT_MAX_DEPTH,
-    _generic_slice,
     build_slice,
     interval_table,
     phi,
-    renewal_slice_leaves,
     slice_table,
     verify_measure,
 )
@@ -108,18 +106,18 @@ def test_renewal_slice_fixture():
         ("0", "1", "1", "1"): "1",
         ("1", "1", "1", "1"): "0",
     }
-    assert dict(s.trie.leaves()) == renewal_slice_leaves(4)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 0.97))
 def test_renewal_slice_generic_agrees(u):
+    # the slice expanded from the lower bounds has the comb's closed-form
+    # depth and node touches: the all-ones spine plus both children of
+    # each spine node
     k = RenewalSqrtKernel()
-    fast = build_slice(k, u)
-    slow = _generic_slice(k, u, DEFAULT_MAX_DEPTH)
-    assert fast.trie == slow.trie
-    assert fast.depth == slow.depth
-    assert fast.node_touches == slow.node_touches
+    s = build_slice(k, u)
+    assert s.depth == k.slice_depth(u)
+    assert s.node_touches == 2 * s.depth + 1
 
 
 def _finite_kernels():
@@ -148,7 +146,7 @@ def _slice_or_error(fn):
 
 
 def test_slice_table_matches_generic_slice():
-    # the table's entry for a draw is the slice _generic_slice builds for it:
+    # the table's entry for a draw is the slice build_slice expands for it:
     # at both ends of every gap, at 0 and at the top draw
     for name, k in _finite_kernels():
         table = slice_table(k)
@@ -161,7 +159,7 @@ def test_slice_table_matches_generic_slice():
             if left < right and left < 1.0:
                 probes.update((left, min(math.nextafter(right, 0.0), TOP)))
         for u in sorted(probes):
-            ref = _generic_slice(k, u, DEFAULT_MAX_DEPTH)
+            ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
             entry = table.lookup(u, DEFAULT_MAX_DEPTH)
             assert _entry_leaves(entry, k.alphabet) == dict(ref.trie.leaves()), (name, u)
             assert (entry.depth, entry.node_touches, entry.node_count, entry.is_regeneration) == (
@@ -170,7 +168,7 @@ def test_slice_table_matches_generic_slice():
             # below the kernel order, the table refuses exactly the draws
             # the expansion refuses, with the same message
             for max_depth in range(1, k.order):
-                refused = _slice_or_error(lambda: _generic_slice(k, u, max_depth))
+                refused = _slice_or_error(lambda: build_slice(k, u, max_depth))
                 looked_up = _slice_or_error(lambda: table.lookup(u, max_depth))
                 assert isinstance(refused, str) == isinstance(looked_up, str), (name, u, max_depth)
                 if isinstance(refused, str):
@@ -182,8 +180,6 @@ def test_build_slice_max_depth():
     u = 0.995  # depth ~ 40000
     with pytest.raises(MaxDepthExceeded):
         build_slice(k, u, max_depth=100)
-    with pytest.raises(MaxDepthExceeded):
-        _generic_slice(k, u, 100)
 
 
 @pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
