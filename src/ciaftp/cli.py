@@ -90,9 +90,12 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     env = os.environ.get("CIAFTP_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise CiaftpError(f"CIAFTP_SEED={env!r} is not an integer") from None
+        if seed < 0:
+            raise CiaftpError(f"CIAFTP_SEED={env!r} is negative")
+        return seed
     seed = secrets.randbits(32)
     print(f"ciaftp: seed not given; using OS-entropy seed {seed}", file=sys.stderr)
     return seed
@@ -303,6 +306,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     low = [f"--{name.replace('_', '-')}" for name in POSITIVE_FLAGS if getattr(args, name, 1) < 1]
     if low:
         print(f"ciaftp: error: Usage: {', '.join(low)} must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        print("ciaftp: error: Usage: --seed must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)

@@ -15,11 +15,12 @@ and sample; the first two are built from the same immutable nodes:
 
 * :class:`_SharedMap` - finite-order kernels.  The minimal labeled trie
   as shared subtrees, whose leaf labels are full length-L windows.  A step
-  finds the draw's slice in the kernel's gap table
-  (:class:`~ciaftp.update_rule.SliceTable`) by bisection, grafts the
-  previous map's subtrees under the slice leaves by reference and rebuilds
-  only the slice's internal nodes, so it costs O(slice size), not
-  O(state size);
+  finds the draw's gap in the kernel's slice table
+  (:class:`~ciaftp.update_rule.SliceTable`) by bisection and runs the
+  gap's compiled program: walk each distinct prefix of the slice leaves'
+  paths into the previous map once, graft the subtrees reached by
+  reference and rebuild only the slice's internal nodes.  So a step costs
+  O(slice size), not O(state size);
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
   run-length-compressed side subtrees along the all-ones spine and a step
@@ -73,16 +74,36 @@ class RngStream:
     The generator is always :data:`RNG_ALGORITHM`; an identical seed gives
     an identical draw sequence on every platform.  Independent runs derive
     their seeds as base + run index.
+
+    Draws are served from blocks of ``Generator.random(k)``, which gives
+    the same doubles as k scalar calls.  The first block, of 8 draws, is
+    drawn by the first :meth:`uniform` call, and each later one is twice as
+    large, up to 1024 draws: a short run draws few doubles it does not use,
+    and a long one makes few generator calls.  ``count`` is the number of
+    draws handed out.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self.count = 0
         self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._block: List[float] = []
+        self._pos = 0
+        self._drawn = 0
+
+    @property
+    def count(self) -> int:
+        return self._drawn - len(self._block) + self._pos
 
     def uniform(self) -> float:
-        self.count += 1
-        return self._gen.random()
+        pos = self._pos
+        block = self._block
+        if pos == len(block):
+            size = min(2 * len(block), 1024) if block else 8
+            block = self._block = self._gen.random(size).tolist()
+            self._drawn += size
+            pos = 0
+        self._pos = pos + 1
+        return block[pos]
 
 
 @dataclass
@@ -308,12 +329,15 @@ def _window(leaf: tuple, length: int) -> Context:
 class _SharedMap:
     """The composite map of a finite-order kernel, as shared subtrees.
 
-    A step looks the draw's slice up in the kernel's
-    :class:`~ciaftp.update_rule.SliceTable`, walks the previous map along
-    each slice leaf's path, grafts the node it reaches and rebuilds only the
-    slice's internal nodes above the grafts.  Node touches count what
-    :func:`step` counts: the slice's touches plus the nodes of the unpruned
-    composition.
+    A step looks the draw's :class:`~ciaftp.update_rule.SliceEntry` up in
+    the kernel's :class:`~ciaftp.update_rule.SliceTable` and runs its
+    program in three flat loops over a list of slots: the walk steps fill a
+    slot for every distinct prefix of the slice leaves' paths into the
+    previous map, the grafts' tree sizes add up to the node touches, and
+    the getters rebuild the slice's internal nodes above the grafts, in
+    post-order, with the collapse rule of :func:`_node`.  Node touches count
+    what :func:`step` counts: the slice's touches plus the nodes of the
+    unpruned composition.
     """
 
     __slots__ = ("length", "max_depth", "arity", "lookup", "root", "coalesced")
@@ -328,25 +352,31 @@ class _SharedMap:
 
     def advance(self, u: float) -> Tuple[int, int, bool]:
         entry = self.lookup(u, self.max_depth)
-        root = self.root
+        slots = [self.root]
+        append = slots.append
+        for parent, child in entry.walk:
+            node = slots[parent]
+            kids = node[0]
+            append(node if kids is None else kids[child])
+        touches = entry.touch_base
+        for graft in entry.grafts:
+            touches += slots[graft][3]
         n = self.arity
-        touches = entry.node_touches + entry.node_count
-        stack = []
-        for path in entry.shape:
-            if path is None:
-                kids = tuple(stack[-n:])
-                del stack[-n:]
-                stack.append(_node(kids))
-            else:
-                node = root
-                for i in path:
-                    kids = node[0]
-                    if kids is None:
-                        break
-                    node = kids[i]
-                touches += node[3] - 1
-                stack.append(node)
-        self.root = root = stack[0]
+        for get in entry.nodes:
+            # _node, inlined
+            kids = get(slots)
+            first = kids[0]
+            if first[0] is None and kids.count(first) == n:
+                append(first)
+                continue
+            leaves = depth = size = 0
+            for k in kids:
+                leaves += k[1]
+                size += k[3]
+                if k[2] > depth:
+                    depth = k[2]
+            append((kids, leaves, depth + 1, size + 1))
+        self.root = root = slots[-1]
         self.coalesced = root[0] is None
         return touches, entry.depth, entry.is_regeneration
 

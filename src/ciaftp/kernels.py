@@ -364,7 +364,11 @@ def parse_kernel_spec(text: str) -> Kernel:
 
 def load_kernel(path: str) -> Kernel:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_kernel_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise KernelSpecError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_kernel_spec(text)
 
 
 def kernel_spec_digest(path: str) -> str:

@@ -21,15 +21,17 @@ memory alike, and returns a validated :class:`UpdateSlice` trie; it is the
 reference that ``inspect``, the tests and the audits use.  The sampler's
 hot path uses a :class:`SliceTable` instead: for a finite-order kernel the
 slice is constant between consecutive interval ends, so the table finds a
-draw's gap by bisection and keeps one compact :class:`SliceEntry` per gap,
-compiled from :func:`build_slice` the first time a draw lands in it.
+draw's gap by bisection and keeps one :class:`SliceEntry` per gap: the
+slice from :func:`build_slice`, compiled the first time a draw lands in the
+gap into a program that composes it onto a composite map.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .errors import MaxDepthExceeded, UnsupportedOperation
 from .kernels import Kernel, LowerBoundRow
@@ -162,48 +164,96 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
 
 # -- the slice table ---------------------------------------------------------
 
-WalkPath = Tuple[int, ...]
+WalkStep = Tuple[int, int]
+NodeGetter = Callable[[list], tuple]
 
 
 @dataclass(frozen=True)
 class SliceEntry:
     """The slice shared by every draw in one gap of a :class:`SliceTable`,
-    compiled for composition.
+    compiled into a program that composes it onto a composite map.
 
-    ``shape`` is the slice trie in post-order, children in alphabet order:
-    each leaf is its walk path into the previous composite map (the index
-    of the emitted symbol first, then the leaf context's symbol indices
-    from newest to oldest), and ``None`` closes an internal node over the
-    last |G| items.  ``reach`` is the depth of the deepest node the
-    expansion visits before pruning: :func:`build_slice` raises
-    MaxDepthExceeded exactly when it exceeds ``max_depth``.
+    A slice leaf's *walk path* into the previous map is the index of its
+    emitted symbol, then its context's symbol indices from newest to
+    oldest.  The program fills a list of slots, slot 0 being the previous
+    map's root, in three flat passes:
+
+    * ``walk`` has one ``(parent slot, child index)`` step per distinct
+      prefix of the walk paths, in slot order: step ``j`` fills slot
+      ``j + 1`` with that child of the parent, or with the parent itself
+      when it is a leaf;
+    * ``grafts`` is the slot of each leaf's full path, the subtree the leaf
+      grafts; a step's node touches (the slice's, then the nodes of the
+      unpruned composition) are ``touch_base`` - the slice's touches plus
+      its internal node count - plus the tree size of every graft;
+    * ``nodes`` rebuilds the slice's internal nodes in post-order, each an
+      ``operator.itemgetter`` of its children's slots; node ``i`` fills the
+      slot after the prefixes and the nodes before it, so the last slot
+      holds the new root.  (A one-symbol law resolves at the root, so every
+      internal node has at least two children.)
+
+    ``reach`` is the depth of the deepest node the expansion visits before
+    pruning: :func:`build_slice` raises MaxDepthExceeded exactly when it
+    exceeds ``max_depth``.
     """
 
-    shape: Tuple[Optional[WalkPath], ...]
+    walk: Tuple[WalkStep, ...]
+    grafts: Tuple[int, ...]
+    nodes: Tuple[NodeGetter, ...]
+    touch_base: int
     depth: int
-    node_touches: int
-    node_count: int
     is_regeneration: bool
     reach: int
 
 
-def _compile_entry(slice_: UpdateSlice, reach: int) -> SliceEntry:
-    """The :class:`SliceEntry` of a slice built by :func:`build_slice`."""
+def _compile_entry(slice_: UpdateSlice, reach: int, steps: Dict[WalkStep, WalkStep],
+                   getters: Dict[Tuple[int, ...], NodeGetter]) -> SliceEntry:
+    """The :class:`SliceEntry` of a slice built by :func:`build_slice`.
+
+    Equal walk steps and node getters are kept once in ``steps`` and
+    ``getters``, which the entries of one table share.
+    """
     alphabet = slice_.trie.alphabet
-    shape: List[Optional[WalkPath]] = []
+    n = alphabet.size
+    slot_of: Dict[WalkStep, int] = {}  # the slot each walk step fills
+    walk: List[WalkStep] = []
+    grafts: List[int] = []
+    # children of each internal node: a walk slot, or ~i for internal node i
+    nodes: List[List[int]] = []
+    pending: List[int] = []
+    # post-order, children in alphabet order
     stack = [(slice_.trie.root, (), False)]
     while stack:
         node, path, closing = stack.pop()
         if node.children is None:
-            shape.append((alphabet.index(node.label),) + path)
+            slot = 0
+            for i in (alphabet.index(node.label),) + path:
+                step = (slot, i)
+                slot = slot_of.get(step)
+                if slot is None:
+                    slot = slot_of[step] = len(walk) + 1
+                    walk.append(steps.setdefault(step, step))
+            grafts.append(slot)
+            pending.append(slot)
         elif closing:
-            shape.append(None)
+            nodes.append(pending[-n:])
+            del pending[-n:]
+            pending.append(~(len(nodes) - 1))
         else:
             stack.append((node, path, True))
-            for i in reversed(range(alphabet.size)):
+            for i in reversed(range(n)):
                 stack.append((node.children[alphabet.symbols[i]], path + (i,), False))
-    return SliceEntry(tuple(shape), slice_.depth, slice_.node_touches,
-                      slice_.trie.node_count(), slice_.is_regeneration, reach)
+    first = len(walk) + 1
+    node_getters = []
+    for kids in nodes:
+        key = tuple(r if r >= 0 else first + ~r for r in kids)
+        getter = getters.get(key)
+        if getter is None:
+            getter = getters[key] = itemgetter(*key)
+        node_getters.append(getter)
+    return SliceEntry(tuple(walk), tuple(grafts), tuple(node_getters),
+                      slice_.node_touches + len(nodes), slice_.depth,
+                      slice_.is_regeneration, reach)
 
 
 class SliceTable:
@@ -241,6 +291,8 @@ class SliceTable:
                     stack.append(((g,) + ctx, level_end, row.lower, expand_at))
         self.breakpoints = sorted(ends)
         self.entries: List[Optional[SliceEntry]] = [None] * (len(self.breakpoints) + 1)
+        self._steps: Dict[WalkStep, WalkStep] = {}
+        self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
 
     def lookup(self, u: float, max_depth: int) -> SliceEntry:
         """The entry of the gap holding the draw ``u`` (0 <= u < 1)."""
@@ -257,7 +309,8 @@ class SliceTable:
     def _compile(self, i: int) -> SliceEntry:
         left = self.breakpoints[i - 1] if i else 0.0
         reach = max((d for at, d in self._expansions if at <= left), default=0)
-        return _compile_entry(build_slice(self.kernel, left, max(reach, 1)), reach)
+        return _compile_entry(build_slice(self.kernel, left, max(reach, 1)), reach,
+                              self._steps, self._getters)
 
 
 def slice_table(kernel: Kernel) -> SliceTable:

@@ -122,9 +122,25 @@ def test_bad_kernel_spec(tmp_path, capsys):
     assert "IncompleteDictionary" in err
 
 
+def test_non_utf8_kernel_spec(tmp_path, capsys):
+    # a spec that is not UTF-8 text (here a UTF-16 byte-order mark) is a
+    # spec error with one line, no traceback
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    rc, _, err = run_cli(["inspect", "--kernel", str(bad)], capsys)
+    assert rc == 2
+    assert err.startswith("ciaftp: error: KernelSpec: ")
+    assert "not UTF-8" in err
+    assert err.count("\n") == 1
+
+
 def test_bad_flags(capsys):
-    # counts and budgets below 1 are usage errors, not tracebacks
+    # counts and budgets below 1, and negative seeds, are usage errors, not
+    # tracebacks
     for flags in [
+        ["sample", "--seed", "-1"],
+        ["validate", "--seed", "-5"],
+        ["bench", "--seed", "-1"],
         ["sample", "--runs", "0"],
         ["sample", "--length", "0"],
         ["sample", "--max-depth", "0"],
@@ -166,11 +182,12 @@ def test_env_seed_fallback(capsys, monkeypatch):
     )
     assert rc == 0
     assert "# seed=4242" in out
-    monkeypatch.setenv("CIAFTP_SEED", "not-a-number")
-    rc, _, err = run_cli(
-        ["sample", "--kernel", kpath("order1"), "--no-timing"], capsys
-    )
-    assert rc == 1 and "CIAFTP_SEED" in err
+    for bad in ("not-a-number", "-3"):
+        monkeypatch.setenv("CIAFTP_SEED", bad)
+        rc, _, err = run_cli(
+            ["sample", "--kernel", kpath("order1"), "--no-timing"], capsys
+        )
+        assert rc == 1 and "CIAFTP_SEED" in err and err.count("\n") == 1
 
 
 def test_entropy_seed_is_printed(capsys, monkeypatch):

@@ -42,6 +42,16 @@ def test_rng_stream_determinism():
     assert all(0.0 <= x < 1.0 for x in xs)
 
 
+def test_rng_stream_blocks_match_scalar_draws():
+    # draws served from blocks are the scalar Generator.random() sequence,
+    # across the block boundaries (8, 8 + 16, 8 + 16 + 32 draws)
+    rng = RngStream(2024)
+    gen = np.random.Generator(np.random.PCG64(2024))
+    assert rng.count == 0
+    assert [rng.uniform() for _ in range(100)] == [gen.random() for _ in range(100)]
+    assert rng.count == 100
+
+
 def test_init_state():
     t = init_state(BINARY, 2)
     assert t.leaf_count() == 4
@@ -364,12 +374,12 @@ def test_audit_catches_a_corrupt_slice_entry(monkeypatch, corrupt):
     i = bisect_right(table.breakpoints, u)
     entry = table.lookup(u, DEFAULT_MAX_DEPTH)
     if corrupt == "touches":
-        bad = dataclasses.replace(entry, node_touches=entry.node_touches + 1)
+        bad = dataclasses.replace(entry, touch_base=entry.touch_base + 1)
     else:
-        first = next(p for p in entry.shape if p is not None)
-        flipped = (1 - first[0],) + first[1:]
-        bad = dataclasses.replace(
-            entry, shape=tuple(flipped if p is first else p for p in entry.shape))
+        # the first walk step leaves the root through the first leaf's
+        # symbol: take the other symbol's child instead
+        parent, child = entry.walk[0]
+        bad = dataclasses.replace(entry, walk=((parent, 1 - child),) + entry.walk[1:])
     monkeypatch.setattr(table, "entries", table.entries[:i] + [bad] + table.entries[i + 1:])
     run(k, 3, RngStream(5))  # the hot path alone cannot tell
     with pytest.raises(InvariantViolation):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciaftp.engine import pw_extended, run
+from ciaftp import engine
+from ciaftp.engine import RngStream, pw_extended, run
 from ciaftp.errors import IterationLimitExceeded, MaxDepthExceeded
 from ciaftp.kernels import RenewalSqrtKernel, load_kernel, memoryless_kernel
 from ciaftp.update_rule import (
@@ -130,12 +131,31 @@ def _finite_kernels():
     return [(name, k) for name, k in named if k.order is not None]
 
 
-def _entry_leaves(entry, alphabet):
-    """{context: symbol} of a table entry, decoded from its walk paths."""
-    return {
-        tuple(alphabet.symbols[i] for i in reversed(path[1:])): alphabet.symbols[path[0]]
-        for path in entry.shape if path is not None
-    }
+def _slot_paths(entry):
+    """The walk path of every slot the entry's walk fills, slot 0 first."""
+    paths = [()]
+    for parent, child in entry.walk:
+        paths.append(paths[parent] + (child,))
+    return paths
+
+
+def _leaf_walks(slice_, alphabet):
+    """The walk path of each slice leaf: its symbol's index, then its
+    context's indices from newest to oldest."""
+    return [(alphabet.index(g),) + tuple(alphabet.index(c) for c in reversed(ctx))
+            for ctx, g in slice_.trie.leaves()]
+
+
+def _gap_probes(table):
+    """Both ends of every gap of the table, 0 and the top draw."""
+    ends = table.breakpoints
+    probes = {0.0, TOP}
+    for i in range(len(ends) + 1):
+        left = ends[i - 1] if i else 0.0
+        right = ends[i] if i < len(ends) else 1.0
+        if left < right and left < 1.0:
+            probes.update((left, min(math.nextafter(right, 0.0), TOP)))
+    return sorted(probes)
 
 
 def _slice_or_error(fn):
@@ -146,24 +166,28 @@ def _slice_or_error(fn):
 
 
 def test_slice_table_matches_generic_slice():
-    # the table's entry for a draw is the slice build_slice expands for it:
-    # at both ends of every gap, at 0 and at the top draw
+    # the table's entry for a draw is compiled from the slice build_slice
+    # expands for it: at both ends of every gap, at 0 and at the top draw
     for name, k in _finite_kernels():
         table = slice_table(k)
         assert slice_table(k) is table
-        ends = table.breakpoints
-        probes = {0.0, TOP}
-        for i in range(len(ends) + 1):
-            left = ends[i - 1] if i else 0.0
-            right = ends[i] if i < len(ends) else 1.0
-            if left < right and left < 1.0:
-                probes.update((left, min(math.nextafter(right, 0.0), TOP)))
-        for u in sorted(probes):
+        for u in _gap_probes(table):
             ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
             entry = table.lookup(u, DEFAULT_MAX_DEPTH)
-            assert _entry_leaves(entry, k.alphabet) == dict(ref.trie.leaves()), (name, u)
-            assert (entry.depth, entry.node_touches, entry.node_count, entry.is_regeneration) == (
-                ref.depth, ref.node_touches, ref.trie.node_count(), ref.is_regeneration
+            # the program walks every distinct prefix of the leaves' walk
+            # paths exactly once, each after its parent, grafts at the
+            # leaves' full paths and rebuilds every other slice node
+            walks = _leaf_walks(ref, k.alphabet)
+            prefixes = {w[:j] for w in walks for j in range(1, len(w) + 1)}
+            paths = _slot_paths(entry)
+            assert len(paths) - 1 == len(prefixes), (name, u)
+            assert set(paths[1:]) == prefixes, (name, u)
+            assert all(parent < slot for slot, (parent, _) in enumerate(entry.walk, 1))
+            assert sorted(paths[slot] for slot in entry.grafts) == sorted(walks), (name, u)
+            assert len(entry.nodes) == ref.trie.node_count() - len(walks), (name, u)
+            assert (entry.depth, entry.touch_base, entry.is_regeneration) == (
+                ref.depth, ref.node_touches + ref.trie.node_count() - ref.trie.leaf_count(),
+                ref.is_regeneration
             ), (name, u)
             # below the kernel order, the table refuses exactly the draws
             # the expansion refuses, with the same message
@@ -173,6 +197,52 @@ def test_slice_table_matches_generic_slice():
                 assert isinstance(refused, str) == isinstance(looked_up, str), (name, u, max_depth)
                 if isinstance(refused, str):
                     assert refused == looked_up
+
+
+def _compose_leaf_by_leaf(root, slice_, alphabet):
+    """The slice composed onto the shared-subtree map ``root`` with one walk
+    from the root per slice leaf; returns (new map, summed graft sizes)."""
+    grafted = 0
+
+    def compose(node, path):
+        nonlocal grafted
+        if node.children is None:
+            target = root
+            for i in (alphabet.index(node.label),) + path:
+                if target[0] is None:
+                    break
+                target = target[0][i]
+            grafted += target[3]
+            return target
+        kids = tuple(compose(node.children[g], path + (i,))
+                     for i, g in enumerate(alphabet.symbols))
+        if kids[0][0] is None and all(kid is kids[0] for kid in kids):
+            return kids[0]  # one leaf object per label: the pruning rule
+        return (kids, sum(kid[1] for kid in kids), 1 + max(kid[2] for kid in kids),
+                1 + sum(kid[3] for kid in kids))
+
+    return compose(slice_.trie.root, ()), grafted
+
+
+def test_slice_programs_compose_like_a_walk_per_leaf():
+    # from the maps real runs pass through, the compiled program gives the
+    # nodes (labels and memos) and node touches of one walk per slice leaf
+    for name, k in _finite_kernels():
+        for length in (1, 3):
+            for seed in range(3):
+                rep = engine._SharedMap(k, length, DEFAULT_MAX_DEPTH)
+                rng = RngStream(seed)
+                for _ in range(200):
+                    if rep.coalesced:
+                        break
+                    u = rng.uniform()
+                    ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
+                    want, grafted = _compose_leaf_by_leaf(rep.root, ref, k.alphabet)
+                    touches, depth, regenerated = rep.advance(u)
+                    assert rep.root == want, (name, length, seed, u)
+                    leaves = ref.trie.leaf_count()
+                    assert touches == ref.node_touches + ref.trie.node_count() + grafted - leaves
+                    assert (depth, regenerated) == (ref.depth, ref.is_regeneration)
 
 
 def test_build_slice_max_depth():
