@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Print everything each run of a fixed case grid reports, one line a run.
+
+The grid is every shipped kernel at window lengths 1..3, plain and under
+``run(on_iteration=...)`` (the audited reference), at the default budgets
+and at ``max_depth=2``, ``max_nodes=40`` and ``max_iter=3``, for seeds
+0..N-1.  A line gives the case, the sample or the budget error's code and
+message, ``tau``, ``iterations``, ``node_touches``, ``max_slice_depth``,
+``regeneration_times`` and a sha256 of the trace records.  Running it on
+two checkouts and diffing the output shows whether a change kept every
+outcome.
+
+Usage:
+    python scripts/run_outcomes.py --seeds 6 > change.txt
+    python scripts/run_outcomes.py --seeds 6 --src ../other/src > other.txt
+    diff other.txt change.txt
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BUDGETS = [
+    ("default", {}),
+    ("max_depth=2", {"max_depth": 2}),
+    ("max_nodes=40", {"max_nodes": 40}),
+    ("max_iter=3", {"max_iter": 3}),
+]
+
+
+def outcome(run, kernel, length, rng, audited, budget, budget_error):
+    """The reported fields of one traced run, as ``key=value`` strings."""
+    check = (lambda a: None) if audited else None
+    try:
+        res = run(kernel, length, rng, trace=True, on_iteration=check, **budget)
+    except budget_error as exc:
+        head, d = f"error={exc.code} message={json.dumps(str(exc))}", exc.diagnostics
+    else:
+        head, d = f"sample={kernel.alphabet.format_word(res.sample)}", res.diagnostics
+    records = hashlib.sha256(repr([vars(r) for r in d.records]).encode()).hexdigest()
+    return (f"{head} tau={d.tau} iterations={d.iterations} node_touches={d.node_touches}"
+            f" max_slice_depth={d.max_slice_depth}"
+            f" regeneration_times={','.join(map(str, d.regeneration_times))}"
+            f" records={records}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seeds", type=int, default=6, help="seeds 0..N-1 per case")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="directory the ciaftp package is imported from")
+    ap.add_argument("--kernels", type=Path, default=ROOT / "kernels",
+                    help="directory of the kernel specs to run")
+    args = ap.parse_args()
+    sys.path.insert(0, str(args.src))
+    from ciaftp.engine import RngStream, run
+    from ciaftp.errors import BudgetError
+    from ciaftp.kernels import load_kernel
+
+    for path in sorted(args.kernels.glob("*.json")):
+        kernel = load_kernel(str(path))
+        for length in (1, 2, 3):
+            for name, budget in BUDGETS:
+                for audited in (False, True):
+                    for seed in range(args.seeds):
+                        line = outcome(run, kernel, length, RngStream(seed), audited, budget,
+                                       BudgetError)
+                        print(f"{path.stem} L={length} {name} audited={int(audited)}"
+                              f" seed={seed} {line}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

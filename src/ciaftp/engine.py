@@ -7,11 +7,12 @@ map is constant, at which point its single label is an exact stationary
 sample.
 
 One loop, :func:`_backward`, owns everything that does not depend on how
-the composite map is stored: the iteration and node budgets, the
+the composite map is stored: the depth, iteration and node budgets, the
 diagnostics, the per-iteration trace records, the regeneration times and
 the wall time.  Each kernel family has one representation of the
-composite map, which only advances by one draw and reports its work, size
-and sample; the first two are built from the same immutable nodes:
+composite map, which only advances by one draw and reports its work, the
+slice's depth and reach, its size and its sample; the first two are built
+from the same immutable nodes:
 
 * :class:`_SharedMap` - finite-order kernels.  The minimal labeled trie
   as shared subtrees, whose leaf labels are full length-L windows.  A step
@@ -191,6 +192,7 @@ class StepAudit:
 def _backward(
     rep,
     rng: RngStream,
+    max_depth: int,
     max_iter: int,
     max_nodes: int,
     trace: bool,
@@ -201,9 +203,12 @@ def _backward(
 
     ``rep`` holds the composite map: it has a ``coalesced`` flag,
     ``advance(u)`` composes one more draw and returns (node touches, slice
-    depth, regenerated) or raises MaxDepthExceeded, ``size()`` gives
-    (leaf count, depth) for the trace records and ``sample()`` the constant
-    value.
+    depth, regenerated, reach), ``size()`` gives (leaf count, depth) for the
+    trace records and ``sample()`` the constant value.  This loop alone
+    checks the three budgets: a draw whose reach (the depth of the deepest
+    context its slice's expansion visits) exceeds ``max_depth`` raises
+    MaxDepthExceeded, as in :func:`~ciaftp.update_rule.build_slice`, before
+    the step is counted.
     """
     t = 0
     touches = 0
@@ -231,10 +236,11 @@ def _backward(
             )
         u = rng.uniform()
         t -= 1
-        try:
-            step_touches, slice_depth, regenerated = advance(u)
-        except MaxDepthExceeded as exc:
-            raise MaxDepthExceeded(str(exc), diag(None)) from None
+        step_touches, slice_depth, regenerated, reach = advance(u)
+        if reach > max_depth:
+            raise MaxDepthExceeded(
+                f"slice for u={u!r} did not resolve within depth {max_depth}", diag(None)
+            )
         if slice_depth > max_slice_depth:
             max_slice_depth = slice_depth
         if regenerated:
@@ -340,18 +346,17 @@ class _SharedMap:
     unpruned composition.
     """
 
-    __slots__ = ("length", "max_depth", "arity", "lookup", "root", "coalesced")
+    __slots__ = ("length", "arity", "lookup", "root", "coalesced")
 
-    def __init__(self, kernel: Kernel, length: int, max_depth: int):
+    def __init__(self, kernel: Kernel, length: int):
         self.length = length
-        self.max_depth = max_depth
         self.arity = kernel.alphabet.size
         self.lookup = slice_table(kernel).lookup
         self.root = _initial_map(kernel.alphabet.symbols, length)
         self.coalesced = False  # a run composes at least one draw
 
-    def advance(self, u: float) -> Tuple[int, int, bool]:
-        entry = self.lookup(u, self.max_depth)
+    def advance(self, u: float) -> Tuple[int, int, bool, int]:
+        entry = self.lookup(u)
         slots = [self.root]
         append = slots.append
         for parent, child in entry.walk:
@@ -378,7 +383,7 @@ class _SharedMap:
             append((kids, leaves, depth + 1, size + 1))
         self.root = root = slots[-1]
         self.coalesced = root[0] is None
-        return touches, entry.depth, entry.is_regeneration
+        return touches, entry.depth, entry.is_regeneration, entry.reach
 
     def size(self) -> Tuple[int, int]:
         return self.root[1], self.root[2]
@@ -401,13 +406,11 @@ class _SharedMap:
 class _CombMap:
     """The composite map of the renewal kernel, at every window length."""
 
-    __slots__ = ("length", "slice_depth", "max_depth", "runs", "spine", "comb_depth",
-                 "coalesced")
+    __slots__ = ("length", "slice_depth", "runs", "spine", "comb_depth", "coalesced")
 
-    def __init__(self, kernel: RenewalSqrtKernel, length: int, max_depth: int):
+    def __init__(self, kernel: RenewalSqrtKernel, length: int):
         self.length = length
         self.slice_depth = kernel.slice_depth
-        self.max_depth = max_depth
         # (side node, count) from the root down: count spine levels whose
         # 0-child is that node
         self.runs: List[Tuple[tuple, int]] = []
@@ -419,12 +422,9 @@ class _CombMap:
         self.comb_depth = length
         self.coalesced = False  # a run composes at least one draw
 
-    def advance(self, u: float) -> Tuple[int, int, bool]:
+    def advance(self, u: float) -> Tuple[int, int, bool, int]:
+        # the slice visits the spine down to depth m: its reach is m
         m = self.slice_depth(u)
-        if m > self.max_depth:
-            raise MaxDepthExceeded(
-                f"slice for u={u!r} has depth {m}, above the {self.max_depth} bound"
-            )
         runs = self.runs
         head, head_count = runs[0]
         shifted = runs[1:] if head_count == 1 else [(head, head_count - 1)] + runs[1:]
@@ -457,7 +457,7 @@ class _CombMap:
             depth -= new_runs.pop()[1]
         self.runs, self.spine, self.comb_depth = new_runs, node, depth
         self.coalesced = not new_runs
-        return touches, m, False
+        return touches, m, False, m
 
     def size(self) -> Tuple[int, int]:
         leaves, depth, end = 1, self.comb_depth, 0
@@ -481,45 +481,41 @@ class _CombMap:
         return _window(self.spine, self.length)
 
 
-def _composite_map(kernel: Kernel, length: int, max_depth: int):
+def _composite_map(kernel: Kernel, length: int):
     """The representation of the kernel's family: the comb for the renewal
     kernel, shared subtrees on the slice table for finite-order kernels."""
     if isinstance(kernel, RenewalSqrtKernel):
-        return _CombMap(kernel, length, max_depth)
-    return _SharedMap(kernel, length, max_depth)
+        return _CombMap(kernel, length)
+    return _SharedMap(kernel, length)
 
 
 class _AuditedMap:
     """The family's composite map with the reference :func:`step` advanced
     beside it on every draw: any step where their work, slice depth,
-    regeneration flag, budget error, state or trace size differ raises
-    InvariantViolation.  The reference's slice, unpruned trie and state are
+    regeneration flag, reach, state or trace size differ raises
+    InvariantViolation; a draw the reference refuses must reach deeper
+    than ``max_depth``.  The reference's slice, unpruned trie and state are
     kept for :class:`StepAudit`."""
 
     def __init__(self, kernel: Kernel, length: int, max_depth: int):
         self.kernel = kernel
         self.max_depth = max_depth
-        self.map = _composite_map(kernel, length, max_depth)
+        self.map = _composite_map(kernel, length)
         self.state = prune_minimal(init_state(kernel.alphabet, length))
         self.slice_ = self.unpruned = None
         self.coalesced = False
 
-    def advance(self, u: float) -> Tuple[int, int, bool]:
-        # (touches, slice depth, regenerated) of each, None for a budget error
-        got: Optional[Tuple[int, int, bool]] = None
-        want: Optional[Tuple[int, int, bool]] = None
-        try:
-            got = self.map.advance(u)
-        except MaxDepthExceeded:
-            pass
+    def advance(self, u: float) -> Tuple[int, int, bool, int]:
+        got = self.map.advance(u)
         try:
             self.state, self.slice_, self.unpruned = step(
                 self.kernel, self.state, u, self.max_depth)
             want = (self.slice_.node_touches + self.unpruned.node_count(),
-                    self.slice_.depth, self.slice_.is_regeneration)
+                    self.slice_.depth, self.slice_.is_regeneration, self.slice_.reach)
         except MaxDepthExceeded:
-            if got is None:
-                raise
+            if got[3] > self.max_depth:
+                return got  # for _backward to refuse
+            want = None
         leaves = dict(self.state.leaves())
         if got != want or (
             _map_leaves(self.map.root, self.kernel.alphabet.symbols) != leaves
@@ -562,14 +558,15 @@ def run(
         raise ValueError("limits must be positive")
     start_ns = time.perf_counter_ns()
     if on_iteration is None:
-        rep = _composite_map(kernel, length, max_depth)
-        return _backward(rep, rng, max_iter, max_nodes, trace, start_ns)
+        rep = _composite_map(kernel, length)
+        return _backward(rep, rng, max_depth, max_iter, max_nodes, trace, start_ns)
     audited = _AuditedMap(kernel, length, max_depth)
 
     def after_step(t: int) -> None:
         on_iteration(StepAudit(t, audited.slice_, audited.unpruned, audited.state))
 
-    return _backward(audited, rng, max_iter, max_nodes, trace, start_ns, after_step)
+    return _backward(audited, rng, max_depth, max_iter, max_nodes, trace, start_ns,
+                     after_step)
 
 
 # -- extended Propp-Wilson baseline ---------------------------------------
@@ -589,7 +586,7 @@ class _TableMap:
         }
         self.coalesced = len(set(self.table.values())) == 1
 
-    def advance(self, u: float) -> Tuple[int, int, bool]:
+    def advance(self, u: float) -> Tuple[int, int, bool, int]:
         m = self.m
         m_next = max(self.order, m - 1)
         new_table: Dict[Context, Context] = {}
@@ -605,7 +602,8 @@ class _TableMap:
         # every node of the full depth-m trie is held, not only the leaves
         n_sym = len(self.symbols)
         touches = (n_sym ** (m_next + 1) - 1) // (n_sym - 1) if n_sym > 1 else m_next + 1
-        return touches, 0, False
+        # phi resolves at the full order: no slice, so no depth budget
+        return touches, 0, False, 0
 
     def size(self) -> Tuple[int, int]:
         return len(self.table), self.m
@@ -636,7 +634,7 @@ def pw_extended(
         raise ValueError("window length must be >= 1")
     start_ns = time.perf_counter_ns()
     rep = _TableMap(kernel, max(order, 1), length)
-    return _backward(rep, rng, max_iter, max_nodes, trace, start_ns)
+    return _backward(rep, rng, max_depth, max_iter, max_nodes, trace, start_ns)
 
 
 # -- batch driver ---------------------------------------------------------

@@ -6,9 +6,6 @@ class CiaftpError(Exception):
 
     code = "Error"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return super().__str__()
-
 
 class TrieStructureError(CiaftpError):
     """A trie violates the complete-suffix-dictionary structure."""

@@ -166,9 +166,6 @@ class WindowLaw:
     length: int
     probs: Dict[Context, float]
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.probs[k] for k in sorted(self.probs)])
-
 
 def window_law(chain: ExtendedChain, pi: np.ndarray, m: int) -> WindowLaw:
     """Marginalize the stationary law over the oldest d - m coordinates."""

@@ -18,12 +18,15 @@ level at exactly 1.0.
 Slices come in two forms.  :func:`build_slice` expands the slice node by
 node from the kernel's lower-bound rows alone, for finite and infinite
 memory alike, and returns a validated :class:`UpdateSlice` trie; it is the
-reference that ``inspect``, the tests and the audits use.  The sampler's
-hot path uses a :class:`SliceTable` instead: for a finite-order kernel the
-slice is constant between consecutive interval ends, so the table finds a
-draw's gap by bisection and keeps one :class:`SliceEntry` per gap: the
-slice from :func:`build_slice`, compiled the first time a draw lands in the
-gap into a program that composes it onto a composite map.
+reference that ``inspect``, the tests and the audits use.  It also reports
+the slice's reach (the depth of the deepest context it visits) and its
+gap: every comparison it makes is ``u < e`` for an interval end ``e``, so
+every draw between the nearest compared ends below and above ``u`` gets
+the same slice.  The sampler's hot path uses a :class:`SliceTable` of the
+gaps found so far for a finite-order kernel: it finds a draw's gap by
+bisection, or adds the gap :func:`build_slice` reports, and keeps one
+:class:`SliceEntry` per gap, the slice compiled into a program that
+composes it onto a composite map.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from weakref import ref
 
 from .errors import MaxDepthExceeded, UnsupportedOperation
 from .kernels import Kernel, LowerBoundRow
@@ -56,6 +60,8 @@ class UpdateSlice:
     trie: ContextTrie  # leaf label: the symbol emitted on that ball
     depth: int
     node_touches: int
+    reach: int  # depth of the deepest context the expansion visits
+    gap: Tuple[float, float]  # [lo, hi): the draws that get this slice
 
     @property
     def is_regeneration(self) -> bool:
@@ -127,31 +133,40 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
 
     Depth-first from the root: a node whose accumulated mass exceeds ``u``
     becomes a leaf labeled with the update value; otherwise all children
-    are expanded.  Only the kernel's lower-bound rows are read, so every
-    kernel family gets its slice the same way.
+    are expanded, and MaxDepthExceeded is raised when they would lie
+    deeper than ``max_depth``.  Only the kernel's lower-bound rows are
+    read, so every kernel family gets its slice the same way.  The slice's
+    gap runs from the largest end compared at or below ``u`` to the
+    smallest one compared above it (0 and 1 when there is none).
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     symbols = kernel.alphabet.symbols
-    touches = 0
+    touches = reach = 0
+    lo, hi = 0.0, 1.0
     leaves = {}
     # stack entries: (context, accumulated position, previous-level bounds)
     stack: List[Tuple[Context, float, Tuple[float, ...]]] = [((), 0.0, (0.0,) * len(symbols))]
     while stack:
         ctx, pos, prev = stack.pop()
         touches += 1
+        reach = max(reach, len(ctx))
         row = kernel.lower_bounds(ctx)
         ends = _level_ends(row, prev, pos)
         level_end = ends[-1]
         if u < level_end:
+            hi = min(hi, level_end)
             # u >= pos, so the first interval ending above u holds it
             for g, end in zip(symbols, ends):
                 if u < end:
                     leaves[ctx] = g
+                    hi = min(hi, end)
                     break
+                lo = max(lo, end)
         else:
+            lo = max(lo, level_end)
             if len(ctx) >= max_depth:
                 raise MaxDepthExceeded(
                     f"slice for u={u!r} did not resolve within depth {max_depth}"
@@ -159,7 +174,7 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
             for g in symbols:
                 stack.append(((g,) + ctx, level_end, row.lower))
     trie = prune_minimal(ContextTrie.from_leaves(kernel.alphabet, leaves))
-    return UpdateSlice(u=u, trie=trie, depth=trie.depth(), node_touches=touches)
+    return UpdateSlice(u, trie, trie.depth(), touches, reach, (lo, hi))
 
 
 # -- the slice table ---------------------------------------------------------
@@ -192,9 +207,10 @@ class SliceEntry:
       holds the new root.  (A one-symbol law resolves at the root, so every
       internal node has at least two children.)
 
-    ``reach`` is the depth of the deepest node the expansion visits before
-    pruning: :func:`build_slice` raises MaxDepthExceeded exactly when it
-    exceeds ``max_depth``.
+    ``reach`` is the slice's :attr:`UpdateSlice.reach`, the depth of the
+    deepest context the expansion visits before pruning: the sampler
+    refuses the draw exactly when it exceeds ``max_depth``, as
+    :func:`build_slice` does.
     """
 
     walk: Tuple[WalkStep, ...]
@@ -206,7 +222,7 @@ class SliceEntry:
     reach: int
 
 
-def _compile_entry(slice_: UpdateSlice, reach: int, steps: Dict[WalkStep, WalkStep],
+def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
                    getters: Dict[Tuple[int, ...], NodeGetter]) -> SliceEntry:
     """The :class:`SliceEntry` of a slice built by :func:`build_slice`.
 
@@ -253,64 +269,49 @@ def _compile_entry(slice_: UpdateSlice, reach: int, steps: Dict[WalkStep, WalkSt
         node_getters.append(getter)
     return SliceEntry(tuple(walk), tuple(grafts), tuple(node_getters),
                       slice_.node_touches + len(nodes), slice_.depth,
-                      slice_.is_regeneration, reach)
+                      slice_.is_regeneration, slice_.reach)
 
 
 class SliceTable:
     """The slices of a finite-order kernel, found by bisection.
 
-    Every comparison :func:`build_slice` makes is ``u < e`` for an
-    interval end ``e`` of a context it visits, and a context's ends do not
-    depend on ``u``: so the slice is constant on each gap between
-    consecutive ends.  The table collects the ends once, walking the
-    contexts some draw visits with the same ``(pos, prev)`` chain and
-    :func:`_level_ends` calls, and compiles a gap's entry from
-    :func:`build_slice` at the gap's left end the first time a draw lands
-    in it.
+    Gap ``i`` of the ones found so far, in ascending order, is
+    ``[lows[i], highs[i])`` and its draws get ``entries[i]``.  A draw in no
+    known gap is expanded by :func:`build_slice` at the kernel's order,
+    where every draw resolves, and the gap it reports is compiled and
+    inserted.  The gap of 0 is found first, so the last gap starting at or
+    below a draw is its only candidate.  The kernel is held weakly: the
+    table lives in ``kernel.slice_cache``, so a strong one would be a cycle.
     """
 
     def __init__(self, kernel: Kernel):
         if kernel.order is None:
             raise UnsupportedOperation("a slice table needs a finite-order kernel")
-        self.kernel = kernel
-        ends = set()
-        # (smallest draw that expands the node, depth of its children), for
-        # every node some draw expands
-        self._expansions: List[Tuple[float, int]] = []
-        stack = [((), 0.0, (0.0,) * kernel.alphabet.size, 0.0)]
-        while stack:
-            ctx, pos, prev, reached = stack.pop()
-            row = kernel.lower_bounds(ctx)
-            level = _level_ends(row, prev, pos)
-            ends.update(level)
-            level_end = level[-1]
-            if level_end < 1.0:
-                expand_at = max(reached, level_end)
-                self._expansions.append((expand_at, len(ctx) + 1))
-                for g in kernel.alphabet.symbols:
-                    stack.append(((g,) + ctx, level_end, row.lower, expand_at))
-        self.breakpoints = sorted(ends)
-        self.entries: List[Optional[SliceEntry]] = [None] * (len(self.breakpoints) + 1)
+        self._kernel = ref(kernel)
+        self._max_depth = max(kernel.order, 1)
+        self.lows: List[float] = []
+        self.highs: List[float] = []
+        self.entries: List[SliceEntry] = []
         self._steps: Dict[WalkStep, WalkStep] = {}
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
+        self._add(0.0)
 
-    def lookup(self, u: float, max_depth: int) -> SliceEntry:
+    def lookup(self, u: float) -> SliceEntry:
         """The entry of the gap holding the draw ``u`` (0 <= u < 1)."""
-        i = bisect_right(self.breakpoints, u)
-        entry = self.entries[i]
-        if entry is None:
-            entry = self.entries[i] = self._compile(i)
-        if entry.reach > max_depth:
-            raise MaxDepthExceeded(
-                f"slice for u={u!r} did not resolve within depth {max_depth}"
-            )
-        return entry
+        i = bisect_right(self.lows, u) - 1
+        if u < self.highs[i]:
+            return self.entries[i]
+        return self._add(u)
 
-    def _compile(self, i: int) -> SliceEntry:
-        left = self.breakpoints[i - 1] if i else 0.0
-        reach = max((d for at, d in self._expansions if at <= left), default=0)
-        return _compile_entry(build_slice(self.kernel, left, max(reach, 1)), reach,
-                              self._steps, self._getters)
+    def _add(self, u: float) -> SliceEntry:
+        slice_ = build_slice(self._kernel(), u, self._max_depth)
+        entry = _compile_entry(slice_, self._steps, self._getters)
+        lo, hi = slice_.gap
+        i = bisect_right(self.lows, lo)
+        self.lows.insert(i, lo)
+        self.highs.insert(i, hi)
+        self.entries.insert(i, entry)
+        return entry
 
 
 def slice_table(kernel: Kernel) -> SliceTable:

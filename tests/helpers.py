@@ -57,7 +57,7 @@ def random_distribution(rng: np.random.Generator, n: int) -> tuple:
 def random_vlmc(rng: np.random.Generator, alphabet: Alphabet, splits: int) -> ContextTreeKernel:
     leaves: Dict[Context, tuple] = {
         ctx: random_distribution(rng, alphabet.size)
-        for ctx in random_csd(rng, alphabet, splits)
+        for ctx in sorted(random_csd(rng, alphabet, splits))
     }
     if leaves.keys() == {()}:
         # keep the kernel genuinely contextual

@@ -1,5 +1,4 @@
 import dataclasses
-from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from ciaftp.errors import (
 )
 from ciaftp.kernels import RenewalSqrtKernel, load_kernel, memoryless_kernel
 from ciaftp.tries import ContextTrie, dominates, prefix_closure
-from ciaftp.update_rule import DEFAULT_MAX_DEPTH, slice_table
+from ciaftp.update_rule import slice_table
 
 from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
 
@@ -205,8 +204,8 @@ def test_renewal_comb_trace_matches_generic():
 
 def _one_touch_more(advance):
     def corrupt(self, u):
-        touches, depth, regenerated = advance(self, u)
-        return touches + 1, depth, regenerated
+        touches, depth, regenerated, reach = advance(self, u)
+        return touches + 1, depth, regenerated, reach
     return corrupt
 
 
@@ -332,11 +331,12 @@ def test_regeneration_detection_matches_slice():
 
 
 def _outcome(k, length, seed, **kwargs):
-    """Everything a run reports, budget failures included."""
+    """Everything a run reports, budget failures and their messages
+    included."""
     try:
         res = run(k, length, RngStream(seed), trace=True, **kwargs)
     except BudgetError as exc:
-        d, value = exc.diagnostics, exc.code
+        d, value = exc.diagnostics, (exc.code, str(exc))
     else:
         d, value = res.diagnostics, res.sample
     return (value, d.tau, d.iterations, d.node_touches, d.max_slice_depth,
@@ -361,7 +361,7 @@ def test_hot_path_matches_audited_reference():
             plain = _outcome(k, length, seed, **budget)
             audited = _outcome(k, length, seed, on_iteration=lambda a: None, **budget)
             assert plain == audited, (k.family, k.order, length, budget, seed)
-            failures += isinstance(plain[0], str)
+            failures += plain[1] is None  # a budget failure has no tau
     assert failures > 0  # the budget failures are compared too
 
 
@@ -371,8 +371,8 @@ def test_audit_catches_a_corrupt_slice_entry(monkeypatch, corrupt):
     table = slice_table(k)
     # corrupt the gap of the first draw, which every run composes
     u = RngStream(5).uniform()
-    i = bisect_right(table.breakpoints, u)
-    entry = table.lookup(u, DEFAULT_MAX_DEPTH)
+    entry = table.lookup(u)
+    i = [e is entry for e in table.entries].index(True)
     if corrupt == "touches":
         bad = dataclasses.replace(entry, touch_base=entry.touch_base + 1)
     else:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +268,23 @@ def test_spec_roundtrip():
     assert dict(k2.trie.leaves()) == dict(k.trie.leaves())
     r = parse_kernel_spec(kernel_to_spec(RenewalSqrtKernel()))
     assert isinstance(r, RenewalSqrtKernel)
+
+
+def test_random_vlmc_ignores_the_hash_seed():
+    # the random kernels the tests cover are a function of the generator
+    # alone: two processes with different string hashing build the same one
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import hashlib, numpy as np\n"
+        "from ciaftp.kernels import kernel_to_spec\n"
+        "from helpers import TERNARY, random_vlmc\n"
+        "k = random_vlmc(np.random.Generator(np.random.PCG64(991)), TERNARY, 6)\n"
+        "print(hashlib.sha256(kernel_to_spec(k).encode()).hexdigest())\n"
+    )
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    digests = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")
+    ]
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64, digests

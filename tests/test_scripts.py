@@ -29,3 +29,17 @@ def test_renewal_depth_tail(tmp_path):
     out = run_script("renewal_depth_tail.py", ["--draws", "2000", "--runs", "20"], tmp_path)
     assert "slice depth over 2000 draws" in out
     assert "-tau over 20 runs: mean" in out
+
+
+def test_run_outcomes(tmp_path):
+    out = run_script("run_outcomes.py", ["--seeds", "1"], tmp_path).splitlines()
+    kernels = sorted(p.stem for p in (SCRIPTS.parent / "kernels").glob("*.json"))
+    # every kernel, at L = 1..3, under four budgets, plain and audited
+    assert len(out) == len(kernels) * 3 * 4 * 2
+    assert {line.split()[0] for line in out} == set(kernels)
+    assert any(" error=MaxDepthExceeded " in line for line in out)
+    assert all(" tau=" in line and " records=" in line for line in out)
+    # the audited run reports exactly what the plain one does
+    plain = [line for line in out if " audited=0 " in line]
+    audited = [line.replace(" audited=1 ", " audited=0 ") for line in out if " audited=1 " in line]
+    assert plain == audited

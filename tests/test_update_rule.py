@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,13 @@ from hypothesis import strategies as st
 from ciaftp import engine
 from ciaftp.engine import RngStream, pw_extended, run
 from ciaftp.errors import IterationLimitExceeded, MaxDepthExceeded
-from ciaftp.kernels import RenewalSqrtKernel, load_kernel, memoryless_kernel
+from ciaftp.kernels import (
+    ContextTreeKernel,
+    LowerBoundRow,
+    RenewalSqrtKernel,
+    load_kernel,
+    memoryless_kernel,
+)
 from ciaftp.update_rule import (
     DEFAULT_MAX_DEPTH,
     build_slice,
@@ -33,13 +41,16 @@ KERNELS = Path(__file__).resolve().parent.parent / "kernels"
 TOP = 1.0 - 2.0**-53  # the largest draw Generator.random() can return
 
 
-class TopStream:
-    """A draw stream that always returns TOP."""
+class FixedStream:
+    """A draw stream that always returns the same draw."""
 
     seed = None
 
+    def __init__(self, u: float = TOP):
+        self.u = u
+
     def uniform(self) -> float:
-        return TOP
+        return self.u
 
 
 def test_interval_layout_order1():
@@ -121,8 +132,22 @@ def test_renewal_slice_generic_agrees(u):
     assert s.node_touches == 2 * s.depth + 1
 
 
+class _LooseRoot(ContextTreeKernel):
+    """A context-tree kernel whose root row is half the true infima: still
+    a valid coupling, but no child's first interval then ends where the
+    root's level ends."""
+
+    def lower_bounds(self, s):
+        row = super().lower_bounds(s)
+        if s:
+            return row
+        lower = tuple(p / 2 for p in row.lower)
+        return LowerBoundRow(s, lower, sum(lower))
+
+
 def _finite_kernels():
     named = [(p.name, load_kernel(str(p))) for p in sorted(KERNELS.glob("*.json"))]
+    named.append(("desk_vlmc-loose-root", _LooseRoot(desk_vlmc().trie)))
     rng = np.random.Generator(np.random.PCG64(53))
     for alphabet in (BINARY, TERNARY):
         for i in range(8):
@@ -146,16 +171,16 @@ def _leaf_walks(slice_, alphabet):
             for ctx, g in slice_.trie.leaves()]
 
 
-def _gap_probes(table):
-    """Both ends of every gap of the table, 0 and the top draw."""
-    ends = table.breakpoints
-    probes = {0.0, TOP}
-    for i in range(len(ends) + 1):
-        left = ends[i - 1] if i else 0.0
-        right = ends[i] if i < len(ends) else 1.0
-        if left < right and left < 1.0:
-            probes.update((left, min(math.nextafter(right, 0.0), TOP)))
-    return sorted(probes)
+def _gap_probes(k):
+    """Both ends of every gap of the kernel's slices, walked from 0 by
+    following the right end each gap :func:`build_slice` reports."""
+    lo = 0.0
+    while lo < 1.0:
+        gap = build_slice(k, lo, DEFAULT_MAX_DEPTH).gap
+        assert gap[0] == lo < gap[1], gap
+        yield lo
+        yield min(math.nextafter(gap[1], 0.0), TOP)
+        lo = gap[1]
 
 
 def _slice_or_error(fn):
@@ -165,15 +190,31 @@ def _slice_or_error(fn):
         return str(exc)
 
 
+def _one_draw_run(k, u, max_depth):
+    """A run of window length 1 that composes the draw ``u`` once."""
+    try:
+        return run(k, 1, FixedStream(u), max_depth=max_depth, max_iter=1)
+    except IterationLimitExceeded:
+        return None
+
+
 def test_slice_table_matches_generic_slice():
     # the table's entry for a draw is compiled from the slice build_slice
-    # expands for it: at both ends of every gap, at 0 and at the top draw
+    # expands for it: at both ends of every gap, which run from 0 to 1
     for name, k in _finite_kernels():
         table = slice_table(k)
         assert slice_table(k) is table
-        for u in _gap_probes(table):
+        gaps = []
+        for u in _gap_probes(k):
             ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
-            entry = table.lookup(u, DEFAULT_MAX_DEPTH)
+            entry = table.lookup(u)
+            # both ends of a gap report it and get the same entry
+            if gaps and gaps[-1][0] == ref.gap:
+                assert gaps[-1][1] is entry, (name, u)
+            else:
+                gaps.append((ref.gap, entry))
+            i = [e is entry for e in table.entries].index(True)
+            assert (table.lows[i], table.highs[i]) == ref.gap, (name, u)
             # the program walks every distinct prefix of the leaves' walk
             # paths exactly once, each after its parent, grafts at the
             # leaves' full paths and rebuilds every other slice node
@@ -185,18 +226,38 @@ def test_slice_table_matches_generic_slice():
             assert all(parent < slot for slot, (parent, _) in enumerate(entry.walk, 1))
             assert sorted(paths[slot] for slot in entry.grafts) == sorted(walks), (name, u)
             assert len(entry.nodes) == ref.trie.node_count() - len(walks), (name, u)
-            assert (entry.depth, entry.touch_base, entry.is_regeneration) == (
+            assert (entry.depth, entry.touch_base, entry.is_regeneration, entry.reach) == (
                 ref.depth, ref.node_touches + ref.trie.node_count() - ref.trie.leaf_count(),
-                ref.is_regeneration
+                ref.is_regeneration, ref.reach
             ), (name, u)
-            # below the kernel order, the table refuses exactly the draws
-            # the expansion refuses, with the same message
+            # below the kernel order, the expansion refuses exactly the
+            # draws whose reach exceeds the budget, and run refuses them
+            # with the same message
             for max_depth in range(1, k.order):
                 refused = _slice_or_error(lambda: build_slice(k, u, max_depth))
-                looked_up = _slice_or_error(lambda: table.lookup(u, max_depth))
-                assert isinstance(refused, str) == isinstance(looked_up, str), (name, u, max_depth)
+                assert isinstance(refused, str) == (entry.reach > max_depth), (name, u)
+                ran = _slice_or_error(lambda: _one_draw_run(k, u, max_depth))
                 if isinstance(refused, str):
-                    assert refused == looked_up
+                    assert ran == refused, (name, u, max_depth)
+                else:
+                    assert not isinstance(ran, str), (name, u, max_depth)
+        # the table holds exactly the gaps walked, in order: they tile [0, 1)
+        assert list(zip(table.lows, table.highs)) == [gap for gap, _ in gaps], name
+        assert all(a is b for a, (_, b) in zip(table.entries, gaps)), name
+
+
+def test_slice_table_does_not_keep_its_kernel_alive():
+    # the table holds its kernel weakly, so dropping the kernel frees the
+    # table at once, without the cyclic garbage collector
+    k = load_kernel(str(KERNELS / "order6.json"))
+    gc.disable()
+    try:
+        run(k, 1, RngStream(0))
+        table = weakref.ref(slice_table(k))
+        del k
+        assert table() is None
+    finally:
+        gc.enable()
 
 
 def _compose_leaf_by_leaf(root, slice_, alphabet):
@@ -230,7 +291,7 @@ def test_slice_programs_compose_like_a_walk_per_leaf():
     for name, k in _finite_kernels():
         for length in (1, 3):
             for seed in range(3):
-                rep = engine._SharedMap(k, length, DEFAULT_MAX_DEPTH)
+                rep = engine._SharedMap(k, length)
                 rng = RngStream(seed)
                 for _ in range(200):
                     if rep.coalesced:
@@ -238,11 +299,12 @@ def test_slice_programs_compose_like_a_walk_per_leaf():
                     u = rng.uniform()
                     ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
                     want, grafted = _compose_leaf_by_leaf(rep.root, ref, k.alphabet)
-                    touches, depth, regenerated = rep.advance(u)
+                    touches, depth, regenerated, reach = rep.advance(u)
                     assert rep.root == want, (name, length, seed, u)
                     leaves = ref.trie.leaf_count()
                     assert touches == ref.node_touches + ref.trie.node_count() + grafted - leaves
-                    assert (depth, regenerated) == (ref.depth, ref.is_regeneration)
+                    assert (depth, regenerated, reach) == (ref.depth, ref.is_regeneration,
+                                                           ref.reach)
 
 
 def test_build_slice_max_depth():
@@ -327,7 +389,7 @@ def test_top_draw_resolves_on_shipped_kernels():
 
         def outcome(sampler, length):
             try:
-                res = sampler(k, length, TopStream(), max_iter=50)
+                res = sampler(k, length, FixedStream(), max_iter=50)
             except IterationLimitExceeded as exc:
                 return exc.code, exc.diagnostics.iterations
             return res.sample, res.diagnostics.tau
