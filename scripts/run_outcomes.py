@@ -4,8 +4,12 @@
 The grid is every shipped kernel at window lengths 1..3, plain and under
 ``run(on_iteration=...)`` (the audited reference), at the default budgets
 and at ``max_depth=2``, ``max_nodes=40`` and ``max_iter=3``, for seeds
-0..N-1.  A line gives the case, the sample or the budget error's code and
-message, ``tau``, ``iterations``, ``node_touches``, ``max_slice_depth``,
+0..N-1.  Infinite-memory kernels also run plain at ``max_depth=10**12``
+and ``max_nodes=10**15`` (the ``deep`` case), so their slices go as deep
+as the draws take them; the audited reference is left out there, because
+it expands a slice node by node at O(depth^2) cost.  A line gives the
+case, the sample or the budget error's code and message, ``tau``,
+``iterations``, ``node_touches``, ``max_slice_depth``,
 ``regeneration_times`` and a sha256 of the trace records.  Running it on
 two checkouts and diffing the output shows whether a change kept every
 outcome.
@@ -30,6 +34,8 @@ BUDGETS = [
     ("max_nodes=40", {"max_nodes": 40}),
     ("max_iter=3", {"max_iter": 3}),
 ]
+# infinite-memory kernels only, plain only
+DEEP = ("deep", {"max_depth": 10**12, "max_nodes": 10**15})
 
 
 def outcome(run, kernel, length, rng, audited, budget, budget_error):
@@ -64,9 +70,12 @@ def main() -> int:
 
     for path in sorted(args.kernels.glob("*.json")):
         kernel = load_kernel(str(path))
+        cases = [(name, budget, (False, True)) for name, budget in BUDGETS]
+        if kernel.order is None:
+            cases.append((*DEEP, (False,)))
         for length in (1, 2, 3):
-            for name, budget in BUDGETS:
-                for audited in (False, True):
+            for name, budget, auditeds in cases:
+                for audited in auditeds:
                     for seed in range(args.seeds):
                         line = outcome(run, kernel, length, RngStream(seed), audited, budget,
                                        BudgetError)

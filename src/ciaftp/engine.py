@@ -24,8 +24,9 @@ from the same immutable nodes:
   O(slice size), not O(state size);
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
-  run-length-compressed side subtrees along the all-ones spine and a step
-  costs O(number of runs), whatever the slice depth;
+  run-length-compressed side subtrees along the all-ones spine.  A step
+  finds the slice depth by one bisection in the kernel's cached table of
+  spine masses, then costs O(number of runs), whatever the depth;
 * :class:`_TableMap` - the full depth-d table of an order-d chain, the
   classical baseline behind :func:`pw_extended`; it evaluates ``phi``
   pointwise and shares no slice code with the other two.
@@ -404,7 +405,10 @@ class _SharedMap:
 
 
 class _CombMap:
-    """The composite map of the renewal kernel, at every window length."""
+    """The composite map of the renewal kernel, at every window length.
+
+    A step costs one bisection, in ``kernel.slice_depth``'s cached table
+    of spine masses, plus O(number of runs) to compose the comb."""
 
     __slots__ = ("length", "slice_depth", "runs", "spine", "comb_depth", "coalesced")
 

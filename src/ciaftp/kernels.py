@@ -21,8 +21,9 @@ import hashlib
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     BadProbability,
@@ -74,6 +75,11 @@ class Kernel:
         self.alphabet = alphabet
         # the compiled slices of update_rule.slice_table, built on first use
         self.slice_cache = None
+
+    def __getstate__(self) -> dict:
+        # the slice table holds its kernel weakly and cannot be pickled:
+        # every process builds its own
+        return dict(self.__dict__, slice_cache=None)
 
     @property
     def order(self) -> Optional[int]:
@@ -225,20 +231,44 @@ class RenewalSqrtKernel(Kernel):
         # the minimizing depth-k context is the all-ones one
         return self.p_zero(k)
 
+    # p_zero(1..K), a memo of a fixed function, so one table serves every
+    # instance (about 0.5 MB at the cap).  K doubles on demand up to
+    # SPINE_CAP; only draws deeper than the cap gallop
+    SPINE_CAP = 2**14
+    _spine: List[float] = []
+
     def slice_depth(self, u: float) -> int:
         """Depth of the minimal slice for draw ``u``: the smallest m >= 1
         with ``u < 1 - 1/sqrt(m+1)``."""
         if not 0.0 <= u < 1.0:
             raise ValueError("u must lie in [0, 1)")
-        # gallop then bisect on the exact float predicate, so the boundary
-        # agrees bit-for-bit with the lower-bound rows
-        hi = 1
-        while not u < self.p_zero(hi):
-            hi *= 2
-        lo = hi // 2  # predicate is False at lo (or lo == 0)
+        # p_zero never decreases in floating point, so bisecting its table
+        # finds the smallest m with u < p_zero(m), the exact float predicate
+        # of the lower-bound rows
+        spine = self._spine
+        m = bisect_right(spine, u) + 1
+        if m <= len(spine):
+            return m
+        return self._deep_slice_depth(u)
+
+    @classmethod
+    def _deep_slice_depth(cls, u: float) -> int:
+        """:meth:`slice_depth` for a draw past the table: grow the table, or
+        past its cap gallop then bisect on ``u < p_zero(m)``."""
+        spine = cls._spine
+        while len(spine) < cls.SPINE_CAP:
+            k = len(spine)
+            grown = [cls.p_zero(m) for m in range(k + 1, max(2 * k, 1) + 1)]
+            # a new list, so a reader never sees a half-grown table
+            spine = cls._spine = spine + grown
+            if u < spine[-1]:
+                return bisect_right(spine, u) + 1
+        lo, hi = len(spine), 2 * len(spine)  # the predicate is False at lo
+        while not u < cls.p_zero(hi):
+            lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if u < self.p_zero(mid):
+            if u < cls.p_zero(mid):
                 hi = mid
             else:
                 lo = mid

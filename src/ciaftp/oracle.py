@@ -201,6 +201,7 @@ class ValidationReport:
     length: int
     n_runs: int
     n_failed: int
+    failures_by_code: Dict[str, int]
     tv: float
     tolerance: float
     passed: bool
@@ -212,6 +213,7 @@ class ValidationReport:
             "length": self.length,
             "n_runs": self.n_runs,
             "n_failed": self.n_failed,
+            "failures_by_code": self.failures_by_code,
             "tv": self.tv,
             "tolerance": self.tolerance,
             "passed": self.passed,
@@ -246,12 +248,13 @@ def validate(
         max_depth=max_depth, max_nodes=max_nodes, timing=False, jobs=jobs,
     )
     counts: Dict[Context, int] = {w: 0 for w in law.probs}
-    n_failed = 0
+    failures: Dict[str, int] = {}
     for row in rows:
-        if row.error is not None or row.sample is None:
-            n_failed += 1
+        if row.error is not None:
+            failures[row.error] = failures.get(row.error, 0) + 1
         else:
             counts[row.sample] += 1
+    n_failed = sum(failures.values())
     n_ok = n_runs - n_failed
     empirical = {w: (counts[w] / n_ok if n_ok else 0.0) for w in counts}
     tv = tv_distance(empirical, law.probs)
@@ -267,6 +270,7 @@ def validate(
         length=length,
         n_runs=n_runs,
         n_failed=n_failed,
+        failures_by_code=dict(sorted(failures.items())),
         tv=tv,
         tolerance=tol,
         passed=passed,

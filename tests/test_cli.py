@@ -209,7 +209,7 @@ def test_validate_end_to_end(capsys):
     assert rc == 0
     doc = json.loads(out)
     rep = doc["report"]
-    assert rep["passed"] and rep["n_failed"] == 0
+    assert rep["passed"] and rep["n_failed"] == 0 and rep["failures_by_code"] == {}
     assert rep["tv"] <= rep["tolerance"]
     assert len(rep["cells"]) == 8
 
@@ -220,7 +220,10 @@ def test_validate_failure_exit(capsys):
          "--runs", "50", "--seed", "1", "--max-iter", "1", "--no-timing"], capsys
     )
     assert rc == 1
-    assert not json.loads(out)["report"]["passed"]
+    rep = json.loads(out)["report"]
+    assert not rep["passed"]
+    assert rep["n_failed"] > 0
+    assert rep["failures_by_code"] == {"IterationLimitExceeded": rep["n_failed"]}
 
 
 def test_bench_both_algorithms(capsys):

@@ -289,6 +289,17 @@ def test_run_many_rows():
     assert len(seen) == sum(r.iterations for r in rows[:8])
 
 
+def test_run_many_jobs_after_a_run():
+    # a kernel whose slice table is built still goes to worker processes:
+    # the table stays behind, and each worker builds its own
+    k = load_kernel(str(KERNELS / "order2.json"))
+    run(k, 1, RngStream(0))
+    assert k.slice_cache is not None
+    serial = run_many(k, 1, 40, 0, 8, timing=False)
+    assert run_many(k, 1, 40, 0, 8, timing=False, jobs=2) == serial
+    assert k.slice_cache is not None
+
+
 def test_run_many_budget_rows():
     k = desk_vlmc()
     rows = run_many(k, 3, 0, 0, 5, max_iter=1)

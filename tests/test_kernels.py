@@ -135,6 +135,37 @@ def test_renewal_slice_depth_is_minimal(u):
         assert not u < k.p_zero(m - 1)
 
 
+def _gallop_slice_depth(u):
+    # the smallest m >= 1 with u < p_zero(m), by galloping then bisecting
+    # on the exact float predicate
+    p_zero = RenewalSqrtKernel.p_zero
+    hi = 1
+    while not u < p_zero(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if u < p_zero(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_renewal_slice_depth_table_matches_the_gallop():
+    k = RenewalSqrtKernel()
+    cap = RenewalSqrtKernel.SPINE_CAP
+    draws = [0.0, 1.0 - 2**-53]
+    for m in [*range(1, 2 * cap + 2), 10**6, 10**6 + 1, 10**9, 10**9 + 1]:
+        p = k.p_zero(m)
+        draws += [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
+    assert [k.slice_depth(u) for u in draws] == [_gallop_slice_depth(u) for u in draws]
+    # the table is p_zero(1..K), grown no further than the cap
+    table = RenewalSqrtKernel._spine
+    assert 0 < len(table) <= cap
+    assert table == [k.p_zero(m) for m in range(1, len(table) + 1)]
+
+
 @pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
 def test_oscillation_mass_sandwich_random(alphabet):
     # 1 - (|G|-1) * eta <= A <= 1 - eta at every trie node

@@ -144,7 +144,7 @@ def test_validation_tolerance_floor():
 
 def test_validate_memoryless_small():
     report = validate(memoryless_25_75(), 2, 4000, seed=101)
-    assert report.n_failed == 0
+    assert report.n_failed == 0 and report.failures_by_code == {}
     assert report.passed
     assert report.tv <= report.tolerance
     assert sum(c["count"] for c in report.cells) == 4000
@@ -161,6 +161,8 @@ def test_validate_fails_on_budget_errors():
     report = validate(order1_chain(), 1, 50, seed=1, max_iter=1)
     assert report.n_failed > 0
     assert not report.passed
+    assert report.failures_by_code == {"IterationLimitExceeded": report.n_failed}
+    assert report.to_json_dict()["failures_by_code"] == report.failures_by_code
 
 
 def test_validate_pw_algorithm():

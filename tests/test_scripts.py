@@ -34,12 +34,16 @@ def test_renewal_depth_tail(tmp_path):
 def test_run_outcomes(tmp_path):
     out = run_script("run_outcomes.py", ["--seeds", "1"], tmp_path).splitlines()
     kernels = sorted(p.stem for p in (SCRIPTS.parent / "kernels").glob("*.json"))
-    # every kernel, at L = 1..3, under four budgets, plain and audited
-    assert len(out) == len(kernels) * 3 * 4 * 2
+    # every kernel, at L = 1..3, under four budgets, plain and audited;
+    # the renewal kernel also plain at the deep budgets
+    deep = [line for line in out if line.split()[2] == "deep"]
+    assert len(out) - len(deep) == len(kernels) * 3 * 4 * 2
+    assert {line.split()[0] for line in deep} == {"renewal_sqrt"} and len(deep) == 3
+    assert all(" audited=0 " in line and " sample=" in line for line in deep)
     assert {line.split()[0] for line in out} == set(kernels)
     assert any(" error=MaxDepthExceeded " in line for line in out)
     assert all(" tau=" in line and " records=" in line for line in out)
-    # the audited run reports exactly what the plain one does
-    plain = [line for line in out if " audited=0 " in line]
+    # the audited run reports exactly what its plain twin does
+    plain = [line for line in out if " audited=0 " in line and line not in deep]
     audited = [line.replace(" audited=1 ", " audited=0 ") for line in out if " audited=1 " in line]
     assert plain == audited
