@@ -6,8 +6,10 @@ The grid is every shipped kernel at window lengths 1..3, plain and under
 and at ``max_depth=2``, ``max_nodes=40`` and ``max_iter=3``, for seeds
 0..N-1.  Infinite-memory kernels also run plain at ``max_depth=10**12``
 and ``max_nodes=10**15`` (the ``deep`` case), so their slices go as deep
-as the draws take them; the audited reference is left out there, because
-it expands a slice node by node at O(depth^2) cost.  A line gives the
+as the draws take them, for seeds 0..max(N, 64)-1: the first slice past
+the renewal kernel's spine-mass table (``SPINE_CAP``) comes at seed 53, at
+L=3.  The audited reference is left out there, because it expands a slice
+node by node at O(depth^2) cost; plain runs are cheap.  A line gives the
 case, the sample or the budget error's code and message, ``tau``,
 ``iterations``, ``node_touches``, ``max_slice_depth``,
 ``regeneration_times`` and a sha256 of the trace records.  Running it on
@@ -34,8 +36,9 @@ BUDGETS = [
     ("max_nodes=40", {"max_nodes": 40}),
     ("max_iter=3", {"max_iter": 3}),
 ]
-# infinite-memory kernels only, plain only
+# infinite-memory kernels only, plain only, over at least DEEP_SEEDS seeds
 DEEP = ("deep", {"max_depth": 10**12, "max_nodes": 10**15})
+DEEP_SEEDS = 64
 
 
 def outcome(run, kernel, length, rng, audited, budget, budget_error):
@@ -70,13 +73,13 @@ def main() -> int:
 
     for path in sorted(args.kernels.glob("*.json")):
         kernel = load_kernel(str(path))
-        cases = [(name, budget, (False, True)) for name, budget in BUDGETS]
+        cases = [(name, budget, (False, True), args.seeds) for name, budget in BUDGETS]
         if kernel.order is None:
-            cases.append((*DEEP, (False,)))
+            cases.append((*DEEP, (False,), max(args.seeds, DEEP_SEEDS)))
         for length in (1, 2, 3):
-            for name, budget, auditeds in cases:
+            for name, budget, auditeds, seeds in cases:
                 for audited in auditeds:
-                    for seed in range(args.seeds):
+                    for seed in range(seeds):
                         line = outcome(run, kernel, length, RngStream(seed), audited, budget,
                                        BudgetError)
                         print(f"{path.stem} L={length} {name} audited={int(audited)}"

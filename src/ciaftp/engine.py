@@ -21,7 +21,12 @@ from the same immutable nodes:
   gap's compiled program: walk each distinct prefix of the slice leaves'
   paths into the previous map once, graft the subtrees reached by
   reference and rebuild only the slice's internal nodes.  So a step costs
-  O(slice size), not O(state size);
+  O(slice size), not O(state size).  Few distinct maps occur, so the table
+  also memoizes up to :data:`~ciaftp.update_rule.MEMO_CAP` (interned map,
+  gap) transitions: a step that repeats one is a dict lookup.  A step's
+  result depends only on the map and the gap, so the memo is exact; the
+  cap bounds its memory, and a run that meets a full memo runs the
+  programs for the rest of its steps;
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
   run-length-compressed side subtrees along the all-ones spine.  A step
@@ -62,7 +67,14 @@ from .errors import (
 )
 from .kernels import Kernel, RenewalSqrtKernel
 from .tries import Alphabet, Context, ContextTrie, complete_trie, prune_minimal
-from .update_rule import DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, phi, slice_table
+from .update_rule import (
+    DEFAULT_MAX_DEPTH,
+    SliceEntry,
+    UpdateSlice,
+    build_slice,
+    phi,
+    slice_table,
+)
 
 DEFAULT_MAX_ITER = 10**6
 DEFAULT_MAX_NODES = 10**7
@@ -284,13 +296,17 @@ def _node(kids: tuple) -> tuple:
     return (kids, leaves, depth + 1, size + 1)
 
 
+# The most leaves of an initial map that runs share.
+_SHARED_LEAVES = 4096
+
+
 def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
     """The complete depth-L trie with leaf w labeled w.  Its nodes are
     immutable, so runs share it: one of at most 4096 leaves, where set-up
     is a large share of a run, is built once per alphabet and length and
     kept for the life of the process (16 at most); a larger one is built
     for each run and freed with it."""
-    if len(symbols) ** length <= 4096:
+    if len(symbols) ** length <= _SHARED_LEAVES:
         return _cached_initial_map(symbols, length)
     return _build_initial_map(symbols, length)
 
@@ -333,56 +349,93 @@ def _window(leaf: tuple, length: int) -> Context:
     return sample
 
 
+def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
+    """Run ``entry``'s program on the map ``root``; returns (new map, node
+    touches).
+
+    Three flat loops over a list of slots: the walk steps fill a slot for
+    every distinct prefix of the slice leaves' paths into ``root``, the
+    grafts' tree sizes add up to the node touches, and the getters rebuild
+    the slice's internal nodes above the grafts, in post-order, with the
+    collapse rule of :func:`_node`.
+    """
+    slots = [root]
+    append = slots.append
+    for parent, child in entry.walk:
+        node = slots[parent]
+        kids = node[0]
+        append(node if kids is None else kids[child])
+    touches = entry.touch_base
+    for graft in entry.grafts:
+        touches += slots[graft][3]
+    for get in entry.nodes:
+        # _node, inlined
+        kids = get(slots)
+        first = kids[0]
+        if first[0] is None and kids.count(first) == arity:
+            append(first)
+            continue
+        leaves = depth = size = 0
+        for k in kids:
+            leaves += k[1]
+            size += k[3]
+            if k[2] > depth:
+                depth = k[2]
+        append((kids, leaves, depth + 1, size + 1))
+    return slots[-1], touches
+
+
 class _SharedMap:
     """The composite map of a finite-order kernel, as shared subtrees.
 
     A step looks the draw's :class:`~ciaftp.update_rule.SliceEntry` up in
-    the kernel's :class:`~ciaftp.update_rule.SliceTable` and runs its
-    program in three flat loops over a list of slots: the walk steps fill a
-    slot for every distinct prefix of the slice leaves' paths into the
-    previous map, the grafts' tree sizes add up to the node touches, and
-    the getters rebuild the slice's internal nodes above the grafts, in
-    post-order, with the collapse rule of :func:`_node`.  Node touches count
-    what :func:`step` counts: the slice's touches plus the nodes of the
-    unpruned composition.
+    the kernel's :class:`~ciaftp.update_rule.SliceTable` and composes it
+    onto the map with the entry's program (:func:`_compose`).  Node
+    touches count what :func:`step` counts: the slice's touches plus the
+    nodes of the unpruned composition.
+
+    Few distinct maps occur, so steps repeat: a run starts from its window
+    length's initial map interned in the table, and while its map is
+    interned (``memo``) a step whose transition the entry stores reads the
+    next map and the touches from it instead of running the program.  A
+    step the memo lacks runs the program and, while the table holds fewer
+    than :data:`~ciaftp.update_rule.MEMO_CAP` transitions, stores it and
+    goes on from the interned result; once the table is full, the run
+    leaves the memo for good.  The memo is off for windows of more than
+    4096 leaves, whose initial map runs do not share.
     """
 
-    __slots__ = ("length", "arity", "lookup", "root", "coalesced")
+    __slots__ = ("length", "arity", "lookup", "table", "memo", "root", "coalesced")
 
     def __init__(self, kernel: Kernel, length: int):
         self.length = length
         self.arity = kernel.alphabet.size
-        self.lookup = slice_table(kernel).lookup
-        self.root = _initial_map(kernel.alphabet.symbols, length)
+        self.table = table = slice_table(kernel)
+        self.lookup = table.lookup
+        self.memo = self.arity ** length <= _SHARED_LEAVES
+        root = table.starts.get(length)
+        if root is None:
+            root = _initial_map(kernel.alphabet.symbols, length)
+            if self.memo:
+                root = table.start(length, root)
+        self.root = root
         self.coalesced = False  # a run composes at least one draw
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:
         entry = self.lookup(u)
-        slots = [self.root]
-        append = slots.append
-        for parent, child in entry.walk:
-            node = slots[parent]
-            kids = node[0]
-            append(node if kids is None else kids[child])
-        touches = entry.touch_base
-        for graft in entry.grafts:
-            touches += slots[graft][3]
-        n = self.arity
-        for get in entry.nodes:
-            # _node, inlined
-            kids = get(slots)
-            first = kids[0]
-            if first[0] is None and kids.count(first) == n:
-                append(first)
-                continue
-            leaves = depth = size = 0
-            for k in kids:
-                leaves += k[1]
-                size += k[3]
-                if k[2] > depth:
-                    depth = k[2]
-            append((kids, leaves, depth + 1, size + 1))
-        self.root = root = slots[-1]
+        root = self.root
+        if self.memo:
+            hit = entry.memo.get(id(root))
+            if hit is not None:
+                root, touches = hit
+            else:
+                new, touches = _compose(root, entry, self.arity)
+                root = self.table.remember(entry, root, new, touches)
+                if root is None:
+                    root, self.memo = new, False
+        else:
+            root, touches = _compose(root, entry, self.arity)
+        self.root = root
         self.coalesced = root[0] is None
         return touches, entry.depth, entry.is_regeneration, entry.reach
 

@@ -32,7 +32,7 @@ composes it onto a composite map.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from weakref import ref
@@ -42,6 +42,16 @@ from .kernels import Kernel, LowerBoundRow
 from .tries import Context, ContextTrie, Symbol, prune_minimal
 
 DEFAULT_MAX_DEPTH = 10_000
+
+# Transitions a SliceTable stores before runs stop interning new maps.  A
+# composite map of a finite-order kernel is a function on contexts of depth
+# max(order, L), so only finitely many occur, and few in practice: desk_vlmc
+# at L=3 takes 120 distinct (map, gap) transitions between 38 maps over
+# 1.1e5 steps (99.9% of its steps repeat one), order2 at L=1 60 between 14,
+# so both fit.  order6 at L=1 repeats only about 10% of its steps even with
+# no cap, and its interned maps cost about 2.2 KB each (tracemalloc): 256
+# transitions hold about 0.55 MB there, 4096 would hold 8.4 MB.
+MEMO_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -211,6 +221,11 @@ class SliceEntry:
     deepest context the expansion visits before pruning: the sampler
     refuses the draw exactly when it exceeds ``max_depth``, as
     :func:`build_slice` does.
+
+    ``memo`` maps ``id(map)`` of a map interned by the owning
+    :class:`SliceTable` to ``(next interned map, node touches)``, what the
+    program gave on it.  It is not an init field, so an entry made by
+    ``dataclasses.replace`` starts with an empty memo of its own.
     """
 
     walk: Tuple[WalkStep, ...]
@@ -220,6 +235,8 @@ class SliceEntry:
     depth: int
     is_regeneration: bool
     reach: int
+    memo: Dict[int, Tuple[tuple, int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
@@ -282,6 +299,18 @@ class SliceTable:
     inserted.  The gap of 0 is found first, so the last gap starting at or
     below a draw is its only candidate.  The kernel is held weakly: the
     table lives in ``kernel.slice_cache``, so a strong one would be a cycle.
+
+    The table is also a memo of whole steps.  ``maps`` interns composite
+    maps (shared-subtree root tuples, each its own key, so equal maps are
+    one object) and ``starts`` holds the interned initial map of each
+    window length that runs share.  :meth:`remember` stores a step from an
+    interned map in the gap's :attr:`SliceEntry.memo`, keyed by the map's
+    ``id``, which the interning dict keeps alive and unique.  A program's
+    result depends only on the map's structure and the gap, so a stored
+    transition gives exactly what the program would: the memo is exact.
+    At most :data:`MEMO_CAP` transitions are stored, and each interns at
+    most one new map, so the memo holds at most ``MEMO_CAP`` maps besides
+    the initial ones: it is bounded.
     """
 
     def __init__(self, kernel: Kernel):
@@ -294,6 +323,9 @@ class SliceTable:
         self.entries: List[SliceEntry] = []
         self._steps: Dict[WalkStep, WalkStep] = {}
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
+        self.maps: Dict[tuple, tuple] = {}
+        self.starts: Dict[int, tuple] = {}
+        self.transitions = 0
         self._add(0.0)
 
     def lookup(self, u: float) -> SliceEntry:
@@ -312,6 +344,24 @@ class SliceTable:
         self.highs.insert(i, hi)
         self.entries.insert(i, entry)
         return entry
+
+    def start(self, length: int, initial: tuple) -> tuple:
+        """Intern ``initial`` as the initial map runs of window length
+        ``length`` start from, and return the interned map."""
+        root = self.starts[length] = self.maps.setdefault(initial, initial)
+        return root
+
+    def remember(self, entry: SliceEntry, before: tuple, after: tuple,
+                 touches: int) -> Optional[tuple]:
+        """Store the step from the interned map ``before`` through
+        ``entry``'s program, which gave ``after`` and ``touches``; returns
+        the interned ``after``, or None once the memo is full."""
+        if self.transitions >= MEMO_CAP:
+            return None
+        after = self.maps.setdefault(after, after)
+        entry.memo[id(before)] = (after, touches)
+        self.transitions += 1
+        return after
 
 
 def slice_table(kernel: Kernel) -> SliceTable:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from ciaftp.errors import (
     NodeBudgetExceeded,
     UnsupportedOperation,
 )
-from ciaftp.kernels import RenewalSqrtKernel, load_kernel, memoryless_kernel
+from ciaftp.kernels import ContextTreeKernel, RenewalSqrtKernel, load_kernel, memoryless_kernel
 from ciaftp.tries import ContextTrie, dominates, prefix_closure
 from ciaftp.update_rule import slice_table
 
@@ -395,6 +396,119 @@ def test_audit_catches_a_corrupt_slice_entry(monkeypatch, corrupt):
     run(k, 3, RngStream(5))  # the hot path alone cannot tell
     with pytest.raises(InvariantViolation):
         run(k, 3, RngStream(5), on_iteration=lambda a: None)
+
+
+def _memo_cases():
+    """``(fresh kernel maker, window length)`` for every finite shipped
+    kernel at L = 1..3 and a few binary and ternary random VLMCs; each
+    fresh kernel has a fresh slice table."""
+    cases = []
+    for path in sorted(KERNELS.glob("*.json")):
+        if load_kernel(str(path)).order is not None:
+            cases += [(functools.partial(load_kernel, str(path)), length)
+                      for length in (1, 2, 3)]
+    rng = np.random.Generator(np.random.PCG64(17))
+    for alphabet in (BINARY, BINARY, TERNARY, TERNARY):
+        trie = random_vlmc(rng, alphabet, int(rng.integers(2, 6))).trie
+        cases += [(functools.partial(ContextTreeKernel, trie), length) for length in (1, 2, 3)]
+    return cases
+
+
+MEMO_BUDGETS = [{}, {"max_depth": 2}, {"max_nodes": 40}, {"max_iter": 3}]
+
+
+def _program_outcomes(monkeypatch, make, length, seeds):
+    """The outcomes of runs that compose every step with the program: with
+    a cap of 0 the memo stores nothing."""
+    monkeypatch.setattr(update_rule, "MEMO_CAP", 0)
+    k = make()
+    out = [_outcome(k, length, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
+    assert slice_table(k).transitions == 0
+    monkeypatch.undo()
+    return out
+
+
+def test_step_memo_cannot_be_seen(monkeypatch):
+    # after a warm-up, runs that read stored transitions report exactly what
+    # runs whose every step runs the compiled program report
+    seeds = range(8)
+    compose = engine._compose
+    for make, length in _memo_cases():
+        want = _program_outcomes(monkeypatch, make, length, seeds)
+        k = make()
+        for seed in range(100, 160):
+            run(k, length, RngStream(seed))
+        composed = []
+
+        def counting(*args):
+            composed.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(engine, "_compose", counting)
+        got = [_outcome(k, length, seed, **budget) for budget in MEMO_BUDGETS
+               for seed in seeds]
+        monkeypatch.undo()
+        assert got == want, (k.order, length)
+        # the memo answered some of the steps
+        assert len(composed) < sum(outcome[2] for outcome in got), (k.order, length)
+
+
+def test_step_memo_holds_at_most_its_cap(monkeypatch):
+    # order6 at L=1 takes far more distinct transitions than the cap: the
+    # table stores exactly the cap, runs then leave the memo, and outcomes
+    # stay the program's
+    make = functools.partial(load_kernel, str(KERNELS / "order6.json"))
+    seeds = range(200, 212)
+    want = _program_outcomes(monkeypatch, make, 1, seeds)
+    k = make()
+    table = slice_table(k)
+    refused = []
+    remember = table.remember
+
+    def counting(*args):
+        after = remember(*args)
+        refused.append(after is None)
+        return after
+
+    monkeypatch.setattr(table, "remember", counting)
+    for seed in range(2000):
+        run(k, 1, RngStream(seed))
+        if any(refused):
+            break
+    assert any(refused)  # the runs wanted more transitions than the cap
+    got = [_outcome(k, 1, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
+    assert got == want
+    assert table.transitions == update_rule.MEMO_CAP
+    assert sum(len(entry.memo) for entry in table.entries) == update_rule.MEMO_CAP
+    assert list(table.starts) == [1]
+    assert len(table.maps) <= update_rule.MEMO_CAP + len(table.starts)
+    assert all(table.maps[root] is root for root in table.maps)
+
+
+@pytest.mark.parametrize("tamper", ["touches", "map"])
+def test_audit_checks_memo_hits(tamper):
+    # a stored transition the memo returns is checked like a program run:
+    # tampered, a plain run reports it and an audited run raises
+    k = desk_vlmc()
+    seed = next(s for s in range(100) if run(k, 3, RngStream(s)).diagnostics.tau < -1)
+    before = _outcome(k, 3, seed)
+    table = slice_table(k)
+    entry = table.lookup(RngStream(seed).uniform())
+    start = table.starts[3]
+    after, touches = entry.memo[id(start)]
+    if tamper == "touches":
+        entry.memo[id(start)] = (after, touches + 1)
+    else:
+        # a coalesced map from an earlier run: the run stops at t = -1
+        leaf = next(root for root in table.maps if root[0] is None)
+        entry.memo[id(start)] = (leaf, touches)
+    got = _outcome(k, 3, seed)
+    if tamper == "touches":
+        assert got[3] == before[3] + 1 and got[:3] == before[:3]
+    else:
+        assert (got[0], got[1]) == (leaf[4], -1) != (before[0], before[1])
+    with pytest.raises(InvariantViolation):
+        run(k, 3, RngStream(seed), on_iteration=lambda a: None)
 
 
 def test_compiled_hot_path_skips_the_reference(monkeypatch):
