@@ -16,17 +16,14 @@ from the same immutable nodes:
 
 * :class:`_SharedMap` - finite-order kernels.  The minimal labeled trie
   as shared subtrees, whose leaf labels are full length-L windows.  A step
-  finds the draw's gap in the kernel's slice table
-  (:class:`~ciaftp.update_rule.SliceTable`) by bisection and runs the
-  gap's compiled program: walk each distinct prefix of the slice leaves'
-  paths into the previous map once, graft the subtrees reached by
-  reference and rebuild only the slice's internal nodes.  So a step costs
-  O(slice size), not O(state size).  Few distinct maps occur, so the table
-  also memoizes up to :data:`~ciaftp.update_rule.MEMO_CAP` (interned map,
-  gap) transitions: a step that repeats one is a dict lookup.  A step's
-  result depends only on the map and the gap, so the memo is exact; the
-  cap bounds its memory, and a run that meets a full memo runs the
-  programs for the rest of its steps;
+  finds the draw's gap in the kernel's :class:`SliceTable` by bisection
+  and runs the gap's compiled program (:class:`SliceEntry`,
+  :func:`_compose`): walk each distinct prefix of the slice leaves' paths
+  into the previous map once, graft the subtrees reached by reference and
+  rebuild only the slice's internal nodes.  So a step costs O(slice size),
+  not O(state size).  Few distinct maps occur, so the table is also an
+  exact memo of whole steps, of at most :data:`MEMO_CAP` (interned map,
+  gap) transitions: a step that repeats one is a dict lookup;
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
   run-length-compressed side subtrees along the all-ones spine.  A step
@@ -53,8 +50,11 @@ from __future__ import annotations
 import functools
 import itertools
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
+from weakref import ref
 
 import numpy as np
 
@@ -67,14 +67,7 @@ from .errors import (
 )
 from .kernels import Kernel, RenewalSqrtKernel
 from .tries import Alphabet, Context, ContextTrie, complete_trie, prune_minimal
-from .update_rule import (
-    DEFAULT_MAX_DEPTH,
-    SliceEntry,
-    UpdateSlice,
-    build_slice,
-    phi,
-    slice_table,
-)
+from .update_rule import DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, phi
 
 DEFAULT_MAX_ITER = 10**6
 DEFAULT_MAX_NODES = 10**7
@@ -349,6 +342,188 @@ def _window(leaf: tuple, length: int) -> Context:
     return sample
 
 
+# -- the slice table ---------------------------------------------------------
+
+# The most (map, gap) transitions a SliceTable stores; see SliceTable.
+MEMO_CAP = 256
+
+WalkStep = Tuple[int, int]
+NodeGetter = Callable[[list], tuple]
+
+
+@dataclass(frozen=True)
+class SliceEntry:
+    """The slice shared by every draw in one gap of a :class:`SliceTable`,
+    compiled into a program that :func:`_compose` runs on a composite map.
+
+    A slice leaf's *walk path* into the previous map is the index of its
+    emitted symbol, then its context's symbol indices from newest to
+    oldest.  The program fills a list of slots, slot 0 being the previous
+    map's root, in three flat passes:
+
+    * ``walk`` has one ``(parent slot, child index)`` step per distinct
+      prefix of the walk paths, in slot order: step ``j`` fills slot
+      ``j + 1`` with that child of the parent, or with the parent itself
+      when it is a leaf;
+    * ``grafts`` is the slot of each leaf's full path, the subtree the leaf
+      grafts; a step's node touches (the slice's, then the nodes of the
+      unpruned composition) are ``touch_base`` - the slice's touches plus
+      its internal node count - plus the tree size of every graft;
+    * ``nodes`` rebuilds the slice's internal nodes in post-order, each an
+      ``operator.itemgetter`` of its children's slots; node ``i`` fills the
+      slot after the prefixes and the nodes before it, so the last slot
+      holds the new root.  (A one-symbol law resolves at the root, so every
+      internal node has at least two children.)
+
+    ``reach`` is the slice's :attr:`~ciaftp.update_rule.UpdateSlice.reach`:
+    :func:`_backward` refuses the draw exactly when it exceeds
+    ``max_depth``, as :func:`~ciaftp.update_rule.build_slice` does.
+    ``memo`` holds the table's stored transitions through this gap.  It is
+    not an init field, so an entry made by ``dataclasses.replace`` starts
+    with an empty memo of its own.
+    """
+
+    walk: Tuple[WalkStep, ...]
+    grafts: Tuple[int, ...]
+    nodes: Tuple[NodeGetter, ...]
+    touch_base: int
+    depth: int
+    is_regeneration: bool
+    reach: int
+    memo: Dict[int, Tuple[tuple, int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+
+def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
+                   getters: Dict[Tuple[int, ...], NodeGetter]) -> SliceEntry:
+    """The :class:`SliceEntry` of a slice built by
+    :func:`~ciaftp.update_rule.build_slice`.
+
+    Equal walk steps and node getters are kept once in ``steps`` and
+    ``getters``, which the entries of one table share.
+    """
+    alphabet = slice_.trie.alphabet
+    n = alphabet.size
+    slot_of: Dict[WalkStep, int] = {}  # the slot each walk step fills
+    walk: List[WalkStep] = []
+    grafts: List[int] = []
+    # children of each internal node: a walk slot, or ~i for internal node i
+    nodes: List[List[int]] = []
+    pending: List[int] = []
+    # post-order, children in alphabet order
+    stack = [(slice_.trie.root, (), False)]
+    while stack:
+        node, path, closing = stack.pop()
+        if node.children is None:
+            slot = 0
+            for i in (alphabet.index(node.label),) + path:
+                step = (slot, i)
+                slot = slot_of.get(step)
+                if slot is None:
+                    slot = slot_of[step] = len(walk) + 1
+                    walk.append(steps.setdefault(step, step))
+            grafts.append(slot)
+            pending.append(slot)
+        elif closing:
+            nodes.append(pending[-n:])
+            del pending[-n:]
+            pending.append(~(len(nodes) - 1))
+        else:
+            stack.append((node, path, True))
+            for i in reversed(range(n)):
+                stack.append((node.children[alphabet.symbols[i]], path + (i,), False))
+    first = len(walk) + 1
+    node_getters = []
+    for kids in nodes:
+        key = tuple(r if r >= 0 else first + ~r for r in kids)
+        getter = getters.get(key)
+        if getter is None:
+            getter = getters[key] = itemgetter(*key)
+        node_getters.append(getter)
+    return SliceEntry(tuple(walk), tuple(grafts), tuple(node_getters),
+                      slice_.node_touches + len(nodes), slice_.depth,
+                      slice_.is_regeneration, slice_.reach)
+
+
+class SliceTable:
+    """The slices of a finite-order kernel, found by bisection, and the
+    memo of the steps composed with them.
+
+    Gap ``i`` of the ones found so far, in ascending order, is
+    ``[lows[i], highs[i])`` and its draws get ``entries[i]``.  A draw in no
+    known gap is expanded by :func:`~ciaftp.update_rule.build_slice` at the
+    kernel's order, where every draw resolves, and the gap it reports is
+    compiled and inserted.  The gap of 0 is found first, so the last gap
+    starting at or below a draw is its only candidate.  The kernel is held
+    weakly: the table lives in ``kernel.slice_cache``, so a strong one
+    would be a cycle.
+
+    The table is also a memo of whole steps, which :class:`_SharedMap`
+    reads and fills.  A composite map is a function on contexts of depth
+    max(order, L), so only finitely many occur, and few in practice.
+    ``maps`` interns them (shared-subtree root tuples, each its own key,
+    so equal maps are one object) and ``starts`` holds the interned
+    initial map of each window length whose runs share one.  A step from
+    an interned map through a gap is stored in the gap's
+    :attr:`SliceEntry.memo`, keyed by the map's ``id``, which ``maps``
+    keeps alive and unique, as ``(next interned map, node touches)``, and
+    a run whose step repeats it reads it instead of running the program;
+    ``transitions`` counts the stored steps.  A program's result depends
+    only on the map's structure and the gap, so a stored transition gives
+    exactly what the program would: the memo is exact.  At most
+    :data:`MEMO_CAP` transitions are stored, and each interns at most one
+    new map, so the memo holds at most ``MEMO_CAP`` maps besides the
+    initial ones: it is bounded.  A run that needs a new transition when
+    the memo is full runs the programs for the rest of its steps, and so
+    does every run of a window of more than 4096 leaves, whose initial map
+    runs do not share.  desk_vlmc at L=3 takes 120 transitions between 38
+    maps, so it fits; order6 at L=1 repeats only about 6% of its steps even
+    with no cap, and its maps cost about 2.2 KB each (tracemalloc), so 256
+    transitions hold about 0.55 MB there.
+    """
+
+    def __init__(self, kernel: Kernel):
+        if kernel.order is None:
+            raise UnsupportedOperation("a slice table needs a finite-order kernel")
+        self._kernel = ref(kernel)
+        self._max_depth = max(kernel.order, 1)
+        self.lows: List[float] = []
+        self.highs: List[float] = []
+        self.entries: List[SliceEntry] = []
+        self._steps: Dict[WalkStep, WalkStep] = {}
+        self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
+        self.maps: Dict[tuple, tuple] = {}
+        self.starts: Dict[int, tuple] = {}
+        self.transitions = 0
+        self._add(0.0)
+
+    def lookup(self, u: float) -> SliceEntry:
+        """The entry of the gap holding the draw ``u`` (0 <= u < 1)."""
+        i = bisect_right(self.lows, u) - 1
+        if u < self.highs[i]:
+            return self.entries[i]
+        return self._add(u)
+
+    def _add(self, u: float) -> SliceEntry:
+        slice_ = build_slice(self._kernel(), u, self._max_depth)
+        entry = _compile_entry(slice_, self._steps, self._getters)
+        lo, hi = slice_.gap
+        i = bisect_right(self.lows, lo)
+        self.lows.insert(i, lo)
+        self.highs.insert(i, hi)
+        self.entries.insert(i, entry)
+        return entry
+
+
+def slice_table(kernel: Kernel) -> SliceTable:
+    """The kernel's :class:`SliceTable`, built on first use and kept on the
+    kernel object."""
+    table = kernel.slice_cache
+    if table is None:
+        table = kernel.slice_cache = SliceTable(kernel)
+    return table
+
+
 def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
     """Run ``entry``'s program on the map ``root``; returns (new map, node
     touches).
@@ -388,21 +563,12 @@ def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
 class _SharedMap:
     """The composite map of a finite-order kernel, as shared subtrees.
 
-    A step looks the draw's :class:`~ciaftp.update_rule.SliceEntry` up in
-    the kernel's :class:`~ciaftp.update_rule.SliceTable` and composes it
-    onto the map with the entry's program (:func:`_compose`).  Node
-    touches count what :func:`step` counts: the slice's touches plus the
-    nodes of the unpruned composition.
-
-    Few distinct maps occur, so steps repeat: a run starts from its window
-    length's initial map interned in the table, and while its map is
-    interned (``memo``) a step whose transition the entry stores reads the
-    next map and the touches from it instead of running the program.  A
-    step the memo lacks runs the program and, while the table holds fewer
-    than :data:`~ciaftp.update_rule.MEMO_CAP` transitions, stores it and
-    goes on from the interned result; once the table is full, the run
-    leaves the memo for good.  The memo is off for windows of more than
-    4096 leaves, whose initial map runs do not share.
+    A step looks the draw's :class:`SliceEntry` up in the kernel's
+    :class:`SliceTable` and composes it onto the map with the entry's
+    program (:func:`_compose`), or reads the step from the table's memo
+    while the run's map is interned (``memo``).  Node touches count what
+    :func:`step` counts: the slice's touches plus the nodes of the
+    unpruned composition.
     """
 
     __slots__ = ("length", "arity", "lookup", "table", "memo", "root", "coalesced")
@@ -417,7 +583,7 @@ class _SharedMap:
         if root is None:
             root = _initial_map(kernel.alphabet.symbols, length)
             if self.memo:
-                root = table.start(length, root)
+                root = table.starts[length] = table.maps.setdefault(root, root)
         self.root = root
         self.coalesced = False  # a run composes at least one draw
 
@@ -430,9 +596,14 @@ class _SharedMap:
                 root, touches = hit
             else:
                 new, touches = _compose(root, entry, self.arity)
-                root = self.table.remember(entry, root, new, touches)
-                if root is None:
-                    root, self.memo = new, False
+                table = self.table
+                if table.transitions < MEMO_CAP:
+                    new = table.maps.setdefault(new, new)
+                    entry.memo[id(root)] = (new, touches)
+                    table.transitions += 1
+                else:
+                    self.memo = False  # the memo is full: leave it for good
+                root = new
         else:
             root, touches = _compose(root, entry, self.arity)
         self.root = root
@@ -463,7 +634,7 @@ class _CombMap:
     A step costs one bisection, in ``kernel.slice_depth``'s cached table
     of spine masses, plus O(number of runs) to compose the comb."""
 
-    __slots__ = ("length", "slice_depth", "runs", "spine", "comb_depth", "coalesced")
+    __slots__ = ("length", "slice_depth", "runs", "spine", "coalesced")
 
     def __init__(self, kernel: RenewalSqrtKernel, length: int):
         self.length = length
@@ -476,7 +647,6 @@ class _CombMap:
             side, node = node[0]
             self.runs.append((side, 1))
         self.spine = node
-        self.comb_depth = length
         self.coalesced = False  # a run composes at least one draw
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:
@@ -499,7 +669,6 @@ class _CombMap:
         else:
             new_runs.append((self.spine, need))
         node = head
-        depth = m
         if node[0] is not None:
             for _ in range(m):
                 if node[0] is None:
@@ -509,15 +678,16 @@ class _CombMap:
             while node[0] is not None:
                 side, node = node[0]
                 new_runs.append((side, 1))
-                depth += 1
         while new_runs and new_runs[-1][0] is node:
-            depth -= new_runs.pop()[1]
-        self.runs, self.spine, self.comb_depth = new_runs, node, depth
+            new_runs.pop()
+        self.runs, self.spine = new_runs, node
         self.coalesced = not new_runs
         return touches, m, False, m
 
     def size(self) -> Tuple[int, int]:
-        leaves, depth, end = 1, self.comb_depth, 0
+        # the spine leaf lies where the last run ends, and that run's side
+        # reaches at least as deep
+        leaves, depth, end = 1, 0, 0
         for side, count in self.runs:
             leaves += count * side[1]
             end += count

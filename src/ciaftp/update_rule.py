@@ -11,47 +11,29 @@ contexts where this happens is the draw's *slice*.
 Floating-point discipline: every routine in this module takes the interval
 boundaries from one helper, :func:`_level_ends`, in one canonical order
 (ascending level; within a level, alphabet order), so interval membership
-never disagrees between table construction, pointwise evaluation, slice
-expansion and the slice table.  The same helper closes every resolving
-level at exactly 1.0.
+never disagrees between table construction, pointwise evaluation and slice
+expansion.  The same helper closes every resolving level at exactly 1.0.
 
-Slices come in two forms.  :func:`build_slice` expands the slice node by
-node from the kernel's lower-bound rows alone, for finite and infinite
-memory alike, and returns a validated :class:`UpdateSlice` trie; it is the
-reference that ``inspect``, the tests and the audits use.  It also reports
-the slice's reach (the depth of the deepest context it visits) and its
-gap: every comparison it makes is ``u < e`` for an interval end ``e``, so
-every draw between the nearest compared ends below and above ``u`` gets
-the same slice.  The sampler's hot path uses a :class:`SliceTable` of the
-gaps found so far for a finite-order kernel: it finds a draw's gap by
-bisection, or adds the gap :func:`build_slice` reports, and keeps one
-:class:`SliceEntry` per gap, the slice compiled into a program that
-composes it onto a composite map.
+:func:`build_slice` expands the slice node by node from the kernel's
+lower-bound rows alone, for finite and infinite memory alike, and returns
+a validated :class:`UpdateSlice` trie.  It also reports the slice's reach
+(the depth of the deepest context it visits) and its gap: every comparison
+it makes is ``u < e`` for an interval end ``e``, so every draw between the
+nearest compared ends below and above ``u`` gets the same slice.  What
+the sampler does with slices, and how it stores them, is up to
+:mod:`ciaftp.engine`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
-from weakref import ref
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
-from .errors import MaxDepthExceeded, UnsupportedOperation
+from .errors import MaxDepthExceeded
 from .kernels import Kernel, LowerBoundRow
 from .tries import Context, ContextTrie, Symbol, prune_minimal
 
 DEFAULT_MAX_DEPTH = 10_000
-
-# Transitions a SliceTable stores before runs stop interning new maps.  A
-# composite map of a finite-order kernel is a function on contexts of depth
-# max(order, L), so only finitely many occur, and few in practice: desk_vlmc
-# at L=3 takes 120 distinct (map, gap) transitions between 38 maps over
-# 1.1e5 steps (99.9% of its steps repeat one), order2 at L=1 60 between 14,
-# so both fit.  order6 at L=1 repeats only about 10% of its steps even with
-# no cap, and its interned maps cost about 2.2 KB each (tracemalloc): 256
-# transitions hold about 0.55 MB there, 4096 would hold 8.4 MB.
-MEMO_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -185,192 +167,6 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
                 stack.append(((g,) + ctx, level_end, row.lower))
     trie = prune_minimal(ContextTrie.from_leaves(kernel.alphabet, leaves))
     return UpdateSlice(u, trie, trie.depth(), touches, reach, (lo, hi))
-
-
-# -- the slice table ---------------------------------------------------------
-
-WalkStep = Tuple[int, int]
-NodeGetter = Callable[[list], tuple]
-
-
-@dataclass(frozen=True)
-class SliceEntry:
-    """The slice shared by every draw in one gap of a :class:`SliceTable`,
-    compiled into a program that composes it onto a composite map.
-
-    A slice leaf's *walk path* into the previous map is the index of its
-    emitted symbol, then its context's symbol indices from newest to
-    oldest.  The program fills a list of slots, slot 0 being the previous
-    map's root, in three flat passes:
-
-    * ``walk`` has one ``(parent slot, child index)`` step per distinct
-      prefix of the walk paths, in slot order: step ``j`` fills slot
-      ``j + 1`` with that child of the parent, or with the parent itself
-      when it is a leaf;
-    * ``grafts`` is the slot of each leaf's full path, the subtree the leaf
-      grafts; a step's node touches (the slice's, then the nodes of the
-      unpruned composition) are ``touch_base`` - the slice's touches plus
-      its internal node count - plus the tree size of every graft;
-    * ``nodes`` rebuilds the slice's internal nodes in post-order, each an
-      ``operator.itemgetter`` of its children's slots; node ``i`` fills the
-      slot after the prefixes and the nodes before it, so the last slot
-      holds the new root.  (A one-symbol law resolves at the root, so every
-      internal node has at least two children.)
-
-    ``reach`` is the slice's :attr:`UpdateSlice.reach`, the depth of the
-    deepest context the expansion visits before pruning: the sampler
-    refuses the draw exactly when it exceeds ``max_depth``, as
-    :func:`build_slice` does.
-
-    ``memo`` maps ``id(map)`` of a map interned by the owning
-    :class:`SliceTable` to ``(next interned map, node touches)``, what the
-    program gave on it.  It is not an init field, so an entry made by
-    ``dataclasses.replace`` starts with an empty memo of its own.
-    """
-
-    walk: Tuple[WalkStep, ...]
-    grafts: Tuple[int, ...]
-    nodes: Tuple[NodeGetter, ...]
-    touch_base: int
-    depth: int
-    is_regeneration: bool
-    reach: int
-    memo: Dict[int, Tuple[tuple, int]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-
-
-def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
-                   getters: Dict[Tuple[int, ...], NodeGetter]) -> SliceEntry:
-    """The :class:`SliceEntry` of a slice built by :func:`build_slice`.
-
-    Equal walk steps and node getters are kept once in ``steps`` and
-    ``getters``, which the entries of one table share.
-    """
-    alphabet = slice_.trie.alphabet
-    n = alphabet.size
-    slot_of: Dict[WalkStep, int] = {}  # the slot each walk step fills
-    walk: List[WalkStep] = []
-    grafts: List[int] = []
-    # children of each internal node: a walk slot, or ~i for internal node i
-    nodes: List[List[int]] = []
-    pending: List[int] = []
-    # post-order, children in alphabet order
-    stack = [(slice_.trie.root, (), False)]
-    while stack:
-        node, path, closing = stack.pop()
-        if node.children is None:
-            slot = 0
-            for i in (alphabet.index(node.label),) + path:
-                step = (slot, i)
-                slot = slot_of.get(step)
-                if slot is None:
-                    slot = slot_of[step] = len(walk) + 1
-                    walk.append(steps.setdefault(step, step))
-            grafts.append(slot)
-            pending.append(slot)
-        elif closing:
-            nodes.append(pending[-n:])
-            del pending[-n:]
-            pending.append(~(len(nodes) - 1))
-        else:
-            stack.append((node, path, True))
-            for i in reversed(range(n)):
-                stack.append((node.children[alphabet.symbols[i]], path + (i,), False))
-    first = len(walk) + 1
-    node_getters = []
-    for kids in nodes:
-        key = tuple(r if r >= 0 else first + ~r for r in kids)
-        getter = getters.get(key)
-        if getter is None:
-            getter = getters[key] = itemgetter(*key)
-        node_getters.append(getter)
-    return SliceEntry(tuple(walk), tuple(grafts), tuple(node_getters),
-                      slice_.node_touches + len(nodes), slice_.depth,
-                      slice_.is_regeneration, slice_.reach)
-
-
-class SliceTable:
-    """The slices of a finite-order kernel, found by bisection.
-
-    Gap ``i`` of the ones found so far, in ascending order, is
-    ``[lows[i], highs[i])`` and its draws get ``entries[i]``.  A draw in no
-    known gap is expanded by :func:`build_slice` at the kernel's order,
-    where every draw resolves, and the gap it reports is compiled and
-    inserted.  The gap of 0 is found first, so the last gap starting at or
-    below a draw is its only candidate.  The kernel is held weakly: the
-    table lives in ``kernel.slice_cache``, so a strong one would be a cycle.
-
-    The table is also a memo of whole steps.  ``maps`` interns composite
-    maps (shared-subtree root tuples, each its own key, so equal maps are
-    one object) and ``starts`` holds the interned initial map of each
-    window length that runs share.  :meth:`remember` stores a step from an
-    interned map in the gap's :attr:`SliceEntry.memo`, keyed by the map's
-    ``id``, which the interning dict keeps alive and unique.  A program's
-    result depends only on the map's structure and the gap, so a stored
-    transition gives exactly what the program would: the memo is exact.
-    At most :data:`MEMO_CAP` transitions are stored, and each interns at
-    most one new map, so the memo holds at most ``MEMO_CAP`` maps besides
-    the initial ones: it is bounded.
-    """
-
-    def __init__(self, kernel: Kernel):
-        if kernel.order is None:
-            raise UnsupportedOperation("a slice table needs a finite-order kernel")
-        self._kernel = ref(kernel)
-        self._max_depth = max(kernel.order, 1)
-        self.lows: List[float] = []
-        self.highs: List[float] = []
-        self.entries: List[SliceEntry] = []
-        self._steps: Dict[WalkStep, WalkStep] = {}
-        self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
-        self.maps: Dict[tuple, tuple] = {}
-        self.starts: Dict[int, tuple] = {}
-        self.transitions = 0
-        self._add(0.0)
-
-    def lookup(self, u: float) -> SliceEntry:
-        """The entry of the gap holding the draw ``u`` (0 <= u < 1)."""
-        i = bisect_right(self.lows, u) - 1
-        if u < self.highs[i]:
-            return self.entries[i]
-        return self._add(u)
-
-    def _add(self, u: float) -> SliceEntry:
-        slice_ = build_slice(self._kernel(), u, self._max_depth)
-        entry = _compile_entry(slice_, self._steps, self._getters)
-        lo, hi = slice_.gap
-        i = bisect_right(self.lows, lo)
-        self.lows.insert(i, lo)
-        self.highs.insert(i, hi)
-        self.entries.insert(i, entry)
-        return entry
-
-    def start(self, length: int, initial: tuple) -> tuple:
-        """Intern ``initial`` as the initial map runs of window length
-        ``length`` start from, and return the interned map."""
-        root = self.starts[length] = self.maps.setdefault(initial, initial)
-        return root
-
-    def remember(self, entry: SliceEntry, before: tuple, after: tuple,
-                 touches: int) -> Optional[tuple]:
-        """Store the step from the interned map ``before`` through
-        ``entry``'s program, which gave ``after`` and ``touches``; returns
-        the interned ``after``, or None once the memo is full."""
-        if self.transitions >= MEMO_CAP:
-            return None
-        after = self.maps.setdefault(after, after)
-        entry.memo[id(before)] = (after, touches)
-        self.transitions += 1
-        return after
-
-
-def slice_table(kernel: Kernel) -> SliceTable:
-    """The kernel's :class:`SliceTable`, built on first use and kept on the
-    kernel object."""
-    table = kernel.slice_cache
-    if table is None:
-        table = kernel.slice_cache = SliceTable(kernel)
-    return table
 
 
 @dataclass

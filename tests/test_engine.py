@@ -13,6 +13,7 @@ from ciaftp.engine import (
     pw_extended,
     run,
     run_many,
+    slice_table,
     step,
 )
 from ciaftp.errors import (
@@ -25,7 +26,6 @@ from ciaftp.errors import (
 )
 from ciaftp.kernels import ContextTreeKernel, RenewalSqrtKernel, load_kernel, memoryless_kernel
 from ciaftp.tries import ContextTrie, dominates, prefix_closure
-from ciaftp.update_rule import slice_table
 
 from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
 
@@ -420,7 +420,7 @@ MEMO_BUDGETS = [{}, {"max_depth": 2}, {"max_nodes": 40}, {"max_iter": 3}]
 def _program_outcomes(monkeypatch, make, length, seeds):
     """The outcomes of runs that compose every step with the program: with
     a cap of 0 the memo stores nothing."""
-    monkeypatch.setattr(update_rule, "MEMO_CAP", 0)
+    monkeypatch.setattr(engine, "MEMO_CAP", 0)
     k = make()
     out = [_outcome(k, length, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
     assert slice_table(k).transitions == 0
@@ -463,26 +463,44 @@ def test_step_memo_holds_at_most_its_cap(monkeypatch):
     k = make()
     table = slice_table(k)
     refused = []
-    remember = table.remember
+    compose = engine._compose
 
     def counting(*args):
-        after = remember(*args)
-        refused.append(after is None)
-        return after
+        # a program run on a full memo is a transition the memo refuses
+        refused.append(table.transitions >= engine.MEMO_CAP)
+        return compose(*args)
 
-    monkeypatch.setattr(table, "remember", counting)
+    monkeypatch.setattr(engine, "_compose", counting)
     for seed in range(2000):
         run(k, 1, RngStream(seed))
         if any(refused):
             break
     assert any(refused)  # the runs wanted more transitions than the cap
+    monkeypatch.undo()
     got = [_outcome(k, 1, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
     assert got == want
-    assert table.transitions == update_rule.MEMO_CAP
-    assert sum(len(entry.memo) for entry in table.entries) == update_rule.MEMO_CAP
+    assert table.transitions == engine.MEMO_CAP
+    assert sum(len(entry.memo) for entry in table.entries) == engine.MEMO_CAP
     assert list(table.starts) == [1]
-    assert len(table.maps) <= update_rule.MEMO_CAP + len(table.starts)
+    assert len(table.maps) <= engine.MEMO_CAP + len(table.starts)
     assert all(table.maps[root] is root for root in table.maps)
+
+
+def test_windows_past_4096_leaves_leave_the_memo_alone():
+    # a window of at most 4096 leaves starts from the table's interned
+    # initial map; a larger one builds its own per run, composes every step
+    # with the program and reports what the audited reference does
+    k = load_kernel(str(KERNELS / "order1.json"))
+    run(k, 12, RngStream(0))
+    table = slice_table(k)
+    start = table.starts[12]
+    assert table.maps[start] is start and start[1] == 2**12
+    before = (dict(table.starts), dict(table.maps), table.transitions)
+    for seed in range(2):
+        plain = _outcome(k, 13, seed)
+        assert plain[1] <= -13  # a window of 13 needs at least 13 draws
+        assert _outcome(k, 13, seed, on_iteration=lambda a: None) == plain
+    assert (table.starts, table.maps, table.transitions) == before
 
 
 @pytest.mark.parametrize("tamper", ["touches", "map"])

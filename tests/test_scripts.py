@@ -16,15 +16,6 @@ def run_script(name, args, cwd):
     return proc.stdout
 
 
-def test_bench_orders(tmp_path):
-    out = run_script("bench_orders.py",
-                     ["--runs", "3", "--seed", "1", "--out-dir", str(tmp_path)], tmp_path)
-    for name in ("order2", "order4", "order6", "desk_vlmc"):
-        assert f"== {name} (runs=3) ==" in out
-        assert (tmp_path / f"{name}.csv").exists()
-    assert out.count("ciaftp") == 4 and out.count("pw_extended") == 4
-
-
 def test_renewal_depth_tail(tmp_path):
     out = run_script("renewal_depth_tail.py", ["--draws", "2000", "--runs", "20"], tmp_path)
     assert "slice depth over 2000 draws" in out

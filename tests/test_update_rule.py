@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ciaftp import engine
-from ciaftp.engine import RngStream, pw_extended, run
+from ciaftp.engine import RngStream, pw_extended, run, slice_table
 from ciaftp.errors import IterationLimitExceeded, MaxDepthExceeded
 from ciaftp.kernels import (
     ContextTreeKernel,
@@ -23,7 +23,6 @@ from ciaftp.update_rule import (
     build_slice,
     interval_table,
     phi,
-    slice_table,
     verify_measure,
 )
 
