@@ -9,7 +9,10 @@ and ``max_nodes=10**15`` (the ``deep`` case), so their slices go as deep
 as the draws take them, for seeds 0..max(N, 64)-1: the first slice past
 the renewal kernel's spine-mass table (``SPINE_CAP``) comes at seed 53, at
 L=3.  The audited reference is left out there, because it expands a slice
-node by node at O(depth^2) cost; plain runs are cheap.  A line gives the
+node by node at O(depth^2) cost; plain runs are cheap.  ``order1`` also
+runs at L=13 (the ``wide`` case: 8192 leaves), plain and audited, at the
+default budgets for seeds 0..N-1, so the diff covers windows of more than
+4096 leaves too.  A line gives the
 case, the sample or the budget error's code and message, ``tau``,
 ``iterations``, ``node_touches``, ``max_slice_depth``,
 ``regeneration_times`` and a sha256 of the trace records.  Running it on
@@ -76,8 +79,11 @@ def main() -> int:
         cases = [(name, budget, (False, True), args.seeds) for name, budget in BUDGETS]
         if kernel.order is None:
             cases.append((*DEEP, (False,), max(args.seeds, DEEP_SEEDS)))
-        for length in (1, 2, 3):
-            for name, budget, auditeds, seeds in cases:
+        grid = [(length, cases) for length in (1, 2, 3)]
+        if path.stem == "order1":
+            grid.append((13, [("wide", {}, (False, True), args.seeds)]))
+        for length, length_cases in grid:
+            for name, budget, auditeds, seeds in length_cases:
                 for audited in auditeds:
                     for seed in range(seeds):
                         line = outcome(run, kernel, length, RngStream(seed), audited, budget,

@@ -109,8 +109,8 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _header_lines(args: argparse.Namespace, seed: int, extra: Sequence[str] = ()) -> List[str]:
-    lines = [
+def _header_lines(args: argparse.Namespace, seed: int) -> List[str]:
+    return [
         f"# ciaftp {args.command}",
         f"# kernel_sha256={kernel_spec_digest(args.kernel)}",
         f"# rng={RNG_ALGORITHM}",
@@ -118,8 +118,6 @@ def _header_lines(args: argparse.Namespace, seed: int, extra: Sequence[str] = ()
         f"# length={args.length} runs={args.runs}",
         f"# max_iter={args.max_iter} max_depth={args.max_depth} max_nodes={args.max_nodes}",
     ]
-    lines.extend(extra)
-    return lines
 
 
 ROW_FIELDS = ("run_id", "sample", "tau", "iterations", "node_touches", "wall_ns", "error")
@@ -281,8 +279,9 @@ def _inspect_kernel(kernel, args, buf: io.StringIO) -> None:
         depth_cap = min(args.max_depth, 64)
     buf.write("# worst-case coupled mass by depth\nk,A_k_min\n")
     for k in range(depth_cap + 1):
-        buf.write(f"{k},{kernel.min_mass(k)!r}\n")
-        if kernel.min_mass(k) >= 1.0 - 1e-12:
+        mass = kernel.min_mass(k)
+        buf.write(f"{k},{mass!r}\n")
+        if mass >= 1.0 - 1e-12:
             break
     bound = expected_depth_bound(kernel, args.length)
     buf.write(f"# expected depth bound (window {args.length}): ")

@@ -33,6 +33,9 @@ from the same immutable nodes:
   classical baseline behind :func:`pw_extended`; it evaluates ``phi``
   pointwise and shares no slice code with the other two.
 
+Runs of one kernel share the start of each window length, whatever its
+size, in one place: the kernel's own cache, ``kernel.slice_cache``.
+
 :func:`step` is the validated reference: it composes through
 :func:`~ciaftp.update_rule.build_slice`, ``ContextTrie.from_leaves`` and
 ``prune_minimal``.  Its slices are expanded from the kernel's lower-bound
@@ -289,22 +292,10 @@ def _node(kids: tuple) -> tuple:
     return (kids, leaves, depth + 1, size + 1)
 
 
-# The most leaves of an initial map that runs share.
-_SHARED_LEAVES = 4096
-
-
 def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
     """The complete depth-L trie with leaf w labeled w.  Its nodes are
-    immutable, so runs share it: one of at most 4096 leaves, where set-up
-    is a large share of a run, is built once per alphabet and length and
-    kept for the life of the process (16 at most); a larger one is built
-    for each run and freed with it."""
-    if len(symbols) ** length <= _SHARED_LEAVES:
-        return _cached_initial_map(symbols, length)
-    return _build_initial_map(symbols, length)
-
-
-def _build_initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
+    immutable, so the runs of one kernel share it through the kernel's
+    cache."""
     if length < 1:
         raise ValueError("window length must be >= 1")
     # built from the leaves up; each level lists its contexts in
@@ -315,9 +306,6 @@ def _build_initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
         stride = len(symbols) ** k
         level = [_node(tuple(level[j::stride])) for j in range(stride)]
     return level[0]
-
-
-_cached_initial_map = functools.lru_cache(maxsize=16)(_build_initial_map)
 
 
 def _map_leaves(root: tuple, symbols: Tuple[str, ...]) -> Dict[Context, Context]:
@@ -463,8 +451,8 @@ class SliceTable:
     max(order, L), so only finitely many occur, and few in practice.
     ``maps`` interns them (shared-subtree root tuples, each its own key,
     so equal maps are one object) and ``starts`` holds the interned
-    initial map of each window length whose runs share one.  A step from
-    an interned map through a gap is stored in the gap's
+    initial map that every run of a window length starts from.  A step
+    from an interned map through a gap is stored in the gap's
     :attr:`SliceEntry.memo`, keyed by the map's ``id``, which ``maps``
     keeps alive and unique, as ``(next interned map, node touches)``, and
     a run whose step repeats it reads it instead of running the program;
@@ -472,11 +460,10 @@ class SliceTable:
     only on the map's structure and the gap, so a stored transition gives
     exactly what the program would: the memo is exact.  At most
     :data:`MEMO_CAP` transitions are stored, and each interns at most one
-    new map, so the memo holds at most ``MEMO_CAP`` maps besides the
-    initial ones: it is bounded.  A run that needs a new transition when
-    the memo is full runs the programs for the rest of its steps, and so
-    does every run of a window of more than 4096 leaves, whose initial map
-    runs do not share.  desk_vlmc at L=3 takes 120 transitions between 38
+    new map, so the memo holds at most ``MEMO_CAP`` maps plus one start
+    for each window length: it is bounded.  A run that needs a new
+    transition when the memo is full runs the programs for the rest of its
+    steps.  desk_vlmc at L=3 takes 120 transitions between 38
     maps, so it fits; order6 at L=1 repeats only about 6% of its steps even
     with no cap, and its maps cost about 2.2 KB each (tracemalloc), so 256
     transitions hold about 0.55 MB there.
@@ -517,9 +504,10 @@ class SliceTable:
 
 def slice_table(kernel: Kernel) -> SliceTable:
     """The kernel's :class:`SliceTable`, built on first use and kept on the
-    kernel object."""
+    kernel object; an infinite-memory kernel has none, whatever its cache
+    holds."""
     table = kernel.slice_cache
-    if table is None:
+    if not isinstance(table, SliceTable):
         table = kernel.slice_cache = SliceTable(kernel)
     return table
 
@@ -578,12 +566,11 @@ class _SharedMap:
         self.arity = kernel.alphabet.size
         self.table = table = slice_table(kernel)
         self.lookup = table.lookup
-        self.memo = self.arity ** length <= _SHARED_LEAVES
+        self.memo = True
         root = table.starts.get(length)
         if root is None:
             root = _initial_map(kernel.alphabet.symbols, length)
-            if self.memo:
-                root = table.starts[length] = table.maps.setdefault(root, root)
+            root = table.starts[length] = table.maps.setdefault(root, root)
         self.root = root
         self.coalesced = False  # a run composes at least one draw
 
@@ -632,21 +619,29 @@ class _CombMap:
     """The composite map of the renewal kernel, at every window length.
 
     A step costs one bisection, in ``kernel.slice_depth``'s cached table
-    of spine masses, plus O(number of runs) to compose the comb."""
+    of spine masses, plus O(number of runs) to compose the comb.  Runs
+    share their start ``(runs, spine)``, kept per window length in
+    ``kernel.slice_cache``: :meth:`advance` never changes a run list."""
 
     __slots__ = ("length", "slice_depth", "runs", "spine", "coalesced")
 
     def __init__(self, kernel: RenewalSqrtKernel, length: int):
         self.length = length
         self.slice_depth = kernel.slice_depth
-        # (side node, count) from the root down: count spine levels whose
-        # 0-child is that node
-        self.runs: List[Tuple[tuple, int]] = []
-        node = _initial_map(kernel.alphabet.symbols, length)
-        while node[0] is not None:
-            side, node = node[0]
-            self.runs.append((side, 1))
-        self.spine = node
+        starts = kernel.slice_cache
+        if starts is None:
+            starts = kernel.slice_cache = {}
+        start = starts.get(length)
+        if start is None:
+            # (side node, count) from the root down: count spine levels
+            # whose 0-child is that node
+            runs: List[Tuple[tuple, int]] = []
+            node = _initial_map(kernel.alphabet.symbols, length)
+            while node[0] is not None:
+                side, node = node[0]
+                runs.append((side, 1))
+            start = starts[length] = (runs, node)
+        self.runs, self.spine = start
         self.coalesced = False  # a run composes at least one draw
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:

@@ -46,8 +46,8 @@ Distribution = Tuple[float, ...]
 def check_distribution(alphabet: Alphabet, probs: Distribution, where: str = "") -> None:
     if len(probs) != alphabet.size:
         raise BadProbability(f"distribution{where} has {len(probs)} entries, expected {alphabet.size}")
-    if any(p < 0.0 or p > 1.0 for p in probs):
-        raise BadProbability(f"distribution{where} has entries outside [0, 1]: {probs}")
+    if not all(0.0 <= p <= 1.0 for p in probs):
+        raise BadProbability(f"distribution{where} has entries not in [0, 1]: {probs}")
     total = math.fsum(probs)
     if abs(total - 1.0) > PROB_TOL:
         raise BadProbability(f"distribution{where} sums to {total!r}, not 1 within {PROB_TOL}")
@@ -73,12 +73,14 @@ class Kernel:
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        # the slice table of engine.slice_table, built on first use
+        # what the engine's runs of this kernel share, built on first use:
+        # the slice table (engine.slice_table) of a finite-order kernel, or
+        # the renewal comb's start of each window length
         self.slice_cache = None
 
     def __getstate__(self) -> dict:
         # the slice table holds its kernel weakly and cannot be pickled:
-        # every process builds its own
+        # every process builds its own cache
         return dict(self.__dict__, slice_cache=None)
 
     @property
@@ -334,8 +336,7 @@ def parse_kernel_spec(text: str) -> Kernel:
         raise KernelSpecError(f"type must be one of {_FAMILIES}, got {family!r}")
 
     if family == "renewal_sqrt":
-        alphabet = doc.get("alphabet", ["0", "1"])
-        if list(alphabet) != ["0", "1"]:
+        if doc.get("alphabet", ["0", "1"]) != ["0", "1"]:
             raise KernelSpecError("renewal_sqrt requires alphabet ['0', '1']")
         return RenewalSqrtKernel()
 
@@ -365,6 +366,8 @@ def parse_kernel_spec(text: str) -> Kernel:
             probs = tuple(float(probs_map[g]) for g in alphabet)
         except KeyError as exc:
             raise BadProbability(f"probs for context {ctx} miss symbol {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise BadProbability(f"probs for context {ctx} must be numbers: {exc}") from exc
         check_distribution(alphabet, probs, where=f" at context {ctx}")
         if ctx in leaves:
             raise OverlappingContexts(f"context {ctx} appears twice")

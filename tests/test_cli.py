@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -131,6 +132,21 @@ def test_non_utf8_kernel_spec(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("ciaftp: error: KernelSpec: ")
     assert "not UTF-8" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("probs", [{"0": math.nan, "1": 0.5}, {"0": None, "1": 0.5},
+                                   {"0": "abc", "1": 0.5}])
+def test_bad_probability_in_spec(tmp_path, capsys, probs):
+    # a probability that is NaN or not a number is a spec error with one
+    # line, not a run or a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"alphabet": ["0", "1"], "type": "memoryless",
+                               "contexts": [{"context": "", "probs": probs}]}))
+    rc, out, err = run_cli(["sample", "--kernel", str(bad), "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ciaftp: error: BadProbability: ")
     assert err.count("\n") == 1
 
 

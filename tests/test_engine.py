@@ -486,21 +486,55 @@ def test_step_memo_holds_at_most_its_cap(monkeypatch):
     assert all(table.maps[root] is root for root in table.maps)
 
 
-def test_windows_past_4096_leaves_leave_the_memo_alone():
-    # a window of at most 4096 leaves starts from the table's interned
-    # initial map; a larger one builds its own per run, composes every step
-    # with the program and reports what the audited reference does
+def test_wide_windows_share_their_start_and_the_memo(monkeypatch):
+    # order1 at L=13 has 8192 leaves: its runs start from the one interned
+    # map the first run built, later runs answer steps from the memo, and
+    # the audited reference reports what the plain runs do
     k = load_kernel(str(KERNELS / "order1.json"))
-    run(k, 12, RngStream(0))
+    built, composed = [], []
+    build, compose = engine._initial_map, engine._compose
+
+    def counting_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def counting_compose(*args):
+        composed.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(engine, "_initial_map", counting_build)
+    seeds = range(3)
+    first = [_outcome(k, 13, seed) for seed in seeds]
+    monkeypatch.setattr(engine, "_compose", counting_compose)
+    again = [_outcome(k, 13, seed) for seed in seeds]
+    audited = [_outcome(k, 13, seed, on_iteration=lambda a: None) for seed in seeds]
+    monkeypatch.undo()
+    assert len(built) == 1
     table = slice_table(k)
-    start = table.starts[12]
-    assert table.maps[start] is start and start[1] == 2**12
-    before = (dict(table.starts), dict(table.maps), table.transitions)
-    for seed in range(2):
-        plain = _outcome(k, 13, seed)
-        assert plain[1] <= -13  # a window of 13 needs at least 13 draws
-        assert _outcome(k, 13, seed, on_iteration=lambda a: None) == plain
-    assert (table.starts, table.maps, table.transitions) == before
+    start = table.starts[13]
+    assert table.maps[start] is start and start[1] == 2**13
+    assert all(outcome[1] <= -13 for outcome in first)  # at least 13 draws
+    assert again == first and audited == first
+    assert len(composed) < sum(outcome[2] for outcome in again + audited)
+
+
+def test_renewal_runs_share_their_start():
+    # the comb keeps one start (runs, spine) per window length in the
+    # kernel's cache; runs never change it, so it stays equal to a fresh
+    # build, and outcomes equal those of a kernel that has never run
+    k = RenewalSqrtKernel()
+    seeds = range(30)
+    got = {length: [_outcome(k, length, seed) for seed in seeds[:20]] for length in (1, 2, 3)}
+    starts = dict(k.slice_cache)
+    assert sorted(starts) == [1, 2, 3]
+    with pytest.raises(UnsupportedOperation):
+        slice_table(k)  # the cache holds the comb's starts, not a table
+    for length, start in starts.items():
+        got[length] += [_outcome(k, length, seed) for seed in seeds[20:]]
+        assert k.slice_cache[length] is start
+        fresh = engine._CombMap(RenewalSqrtKernel(), length)
+        assert start == (fresh.runs, fresh.spine)
+        assert got[length] == [_outcome(RenewalSqrtKernel(), length, seed) for seed in seeds]
 
 
 @pytest.mark.parametrize("tamper", ["touches", "map"])

@@ -257,6 +257,11 @@ def test_parse_bad_probability():
                 }
             )
         )
+    # NaN compares false with every bound; a value float() cannot read must
+    # name its context, not escape as a TypeError or ValueError
+    for p0 in (math.nan, math.inf, -math.inf, None, "abc", [0.5], {"p": 0.5}):
+        with pytest.raises(BadProbability, match="context"):
+            parse_kernel_spec(spec_doc([ctx_entry("", p0, 0.5)], "memoryless"))
 
 
 def test_parse_unknown_symbol():
@@ -285,8 +290,10 @@ def test_parse_family_constraints():
                 "full_markov",
             )
         )
-    with pytest.raises(KernelSpecError):
-        parse_kernel_spec(json.dumps({"alphabet": ["a", "b"], "type": "renewal_sqrt"}))
+    # a renewal alphabet must be the list ["0", "1"], not any other value
+    for alphabet in (["a", "b"], 7, "01", None, {"0": 1}):
+        with pytest.raises(KernelSpecError):
+            parse_kernel_spec(json.dumps({"alphabet": alphabet, "type": "renewal_sqrt"}))
     with pytest.raises(KernelSpecError):
         parse_kernel_spec("not json at all {")
     with pytest.raises(KernelSpecError):

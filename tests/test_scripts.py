@@ -26,11 +26,16 @@ def test_run_outcomes(tmp_path):
     out = run_script("run_outcomes.py", ["--seeds", "1"], tmp_path).splitlines()
     kernels = sorted(p.stem for p in (SCRIPTS.parent / "kernels").glob("*.json"))
     # every kernel, at L = 1..3, under four budgets, plain and audited;
-    # the renewal kernel also plain at the deep budgets, over 64 seeds
+    # the renewal kernel also plain at the deep budgets, over 64 seeds, and
+    # order1 at L=13 plain and audited
     deep = [line for line in out if line.split()[2] == "deep"]
-    assert len(out) - len(deep) == len(kernels) * 3 * 4 * 2
+    wide = [line for line in out if line.split()[2] == "wide"]
+    assert len(out) - len(deep) - len(wide) == len(kernels) * 3 * 4 * 2
     assert {line.split()[0] for line in deep} == {"renewal_sqrt"} and len(deep) == 3 * 64
     assert all(" audited=0 " in line and " sample=" in line for line in deep)
+    assert [line.split()[:4] for line in wide] == [
+        ["order1", "L=13", "wide", f"audited={a}"] for a in (0, 1)]
+    assert all(" sample=" in line for line in wide)
     assert {line.split()[0] for line in out} == set(kernels)
     assert any(" error=MaxDepthExceeded " in line for line in out)
     assert all(" tau=" in line and " records=" in line for line in out)
