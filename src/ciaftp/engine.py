@@ -22,8 +22,8 @@ from the same immutable nodes:
   into the previous map once, graft the subtrees reached by reference and
   rebuild only the slice's internal nodes.  So a step costs O(slice size),
   not O(state size).  Few distinct maps occur, so the table is also an
-  exact memo of whole steps, of at most :data:`MEMO_CAP` (interned map,
-  gap) transitions: a step that repeats one is a dict lookup;
+  exact memo of whole steps, which interns at most :data:`MEMO_CAP` maps:
+  a step that repeats a stored (map, gap) transition is a dict lookup;
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
   run-length-compressed side subtrees along the all-ones spine.  A step
@@ -68,7 +68,7 @@ from .errors import (
     NodeBudgetExceeded,
     UnsupportedOperation,
 )
-from .kernels import Kernel, RenewalSqrtKernel
+from .kernels import Kernel, RenewalSqrtKernel, check_enumeration
 from .tries import Alphabet, Context, ContextTrie, complete_trie, prune_minimal
 from .update_rule import DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, phi
 
@@ -298,6 +298,7 @@ def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
     cache."""
     if length < 1:
         raise ValueError("window length must be >= 1")
+    check_enumeration(len(symbols), length, f"windows of length {length}")
     # built from the leaves up; each level lists its contexts in
     # itertools.product order, so the children (g,) + c of context c sit
     # one stride apart
@@ -332,7 +333,7 @@ def _window(leaf: tuple, length: int) -> Context:
 
 # -- the slice table ---------------------------------------------------------
 
-# The most (map, gap) transitions a SliceTable stores; see SliceTable.
+# The most maps a SliceTable interns for its step memo; see SliceTable.
 MEMO_CAP = 256
 
 WalkStep = Tuple[int, int]
@@ -366,9 +367,10 @@ class SliceEntry:
     ``reach`` is the slice's :attr:`~ciaftp.update_rule.UpdateSlice.reach`:
     :func:`_backward` refuses the draw exactly when it exceeds
     ``max_depth``, as :func:`~ciaftp.update_rule.build_slice` does.
-    ``memo`` holds the table's stored transitions through this gap.  It is
-    not an init field, so an entry made by ``dataclasses.replace`` starts
-    with an empty memo of its own.
+    ``memo`` holds the table's stored transitions through this gap, at
+    most one per interned map, keyed by the map's ``id``.  It is not an
+    init field, so an entry made by ``dataclasses.replace`` starts with an
+    empty memo of its own.
     """
 
     walk: Tuple[WalkStep, ...]
@@ -451,22 +453,24 @@ class SliceTable:
     max(order, L), so only finitely many occur, and few in practice.
     ``maps`` interns them (shared-subtree root tuples, each its own key,
     so equal maps are one object) and ``starts`` holds the interned
-    initial map that every run of a window length starts from.  A step
-    from an interned map through a gap is stored in the gap's
-    :attr:`SliceEntry.memo`, keyed by the map's ``id``, which ``maps``
-    keeps alive and unique, as ``(next interned map, node touches)``, and
-    a run whose step repeats it reads it instead of running the program;
-    ``transitions`` counts the stored steps.  A program's result depends
-    only on the map's structure and the gap, so a stored transition gives
-    exactly what the program would: the memo is exact.  At most
-    :data:`MEMO_CAP` transitions are stored, and each interns at most one
-    new map, so the memo holds at most ``MEMO_CAP`` maps plus one start
-    for each window length: it is bounded.  A run that needs a new
-    transition when the memo is full runs the programs for the rest of its
-    steps.  desk_vlmc at L=3 takes 120 transitions between 38
-    maps, so it fits; order6 at L=1 repeats only about 6% of its steps even
-    with no cap, and its maps cost about 2.2 KB each (tracemalloc), so 256
-    transitions hold about 0.55 MB there.
+    initial map that every run of a window length starts from.  Every
+    step looks its map's ``id`` up in the gap's :attr:`SliceEntry.memo`;
+    a miss runs the program, and while ``maps`` holds fewer than
+    :data:`MEMO_CAP` maps (starts included) its result is interned and
+    stored there as ``(next interned map, node touches)``.  A program's
+    result depends only on the map's structure and the gap, so a stored
+    transition gives exactly what the program would: the memo is exact.
+    ``maps`` only grows, so while it has room every map a run holds is
+    interned and kept alive by it; once it is full, a map a run composes
+    is not interned, its ``id`` is no key (keys are ids of live interned
+    maps) and its steps miss and store nothing.  So the memo holds at most
+    ``MEMO_CAP`` maps plus one start for each window length, and at most
+    one transition per (map, gap).  Over seeds 0..2999
+    (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes 120 transitions
+    between 38 maps and the memo answers 99.3% of its steps; order2 at
+    L=3 stores 687 transitions on 256 maps (76.3%); order6 at L=1 stores
+    262 (1.0%), and its maps cost about 2.2 KB each (tracemalloc), so the
+    cap holds about 0.55 MB there.
     """
 
     def __init__(self, kernel: Kernel):
@@ -481,7 +485,6 @@ class SliceTable:
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
         self.maps: Dict[tuple, tuple] = {}
         self.starts: Dict[int, tuple] = {}
-        self.transitions = 0
         self._add(0.0)
 
     def lookup(self, u: float) -> SliceEntry:
@@ -552,47 +555,41 @@ class _SharedMap:
     """The composite map of a finite-order kernel, as shared subtrees.
 
     A step looks the draw's :class:`SliceEntry` up in the kernel's
-    :class:`SliceTable` and composes it onto the map with the entry's
-    program (:func:`_compose`), or reads the step from the table's memo
-    while the run's map is interned (``memo``).  Node touches count what
-    :func:`step` counts: the slice's touches plus the nodes of the
-    unpruned composition.
+    :class:`SliceTable` and reads the step from the entry's memo, or, on a
+    miss, composes it onto the map with the entry's program
+    (:func:`_compose`) and stores it while the table's ``maps`` has room.
+    Node touches count what :func:`step` counts: the slice's touches plus
+    the nodes of the unpruned composition.
     """
 
-    __slots__ = ("length", "arity", "lookup", "table", "memo", "root", "coalesced")
+    __slots__ = ("length", "arity", "lookup", "maps", "root", "coalesced")
 
     def __init__(self, kernel: Kernel, length: int):
         self.length = length
         self.arity = kernel.alphabet.size
-        self.table = table = slice_table(kernel)
+        table = slice_table(kernel)
         self.lookup = table.lookup
-        self.memo = True
+        self.maps = maps = table.maps
         root = table.starts.get(length)
         if root is None:
             root = _initial_map(kernel.alphabet.symbols, length)
-            root = table.starts[length] = table.maps.setdefault(root, root)
+            root = table.starts[length] = maps.setdefault(root, root)
         self.root = root
         self.coalesced = False  # a run composes at least one draw
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:
         entry = self.lookup(u)
         root = self.root
-        if self.memo:
-            hit = entry.memo.get(id(root))
-            if hit is not None:
-                root, touches = hit
-            else:
-                new, touches = _compose(root, entry, self.arity)
-                table = self.table
-                if table.transitions < MEMO_CAP:
-                    new = table.maps.setdefault(new, new)
-                    entry.memo[id(root)] = (new, touches)
-                    table.transitions += 1
-                else:
-                    self.memo = False  # the memo is full: leave it for good
-                root = new
+        hit = entry.memo.get(id(root))
+        if hit is not None:
+            root, touches = hit
         else:
-            root, touches = _compose(root, entry, self.arity)
+            new, touches = _compose(root, entry, self.arity)
+            maps = self.maps
+            if len(maps) < MEMO_CAP:
+                new = maps.setdefault(new, new)
+                entry.memo[id(root)] = (new, touches)
+            root = new
         self.root = root
         self.coalesced = root[0] is None
         return touches, entry.depth, entry.is_regeneration, entry.reach
@@ -803,6 +800,7 @@ class _TableMap:
         self.order = order
         self.symbols = kernel.alphabet.symbols
         self.m = max(order, length)
+        check_enumeration(len(self.symbols), self.m, f"histories of length {self.m}")
         self.table: Dict[Context, Context] = {
             h: h[-length:] for h in itertools.product(self.symbols, repeat=self.m)
         }

@@ -13,6 +13,10 @@ class TrieStructureError(CiaftpError):
     code = "TrieStructure"
 
 
+class IncompleteTrie(TrieStructureError):
+    """An internal trie node lacks a branch for some symbol."""
+
+
 class KernelSpecError(CiaftpError):
     """A kernel specification file is invalid."""
 

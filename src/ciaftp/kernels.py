@@ -29,6 +29,7 @@ from .errors import (
     BadProbability,
     EnumerationGuardExceeded,
     IncompleteDictionary,
+    IncompleteTrie,
     KernelSpecError,
     OverlappingContexts,
     TrieStructureError,
@@ -41,6 +42,15 @@ PROB_TOL = 1e-12
 ENUM_GUARD = 10**7
 
 Distribution = Tuple[float, ...]
+
+
+def check_enumeration(size: int, k: int, what: str) -> None:
+    """Refuse, before anything is built, to list the ``size**k`` words of
+    length k (``what``) past :data:`ENUM_GUARD`."""
+    if size**k > ENUM_GUARD:
+        raise EnumerationGuardExceeded(
+            f"{what}: |G|^{k} = {size ** k} exceeds the enumeration guard {ENUM_GUARD}"
+        )
 
 
 def check_distribution(alphabet: Alphabet, probs: Distribution, where: str = "") -> None:
@@ -104,10 +114,7 @@ class Kernel:
         """Worst-case lower-bound mass over all depth-k contexts."""
         if k < 0:
             raise ValueError("depth must be >= 0")
-        if self.alphabet.size**k > ENUM_GUARD:
-            raise EnumerationGuardExceeded(
-                f"|G|^{k} = {self.alphabet.size ** k} exceeds the enumeration guard"
-            )
+        check_enumeration(self.alphabet.size, k, f"depth-{k} contexts")
         return min(
             self.lower_bounds(ctx).mass
             for ctx in itertools.product(self.alphabet.symbols, repeat=k)
@@ -375,11 +382,10 @@ def parse_kernel_spec(text: str) -> Kernel:
 
     try:
         trie = ContextTrie.from_leaves(alphabet, leaves)
+    except IncompleteTrie as exc:
+        raise IncompleteDictionary(str(exc)) from exc
     except TrieStructureError as exc:
-        msg = str(exc)
-        if "incomplete" in msg or "uncovered" in msg:
-            raise IncompleteDictionary(msg) from exc
-        raise OverlappingContexts(msg) from exc
+        raise OverlappingContexts(str(exc)) from exc
 
     if family == "memoryless" and trie.depth() != 0:
         raise KernelSpecError("memoryless kernels take exactly the empty context")

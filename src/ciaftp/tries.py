@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from .errors import TrieStructureError, UnknownSymbol
+from .errors import IncompleteTrie, TrieStructureError, UnknownSymbol
 
 Symbol = str
 Context = Tuple[Symbol, ...]
@@ -35,6 +35,12 @@ class Alphabet:
             raise ValueError("alphabet must not be empty")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
+        # longer names are written joined by "," (format_word)
+        if not self.single_char and any(g == "" or "," in g for g in self.symbols):
+            raise ValueError(
+                f"symbol names {self.symbols} must be non-empty and free of ',' "
+                "unless every name is one character"
+            )
         object.__setattr__(self, "_index", {g: i for i, g in enumerate(self.symbols)})
 
     @property
@@ -166,7 +172,7 @@ class ContextTrie:
                 continue
             if len(node.children) != full:
                 missing = next(g for g in self.alphabet if g not in node.children)
-                raise TrieStructureError(
+                raise IncompleteTrie(
                     f"incomplete node at context {ctx}: no branch for symbol {missing!r} "
                     f"(uncovered context {(missing,) + ctx})"
                 )

@@ -123,6 +123,28 @@ def test_bad_kernel_spec(tmp_path, capsys):
     assert "IncompleteDictionary" in err
 
 
+def test_symbol_name_with_a_comma(tmp_path, capsys):
+    # a multi-character name holding "," would make windows ambiguous
+    bad = tmp_path / "comma.json"
+    bad.write_text(json.dumps({"alphabet": ["a,b", "c"], "type": "memoryless",
+                               "contexts": [{"context": "", "probs": {"a,b": 0.5, "c": 0.5}}]}))
+    rc, out, err = run_cli(["sample", "--kernel", str(bad), "--length", "3",
+                            "--seed", "3", "--no-timing"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ciaftp: error: KernelSpec: ")
+    assert err.count("\n") == 1
+
+
+def test_window_too_large_to_enumerate(capsys):
+    # 2^24 windows pass the enumeration guard: refused before any is built
+    rc, _, err = run_cli(["sample", "--kernel", kpath("order1"), "--length", "24",
+                          "--seed", "0", "--no-timing"], capsys)
+    assert rc == 1
+    assert err.startswith("ciaftp: error: EnumerationGuard: ")
+    assert err.count("\n") == 1
+
+
 def test_non_utf8_kernel_spec(tmp_path, capsys):
     # a spec that is not UTF-8 text (here a UTF-16 byte-order mark) is a
     # spec error with one line, no traceback

@@ -18,6 +18,7 @@ from ciaftp.engine import (
 )
 from ciaftp.errors import (
     BudgetError,
+    EnumerationGuardExceeded,
     InvariantViolation,
     IterationLimitExceeded,
     MaxDepthExceeded,
@@ -423,7 +424,7 @@ def _program_outcomes(monkeypatch, make, length, seeds):
     monkeypatch.setattr(engine, "MEMO_CAP", 0)
     k = make()
     out = [_outcome(k, length, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
-    assert slice_table(k).transitions == 0
+    assert not any(entry.memo for entry in slice_table(k).entries)
     monkeypatch.undo()
     return out
 
@@ -453,37 +454,70 @@ def test_step_memo_cannot_be_seen(monkeypatch):
         assert len(composed) < sum(outcome[2] for outcome in got), (k.order, length)
 
 
+def _transitions(table):
+    return sum(len(entry.memo) for entry in table.entries)
+
+
 def test_step_memo_holds_at_most_its_cap(monkeypatch):
-    # order6 at L=1 takes far more distinct transitions than the cap: the
-    # table stores exactly the cap, runs then leave the memo, and outcomes
-    # stay the program's
+    # order6 at L=1 reaches far more distinct maps than the cap: the table
+    # interns the cap's worth plus its start, a full memo stores nothing
+    # more, and outcomes stay the program's
     make = functools.partial(load_kernel, str(KERNELS / "order6.json"))
     seeds = range(200, 212)
     want = _program_outcomes(monkeypatch, make, 1, seeds)
     k = make()
     table = slice_table(k)
-    refused = []
+    full = []
     compose = engine._compose
 
     def counting(*args):
-        # a program run on a full memo is a transition the memo refuses
-        refused.append(table.transitions >= engine.MEMO_CAP)
+        full.append(len(table.maps) >= engine.MEMO_CAP)
         return compose(*args)
 
     monkeypatch.setattr(engine, "_compose", counting)
     for seed in range(2000):
         run(k, 1, RngStream(seed))
-        if any(refused):
+        if any(full):
             break
-    assert any(refused)  # the runs wanted more transitions than the cap
+    assert any(full)  # a program ran on a full memo
     monkeypatch.undo()
+    stored = _transitions(table)
     got = [_outcome(k, 1, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
     assert got == want
-    assert table.transitions == engine.MEMO_CAP
-    assert sum(len(entry.memo) for entry in table.entries) == engine.MEMO_CAP
+    assert _transitions(table) == stored  # a full memo takes no new transition
     assert list(table.starts) == [1]
     assert len(table.maps) <= engine.MEMO_CAP + len(table.starts)
     assert all(table.maps[root] is root for root in table.maps)
+    # every key is an interned map and every stored step leads to one; each
+    # gap has one entry, so there is at most one transition per (map, gap)
+    interned = {id(root) for root in table.maps}
+    for entry in table.entries:
+        assert set(entry.memo) <= interned
+        assert all(table.maps[after] is after for after, _ in entry.memo.values())
+    assert len(set(table.lows)) == len(table.entries)
+
+
+def test_step_memo_counts_maps_not_transitions():
+    # order2 at L=3 keeps stepping between few maps: it stores more than
+    # MEMO_CAP transitions while interning at most MEMO_CAP maps and its start
+    k = load_kernel(str(KERNELS / "order2.json"))
+    table = slice_table(k)
+    for seed in range(500):
+        run(k, 3, RngStream(seed))
+        if _transitions(table) > engine.MEMO_CAP:
+            break
+    assert _transitions(table) > engine.MEMO_CAP
+    assert len(table.maps) <= engine.MEMO_CAP + 1
+
+
+@pytest.mark.parametrize("sampler, name", [(run, "order1"), (pw_extended, "order1"),
+                                           (run, "renewal_sqrt")])
+def test_window_too_large_to_enumerate(sampler, name):
+    # a binary window of L=24 has 2^24 values, past kernels.ENUM_GUARD: the
+    # sampler refuses before building any of them
+    k = load_kernel(str(KERNELS / f"{name}.json"))
+    with pytest.raises(EnumerationGuardExceeded):
+        sampler(k, 24, RngStream(0))
 
 
 def test_wide_windows_share_their_start_and_the_memo(monkeypatch):

@@ -242,6 +242,22 @@ def test_parse_overlapping_contexts():
         parse_kernel_spec(spec_doc([ctx_entry("0", 0.7, 0.3), ctx_entry("0", 0.7, 0.3)]))
 
 
+def _named_spec(alphabet, contexts):
+    # every context gets the uniform law over the alphabet
+    probs = {g: 1 / len(alphabet) for g in alphabet}
+    return json.dumps({"alphabet": alphabet, "type": "context_tree",
+                       "contexts": [{"context": c, "probs": probs} for c in contexts]})
+
+
+def test_spec_error_does_not_depend_on_symbol_names():
+    # the error class follows the trie's fault, not words its message quotes
+    with pytest.raises(OverlappingContexts):
+        parse_kernel_spec(_named_spec(["uncovered", "x"], ["uncovered", "x", "x,uncovered"]))
+    with pytest.raises(IncompleteDictionary):
+        parse_kernel_spec(_named_spec(["incomplete", "uncovered"],
+                                      ["uncovered", "uncovered,incomplete"]))
+
+
 def test_parse_bad_probability():
     with pytest.raises(BadProbability):
         parse_kernel_spec(spec_doc([ctx_entry("", 0.5, 0.6)], "memoryless"))

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -43,3 +45,19 @@ def test_run_outcomes(tmp_path):
     plain = [line for line in out if " audited=0 " in line and line not in deep]
     audited = [line.replace(" audited=1 ", " audited=0 ") for line in out if " audited=1 " in line]
     assert plain == audited
+
+
+def test_memo_traffic(tmp_path):
+    out = run_script("memo_traffic.py", ["--seeds", "3"], tmp_path).splitlines()
+    assert out[0].split() == ["kernel", "L", "seeds", "steps", "programs", "memo_share",
+                              "maps", "transitions"]
+    kernels = sorted(p.stem for p in (SCRIPTS.parent / "kernels").glob("*.json"))
+    # every finite kernel at L = 1..3; the renewal kernel has no slice table
+    assert [line.split()[:2] for line in out[1:]] == [
+        [name, str(length)] for name in kernels if name != "renewal_sqrt"
+        for length in (1, 2, 3)]
+    for line in out[1:]:
+        steps, programs, share, maps, transitions = line.split()[3:]
+        assert 0 < int(programs) <= int(steps)
+        assert float(share) == pytest.approx(1 - int(programs) / int(steps), abs=1e-4)
+        assert 0 < int(maps) and 0 < int(transitions)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciaftp.errors import TrieStructureError, UnknownSymbol
+from ciaftp.errors import IncompleteTrie, TrieStructureError, UnknownSymbol
 from ciaftp.tries import (
     Alphabet,
     ContextTrie,
@@ -42,6 +42,20 @@ def test_alphabet_rejects_duplicates():
         Alphabet(())
 
 
+@pytest.mark.parametrize("symbols", [("a,b", "c"), ("lo", ","), ("", "hi"), ("a", "")])
+def test_alphabet_rejects_names_words_cannot_hold(symbols):
+    # names longer than one character are joined by ",", so none may be
+    # empty or contain ","
+    with pytest.raises(ValueError):
+        Alphabet(symbols)
+
+
+def test_single_char_alphabet_may_use_a_comma():
+    alphabet = Alphabet((",", "a"))
+    assert alphabet.parse_word(",a,") == (",", "a", ",")
+    assert alphabet.format_word((",", "a")) == ",a"
+
+
 def test_is_suffix():
     assert is_suffix((), ("0", "1"))
     assert is_suffix(("1",), ("0", "1"))
@@ -76,12 +90,13 @@ def test_find_suffix_unknown_symbol():
 
 
 def test_from_leaves_rejects_overlap():
-    with pytest.raises(TrieStructureError):
+    with pytest.raises(TrieStructureError) as exc:
         ContextTrie.from_leaves(BINARY, [("0",), ("0", "1"), ("1", "1"), ("1",)])
+    assert not isinstance(exc.value, IncompleteTrie)
 
 
 def test_from_leaves_rejects_incomplete():
-    with pytest.raises(TrieStructureError) as exc:
+    with pytest.raises(IncompleteTrie) as exc:
         ContextTrie.from_leaves(BINARY, [("0",), ("0", "1")])
     assert "1" in str(exc.value)  # names an uncovered context
 
