@@ -12,8 +12,11 @@ L=3.  The audited reference is left out there, because it expands a slice
 node by node at O(depth^2) cost; plain runs are cheap.  ``order1`` also
 runs at L=13 (the ``wide`` case: 8192 leaves), plain and audited, at the
 default budgets for seeds 0..N-1, so the diff covers windows of more than
-4096 leaves too.  A line gives the
-case, the sample or the budget error's code and message, ``tau``,
+4096 leaves too.  Finite-order kernels also run the ``pw_extended``
+baseline at L=1..3, at the default budgets and at ``max_iter=3``, for
+seeds 0..N-1, so the diff reaches ``phi`` and the full table map.  A line
+gives the kernel, L, the budget, ``audited=0|1`` or ``pw_extended``, the
+seed, the sample or the budget error's code and message, ``tau``,
 ``iterations``, ``node_touches``, ``max_slice_depth``,
 ``regeneration_times`` and a sha256 of the trace records.  Running it on
 two checkouts and diffing the output shows whether a change kept every
@@ -26,6 +29,7 @@ Usage:
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -42,13 +46,14 @@ BUDGETS = [
 # infinite-memory kernels only, plain only, over at least DEEP_SEEDS seeds
 DEEP = ("deep", {"max_depth": 10**12, "max_nodes": 10**15})
 DEEP_SEEDS = 64
+# the pw_extended baseline, finite-order kernels only
+PW_BUDGETS = [BUDGETS[0], BUDGETS[3]]
 
 
-def outcome(run, kernel, length, rng, audited, budget, budget_error):
+def outcome(sampler, kernel, length, rng, budget, budget_error):
     """The reported fields of one traced run, as ``key=value`` strings."""
-    check = (lambda a: None) if audited else None
     try:
-        res = run(kernel, length, rng, trace=True, on_iteration=check, **budget)
+        res = sampler(kernel, length, rng, trace=True, **budget)
     except budget_error as exc:
         head, d = f"error={exc.code} message={json.dumps(str(exc))}", exc.diagnostics
     else:
@@ -70,26 +75,31 @@ def main() -> int:
                     help="directory of the kernel specs to run")
     args = ap.parse_args()
     sys.path.insert(0, str(args.src))
-    from ciaftp.engine import RngStream, run
+    from ciaftp.engine import RngStream, pw_extended, run
     from ciaftp.errors import BudgetError
     from ciaftp.kernels import load_kernel
 
+    plain = [("audited=0", run)]
+    both = plain + [("audited=1", functools.partial(run, on_iteration=lambda a: None))]
     for path in sorted(args.kernels.glob("*.json")):
         kernel = load_kernel(str(path))
-        cases = [(name, budget, (False, True), args.seeds) for name, budget in BUDGETS]
+        cases = [(name, budget, both, args.seeds) for name, budget in BUDGETS]
         if kernel.order is None:
-            cases.append((*DEEP, (False,), max(args.seeds, DEEP_SEEDS)))
+            cases.append((*DEEP, plain, max(args.seeds, DEEP_SEEDS)))
+        else:
+            cases += [(name, budget, [("pw_extended", pw_extended)], args.seeds)
+                      for name, budget in PW_BUDGETS]
         grid = [(length, cases) for length in (1, 2, 3)]
         if path.stem == "order1":
-            grid.append((13, [("wide", {}, (False, True), args.seeds)]))
+            grid.append((13, [("wide", {}, both, args.seeds)]))
         for length, length_cases in grid:
-            for name, budget, auditeds, seeds in length_cases:
-                for audited in auditeds:
+            for name, budget, samplers, seeds in length_cases:
+                for tag, sampler in samplers:
                     for seed in range(seeds):
-                        line = outcome(run, kernel, length, RngStream(seed), audited, budget,
+                        line = outcome(sampler, kernel, length, RngStream(seed), budget,
                                        BudgetError)
-                        print(f"{path.stem} L={length} {name} audited={int(audited)}"
-                              f" seed={seed} {line}", flush=True)
+                        print(f"{path.stem} L={length} {name} {tag} seed={seed} {line}",
+                              flush=True)
     return 0
 
 

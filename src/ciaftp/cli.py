@@ -266,7 +266,7 @@ def _inspect_kernel(kernel, args, buf: io.StringIO) -> None:
         closed = sorted(prefix_closure(trie).leaf_contexts())
         fmt = kernel.alphabet.format_word
         buf.write("# prefix closure: {" + ", ".join(fmt(c) or "ε" for c in closed) + "}\n")
-        d = trie.depth()
+        d = kernel.order
         n_leaves = trie.leaf_count()
         buf.write(
             f"# closure size {len(closed)} <= |D|*depth = {n_leaves}*{d}"

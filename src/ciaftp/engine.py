@@ -31,7 +31,8 @@ from the same immutable nodes:
   spine masses, then costs O(number of runs), whatever the depth;
 * :class:`_TableMap` - the full depth-d table of an order-d chain, the
   classical baseline behind :func:`pw_extended`; it evaluates ``phi``
-  pointwise and shares no slice code with the other two.
+  pointwise, one bisection in a cached interval layout per history, and
+  shares no slice code with the other two.
 
 Runs of one kernel share the start of each window length, whatever its
 size, in one place: the kernel's own cache, ``kernel.slice_cache``.

@@ -87,16 +87,17 @@ class Kernel:
         # the slice table (engine.slice_table) of a finite-order kernel, or
         # the renewal comb's start of each window length
         self.slice_cache = None
+        # update_rule.phi's interval layouts of a finite-order kernel, by
+        # context of at most ``order`` symbols
+        self.layouts: Dict[Context, tuple] = {}
 
     def __getstate__(self) -> dict:
         # the slice table holds its kernel weakly and cannot be pickled:
-        # every process builds its own cache
-        return dict(self.__dict__, slice_cache=None)
+        # every process builds its own caches
+        return dict(self.__dict__, slice_cache=None, layouts={})
 
-    @property
-    def order(self) -> Optional[int]:
-        """Markov order, or None for infinite memory."""
-        return None
+    # Markov order, or None for infinite memory
+    order: Optional[int] = None
 
     def lower_bounds(self, s: Context) -> LowerBoundRow:
         raise NotImplementedError
@@ -131,11 +132,9 @@ class ContextTreeKernel(Kernel):
         for ctx, probs in trie.leaves():
             check_distribution(trie.alphabet, probs, where=f" at context {ctx}")
         self.trie = trie
+        # the trie is never changed, so its depth is read once
+        self.order: int = trie.depth()
         self._rows: Dict[Context, LowerBoundRow] = {}
-
-    @property
-    def order(self) -> int:
-        return self.trie.depth()
 
     def lower_bounds(self, s: Context) -> LowerBoundRow:
         row = self._rows.get(s)
@@ -153,7 +152,7 @@ class ContextTreeKernel(Kernel):
 
     def min_mass(self, k: int) -> float:
         # beyond the dictionary depth every context resolves exactly
-        if k >= self.trie.depth():
+        if k >= self.order:
             if k < 0:
                 raise ValueError("depth must be >= 0")
             return 1.0
@@ -211,10 +210,6 @@ class RenewalSqrtKernel(Kernel):
 
     def __init__(self) -> None:
         super().__init__(Alphabet(("0", "1")))
-
-    @property
-    def order(self) -> None:
-        return None
 
     @staticmethod
     def p_zero(trailing_ones: int) -> float:

@@ -14,6 +14,14 @@ boundaries from one helper, :func:`_level_ends`, in one canonical order
 never disagrees between table construction, pointwise evaluation and slice
 expansion.  The same helper closes every resolving level at exactly 1.0.
 
+:func:`phi` evaluates one context pointwise.  For a finite-order kernel
+it bisects the context's layout, which depends on the context's last
+``order`` symbols only: level ``order`` resolves and ends at 1.0, so no
+draw reads a deeper level.  The layout is built once per such context by
+the same helper and cached on the kernel (``kernel.layouts``).  Contexts
+of infinite-memory kernels are unbounded, so there ``phi`` scans the
+levels up to the first interval end above ``u`` and stores nothing.
+
 :func:`build_slice` expands the slice node by node from the kernel's
 lower-bound rows alone, for finite and infinite memory alike, and returns
 a validated :class:`UpdateSlice` trie.  It also reports the slice's reach
@@ -26,6 +34,7 @@ the sampler does with slices, and how it stores them, is up to
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -106,6 +115,18 @@ def interval_table(kernel: Kernel, w: Context, u_cap: float = 1.0) -> List[Inter
     return out
 
 
+def _layout(kernel: Kernel, w: Context) -> Tuple[Tuple[float, ...], Tuple[Optional[Symbol], ...]]:
+    """The running maximum of the chain ``w``'s interval ends, in canonical
+    order, and each interval's symbol followed by None: the position of the
+    first end above ``u`` gives ``u``'s update value."""
+    ends, top = [], 0.0
+    for _, _, level_ends in _levels(kernel, w):
+        for end in level_ends:
+            top = max(top, end)
+            ends.append(top)
+    return tuple(ends), kernel.alphabet.symbols * (len(w) + 1) + (None,)
+
+
 def phi(kernel: Kernel, u: float, s: Context) -> Optional[Symbol]:
     """The update value at context ``s``, or None when ``s`` is too short
     to determine it (``u`` at or above the accumulated context mass)."""
@@ -113,11 +134,22 @@ def phi(kernel: Kernel, u: float, s: Context) -> Optional[Symbol]:
         raise ValueError("u must lie in [0, 1)")
     # the levels below the first one ending above u end at or below u, so
     # the first interval ending above u holds it
-    for _, _, ends in _levels(kernel, s):
-        for g, end in zip(kernel.alphabet.symbols, ends):
-            if u < end:
-                return g
-    return None
+    order = kernel.order
+    if order is None:
+        # unbounded contexts: scan up to that interval, and store nothing
+        for _, _, ends in _levels(kernel, s):
+            for g, end in zip(kernel.alphabet.symbols, ends):
+                if u < end:
+                    return g
+        return None
+    # level ``order`` resolves and closes at exactly 1.0, so no draw reads
+    # a deeper level: the last ``order`` symbols give the layout
+    key = s[len(s) - order:] if len(s) > order else s
+    layout = kernel.layouts.get(key)
+    if layout is None:
+        layout = kernel.layouts[key] = _layout(kernel, key)
+    ends, answers = layout
+    return answers[bisect_right(ends, u)]
 
 
 def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) -> UpdateSlice:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,17 @@ def test_run_many_jobs_after_a_run():
     serial = run_many(k, 1, 40, 0, 8, timing=False)
     assert run_many(k, 1, 40, 0, 8, timing=False, jobs=2) == serial
     assert k.slice_cache is not None
+
+
+def test_run_many_pw_jobs_after_a_run():
+    # phi's cached layouts stay behind too: each worker builds its own
+    k = load_kernel(str(KERNELS / "order2.json"))
+    pw_extended(k, 2, RngStream(0))
+    layouts = dict(k.layouts)
+    assert layouts and pickle.loads(pickle.dumps(k)).layouts == {}
+    serial = run_many(k, 2, 40, 0, 8, algorithm="pw_extended", timing=False)
+    assert run_many(k, 2, 40, 0, 8, algorithm="pw_extended", timing=False, jobs=2) == serial
+    assert k.layouts == layouts
 
 
 def test_run_many_budget_rows():

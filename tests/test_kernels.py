@@ -23,6 +23,7 @@ from ciaftp.kernels import (
     expected_depth_bound,
     full_markov_kernel,
     kernel_to_spec,
+    load_kernel,
     memoryless_kernel,
     parse_kernel_spec,
 )
@@ -73,6 +74,19 @@ def test_desk_min_mass():
 def test_order1_coupled_mass():
     k = order1_chain()
     assert k.lower_bounds(()).mass == pytest.approx(0.9, abs=1e-15)
+
+
+def test_order_is_the_trie_depth():
+    kernels = Path(__file__).resolve().parent.parent / "kernels"
+    ks = [load_kernel(str(p)) for p in sorted(kernels.glob("*.json"))]
+    rng = np.random.Generator(np.random.PCG64(17))
+    ks += [random_vlmc(rng, a, int(rng.integers(0, 12))) for a in (BINARY, TERNARY)
+           for _ in range(10)]
+    for k in ks:
+        if isinstance(k, RenewalSqrtKernel):
+            assert k.order is None
+        else:
+            assert k.order == k.trie.depth()
 
 
 def test_memoryless_kernel():

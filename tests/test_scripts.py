@@ -28,16 +28,21 @@ def test_run_outcomes(tmp_path):
     out = run_script("run_outcomes.py", ["--seeds", "1"], tmp_path).splitlines()
     kernels = sorted(p.stem for p in (SCRIPTS.parent / "kernels").glob("*.json"))
     # every kernel, at L = 1..3, under four budgets, plain and audited;
-    # the renewal kernel also plain at the deep budgets, over 64 seeds, and
-    # order1 at L=13 plain and audited
+    # the renewal kernel also plain at the deep budgets, over 64 seeds,
+    # order1 at L=13 plain and audited, and every finite kernel through
+    # pw_extended at L = 1..3 under two budgets
     deep = [line for line in out if line.split()[2] == "deep"]
     wide = [line for line in out if line.split()[2] == "wide"]
-    assert len(out) - len(deep) - len(wide) == len(kernels) * 3 * 4 * 2
+    pw = [line for line in out if line.split()[3] == "pw_extended"]
+    assert len(out) - len(deep) - len(wide) - len(pw) == len(kernels) * 3 * 4 * 2
     assert {line.split()[0] for line in deep} == {"renewal_sqrt"} and len(deep) == 3 * 64
     assert all(" audited=0 " in line and " sample=" in line for line in deep)
     assert [line.split()[:4] for line in wide] == [
         ["order1", "L=13", "wide", f"audited={a}"] for a in (0, 1)]
     assert all(" sample=" in line for line in wide)
+    assert [line.split()[:3] for line in pw] == [
+        [name, f"L={length}", budget] for name in kernels if name != "renewal_sqrt"
+        for length in (1, 2, 3) for budget in ("default", "max_iter=3")]
     assert {line.split()[0] for line in out} == set(kernels)
     assert any(" error=MaxDepthExceeded " in line for line in out)
     assert all(" tau=" in line and " records=" in line for line in out)
@@ -45,6 +50,13 @@ def test_run_outcomes(tmp_path):
     plain = [line for line in out if " audited=0 " in line and line not in deep]
     audited = [line.replace(" audited=1 ", " audited=0 ") for line in out if " audited=1 " in line]
     assert plain == audited
+    # and pw_extended samples what run samples at the default budgets
+    pw_samples = [line.split()[:2] + line.split()[5:6] for line in pw
+                  if " default " in line]
+    run_samples = [line.split()[:2] + line.split()[5:6] for line in plain
+                   if " default " in line and line.split()[0] != "renewal_sqrt"
+                   and line.split()[1] != "L=13"]
+    assert pw_samples == run_samples
 
 
 def test_memo_traffic(tmp_path):

@@ -398,3 +398,65 @@ def test_top_draw_resolves_on_shipped_kernels():
 
         for length in (1, 2):
             assert outcome(run, length) == outcome(pw_extended, length), (path.name, length)
+
+
+class _ShrinkingRows(ContextTreeKernel):
+    """A context-tree kernel whose unresolved rows are scaled down by random
+    factors, one draw per context: a deeper context may then lose mass, so
+    interval ends need not ascend.  Not a valid coupling, but its layout
+    still has a first interval ending above each draw."""
+
+    def __init__(self, trie, seed):
+        super().__init__(trie)
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._scales = {}
+
+    def lower_bounds(self, s):
+        row = super().lower_bounds(s)
+        if row.resolved:
+            return row
+        if s not in self._scales:
+            self._scales[s] = self._rng.random(self.alphabet.size)
+        lower = tuple(float(p * f) for p, f in zip(row.lower, self._scales[s]))
+        return LowerBoundRow(s, lower, math.fsum(lower))
+
+
+def test_phi_matches_a_scan_of_the_layout():
+    # every context of length 0..order+2, at 0, the top draw, every interval
+    # end and the double below it, and random draws: phi answers what the
+    # first interval of the layout ending above u holds, or None
+    rng = np.random.Generator(np.random.PCG64(8))
+    shrinking = [(f"shrinking-{name}", _ShrinkingRows(k.trie, i))
+                 for i, (name, k) in enumerate(_finite_kernels()) if k.order]
+    for name, k in _finite_kernels() + shrinking:
+        for length in range(k.order + 3):
+            for s in all_contexts(k.alphabet, length):
+                table = interval_table(k, s)
+                ends = [iv.beta for iv in table]
+                draws = [0.0, TOP, *ends, *(math.nextafter(e, 0.0) for e in ends),
+                         *rng.random(3)]
+                for u in draws:
+                    if u < 1.0:
+                        want = next((iv.symbol for iv in table if u < iv.beta), None)
+                        assert phi(k, float(u), s) == want, (name, s, u)
+        # one layout per context of at most order symbols
+        assert k.layouts and all(len(key) <= k.order for key in k.layouts), name
+
+
+def test_phi_on_infinite_memory_scans_and_stores_nothing():
+    # contexts are unbounded, so the scan stops at the first end above u
+    k = RenewalSqrtKernel()
+    ones = ("1",) * 10**4
+    assert phi(k, 0.5, ones) == "0"  # level 4: p_zero(4) > 0.5
+    assert phi(k, 0.9, ones) == "0"  # level 99
+    assert phi(k, 0.9, ones + ("0",)) == "1"
+    assert phi(k, 0.5, ("1",)) is None
+    assert k.layouts == {}
+
+
+def test_phi_refuses_draws_outside_the_unit_interval():
+    for k in (desk_vlmc(), RenewalSqrtKernel()):
+        for u in (1.0, -0.0 - 1e-300, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                phi(k, u, ("0", "1"))
+        assert k.layouts == {}
