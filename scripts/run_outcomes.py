@@ -18,9 +18,10 @@ seeds 0..N-1, so the diff reaches ``phi`` and the full table map.  A line
 gives the kernel, L, the budget, ``audited=0|1`` or ``pw_extended``, the
 seed, the sample or the budget error's code and message, ``tau``,
 ``iterations``, ``node_touches``, ``max_slice_depth``,
-``regeneration_times`` and a sha256 of the trace records.  Running it on
-two checkouts and diffing the output shows whether a change kept every
-outcome.
+``regeneration_times``, a sha256 of the trace records and
+``plain=same|differs``: whether the same call without ``trace=True``
+reports the same, records aside.  Running it on two checkouts and diffing
+the output shows whether a change kept every outcome, traced and untraced.
 
 Usage:
     python scripts/run_outcomes.py --seeds 6 > change.txt
@@ -50,19 +51,29 @@ DEEP_SEEDS = 64
 PW_BUDGETS = [BUDGETS[0], BUDGETS[3]]
 
 
-def outcome(sampler, kernel, length, rng, budget, budget_error):
-    """The reported fields of one traced run, as ``key=value`` strings."""
+def report(sampler, kernel, length, seed, budget, budget_error, trace):
+    """The reported fields of one run, as ``key=value`` strings, and its
+    trace records (None untraced)."""
+    from ciaftp.engine import RngStream
+
     try:
-        res = sampler(kernel, length, rng, trace=True, **budget)
+        res = sampler(kernel, length, RngStream(seed), trace=trace, **budget)
     except budget_error as exc:
         head, d = f"error={exc.code} message={json.dumps(str(exc))}", exc.diagnostics
     else:
         head, d = f"sample={kernel.alphabet.format_word(res.sample)}", res.diagnostics
-    records = hashlib.sha256(repr([vars(r) for r in d.records]).encode()).hexdigest()
     return (f"{head} tau={d.tau} iterations={d.iterations} node_touches={d.node_touches}"
             f" max_slice_depth={d.max_slice_depth}"
-            f" regeneration_times={','.join(map(str, d.regeneration_times))}"
-            f" records={records}")
+            f" regeneration_times={','.join(map(str, d.regeneration_times))}"), d.records
+
+
+def outcome(sampler, kernel, length, seed, budget, budget_error):
+    """The traced run's fields and records digest, and whether the untraced
+    run reports the same fields."""
+    fields, records = report(sampler, kernel, length, seed, budget, budget_error, True)
+    plain, _ = report(sampler, kernel, length, seed, budget, budget_error, False)
+    digest = hashlib.sha256(repr([vars(r) for r in records]).encode()).hexdigest()
+    return f"{fields} records={digest} plain={'same' if plain == fields else 'differs'}"
 
 
 def main() -> int:
@@ -75,7 +86,7 @@ def main() -> int:
                     help="directory of the kernel specs to run")
     args = ap.parse_args()
     sys.path.insert(0, str(args.src))
-    from ciaftp.engine import RngStream, pw_extended, run
+    from ciaftp.engine import pw_extended, run
     from ciaftp.errors import BudgetError
     from ciaftp.kernels import load_kernel
 
@@ -96,8 +107,7 @@ def main() -> int:
             for name, budget, samplers, seeds in length_cases:
                 for tag, sampler in samplers:
                     for seed in range(seeds):
-                        line = outcome(sampler, kernel, length, RngStream(seed), budget,
-                                       BudgetError)
+                        line = outcome(sampler, kernel, length, seed, budget, BudgetError)
                         print(f"{path.stem} L={length} {name} {tag} seed={seed} {line}",
                               flush=True)
     return 0

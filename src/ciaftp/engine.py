@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -219,38 +220,29 @@ def _backward(
     context its slice's expansion visits) exceeds ``max_depth`` raises
     MaxDepthExceeded, as in :func:`~ciaftp.update_rule.build_slice`, before
     the step is counted.
+
+    One helper, :func:`_diagnostics`, builds the diagnostics of a success
+    and of each budget error from the loop's locals as it returns or raises:
+    a closure would keep the counters in cells, and every step's updates
+    and budget checks would pay a cell access.
     """
-    t = 0
-    touches = 0
-    max_slice_depth = 0
+    t = touches = max_slice_depth = 0
     regen: List[int] = []
     records: Optional[List[IterationRecord]] = [] if trace else None
-
-    def diag(tau: Optional[int]) -> RunDiagnostics:
-        return RunDiagnostics(
-            tau=tau,
-            iterations=-t,
-            node_touches=touches,
-            max_slice_depth=max_slice_depth,
-            regeneration_times=regen,
-            records=records,
-            seed=rng.seed,
-            wall_ns=time.perf_counter_ns() - start_ns,
-        )
-
     advance = rep.advance
+    uniform = rng.uniform
     while not rep.coalesced:
         if -t >= max_iter:
             raise IterationLimitExceeded(
-                f"no coalescence within {max_iter} iterations", diag(None)
-            )
-        u = rng.uniform()
+                f"no coalescence within {max_iter} iterations",
+                _diagnostics(None, t, touches, max_slice_depth, regen, records, rng, start_ns))
+        u = uniform()
         t -= 1
         step_touches, slice_depth, regenerated, reach = advance(u)
         if reach > max_depth:
             raise MaxDepthExceeded(
-                f"slice for u={u!r} did not resolve within depth {max_depth}", diag(None)
-            )
+                f"slice for u={u!r} did not resolve within depth {max_depth}",
+                _diagnostics(None, t, touches, max_slice_depth, regen, records, rng, start_ns))
         if slice_depth > max_slice_depth:
             max_slice_depth = slice_depth
         if regenerated:
@@ -258,13 +250,22 @@ def _backward(
         touches += step_touches
         if touches > max_nodes:
             raise NodeBudgetExceeded(
-                f"node budget {max_nodes} exhausted at t={t}", diag(None)
-            )
+                f"node budget {max_nodes} exhausted at t={t}",
+                _diagnostics(None, t, touches, max_slice_depth, regen, records, rng, start_ns))
         if records is not None:
             records.append(IterationRecord(t, *rep.size(), step_touches))
         if after_step is not None:
             after_step(t)
-    return RunResult(sample=rep.sample(), diagnostics=diag(t))
+    return RunResult(rep.sample(), _diagnostics(
+        t, t, touches, max_slice_depth, regen, records, rng, start_ns))
+
+
+def _diagnostics(tau: Optional[int], t: int, touches: int, max_slice_depth: int,
+                 regen: List[int], records: Optional[List[IterationRecord]],
+                 rng: RngStream, start_ns: int) -> RunDiagnostics:
+    """The diagnostics of a run stopped at time ``t``; ``tau`` is None on a budget error."""
+    return RunDiagnostics(tau, -t, touches, max_slice_depth, regen, records, rng.seed,
+                          time.perf_counter_ns() - start_ns)
 
 
 # Nodes of the composite map.  A leaf is ``(None, 1, 0, 1, label)`` and an
@@ -876,6 +877,14 @@ class RunRow:
     records: Optional[List[IterationRecord]] = None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_many(
     kernel: Kernel,
     length: int,
@@ -897,16 +906,18 @@ def run_many(
 
     ``trace`` keeps each run's iteration records on its row.  With
     ``jobs > 1`` the runs are split into contiguous blocks over that many
-    processes, unless a ``checker`` has to see every step in this process;
-    the rows come back in run order and never depend on ``jobs``.
+    processes, but never more than this process's usable CPUs, unless a
+    ``checker`` has to see every step in this process; the rows come back in
+    run order and never depend on ``jobs``.
     """
-    if jobs > 1 and count >= 2 * jobs and checker is None:
+    workers = min(jobs, _usable_cpus()) if jobs > 1 and checker is None else 1
+    if workers > 1 and count >= 2 * workers:
         import concurrent.futures
 
         kwargs = dict(algorithm=algorithm, max_iter=max_iter, max_depth=max_depth,
                       max_nodes=max_nodes, timing=timing, trace=trace)
-        bounds = [start + (i * count) // jobs for i in range(jobs + 1)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        bounds = [start + (i * count) // workers for i in range(workers + 1)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [
                 pool.submit(run_many, kernel, length, seed_base, lo, hi - lo, **kwargs)
                 for lo, hi in zip(bounds, bounds[1:])

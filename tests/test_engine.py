@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import functools
+import os
 import pickle
 from pathlib import Path
 
@@ -314,6 +316,41 @@ def test_run_many_pw_jobs_after_a_run():
     assert k.layouts == layouts
 
 
+def test_run_many_caps_its_workers_at_the_usable_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Runs each task at submit, in this process, and records its size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args, **kwargs):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args, **kwargs))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    k = order1_chain()
+    serial = run_many(k, 1, 3, 0, 40, timing=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run_many(k, 1, 3, 0, 40, timing=False, jobs=5000) == serial
+    assert run_many(k, 1, 3, 0, 40, timing=False, jobs=2) == serial
+    # without an affinity call the cap is os.cpu_count(), and 1 if unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run_many(k, 1, 3, 0, 40, timing=False, jobs=5000) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_many(k, 1, 3, 0, 40, timing=False, jobs=5000) == serial
+    assert sizes == [2, 2, 3]
+
+
 def test_run_many_budget_rows():
     k = desk_vlmc()
     rows = run_many(k, 3, 0, 0, 5, max_iter=1)
@@ -355,17 +392,18 @@ def test_regeneration_detection_matches_slice():
         assert res.diagnostics.tau == min(seen)[0]
 
 
-def _outcome(k, length, seed, **kwargs):
-    """Everything a run reports, budget failures and their messages
-    included."""
+def _outcome(k, length, seed, sampler=run, trace=True, **kwargs):
+    """Everything a run reports but its wall time, budget failures and
+    their messages included; the trace records come last (None untraced)."""
     try:
-        res = run(k, length, RngStream(seed), trace=True, **kwargs)
+        res = sampler(k, length, RngStream(seed), trace=trace, **kwargs)
     except BudgetError as exc:
         d, value = exc.diagnostics, (exc.code, str(exc))
     else:
         d, value = res.diagnostics, res.sample
     return (value, d.tau, d.iterations, d.node_touches, d.max_slice_depth,
-            d.regeneration_times, [vars(r) for r in d.records])
+            d.regeneration_times, d.seed,
+            None if d.records is None else [vars(r) for r in d.records])
 
 
 def test_hot_path_matches_audited_reference():
@@ -388,6 +426,83 @@ def test_hot_path_matches_audited_reference():
             assert plain == audited, (k.family, k.order, length, budget, seed)
             failures += plain[1] is None  # a budget failure has no tau
     assert failures > 0  # the budget failures are compared too
+
+
+def test_plain_and_traced_runs_report_the_same():
+    # perfbench times the untraced loop; every other outcome check traces
+    assert engine._backward.__code__.co_cellvars == ()
+    audited = functools.partial(run, on_iteration=lambda a: None)
+    budgets = [{}, {"max_depth": 2}, {"max_nodes": 40}, {"max_iter": 3}]
+    failures = 0
+    for path in sorted(KERNELS.glob("*.json")):
+        k = load_kernel(str(path))
+        samplers = [run, audited] + ([pw_extended] if k.order is not None else [])
+        for length in (1, 2, 3):
+            for budget in budgets:
+                for sampler in samplers:
+                    for seed in range(3):
+                        plain = _outcome(k, length, seed, sampler, trace=False, **budget)
+                        traced = _outcome(k, length, seed, sampler, **budget)
+                        assert plain[:-1] == traced[:-1], (path.stem, length, budget, seed)
+                        assert plain[-1] is None and traced[-1] is not None
+                        failures += plain[1] is None
+    assert failures > 0  # the budget failures are compared too
+
+
+def _first_steps(sampler, k, length, seed, n):
+    """The traced diagnostics of a run's first n steps, at the default
+    budgets."""
+    if n == 0:
+        return engine.RunDiagnostics(None, 0, 0, 0, [], [], seed)
+    try:
+        return sampler(k, length, RngStream(seed), trace=True, max_iter=n).diagnostics
+    except IterationLimitExceeded as exc:
+        return exc.diagnostics
+
+
+@pytest.mark.parametrize("sampler, make, length, error, budget", [
+    (run, desk_vlmc, 3, IterationLimitExceeded, {"max_iter": 2}),
+    (run, desk_vlmc, 3, MaxDepthExceeded, {"max_depth": 1}),
+    (run, desk_vlmc, 3, NodeBudgetExceeded, {"max_nodes": 20}),
+    (run, RenewalSqrtKernel, 2, IterationLimitExceeded, {"max_iter": 2}),
+    (run, RenewalSqrtKernel, 2, MaxDepthExceeded, {"max_depth": 10}),
+    (run, RenewalSqrtKernel, 2, NodeBudgetExceeded, {"max_nodes": 30}),
+    # the table map reports reach 0, so it never exceeds max_depth
+    (pw_extended, desk_vlmc, 2, IterationLimitExceeded, {"max_iter": 2}),
+    (pw_extended, desk_vlmc, 2, NodeBudgetExceeded, {"max_nodes": 20}),
+])
+def test_budget_errors_report_the_run_up_to_the_raise(sampler, make, length, error, budget):
+    k = make()
+    raised = []
+    for seed in range(12):
+        try:
+            sampler(k, length, RngStream(seed), trace=True, **budget)
+        except error as exc:
+            d = exc.diagnostics
+        else:
+            continue
+        assert d.tau is None and d.seed == seed and d.wall_ns > 0
+        records = d.records
+        assert [r.t for r in records] == list(range(-1, -len(records) - 1, -1))
+        # the iteration limit refuses to draw; the other two errors count
+        # the step that raised them
+        if error is IterationLimitExceeded:
+            assert d.iterations == len(records) == budget["max_iter"]
+        else:
+            assert d.iterations == len(records) + 1
+        # a refused draw adds nothing; the step that exhausted the node
+        # budget adds its touches, slice depth and regeneration
+        counted = d.iterations - (error is MaxDepthExceeded)
+        ref = _first_steps(sampler, k, length, seed, counted)
+        assert ref.iterations == len(ref.records) == counted
+        assert records == ref.records[:len(records)]
+        assert d.node_touches == sum(r.node_touches for r in ref.records)
+        if error is NodeBudgetExceeded:
+            assert sum(r.node_touches for r in records) <= budget["max_nodes"] < d.node_touches
+        assert (d.max_slice_depth, d.regeneration_times) == (
+            ref.max_slice_depth, ref.regeneration_times)
+        raised.append(d.iterations)
+    assert raised and max(raised) >= 2
 
 
 @pytest.mark.parametrize("corrupt", ["touches", "symbol"])

@@ -46,6 +46,8 @@ def test_run_outcomes(tmp_path):
     assert {line.split()[0] for line in out} == set(kernels)
     assert any(" error=MaxDepthExceeded " in line for line in out)
     assert all(" tau=" in line and " records=" in line for line in out)
+    # the untraced loop reports what the traced one does
+    assert all(line.endswith(" plain=same") for line in out)
     # the audited run reports exactly what its plain twin does
     plain = [line for line in out if " audited=0 " in line and line not in deep]
     audited = [line.replace(" audited=1 ", " audited=0 ") for line in out if " audited=1 " in line]
