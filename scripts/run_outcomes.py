@@ -82,8 +82,6 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=6, help="seeds 0..N-1 per case")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory the ciaftp package is imported from")
-    ap.add_argument("--kernels", type=Path, default=ROOT / "kernels",
-                    help="directory of the kernel specs to run")
     args = ap.parse_args()
     sys.path.insert(0, str(args.src))
     from ciaftp.engine import pw_extended, run
@@ -92,7 +90,7 @@ def main() -> int:
 
     plain = [("audited=0", run)]
     both = plain + [("audited=1", functools.partial(run, on_iteration=lambda a: None))]
-    for path in sorted(args.kernels.glob("*.json")):
+    for path in sorted((ROOT / "kernels").glob("*.json")):
         kernel = load_kernel(str(path))
         cases = [(name, budget, both, args.seeds) for name, budget in BUDGETS]
         if kernel.order is None:

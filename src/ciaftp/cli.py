@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 from . import engine, oracle
 from .engine import RNG_ALGORITHM, RunRow
-from .errors import BudgetError, CiaftpError, KernelSpecError
+from .errors import CiaftpError, KernelSpecError
 from .kernels import expected_depth_bound, kernel_spec_digest, load_kernel
 from .tries import prefix_closure
 from .update_rule import build_slice, interval_table
@@ -298,16 +298,27 @@ _COMMANDS = {
 }
 
 
+def _usage_problem(args: argparse.Namespace) -> Optional[str]:
+    """Why the flags cannot run, or None; inspect takes only some of them."""
+    low = [f"--{name.replace('_', '-')}" for name in POSITIVE_FLAGS if getattr(args, name, 1) < 1]
+    if low:
+        return f"{', '.join(low)} must be >= 1"
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        return "--seed must be >= 0"
+    if getattr(args, "context", None) is not None and args.u is None:
+        return "--context needs --u"
+    if getattr(args, "trace", None) and args.out and (
+            os.path.realpath(args.trace) == os.path.realpath(args.out)):
+        return "--trace and --out name the same file"
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # inspect takes only some of the counts and budgets
-    low = [f"--{name.replace('_', '-')}" for name in POSITIVE_FLAGS if getattr(args, name, 1) < 1]
-    if low:
-        print(f"ciaftp: error: Usage: {', '.join(low)} must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        print("ciaftp: error: Usage: --seed must be >= 0", file=sys.stderr)
+    problem = _usage_problem(args)
+    if problem is not None:
+        print(f"ciaftp: error: Usage: {problem}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
@@ -319,9 +330,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KernelSpecError as exc:
         print(f"ciaftp: error: {exc.code}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetError as exc:
-        print(f"ciaftp: error: {exc.code}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except CiaftpError as exc:
         print(f"ciaftp: error: {exc.code}: {exc}", file=sys.stderr)
         return EXIT_FAIL

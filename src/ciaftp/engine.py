@@ -44,14 +44,13 @@ rows for every family, the renewal kernel included, so the comb's
 closed-form slice depth is checked against the law.  Under
 ``run(on_iteration=...)`` it is advanced beside the family's map
 (:class:`_AuditedMap`), which raises InvariantViolation on any step where
-they differ and hands the reference tries to the audit.
+they differ and hands the reference tries of each step to the hook.
 :func:`run` picks the family's map with :func:`_composite_map`, and
 :func:`run_many` is the batch driver for every command.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import time
@@ -91,8 +90,7 @@ class RngStream:
     the same doubles as k scalar calls.  The first block, of 8 draws, is
     drawn by the first :meth:`uniform` call, and each later one is twice as
     large, up to 1024 draws: a short run draws few doubles it does not use,
-    and a long one makes few generator calls.  ``count`` is the number of
-    draws handed out.
+    and a long one makes few generator calls.
     """
 
     def __init__(self, seed: int):
@@ -100,11 +98,6 @@ class RngStream:
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self._block: List[float] = []
         self._pos = 0
-        self._drawn = 0
-
-    @property
-    def count(self) -> int:
-        return self._drawn - len(self._block) + self._pos
 
     def uniform(self) -> float:
         pos = self._pos
@@ -112,7 +105,6 @@ class RngStream:
         if pos == len(block):
             size = min(2 * len(block), 1024) if block else 8
             block = self._block = self._gen.random(size).tolist()
-            self._drawn += size
             pos = 0
         self._pos = pos + 1
         return block[pos]
@@ -208,7 +200,6 @@ def _backward(
     max_nodes: int,
     trace: bool,
     start_ns: int,
-    after_step: Optional[Callable[[int], None]] = None,
 ) -> RunResult:
     """Compose draws backward in time until ``rep`` is constant.
 
@@ -254,8 +245,6 @@ def _backward(
                 _diagnostics(None, t, touches, max_slice_depth, regen, records, rng, start_ns))
         if records is not None:
             records.append(IterationRecord(t, *rep.size(), step_touches))
-        if after_step is not None:
-            after_step(t)
     return RunResult(rep.sample(), _diagnostics(
         t, t, touches, max_slice_depth, regen, records, rng, start_ns))
 
@@ -715,29 +704,29 @@ class _AuditedMap:
     beside it on every draw: any step where their work, slice depth,
     regeneration flag, reach, state or trace size differ raises
     InvariantViolation; a draw the reference refuses must reach deeper
-    than ``max_depth``.  The reference's slice, unpruned trie and state are
-    kept for :class:`StepAudit`."""
+    than ``max_depth``.  Each step that passes goes to ``on_iteration``."""
 
-    def __init__(self, kernel: Kernel, length: int, max_depth: int):
+    def __init__(self, kernel: Kernel, length: int, max_depth: int,
+                 on_iteration: Callable[[StepAudit], None]):
         self.kernel = kernel
         self.max_depth = max_depth
+        self.on_iteration = on_iteration
         self.map = _composite_map(kernel, length)
         self.state = prune_minimal(init_state(kernel.alphabet, length))
-        self.slice_ = self.unpruned = None
+        self.t = 0
         self.coalesced = False
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:
         got = self.map.advance(u)
         try:
-            self.state, self.slice_, self.unpruned = step(
-                self.kernel, self.state, u, self.max_depth)
-            want = (self.slice_.node_touches + self.unpruned.node_count(),
-                    self.slice_.depth, self.slice_.is_regeneration, self.slice_.reach)
+            state, slice_, unpruned = step(self.kernel, self.state, u, self.max_depth)
+            want = (slice_.node_touches + unpruned.node_count(),
+                    slice_.depth, slice_.is_regeneration, slice_.reach)
         except MaxDepthExceeded:
             if got[3] > self.max_depth:
                 return got  # for _backward to refuse
-            want = None
-        leaves = dict(self.state.leaves())
+            state, want = self.state, None
+        leaves = dict(state.leaves())
         if got != want or (
             _map_leaves(self.map.root, self.kernel.alphabet.symbols) != leaves
             or self.map.size() != (len(leaves), max(map(len, leaves)))
@@ -746,7 +735,10 @@ class _AuditedMap:
                 f"at u={u!r} the composite map gives {got} and the reference {want}"
                 ", or their states or sizes differ"
             )
+        self.state = state
+        self.t -= 1
         self.coalesced = self.map.coalesced
+        self.on_iteration(StepAudit(self.t, slice_, unpruned, state))
         return got
 
     def size(self) -> Tuple[int, int]:
@@ -773,21 +765,16 @@ def run(
     time -1).  Budget violations raise with partial diagnostics attached.
     With ``on_iteration`` the kernel family's composite map runs beside the
     reference :func:`step`, which checks it on every draw and supplies the
-    tries of each :class:`StepAudit`.
+    tries of each :class:`StepAudit`.  The hook sees t = -1, -2, ... up
+    to the step that ends the run, the one that exhausts the node budget
+    included, but not a draw that ``max_depth`` refuses.
     """
     if max_iter < 1 or max_depth < 1 or max_nodes < 1:
         raise ValueError("limits must be positive")
     start_ns = time.perf_counter_ns()
-    if on_iteration is None:
-        rep = _composite_map(kernel, length)
-        return _backward(rep, rng, max_depth, max_iter, max_nodes, trace, start_ns)
-    audited = _AuditedMap(kernel, length, max_depth)
-
-    def after_step(t: int) -> None:
-        on_iteration(StepAudit(t, audited.slice_, audited.unpruned, audited.state))
-
-    return _backward(audited, rng, max_depth, max_iter, max_nodes, trace, start_ns,
-                     after_step)
+    rep = (_composite_map(kernel, length) if on_iteration is None
+           else _AuditedMap(kernel, length, max_depth, on_iteration))
+    return _backward(rep, rng, max_depth, max_iter, max_nodes, trace, start_ns)
 
 
 # -- extended Propp-Wilson baseline ---------------------------------------
@@ -896,7 +883,6 @@ def run_many(
     max_iter: int = DEFAULT_MAX_ITER,
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_nodes: int = DEFAULT_MAX_NODES,
-    checker: Optional[Callable[[StepAudit], None]] = None,
     timing: bool = True,
     trace: bool = False,
     jobs: int = 1,
@@ -904,13 +890,13 @@ def run_many(
     """Independent runs with seeds ``seed_base + run_id``; budget errors
     become rows with an error code instead of aborting the batch.
 
-    ``trace`` keeps each run's iteration records on its row.  With
-    ``jobs > 1`` the runs are split into contiguous blocks over that many
-    processes, but never more than this process's usable CPUs, unless a
-    ``checker`` has to see every step in this process; the rows come back in
-    run order and never depend on ``jobs``.
+    ``algorithm`` is ``"ciaftp"`` (:func:`run`, never audited) or
+    ``"pw_extended"``, and ``trace`` keeps each run's iteration records on
+    its row.  With ``jobs > 1`` the runs are split into contiguous blocks
+    over that many processes, but never more than this process's usable
+    CPUs; the rows come back in run order and never depend on ``jobs``.
     """
-    workers = min(jobs, _usable_cpus()) if jobs > 1 and checker is None else 1
+    workers = min(jobs, _usable_cpus()) if jobs > 1 else 1
     if workers > 1 and count >= 2 * workers:
         import concurrent.futures
 
@@ -924,11 +910,8 @@ def run_many(
             ]
             return [row for fut in futs for row in fut.result()]
 
-    if algorithm == "ciaftp":
-        sampler = functools.partial(run, on_iteration=checker)
-    elif algorithm == "pw_extended":
-        sampler = pw_extended
-    else:
+    sampler = {"ciaftp": run, "pw_extended": pw_extended}.get(algorithm)
+    if sampler is None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
     rows: List[RunRow] = []

@@ -40,6 +40,7 @@ from .tries import Alphabet, Context, ContextTrie, iter_leaves_below
 
 PROB_TOL = 1e-12
 ENUM_GUARD = 10**7
+DEPTH_BOUND_TRUNCATION = 200  # the deepest A_k that expected_depth_bound reads
 
 Distribution = Tuple[float, ...]
 
@@ -283,30 +284,29 @@ class DepthBoundReport:
 
     bound: float
     sum_finite: bool
-    window: int
-    truncation: int
 
 
-def expected_depth_bound(kernel: Kernel, window: int, k_max: int = 200) -> DepthBoundReport:
+def expected_depth_bound(kernel: Kernel, window: int) -> DepthBoundReport:
     """Truncated bound on the expected dictionary depth for a length-
-    ``window`` target, ``sum(1 - prod_{j>=k} A_j)`` with the tail of the
-    product treated as 1 (so the value is a lower estimate).
+    ``window`` target, ``sum(1 - prod_{j>=k} A_j)`` over
+    k <= :data:`DEPTH_BOUND_TRUNCATION`, with the tail of the product
+    treated as 1 (so the value is a lower estimate).
 
     ``sum_finite`` reports whether ``sum_m prod_{k<=m} A_k`` looks finite
     numerically; finiteness means the classical regeneration-based
     termination criterion does NOT apply.
     """
-    masses = [kernel.min_mass(k) for k in range(k_max + 1)]
+    masses = [kernel.min_mass(k) for k in range(DEPTH_BOUND_TRUNCATION + 1)]
     bound = 0.0
     for k in range(1, window + 1):
         prod = 1.0
-        for j in range(k, k_max + 1):
+        for j in range(k, DEPTH_BOUND_TRUNCATION + 1):
             prod *= masses[j]
         bound += 1.0 - prod
     partial = 1.0
     for m in masses:
         partial *= m
-    return DepthBoundReport(bound=bound, sum_finite=partial < 1e-9, window=window, truncation=k_max)
+    return DepthBoundReport(bound=bound, sum_finite=partial < 1e-9)
 
 
 # -- kernel spec files ----------------------------------------------------
@@ -324,8 +324,9 @@ def parse_kernel_spec(text: str) -> Kernel:
          "contexts": [{"context": "<oldest-to-newest>", "probs": {"0": 0.4, ...}}, ...]}
 
     Context strings join symbol names without separator when every symbol
-    is a single character, comma-joined otherwise.  The context set must
-    form a complete suffix dictionary.
+    is a single character, comma-joined otherwise; probabilities are JSON
+    numbers.  The context set must form a complete suffix dictionary, and
+    is empty (``[]`` or absent) for ``renewal_sqrt``.
     """
     try:
         doc = json.loads(text)
@@ -340,6 +341,8 @@ def parse_kernel_spec(text: str) -> Kernel:
     if family == "renewal_sqrt":
         if doc.get("alphabet", ["0", "1"]) != ["0", "1"]:
             raise KernelSpecError("renewal_sqrt requires alphabet ['0', '1']")
+        if doc.get("contexts", []) != []:
+            raise KernelSpecError("renewal_sqrt takes no contexts: give [] or leave it out")
         return RenewalSqrtKernel()
 
     raw_alphabet = doc.get("alphabet")
@@ -357,19 +360,22 @@ def parse_kernel_spec(text: str) -> Kernel:
     for entry in entries:
         if not isinstance(entry, dict) or "context" not in entry or "probs" not in entry:
             raise KernelSpecError(f"each context entry needs 'context' and 'probs': {entry!r}")
-        ctx = alphabet.parse_word(str(entry["context"]))
+        if not isinstance(entry["context"], str):
+            raise KernelSpecError(f"context must be a string: {entry['context']!r}")
+        ctx = alphabet.parse_word(entry["context"])
         probs_map = entry["probs"]
         if not isinstance(probs_map, dict):
             raise BadProbability(f"probs for context {ctx} must be an object")
         for sym in probs_map:
             if sym not in alphabet:
                 raise UnknownSymbol(f"probs for context {ctx} name unknown symbol {sym!r}")
-        try:
-            probs = tuple(float(probs_map[g]) for g in alphabet)
-        except KeyError as exc:
-            raise BadProbability(f"probs for context {ctx} miss symbol {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise BadProbability(f"probs for context {ctx} must be numbers: {exc}") from exc
+        raw = [probs_map.get(g) for g in alphabet]
+        # JSON numbers only (true and false are ints to Python, "0.5" is
+        # text), in range before float() meets an int too large for it
+        if not all(type(p) in (int, float) and 0 <= p <= 1 for p in raw):
+            raise BadProbability(
+                f"probs for context {ctx} must give each symbol a JSON number in [0, 1]: {probs_map}")
+        probs = tuple(map(float, raw))
         check_distribution(alphabet, probs, where=f" at context {ctx}")
         if ctx in leaves:
             raise OverlappingContexts(f"context {ctx} appears twice")

@@ -28,6 +28,7 @@ from .tries import Context
 
 STATE_GUARD = 10**6
 DENSE_LIMIT = 4096
+POWER_TOL = 1e-12  # power iteration stops when a step moves pi by at most this (L1)
 
 
 @dataclass
@@ -121,7 +122,7 @@ def _check_mixing(T) -> None:
         raise PeriodicChain(f"chain has period {g}")
 
 
-def stationary(chain: ExtendedChain, tol: float = 1e-12, method: str = "auto") -> np.ndarray:
+def stationary(chain: ExtendedChain, method: str = "auto") -> np.ndarray:
     """The unique stationary row vector of the extended chain.
 
     Dense linear solve up to 4096 states, power iteration beyond (or on
@@ -143,7 +144,7 @@ def stationary(chain: ExtendedChain, tol: float = 1e-12, method: str = "auto") -
         pi = np.full(n, 1.0 / n)
         for _ in range(10**6):
             nxt = np.asarray(pi @ T).ravel()
-            done = np.abs(nxt - pi).sum() <= tol
+            done = np.abs(nxt - pi).sum() <= POWER_TOL
             pi = nxt
             if done:
                 break
@@ -227,15 +228,14 @@ def validate(
     n_runs: int,
     seed: int,
     *,
-    algorithm: str = "ciaftp",
     max_iter: int = engine.DEFAULT_MAX_ITER,
     max_depth: int = engine.DEFAULT_MAX_DEPTH,
     max_nodes: int = engine.DEFAULT_MAX_NODES,
     jobs: int = 1,
 ) -> ValidationReport:
-    """Compare the empirical window law of N engine runs (over ``jobs``
-    processes) against the exact oracle law.  Any budget-failed run fails
-    validation outright."""
+    """Compare the empirical window law of N runs of :func:`engine.run`
+    (over ``jobs`` processes) against the exact oracle law.  Any
+    budget-failed run fails validation outright."""
     d = kernel.order
     if d is None:
         raise UnsupportedOperation("validation requires a finite-order kernel")
@@ -244,8 +244,8 @@ def validate(
     law = window_law(chain, pi, length)
 
     rows = engine.run_many(
-        kernel, length, seed, 0, n_runs, algorithm=algorithm, max_iter=max_iter,
-        max_depth=max_depth, max_nodes=max_nodes, timing=False, jobs=jobs,
+        kernel, length, seed, 0, n_runs, max_iter=max_iter, max_depth=max_depth,
+        max_nodes=max_nodes, timing=False, jobs=jobs,
     )
     counts: Dict[Context, int] = {w: 0 for w in law.probs}
     failures: Dict[str, int] = {}

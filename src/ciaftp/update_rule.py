@@ -43,6 +43,7 @@ from .kernels import Kernel, LowerBoundRow
 from .tries import Context, ContextTrie, Symbol, prune_minimal
 
 DEFAULT_MAX_DEPTH = 10_000
+MEASURE_TOL = 1e-9  # verify_measure's bound on interval mass and coverage errors
 
 
 @dataclass(frozen=True)
@@ -212,9 +213,10 @@ class MeasureReport:
     failures: List[str]
 
 
-def verify_measure(kernel: Kernel, w: Context, tolerance: float = 1e-9) -> MeasureReport:
+def verify_measure(kernel: Kernel, w: Context) -> MeasureReport:
     """Check that, at a resolving chain ``w``, per-symbol interval mass
-    telescopes to the conditional law, and that the intervals tile [0, 1)."""
+    telescopes to the conditional law, and that the intervals tile [0, 1),
+    both within :data:`MEASURE_TOL`."""
     row = kernel.lower_bounds(w)
     failures: List[str] = []
     if not row.resolved:
@@ -232,14 +234,14 @@ def verify_measure(kernel: Kernel, w: Context, tolerance: float = 1e-9) -> Measu
         cursor = iv.beta
         totals[iv.symbol] += iv.beta - iv.alpha
     coverage_error = abs(cursor - 1.0)
-    if coverage_error > tolerance:
+    if coverage_error > MEASURE_TOL:
         failures.append(f"intervals cover [0, {cursor!r}) instead of [0, 1)")
     max_err = 0.0
     for i, g in enumerate(kernel.alphabet.symbols):
         err = abs(totals[g] - row.lower[i])
         if err > max_err:
             max_err = err
-        if err > tolerance:
+        if err > MEASURE_TOL:
             failures.append(
                 f"symbol {g!r}: interval mass {totals[g]!r} vs law {row.lower[i]!r}"
             )

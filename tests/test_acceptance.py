@@ -64,7 +64,7 @@ def test_01_update_rule_exactness():
                 w = tuple(w)
             else:
                 w = random_context(rng, BINARY, k.order + int(rng.integers(0, 3)))
-            rep = verify_measure(k, w, tolerance=1e-9)
+            rep = verify_measure(k, w)
             assert rep.ok, (name, w, rep.failures)
             worst_mass = max(worst_mass, rep.max_mass_error)
             worst_cover = max(worst_cover, rep.coverage_error)
@@ -132,11 +132,11 @@ def test_04_vlmc_exactness_and_invariants():
             assert a.state.leaf_count() <= bound
 
     n = 100_000
-    rows = run_many(k, 3, 40_000, 0, n, checker=audit, timing=False)
-    assert all(r.error is None for r in rows)
+    # a budget error would raise: every run succeeds
+    samples = [run(k, 3, RngStream(40_000 + i), on_iteration=audit).sample for i in range(n)]
     chain = oracle.build_extended(k, order=3)
     law = oracle.window_law(chain, oracle.stationary(chain), 3)
-    counts = collections.Counter(r.sample for r in rows)
+    counts = collections.Counter(samples)
     empirical = {w: counts.get(w, 0) / n for w in law.probs}
     tv = oracle.tv_distance(empirical, law.probs)
     assert tv <= 0.02, tv

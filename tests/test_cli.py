@@ -158,10 +158,11 @@ def test_non_utf8_kernel_spec(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("probs", [{"0": math.nan, "1": 0.5}, {"0": None, "1": 0.5},
-                                   {"0": "abc", "1": 0.5}])
+                                   {"0": "abc", "1": 0.5}, {"0": True, "1": False},
+                                   {"0": "0.5", "1": "0.5"}])
 def test_bad_probability_in_spec(tmp_path, capsys, probs):
-    # a probability that is NaN or not a number is a spec error with one
-    # line, not a run or a traceback
+    # a probability that is NaN or not a JSON number is a spec error with
+    # one line, not a run or a traceback
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"alphabet": ["0", "1"], "type": "memoryless",
                                "contexts": [{"context": "", "probs": probs}]}))
@@ -170,6 +171,43 @@ def test_bad_probability_in_spec(tmp_path, capsys, probs):
     assert out == ""
     assert err.startswith("ciaftp: error: BadProbability: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"alphabet": ["0", "1"], "type": "memoryless",
+     "contexts": [{"context": 0, "probs": {"0": 0.5, "1": 0.5}}]},
+    {"alphabet": ["0", "1"], "type": "renewal_sqrt",
+     "contexts": [{"context": "0", "probs": {"0": 0.5, "1": 0.5}}]},
+])
+def test_spec_with_a_field_it_cannot_have(tmp_path, capsys, doc):
+    # a context that is no string, and contexts given to renewal_sqrt
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run_cli(["sample", "--kernel", str(bad), "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("ciaftp: error: KernelSpec: ")
+    assert err.count("\n") == 1
+
+
+def test_context_needs_u(capsys):
+    rc, out, err = run_cli(["inspect", "--kernel", kpath("desk_vlmc"), "--context", "01"],
+                           capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "ciaftp: error: Usage: --context needs --u\n"
+
+
+def test_trace_and_out_on_one_file(tmp_path, capsys):
+    # the rows would be written over the trace
+    path = tmp_path / "runs.csv"
+    for trace in (path, tmp_path / "." / "runs.csv"):
+        rc, out, err = run_cli(["sample", "--kernel", kpath("order1"), "--seed", "1",
+                                "--trace", str(trace), "--out", str(path)], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "ciaftp: error: Usage: --trace and --out name the same file\n"
+        assert not path.exists()
 
 
 def test_bad_flags(capsys):

@@ -292,6 +292,11 @@ def test_parse_bad_probability():
     for p0 in (math.nan, math.inf, -math.inf, None, "abc", [0.5], {"p": 0.5}):
         with pytest.raises(BadProbability, match="context"):
             parse_kernel_spec(spec_doc([ctx_entry("", p0, 0.5)], "memoryless"))
+    # probabilities are JSON numbers: not booleans, not numeric strings,
+    # and not an int too large for a float
+    for p0, p1 in ((True, False), (False, True), ("0.5", "0.5"), (1, "0"), (10**400, 0)):
+        with pytest.raises(BadProbability, match="context"):
+            parse_kernel_spec(spec_doc([ctx_entry("", p0, p1)], "memoryless"))
 
 
 def test_parse_unknown_symbol():
@@ -324,6 +329,15 @@ def test_parse_family_constraints():
     for alphabet in (["a", "b"], 7, "01", None, {"0": 1}):
         with pytest.raises(KernelSpecError):
             parse_kernel_spec(json.dumps({"alphabet": alphabet, "type": "renewal_sqrt"}))
+    # renewal_sqrt takes no contexts: [] or none at all
+    for contexts in ([ctx_entry("0", 0.5, 0.5)], [{}], {}, None, 0):
+        with pytest.raises(KernelSpecError):
+            parse_kernel_spec(spec_doc(contexts, "renewal_sqrt"))
+    assert isinstance(parse_kernel_spec(spec_doc([], "renewal_sqrt")), RenewalSqrtKernel)
+    # a context is a string, not a number that reads like one
+    for context in (0, 1, None, ["0"]):
+        with pytest.raises(KernelSpecError):
+            parse_kernel_spec(spec_doc([ctx_entry(context, 0.5, 0.5)], "memoryless"))
     with pytest.raises(KernelSpecError):
         parse_kernel_spec("not json at all {")
     with pytest.raises(KernelSpecError):
