@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Print everything each run of a fixed case grid reports, one line a run.
 
-The grid is every shipped kernel at window lengths 1..3, plain and under
+The grid is every shipped kernel (``kernels/*.json``) and, after them, the
+two specs in :data:`SPECS`, which no shipped kernel covers (a one-symbol
+alphabet, whose map is constant before any draw, and a ternary one), at
+window lengths 1..3, plain and under
 ``run(on_iteration=...)`` (the audited reference), at the default budgets
 and at ``max_depth=2``, ``max_nodes=40`` and ``max_iter=3``, for seeds
 0..N-1.  Infinite-memory kernels also run plain at ``max_depth=10**12``
@@ -49,6 +52,20 @@ DEEP = ("deep", {"max_depth": 10**12, "max_nodes": 10**15})
 DEEP_SEEDS = 64
 # the pw_extended baseline, finite-order kernels only
 PW_BUDGETS = [BUDGETS[0], BUDGETS[3]]
+# kernels of alphabet sizes other than 2, run after the shipped ones
+SPECS = {
+    "one_symbol": {"alphabet": ["a"], "type": "memoryless",
+                   "contexts": [{"context": "", "probs": {"a": 1}}]},
+    "ternary_vlmc": {"alphabet": ["a", "b", "c"], "type": "context_tree", "contexts": [
+        {"context": "a", "probs": {"a": 0.5, "b": 0.3, "c": 0.2}},
+        {"context": "b", "probs": {"a": 0.2, "b": 0.2, "c": 0.6}},
+        {"context": "ac", "probs": {"a": 0.05, "b": 0.15, "c": 0.8}},
+        {"context": "bc", "probs": {"a": 0.6, "b": 0.4, "c": 0}},
+        {"context": "acc", "probs": {"a": 0.3, "b": 0.4, "c": 0.3}},
+        {"context": "bcc", "probs": {"a": 0, "b": 0.7, "c": 0.3}},
+        {"context": "ccc", "probs": {"a": 0.4, "b": 0.05, "c": 0.55}},
+    ]},
+}
 
 
 def report(sampler, kernel, length, seed, budget, budget_error, trace):
@@ -86,27 +103,29 @@ def main() -> int:
     sys.path.insert(0, str(args.src))
     from ciaftp.engine import pw_extended, run
     from ciaftp.errors import BudgetError
-    from ciaftp.kernels import load_kernel
+    from ciaftp.kernels import load_kernel, parse_kernel_spec
 
     plain = [("audited=0", run)]
     both = plain + [("audited=1", functools.partial(run, on_iteration=lambda a: None))]
-    for path in sorted((ROOT / "kernels").glob("*.json")):
-        kernel = load_kernel(str(path))
-        cases = [(name, budget, both, args.seeds) for name, budget in BUDGETS]
+    kernels = [(path.stem, load_kernel(str(path)))
+               for path in sorted((ROOT / "kernels").glob("*.json"))]
+    kernels += [(name, parse_kernel_spec(json.dumps(spec))) for name, spec in SPECS.items()]
+    for name, kernel in kernels:
+        cases = [(case, budget, both, args.seeds) for case, budget in BUDGETS]
         if kernel.order is None:
             cases.append((*DEEP, plain, max(args.seeds, DEEP_SEEDS)))
         else:
-            cases += [(name, budget, [("pw_extended", pw_extended)], args.seeds)
-                      for name, budget in PW_BUDGETS]
+            cases += [(case, budget, [("pw_extended", pw_extended)], args.seeds)
+                      for case, budget in PW_BUDGETS]
         grid = [(length, cases) for length in (1, 2, 3)]
-        if path.stem == "order1":
+        if name == "order1":
             grid.append((13, [("wide", {}, both, args.seeds)]))
         for length, length_cases in grid:
-            for name, budget, samplers, seeds in length_cases:
+            for case, budget, samplers, seeds in length_cases:
                 for tag, sampler in samplers:
                     for seed in range(seeds):
                         line = outcome(sampler, kernel, length, seed, budget, BudgetError)
-                        print(f"{path.stem} L={length} {name} {tag} seed={seed} {line}",
+                        print(f"{name} L={length} {case} {tag} seed={seed} {line}",
                               flush=True)
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import secrets
@@ -307,10 +308,23 @@ def _usage_problem(args: argparse.Namespace) -> Optional[str]:
         return "--seed must be >= 0"
     if getattr(args, "context", None) is not None and args.u is None:
         return "--context needs --u"
-    if getattr(args, "trace", None) and args.out and (
-            os.path.realpath(args.trace) == os.path.realpath(args.out)):
-        return "--trace and --out name the same file"
+    # no output may be written over the spec or over another output
+    given = [(f"--{name}", _file_identity(path)) for name in ("kernel", "trace", "out")
+             if (path := getattr(args, name, None))]
+    for (flag, file), (other, other_file) in itertools.combinations(given, 2):
+        if file == other_file:
+            return f"{flag} and {other} name the same file"
     return None
+
+
+def _file_identity(path: str):
+    """What names one file whatever the spelling: the device and inode of
+    an existing file (so hard links match too), else the real path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

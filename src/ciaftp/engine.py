@@ -11,8 +11,9 @@ the composite map is stored: the depth, iteration and node budgets, the
 diagnostics, the per-iteration trace records, the regeneration times and
 the wall time.  Each kernel family has one representation of the
 composite map, which only advances by one draw and reports its work, the
-slice's depth and reach, its size and its sample; the first two are built
-from the same immutable nodes:
+slice's depth and reach, its size and its sample, and is coalesced exactly
+when its value is constant, at the start as after each draw.  The first
+two are built from the same immutable nodes:
 
 * :class:`_SharedMap` - finite-order kernels.  The minimal labeled trie
   as shared subtrees, whose leaf labels are full length-L windows.  A step
@@ -203,84 +204,78 @@ def _backward(
 ) -> RunResult:
     """Compose draws backward in time until ``rep`` is constant.
 
-    ``rep`` holds the composite map: it has a ``coalesced`` flag,
-    ``advance(u)`` composes one more draw and returns (node touches, slice
-    depth, regenerated, reach), ``size()`` gives (leaf count, depth) for the
-    trace records and ``sample()`` the constant value.  This loop alone
-    checks the three budgets: a draw whose reach (the depth of the deepest
-    context its slice's expansion visits) exceeds ``max_depth`` raises
-    MaxDepthExceeded, as in :func:`~ciaftp.update_rule.build_slice`, before
-    the step is counted.
-
-    One helper, :func:`_diagnostics`, builds the diagnostics of a success
-    and of each budget error from the loop's locals as it returns or raises:
-    a closure would keep the counters in cells, and every step's updates
-    and budget checks would pay a cell access.
+    ``rep`` holds the composite map: ``coalesced`` says whether its value
+    is constant, ``advance(u)`` composes one more draw and returns (node
+    touches, slice depth, regenerated, reach), ``size()`` gives (leaf
+    count, depth) for the trace records and ``sample()`` the constant
+    value.  This loop alone checks the three budgets: a draw whose reach
+    (the depth of the deepest context its slice's expansion visits) exceeds
+    ``max_depth`` raises MaxDepthExceeded, as in
+    :func:`~ciaftp.update_rule.build_slice`, before the step is counted.
+    A budget error leaves the loop as its (class, message) and is raised
+    after it with the diagnostics and tau None.  No local holds the raised
+    error: its traceback holds this frame, and the cycle would keep the
+    failed run's map alive until the cyclic collector runs.
     """
     t = touches = max_slice_depth = 0
     regen: List[int] = []
     records: Optional[List[IterationRecord]] = [] if trace else None
     advance = rep.advance
     uniform = rng.uniform
+    error: Optional[Tuple[type, str]] = None
     while not rep.coalesced:
         if -t >= max_iter:
-            raise IterationLimitExceeded(
-                f"no coalescence within {max_iter} iterations",
-                _diagnostics(None, t, touches, max_slice_depth, regen, records, rng, start_ns))
+            error = IterationLimitExceeded, f"no coalescence within {max_iter} iterations"
+            break
         u = uniform()
         t -= 1
         step_touches, slice_depth, regenerated, reach = advance(u)
         if reach > max_depth:
-            raise MaxDepthExceeded(
-                f"slice for u={u!r} did not resolve within depth {max_depth}",
-                _diagnostics(None, t, touches, max_slice_depth, regen, records, rng, start_ns))
+            error = MaxDepthExceeded, f"slice for u={u!r} did not resolve within depth {max_depth}"
+            break
         if slice_depth > max_slice_depth:
             max_slice_depth = slice_depth
         if regenerated:
             regen.append(t)
         touches += step_touches
         if touches > max_nodes:
-            raise NodeBudgetExceeded(
-                f"node budget {max_nodes} exhausted at t={t}",
-                _diagnostics(None, t, touches, max_slice_depth, regen, records, rng, start_ns))
+            error = NodeBudgetExceeded, f"node budget {max_nodes} exhausted at t={t}"
+            break
         if records is not None:
             records.append(IterationRecord(t, *rep.size(), step_touches))
-    return RunResult(rep.sample(), _diagnostics(
-        t, t, touches, max_slice_depth, regen, records, rng, start_ns))
+    diagnostics = RunDiagnostics(None if error else t, -t, touches, max_slice_depth, regen,
+                                 records, rng.seed, time.perf_counter_ns() - start_ns)
+    if error is not None:
+        raise error[0](error[1], diagnostics)
+    return RunResult(rep.sample(), diagnostics)
 
 
-def _diagnostics(tau: Optional[int], t: int, touches: int, max_slice_depth: int,
-                 regen: List[int], records: Optional[List[IterationRecord]],
-                 rng: RngStream, start_ns: int) -> RunDiagnostics:
-    """The diagnostics of a run stopped at time ``t``; ``tau`` is None on a budget error."""
-    return RunDiagnostics(tau, -t, touches, max_slice_depth, regen, records, rng.seed,
-                          time.perf_counter_ns() - start_ns)
-
-
-# Nodes of the composite map.  A leaf is ``(None, 1, 0, 1, label)`` and an
-# internal node ``(children, leaf count, depth, tree size)``, with children
-# in alphabet order; the memos make the trace's sizes and the node touches
-# O(1).  A node is never changed once built, so a step grafts the previous
-# map's subtrees by reference.  Each label has one leaf object: the initial
-# map creates every leaf and later steps only graft them, so a node whose
+# Nodes of the composite map.  A leaf is ``(None, 0, 1, label)`` and an
+# internal node ``(children, depth, tree size)``, with children in alphabet
+# order; the memos make the trace's sizes and the node touches O(1).  Every
+# internal node has |G| children, so a tree of size n has
+# ((|G| - 1) * n + 1) / |G| leaves and needs no leaf count of its own.  A
+# node is never changed once built, so a step grafts the previous map's
+# subtrees by reference.  Each label has one leaf object: the initial map
+# creates every leaf and later steps only graft them, so a node whose
 # children are all the same leaf object becomes that leaf - the rule of
 # tries.prune_minimal.  Grafted subtrees come from a minimal map, so only
 # the nodes a step rebuilds need the rule.  (The initial map is built
 # reduced too; it differs from the complete trie only for a one-symbol
-# alphabet, whose chain of L nodes is one leaf here.)
+# alphabet, whose chain of L nodes is one leaf here: that map is constant
+# before any draw.)
 
 
 def _node(kids: tuple) -> tuple:
     first = kids[0]
     if first[0] is None and kids.count(first) == len(kids):
         return first
-    leaves = depth = size = 0
+    depth = size = 0
     for k in kids:
-        leaves += k[1]
-        size += k[3]
-        if k[2] > depth:
-            depth = k[2]
-    return (kids, leaves, depth + 1, size + 1)
+        size += k[2]
+        if k[1] > depth:
+            depth = k[1]
+    return (kids, depth + 1, size + 1)
 
 
 def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
@@ -293,7 +288,7 @@ def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
     # built from the leaves up; each level lists its contexts in
     # itertools.product order, so the children (g,) + c of context c sit
     # one stride apart
-    level = [(None, 1, 0, 1, w) for w in itertools.product(symbols, repeat=length)]
+    level = [(None, 0, 1, w) for w in itertools.product(symbols, repeat=length)]
     for k in range(length - 1, -1, -1):
         stride = len(symbols) ** k
         level = [_node(tuple(level[j::stride])) for j in range(stride)]
@@ -307,7 +302,7 @@ def _map_leaves(root: tuple, symbols: Tuple[str, ...]) -> Dict[Context, Context]
     while stack:
         node, ctx = stack.pop()
         if node[0] is None:
-            out[ctx] = node[4]
+            out[ctx] = node[3]
         else:
             for g, child in zip(symbols, node[0]):
                 stack.append((child, (g,) + ctx))
@@ -316,7 +311,7 @@ def _map_leaves(root: tuple, symbols: Tuple[str, ...]) -> Dict[Context, Context]
 
 def _window(leaf: tuple, length: int) -> Context:
     """The label of the coalesced map's leaf, checked to be a window."""
-    sample = leaf[4]
+    sample = leaf[3]
     if len(sample) != length:
         raise InvariantViolation(f"coalesced label {sample} is not a length-{length} window")
     return sample
@@ -355,9 +350,10 @@ class SliceEntry:
       holds the new root.  (A one-symbol law resolves at the root, so every
       internal node has at least two children.)
 
-    ``reach`` is the slice's :attr:`~ciaftp.update_rule.UpdateSlice.reach`:
-    :func:`_backward` refuses the draw exactly when it exceeds
-    ``max_depth``, as :func:`~ciaftp.update_rule.build_slice` does.
+    A slice regenerates exactly when its ``depth`` is 0.  ``reach`` is the
+    slice's :attr:`~ciaftp.update_rule.UpdateSlice.reach`: :func:`_backward`
+    refuses the draw exactly when it exceeds ``max_depth``, as
+    :func:`~ciaftp.update_rule.build_slice` does.
     ``memo`` holds the table's stored transitions through this gap, at
     most one per interned map, keyed by the map's ``id``.  It is not an
     init field, so an entry made by ``dataclasses.replace`` starts with an
@@ -369,7 +365,6 @@ class SliceEntry:
     nodes: Tuple[NodeGetter, ...]
     touch_base: int
     depth: int
-    is_regeneration: bool
     reach: int
     memo: Dict[int, Tuple[tuple, int]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
@@ -422,8 +417,7 @@ def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
             getter = getters[key] = itemgetter(*key)
         node_getters.append(getter)
     return SliceEntry(tuple(walk), tuple(grafts), tuple(node_getters),
-                      slice_.node_touches + len(nodes), slice_.depth,
-                      slice_.is_regeneration, slice_.reach)
+                      slice_.node_touches + len(nodes), slice_.depth, slice_.reach)
 
 
 class SliceTable:
@@ -460,8 +454,8 @@ class SliceTable:
     (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes 120 transitions
     between 38 maps and the memo answers 99.3% of its steps; order2 at
     L=3 stores 687 transitions on 256 maps (76.3%); order6 at L=1 stores
-    262 (1.0%), and its maps cost about 2.2 KB each (tracemalloc), so the
-    cap holds about 0.55 MB there.
+    262 (1.0%), and its maps cost about 2.3 KB each (tracemalloc, CPython
+    3.11), so the cap holds about 0.58 MB there.
     """
 
     def __init__(self, kernel: Kernel):
@@ -524,7 +518,7 @@ def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
         append(node if kids is None else kids[child])
     touches = entry.touch_base
     for graft in entry.grafts:
-        touches += slots[graft][3]
+        touches += slots[graft][2]
     for get in entry.nodes:
         # _node, inlined
         kids = get(slots)
@@ -532,13 +526,12 @@ def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
         if first[0] is None and kids.count(first) == arity:
             append(first)
             continue
-        leaves = depth = size = 0
+        depth = size = 0
         for k in kids:
-            leaves += k[1]
-            size += k[3]
-            if k[2] > depth:
-                depth = k[2]
-        append((kids, leaves, depth + 1, size + 1))
+            size += k[2]
+            if k[1] > depth:
+                depth = k[1]
+        append((kids, depth + 1, size + 1))
     return slots[-1], touches
 
 
@@ -566,7 +559,7 @@ class _SharedMap:
             root = _initial_map(kernel.alphabet.symbols, length)
             root = table.starts[length] = maps.setdefault(root, root)
         self.root = root
-        self.coalesced = False  # a run composes at least one draw
+        self.coalesced = root[0] is None
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:
         entry = self.lookup(u)
@@ -583,10 +576,11 @@ class _SharedMap:
             root = new
         self.root = root
         self.coalesced = root[0] is None
-        return touches, entry.depth, entry.is_regeneration, entry.reach
+        return touches, entry.depth, not entry.depth, entry.reach
 
     def size(self) -> Tuple[int, int]:
-        return self.root[1], self.root[2]
+        root, arity = self.root, self.arity
+        return ((arity - 1) * root[2] + 1) // arity, root[1]
 
     def sample(self) -> Context:
         return _window(self.root, self.length)
@@ -630,7 +624,7 @@ class _CombMap:
                 runs.append((side, 1))
             start = starts[length] = (runs, node)
         self.runs, self.spine = start
-        self.coalesced = False  # a run composes at least one draw
+        self.coalesced = not self.runs
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:
         # the slice visits the spine down to depth m: its reach is m
@@ -645,7 +639,7 @@ class _CombMap:
         for side, count in shifted:
             take = count if count < need else need
             new_runs.append((side, take))
-            touches += take * (side[3] - 1)
+            touches += take * (side[2] - 1)
             need -= take
             if not need:
                 break
@@ -657,7 +651,7 @@ class _CombMap:
                 if node[0] is None:
                     break
                 node = node[0][1]
-            touches += node[3] - 1
+            touches += node[2] - 1
             while node[0] is not None:
                 side, node = node[0]
                 new_runs.append((side, 1))
@@ -668,15 +662,15 @@ class _CombMap:
         return touches, m, False, m
 
     def size(self) -> Tuple[int, int]:
-        # the spine leaf lies where the last run ends, and that run's side
-        # reaches at least as deep
-        leaves, depth, end = 1, 0, 0
+        # a spine level is one node plus its side; the spine leaf lies where
+        # the last run ends, and that run's side reaches at least as deep
+        size, depth, end = 1, 0, 0
         for side, count in self.runs:
-            leaves += count * side[1]
+            size += count * (side[2] + 1)
             end += count
-            if end + side[2] > depth:
-                depth = end + side[2]
-        return leaves, depth
+            if end + side[1] > depth:
+                depth = end + side[1]
+        return (size + 1) // 2, depth
 
     @property
     def root(self) -> tuple:
@@ -714,7 +708,10 @@ class _AuditedMap:
         self.map = _composite_map(kernel, length)
         self.state = prune_minimal(init_state(kernel.alphabet, length))
         self.t = 0
-        self.coalesced = False
+
+    @property
+    def coalesced(self) -> bool:
+        return self.map.coalesced
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:
         got = self.map.advance(u)
@@ -737,7 +734,6 @@ class _AuditedMap:
             )
         self.state = state
         self.t -= 1
-        self.coalesced = self.map.coalesced
         self.on_iteration(StepAudit(self.t, slice_, unpruned, state))
         return got
 
@@ -762,7 +758,9 @@ def run(
     """Draw one exact stationary window of the given length.
 
     Draws are consumed in backward time order (the first draw belongs to
-    time -1).  Budget violations raise with partial diagnostics attached.
+    time -1) until the composite map is constant; one constant from the
+    start (a one-symbol alphabet) takes no draw, as in :func:`pw_extended`.
+    Budget violations raise with partial diagnostics attached.
     With ``on_iteration`` the kernel family's composite map runs beside the
     reference :func:`step`, which checks it on every draw and supplies the
     tries of each :class:`StepAudit`.  The hook sees t = -1, -2, ... up
@@ -808,9 +806,10 @@ class _TableMap:
             new_table[h] = self.table[(h + (g,))[-m:]]
         self.table, self.m = new_table, m_next
         self.coalesced = len(set(new_table.values())) == 1
-        # every node of the full depth-m trie is held, not only the leaves
+        # every node of the full depth-m trie is held, not only the leaves;
+        # a one-symbol table is constant from the start, so n_sym >= 2
         n_sym = len(self.symbols)
-        touches = (n_sym ** (m_next + 1) - 1) // (n_sym - 1) if n_sym > 1 else m_next + 1
+        touches = (n_sym ** (m_next + 1) - 1) // (n_sym - 1)
         # phi resolves at the full order: no slice, so no depth budget
         return touches, 0, False, 0
 

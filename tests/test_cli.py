@@ -210,6 +210,33 @@ def test_trace_and_out_on_one_file(tmp_path, capsys):
         assert not path.exists()
 
 
+def test_no_output_over_the_kernel_spec(tmp_path, monkeypatch, capsys):
+    # every command refuses an output path that names its --kernel file,
+    # however spelled, and leaves the spec as it was
+    spec = tmp_path / "k.json"
+    spec.write_bytes(Path(kpath("order1")).read_bytes())
+    before = spec.read_bytes()
+    os.link(spec, tmp_path / "hard.json")
+    monkeypatch.chdir(tmp_path)
+    runs = ["--seed", "1", "--runs", "2"]
+    for flags, clash in [
+        (["sample", *runs, "--out", "k.json"], "--out"),
+        (["sample", *runs, "--trace", "./k.json"], "--trace"),
+        (["sample", *runs, "--trace", str(spec), "--out", "t.csv"], "--trace"),
+        (["validate", *runs, "--out", "./k.json"], "--out"),
+        (["bench", *runs, "--out", str(spec)], "--out"),
+        (["inspect", "--out", "k.json"], "--out"),
+        (["inspect", "--u", "0.5", "--out", "./k.json"], "--out"),
+        (["sample", *runs, "--out", "hard.json"], "--out"),
+    ]:
+        rc, out, err = run_cli([flags[0], "--kernel", "k.json", *flags[1:]], capsys)
+        assert rc == 2, flags
+        assert out == ""
+        assert err == f"ciaftp: error: Usage: --kernel and {clash} name the same file\n"
+        assert spec.read_bytes() == before, flags
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.json", "k.json"]
+
+
 def test_bad_flags(capsys):
     # counts and budgets below 1, and negative seeds, are usage errors, not
     # tracebacks
@@ -317,6 +344,21 @@ def test_bench_both_algorithms(capsys):
     for r in rows:
         by_seed.setdefault(r[1], []).append((r[2], r[3]))
     assert all(len(set(v)) == 1 for v in by_seed.values())
+
+
+def test_bench_one_symbol_algorithms_agree(tmp_path, capsys):
+    # a one-symbol map is constant before any draw, for both algorithms
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"alphabet": ["a"], "type": "memoryless",
+                                "contexts": [{"context": "", "probs": {"a": 1}}]}))
+    for length in (1, 2, 3):
+        rc, out, _ = run_cli(["bench", "--kernel", str(spec), "--length", str(length),
+                              "--runs", "3", "--seed", "4", "--no-timing"], capsys)
+        assert rc == 0
+        rows = [r.split(",") for r in data_lines(out)[1:]]
+        assert [r[0] for r in rows] == ["ciaftp"] * 3 + ["pw_extended"] * 3
+        assert [r[1:] for r in rows[:3]] == [r[1:] for r in rows[3:]] == [
+            [str(seed), "a" * length, "0", "0", "0", "0", ""] for seed in (4, 5, 6)]
 
 
 def test_bench_renewal_single_algorithm(capsys):

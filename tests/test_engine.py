@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import gc
 import os
 import pickle
 from pathlib import Path
@@ -29,7 +30,7 @@ from ciaftp.errors import (
     UnsupportedOperation,
 )
 from ciaftp.kernels import ContextTreeKernel, RenewalSqrtKernel, load_kernel, memoryless_kernel
-from ciaftp.tries import ContextTrie, dominates, prefix_closure
+from ciaftp.tries import Alphabet, ContextTrie, dominates, prefix_closure
 
 from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
 
@@ -259,6 +260,22 @@ def test_pw_extended_agrees_with_adaptive():
             b = pw_extended(k, length, RngStream(seed))
             assert a.sample == b.sample
             assert a.diagnostics.tau == b.diagnostics.tau
+
+
+def test_one_symbol_map_is_constant_before_any_draw():
+    # on a one-symbol alphabet the start is already constant: every sampler
+    # returns at once, with no draw, no work and no hook call
+    k = memoryless_kernel(Alphabet(("a",)), (1.0,))
+    for length in (1, 2, 3):
+        seen = []
+        for res in (run(k, length, RngStream(5), trace=True),
+                    run(k, length, RngStream(5), trace=True, on_iteration=seen.append),
+                    pw_extended(k, length, RngStream(5), trace=True)):
+            d = res.diagnostics
+            assert res.sample == ("a",) * length
+            assert (d.tau, d.iterations, d.node_touches, d.max_slice_depth) == (0, 0, 0, 0)
+            assert d.regeneration_times == [] and d.records == []
+        assert seen == []
 
 
 def test_pw_extended_needs_finite_order():
@@ -498,6 +515,29 @@ def test_budget_errors_report_the_run_up_to_the_raise(sampler, make, length, err
     assert raised and max(raised) >= 2
 
 
+def test_a_budget_error_leaves_no_cycle():
+    # the raised error's traceback holds the loop's frame, so a local that
+    # held the error would make a cycle, and each failed run's map would
+    # wait for the cyclic collector
+    cases = [(desk_vlmc(), 3, budget) for budget in
+             ({"max_iter": 2}, {"max_depth": 1}, {"max_nodes": 20})]
+    cases.append((RenewalSqrtKernel(), 2, {"max_depth": 10}))
+    gc.collect()
+    gc.disable()
+    try:
+        failed = 0
+        for k, length, budget in cases:
+            for seed in range(12):
+                try:
+                    run(k, length, RngStream(seed), **budget)
+                except BudgetError:
+                    failed += 1
+        assert failed > 12
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("make, length, error, budget", [
     (desk_vlmc, 3, IterationLimitExceeded, {"max_iter": 2}),
     (desk_vlmc, 3, MaxDepthExceeded, {"max_depth": 1}),
@@ -693,7 +733,8 @@ def test_wide_windows_share_their_start_and_the_memo(monkeypatch):
     assert len(built) == 1
     table = slice_table(k)
     start = table.starts[13]
-    assert table.maps[start] is start and start[1] == 2**13
+    # a binary tree of n nodes has (n + 1) / 2 leaves
+    assert table.maps[start] is start and (start[2] + 1) // 2 == 2**13
     assert all(outcome[1] <= -13 for outcome in first)  # at least 13 draws
     assert again == first and audited == first
     assert len(composed) < sum(outcome[2] for outcome in again + audited)
@@ -739,7 +780,7 @@ def test_audit_checks_memo_hits(tamper):
     if tamper == "touches":
         assert got[3] == before[3] + 1 and got[:3] == before[:3]
     else:
-        assert (got[0], got[1]) == (leaf[4], -1) != (before[0], before[1])
+        assert (got[0], got[1]) == (leaf[3], -1) != (before[0], before[1])
     with pytest.raises(InvariantViolation):
         run(k, 3, RngStream(seed), on_iteration=lambda a: None)
 

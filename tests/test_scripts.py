@@ -26,7 +26,9 @@ def test_renewal_depth_tail(tmp_path):
 
 def test_run_outcomes(tmp_path):
     out = run_script("run_outcomes.py", ["--seeds", "1"], tmp_path).splitlines()
+    # the shipped kernels, then the script's one-symbol and ternary specs
     kernels = sorted(p.stem for p in (SCRIPTS.parent / "kernels").glob("*.json"))
+    kernels += ["one_symbol", "ternary_vlmc"]
     # every kernel, at L = 1..3, under four budgets, plain and audited;
     # the renewal kernel also plain at the deep budgets, over 64 seeds,
     # order1 at L=13 plain and audited, and every finite kernel through
@@ -43,7 +45,10 @@ def test_run_outcomes(tmp_path):
     assert [line.split()[:3] for line in pw] == [
         [name, f"L={length}", budget] for name in kernels if name != "renewal_sqrt"
         for length in (1, 2, 3) for budget in ("default", "max_iter=3")]
-    assert {line.split()[0] for line in out} == set(kernels)
+    assert list(dict.fromkeys(line.split()[0] for line in out)) == kernels
+    # a one-symbol map is constant before any draw
+    assert all(" sample=a" in line and " tau=0 iterations=0 node_touches=0 " in line
+               for line in out if line.startswith("one_symbol "))
     assert any(" error=MaxDepthExceeded " in line for line in out)
     assert all(" tau=" in line and " records=" in line for line in out)
     # the untraced loop reports what the traced one does

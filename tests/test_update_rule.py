@@ -225,10 +225,12 @@ def test_slice_table_matches_generic_slice():
             assert all(parent < slot for slot, (parent, _) in enumerate(entry.walk, 1))
             assert sorted(paths[slot] for slot in entry.grafts) == sorted(walks), (name, u)
             assert len(entry.nodes) == ref.trie.node_count() - len(walks), (name, u)
-            assert (entry.depth, entry.touch_base, entry.is_regeneration, entry.reach) == (
+            assert (entry.depth, entry.touch_base, entry.reach) == (
                 ref.depth, ref.node_touches + ref.trie.node_count() - ref.trie.leaf_count(),
-                ref.is_regeneration, ref.reach
+                ref.reach
             ), (name, u)
+            # the map reports a regeneration exactly for a depth-0 slice
+            assert (entry.depth == 0) == ref.is_regeneration, (name, u)
             # below the kernel order, the expansion refuses exactly the
             # draws whose reach exceeds the budget, and run refuses them
             # with the same message
@@ -272,14 +274,13 @@ def _compose_leaf_by_leaf(root, slice_, alphabet):
                 if target[0] is None:
                     break
                 target = target[0][i]
-            grafted += target[3]
+            grafted += target[2]
             return target
         kids = tuple(compose(node.children[g], path + (i,))
                      for i, g in enumerate(alphabet.symbols))
         if kids[0][0] is None and all(kid is kids[0] for kid in kids):
             return kids[0]  # one leaf object per label: the pruning rule
-        return (kids, sum(kid[1] for kid in kids), 1 + max(kid[2] for kid in kids),
-                1 + sum(kid[3] for kid in kids))
+        return (kids, 1 + max(kid[1] for kid in kids), 1 + sum(kid[2] for kid in kids))
 
     return compose(slice_.trie.root, ()), grafted
 
@@ -305,8 +306,8 @@ def test_slice_programs_compose_like_a_walk_per_leaf():
                     assert root == want, (name, length, seed, u)
                     leaves = ref.trie.leaf_count()
                     assert touches == ref.node_touches + ref.trie.node_count() + grafted - leaves
-                    assert (entry.depth, entry.is_regeneration, entry.reach) == (
-                        ref.depth, ref.is_regeneration, ref.reach)
+                    assert (entry.depth, entry.reach) == (ref.depth, ref.reach)
+                    assert (entry.depth == 0) == ref.is_regeneration
 
 
 def test_build_slice_max_depth():
