@@ -26,6 +26,13 @@ seed, the sample or the budget error's code and message, ``tau``,
 reports the same, records aside.  Running it on two checkouts and diffing
 the output shows whether a change kept every outcome, traced and untraced.
 
+A few dozen seeds never make ``engine._compose`` compile a program (it
+compiles one at its ``COMPILE_AFTER``-th run), so after those lines every
+finite-order kernel's lines are printed again, each prefixed ``compiled``,
+from a fresh copy of the kernel whose every slice program was compiled
+before its first run (``SliceTable.compile_all``; a ``--src`` checkout
+without it prints none): they must equal the lines above them.
+
 Usage:
     python scripts/run_outcomes.py --seeds 6 > change.txt
     python scripts/run_outcomes.py --seeds 6 --src ../other/src > other.txt
@@ -101,16 +108,27 @@ def main() -> int:
                     help="directory the ciaftp package is imported from")
     args = ap.parse_args()
     sys.path.insert(0, str(args.src))
-    from ciaftp.engine import pw_extended, run
+    from ciaftp.engine import pw_extended, run, slice_table
     from ciaftp.errors import BudgetError
     from ciaftp.kernels import load_kernel, parse_kernel_spec
 
     plain = [("audited=0", run)]
     both = plain + [("audited=1", functools.partial(run, on_iteration=lambda a: None))]
-    kernels = [(path.stem, load_kernel(str(path)))
-               for path in sorted((ROOT / "kernels").glob("*.json"))]
-    kernels += [(name, parse_kernel_spec(json.dumps(spec))) for name, spec in SPECS.items()]
-    for name, kernel in kernels:
+    makers = [(path.stem, functools.partial(load_kernel, str(path)))
+              for path in sorted((ROOT / "kernels").glob("*.json"))]
+    makers += [(name, functools.partial(parse_kernel_spec, json.dumps(spec)))
+               for name, spec in SPECS.items()]
+    kernels = [("", name, make()) for name, make in makers]
+    for name, make in makers:
+        kernel = make()
+        if kernel.order is None:
+            continue
+        # a --src checkout older than compiled programs prints no such lines
+        compile_all = getattr(slice_table(kernel), "compile_all", None)
+        if compile_all is not None:
+            compile_all()
+            kernels.append(("compiled ", name, kernel))
+    for prefix, name, kernel in kernels:
         cases = [(case, budget, both, args.seeds) for case, budget in BUDGETS]
         if kernel.order is None:
             cases.append((*DEEP, plain, max(args.seeds, DEEP_SEEDS)))
@@ -125,7 +143,7 @@ def main() -> int:
                 for tag, sampler in samplers:
                     for seed in range(seeds):
                         line = outcome(sampler, kernel, length, seed, budget, BudgetError)
-                        print(f"{name} L={length} {case} {tag} seed={seed} {line}",
+                        print(f"{prefix}{name} L={length} {case} {tag} seed={seed} {line}",
                               flush=True)
     return 0
 

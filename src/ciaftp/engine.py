@@ -18,13 +18,16 @@ two are built from the same immutable nodes:
 * :class:`_SharedMap` - finite-order kernels.  The minimal labeled trie
   as shared subtrees, whose leaf labels are full length-L windows.  A step
   finds the draw's gap in the kernel's :class:`SliceTable` by bisection
-  and runs the gap's compiled program (:class:`SliceEntry`,
-  :func:`_compose`): walk each distinct prefix of the slice leaves' paths
-  into the previous map once, graft the subtrees reached by reference and
-  rebuild only the slice's internal nodes.  So a step costs O(slice size),
-  not O(state size).  Few distinct maps occur, so the table is also an
-  exact memo of whole steps, which interns at most :data:`MEMO_CAP` maps:
-  a step that repeats a stored (map, gap) transition is a dict lookup;
+  and runs the gap's program (:class:`SliceEntry`, :func:`_compose`): walk
+  each distinct prefix of the slice leaves' paths into the previous map
+  once, graft the subtrees reached by reference and rebuild only the
+  slice's internal nodes.  So a step costs O(slice size), not O(state
+  size).  A program is interpreted by three flat loops until its
+  :data:`COMPILE_AFTER`-th run, which compiles it into one straight-line
+  Python function of the map, built from integers only.  Few distinct
+  maps occur, so the table is also an exact memo of whole steps, which
+  interns at most :data:`MEMO_CAP` maps: a step that repeats a stored
+  (map, gap) transition is a dict lookup;
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
   run-length-compressed side subtrees along the all-ones spine.  A step
@@ -58,6 +61,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Tuple
 from weakref import ref
 
@@ -250,11 +254,12 @@ def _backward(
     return RunResult(rep.sample(), diagnostics)
 
 
-# Nodes of the composite map.  A leaf is ``(None, 0, 1, label)`` and an
-# internal node ``(children, depth, tree size)``, with children in alphabet
-# order; the memos make the trace's sizes and the node touches O(1).  Every
-# internal node has |G| children, so a tree of size n has
-# ((|G| - 1) * n + 1) / |G| leaves and needs no leaf count of its own.  A
+# Nodes of the composite map.  A leaf is ``(None, 1, label)`` and an
+# internal node ``(children, tree size)``, with children in alphabet order;
+# the size memo makes the node touches O(1).  Every internal node has |G|
+# children, so a tree of size n has ((|G| - 1) * n + 1) / |G| leaves and
+# needs no leaf count of its own; its depth is not stored either, and only
+# the trace records and the audit, which read it, walk for it (_depth).  A
 # node is never changed once built, so a step grafts the previous map's
 # subtrees by reference.  Each label has one leaf object: the initial map
 # creates every leaf and later steps only graft them, so a node whose
@@ -270,12 +275,21 @@ def _node(kids: tuple) -> tuple:
     first = kids[0]
     if first[0] is None and kids.count(first) == len(kids):
         return first
-    depth = size = 0
+    size = 1
     for k in kids:
-        size += k[2]
-        if k[1] > depth:
-            depth = k[1]
-    return (kids, depth + 1, size + 1)
+        size += k[1]
+    return (kids, size)
+
+
+def _depth(root: tuple) -> int:
+    """The depth of a shared-subtree map, one level at a time, each distinct
+    internal node of a level once."""
+    depth = 0
+    level = [] if root[0] is None else [root]
+    while level:
+        depth += 1
+        level = list({id(k): k for node in level for k in node[0] if k[0] is not None}.values())
+    return depth
 
 
 def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
@@ -288,7 +302,7 @@ def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
     # built from the leaves up; each level lists its contexts in
     # itertools.product order, so the children (g,) + c of context c sit
     # one stride apart
-    level = [(None, 0, 1, w) for w in itertools.product(symbols, repeat=length)]
+    level = [(None, 1, w) for w in itertools.product(symbols, repeat=length)]
     for k in range(length - 1, -1, -1):
         stride = len(symbols) ** k
         level = [_node(tuple(level[j::stride])) for j in range(stride)]
@@ -302,7 +316,7 @@ def _map_leaves(root: tuple, symbols: Tuple[str, ...]) -> Dict[Context, Context]
     while stack:
         node, ctx = stack.pop()
         if node[0] is None:
-            out[ctx] = node[3]
+            out[ctx] = node[2]
         else:
             for g, child in zip(symbols, node[0]):
                 stack.append((child, (g,) + ctx))
@@ -311,7 +325,7 @@ def _map_leaves(root: tuple, symbols: Tuple[str, ...]) -> Dict[Context, Context]
 
 def _window(leaf: tuple, length: int) -> Context:
     """The label of the coalesced map's leaf, checked to be a window."""
-    sample = leaf[3]
+    sample = leaf[2]
     if len(sample) != length:
         raise InvariantViolation(f"coalesced label {sample} is not a length-{length} window")
     return sample
@@ -321,12 +335,15 @@ def _window(leaf: tuple, length: int) -> Context:
 
 # The most maps a SliceTable interns for its step memo; see SliceTable.
 MEMO_CAP = 256
+# The program run at which _compose compiles a gap's program; see _compose.
+COMPILE_AFTER = 300
 
 WalkStep = Tuple[int, int]
 NodeGetter = Callable[[list], tuple]
+Program = Callable[[tuple], Tuple[tuple, int]]
 
 
-@dataclass(frozen=True)
+@dataclass
 class SliceEntry:
     """The slice shared by every draw in one gap of a :class:`SliceTable`,
     compiled into a program that :func:`_compose` runs on a composite map.
@@ -354,10 +371,16 @@ class SliceEntry:
     slice's :attr:`~ciaftp.update_rule.UpdateSlice.reach`: :func:`_backward`
     refuses the draw exactly when it exceeds ``max_depth``, as
     :func:`~ciaftp.update_rule.build_slice` does.
-    ``memo`` holds the table's stored transitions through this gap, at
-    most one per interned map, keyed by the map's ``id``.  It is not an
-    init field, so an entry made by ``dataclasses.replace`` starts with an
-    empty memo of its own.
+
+    Three fields are not init fields, so an entry made by
+    ``dataclasses.replace`` starts with none of the original's: ``memo``
+    holds the table's stored transitions through this gap, at most one per
+    interned map, keyed by the map's ``id``; ``runs`` counts the program's
+    interpreted runs (memo hits excluded), and ``program`` is the program
+    compiled into one function (:func:`_compile_program`), which
+    :func:`_compose` builds at run :data:`COMPILE_AFTER`.  Compiled, an
+    order6 program costs about 11 KB (tracemalloc, CPython 3.11), so its 65
+    gaps' programs about 0.74 MB.
     """
 
     walk: Tuple[WalkStep, ...]
@@ -368,6 +391,8 @@ class SliceEntry:
     reach: int
     memo: Dict[int, Tuple[tuple, int]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    runs: int = field(default=0, init=False, compare=False, repr=False)
+    program: Optional[Program] = field(default=None, init=False, compare=False, repr=False)
 
 
 def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
@@ -431,7 +456,9 @@ class SliceTable:
     compiled and inserted.  The gap of 0 is found first, so the last gap
     starting at or below a draw is its only candidate.  The kernel is held
     weakly: the table lives in ``kernel.slice_cache``, so a strong one
-    would be a cycle.
+    would be a cycle.  Nothing else points back at the table either: the
+    entries' compiled programs share one globals dict and hold no cycle,
+    so dropping the kernel frees them at once.
 
     The table is also a memo of whole steps, which :class:`_SharedMap`
     reads and fills.  A composite map is a function on contexts of depth
@@ -454,8 +481,8 @@ class SliceTable:
     (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes 120 transitions
     between 38 maps and the memo answers 99.3% of its steps; order2 at
     L=3 stores 687 transitions on 256 maps (76.3%); order6 at L=1 stores
-    262 (1.0%), and its maps cost about 2.3 KB each (tracemalloc, CPython
-    3.11), so the cap holds about 0.58 MB there.
+    262 (1.0%), and its maps cost about 2.0 KB each (tracemalloc, CPython
+    3.11), so the cap holds about 0.51 MB there.
     """
 
     def __init__(self, kernel: Kernel):
@@ -463,6 +490,7 @@ class SliceTable:
             raise UnsupportedOperation("a slice table needs a finite-order kernel")
         self._kernel = ref(kernel)
         self._max_depth = max(kernel.order, 1)
+        self.arity = kernel.alphabet.size
         self.lows: List[float] = []
         self.highs: List[float] = []
         self.entries: List[SliceEntry] = []
@@ -489,6 +517,18 @@ class SliceTable:
         self.entries.insert(i, entry)
         return entry
 
+    def compile_all(self) -> None:
+        """Find every gap, from 0 up, and compile each program that is not
+        compiled yet, so that every later program run is a compiled one
+        (``scripts/run_outcomes.py`` diffs those runs against interpreted
+        ones)."""
+        u = 0.0
+        while u < 1.0:
+            entry = self.lookup(u)
+            if entry.program is None:
+                entry.program = _compile_program(entry, self.arity)
+            u = self.highs[bisect_right(self.lows, u) - 1]
+
 
 def slice_table(kernel: Kernel) -> SliceTable:
     """The kernel's :class:`SliceTable`, built on first use and kept on the
@@ -504,12 +544,30 @@ def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
     """Run ``entry``'s program on the map ``root``; returns (new map, node
     touches).
 
-    Three flat loops over a list of slots: the walk steps fill a slot for
-    every distinct prefix of the slice leaves' paths into ``root``, the
-    grafts' tree sizes add up to the node touches, and the getters rebuild
-    the slice's internal nodes above the grafts, in post-order, with the
-    collapse rule of :func:`_node`.
+    A program's first ``COMPILE_AFTER - 1`` runs interpret it
+    (:func:`_interpret`).  Run ``COMPILE_AFTER`` compiles it into one
+    function (:func:`_compile_program`), which gives the same map and
+    touches and runs from then on.  On an order6 program (2 vCPU, CPython
+    3.11) a compile costs about 3 ms and a compiled run about 10 us
+    against the interpreter's 21 us, so it pays back after about 280 runs:
+    only the gaps a kernel keeps drawing are compiled, and a few warm-up
+    runs compile nothing.
     """
+    program = entry.program
+    if program is None:
+        runs = entry.runs = entry.runs + 1
+        if runs < COMPILE_AFTER:
+            return _interpret(root, entry, arity)
+        program = entry.program = _compile_program(entry, arity)
+    return program(root)
+
+
+def _interpret(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
+    """``entry``'s program run by three flat loops over a list of slots: the
+    walk steps fill a slot for every distinct prefix of the slice leaves'
+    paths into ``root``, the grafts' tree sizes add up to the node touches,
+    and the getters rebuild the slice's internal nodes above the grafts, in
+    post-order, with the collapse rule of :func:`_node`."""
     slots = [root]
     append = slots.append
     for parent, child in entry.walk:
@@ -518,7 +576,7 @@ def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
         append(node if kids is None else kids[child])
     touches = entry.touch_base
     for graft in entry.grafts:
-        touches += slots[graft][2]
+        touches += slots[graft][1]
     for get in entry.nodes:
         # _node, inlined
         kids = get(slots)
@@ -526,13 +584,57 @@ def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
         if first[0] is None and kids.count(first) == arity:
             append(first)
             continue
-        depth = size = 0
+        size = 1
         for k in kids:
-            size += k[2]
-            if k[1] > depth:
-                depth = k[1]
-        append((kids, depth + 1, size + 1))
+            size += k[1]
+        append((kids, size))
     return slots[-1], touches
+
+
+def _program_source(entry: SliceEntry, arity: int) -> str:
+    """``entry``'s program as the source of one straight-line function of
+    the map ``s0``, whose locals are the slots (slot ``i`` is ``s<i>``).
+
+    Each parent slot the walk reads is unpacked into its children in one
+    statement, ``_`` naming the ones no step takes, and a leaf stands for
+    each of its children; each internal node is one conditional expression
+    with the collapse rule of :func:`_node` (one leaf object per label, so
+    equal leaves are the same object); the return adds the grafts' tree
+    sizes to ``touch_base``.  Only integers reach the source: slot and child
+    indices, the arity and ``touch_base``.
+    """
+    taken: Dict[int, Dict[int, int]] = {}
+    for slot, (parent, child) in enumerate(entry.walk, 1):
+        taken.setdefault(int(parent), {})[int(child)] = slot
+    lines = ["def program(s0):"]
+    for parent in sorted(taken):
+        kids = taken[parent]
+        names = "".join(f"s{kids[i]}, " if i in kids else "_, " for i in range(arity))
+        lines.append(f" {names}= s{parent}[0] or ({f's{parent}, ' * arity})")
+    first = len(entry.walk) + 1
+    slots = range(first + len(entry.nodes))
+    for i, get in enumerate(entry.nodes):
+        # a getter applied to the slot numbers picks its children's slots
+        kids = [f"s{slot}" for slot in get(slots)]
+        lines.append(f" s{first + i} = {kids[0]} if {' is '.join(kids)} and {kids[0]}[0] is None"
+                     f" else (({', '.join(kids)}), {' + '.join(k + '[1]' for k in kids)} + 1)")
+    touches = " + ".join([str(int(entry.touch_base))] + [f"s{int(g)}[1]" for g in entry.grafts])
+    lines.append(f" return s{slots[-1]}, {touches}")
+    return "\n".join(lines) + "\n"
+
+
+# The globals of every compiled program: it reads none, so none are offered.
+# One dict for all of them, so a program and its namespace make no cycle.
+_PROGRAM_GLOBALS: dict = {"__builtins__": {}}
+
+
+def _compile_program(entry: SliceEntry, arity: int) -> Program:
+    """``entry``'s program compiled into one function (see
+    :func:`_program_source`), built from its code object on the shared
+    :data:`_PROGRAM_GLOBALS`."""
+    module = compile(_program_source(entry, arity), "<slice program>", "exec")
+    code = next(c for c in module.co_consts if isinstance(c, CodeType))
+    return FunctionType(code, _PROGRAM_GLOBALS)
 
 
 class _SharedMap:
@@ -580,7 +682,7 @@ class _SharedMap:
 
     def size(self) -> Tuple[int, int]:
         root, arity = self.root, self.arity
-        return ((arity - 1) * root[2] + 1) // arity, root[1]
+        return ((arity - 1) * root[1] + 1) // arity, _depth(root)
 
     def sample(self) -> Context:
         return _window(self.root, self.length)
@@ -639,7 +741,7 @@ class _CombMap:
         for side, count in shifted:
             take = count if count < need else need
             new_runs.append((side, take))
-            touches += take * (side[2] - 1)
+            touches += take * (side[1] - 1)
             need -= take
             if not need:
                 break
@@ -651,7 +753,7 @@ class _CombMap:
                 if node[0] is None:
                     break
                 node = node[0][1]
-            touches += node[2] - 1
+            touches += node[1] - 1
             while node[0] is not None:
                 side, node = node[0]
                 new_runs.append((side, 1))
@@ -666,10 +768,9 @@ class _CombMap:
         # the last run ends, and that run's side reaches at least as deep
         size, depth, end = 1, 0, 0
         for side, count in self.runs:
-            size += count * (side[2] + 1)
+            size += count * (side[1] + 1)
             end += count
-            if end + side[1] > depth:
-                depth = end + side[1]
+            depth = max(depth, end + _depth(side))
         return (size + 1) // 2, depth
 
     @property

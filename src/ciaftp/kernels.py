@@ -23,7 +23,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     BadProbability,
@@ -74,7 +74,12 @@ class LowerBoundRow:
 
     @property
     def resolved(self) -> bool:
-        return self.mass >= 1.0 - PROB_TOL
+        return resolves(self.mass)
+
+
+def resolves(mass: float) -> bool:
+    """Whether a context with this lower-bound mass determines the law."""
+    return mass >= 1.0 - PROB_TOL
 
 
 class Kernel:
@@ -102,6 +107,17 @@ class Kernel:
 
     def lower_bounds(self, s: Context) -> LowerBoundRow:
         raise NotImplementedError
+
+    def suffix_bounds(self, w: Context) -> Iterator[Tuple[Distribution, float]]:
+        """``(lower, mass)`` of :meth:`lower_bounds` at the suffixes of ``w``
+        of lengths 0..len(w), shortest first.  Past a finite order every
+        suffix resolves to the law at its last ``order`` symbols, so the
+        row at the order repeats and no longer suffix is sliced."""
+        n, order = len(w), self.order
+        for k in range(n + 1):
+            if order is None or k <= order:
+                row = self.lower_bounds(w[n - k:])
+            yield row.lower, row.mass
 
     def distribution_at(self, s: Context) -> Distribution:
         """The exact next-symbol law at a resolving context."""
@@ -216,6 +232,16 @@ class RenewalSqrtKernel(Kernel):
     def p_zero(trailing_ones: int) -> float:
         return 1.0 - 1.0 / math.sqrt(trailing_ones + 1)
 
+    def _bounds(self, r: int, all_ones: bool) -> Tuple[Distribution, float]:
+        """``(lower, mass)`` of a context ending in r ones, all of it ones or
+        not: an all-ones context bounds only the 0-probability."""
+        p0 = self.p_zero(r)
+        if all_ones:
+            return (p0, 0.0), p0
+        if r == 0:
+            return (0.0, 1.0), 1.0
+        return (p0, 1.0 - p0), 1.0
+
     def lower_bounds(self, s: Context) -> LowerBoundRow:
         # only the symbols after the newest 0 are read
         r = s[::-1].index("0") if "0" in s else len(s)
@@ -223,14 +249,23 @@ class RenewalSqrtKernel(Kernel):
         if tail.count("1") != r:
             sym = next(x for x in reversed(tail) if x != "1")
             raise UnknownSymbol(f"symbol {sym!r} not in alphabet ('0', '1')")
-        if r == len(s):
-            # all-ones context: only a lower bound on the 0-probability
-            p0 = self.p_zero(r)
-            return LowerBoundRow(s, (p0, 0.0), p0)
-        if r == 0:
-            return LowerBoundRow(s, (0.0, 1.0), 1.0)
-        p0 = self.p_zero(r)
-        return LowerBoundRow(s, (p0, 1.0 - p0), 1.0)
+        return LowerBoundRow(s, *self._bounds(r, r == len(s)))
+
+    def suffix_bounds(self, w: Context) -> Iterator[Tuple[Distribution, float]]:
+        # level k reads one symbol more, the k-th newest, so O(1) work per
+        # level: the rows of all-ones suffixes (the empty one included),
+        # then, from the level that reaches the newest 0, one resolved row
+        # for every longer suffix
+        n = len(w)
+        for k in range(n + 1):
+            if k and w[n - k] != "1":
+                if w[n - k] != "0":
+                    raise UnknownSymbol(f"symbol {w[n - k]!r} not in alphabet ('0', '1')")
+                row = self._bounds(k - 1, False)
+                for _ in range(k, n + 1):
+                    yield row
+                return
+            yield self._bounds(k, True)
 
     def min_mass(self, k: int) -> float:
         # the minimizing depth-k context is the all-ones one
@@ -238,7 +273,8 @@ class RenewalSqrtKernel(Kernel):
 
     # p_zero(1..SPINE_CAP), a memo of a fixed function, so one table serves
     # every instance (about 0.5 MB).  The process's first draw fills it in
-    # one go (about 2.4 ms); only draws deeper than the cap gallop
+    # one go (about 2.4 ms); draws deeper than the cap start from the
+    # closed form
     SPINE_CAP = 2**14
     _spine: List[float] = []
 
@@ -259,19 +295,40 @@ class RenewalSqrtKernel(Kernel):
     @classmethod
     def _deep_slice_depth(cls, u: float) -> int:
         """:meth:`slice_depth` for a draw past the table: fill the table, or
-        past its cap gallop then bisect on ``u < p_zero(m)``."""
+        past its cap start from the closed form and settle the answer on
+        ``u < p_zero(m)``."""
         spine = cls._spine
         if len(spine) < cls.SPINE_CAP:
             # a new list, so a reader never sees a half-built table
             spine = cls._spine = [cls.p_zero(m) for m in range(1, cls.SPINE_CAP + 1)]
             if u < spine[-1]:
                 return bisect_right(spine, u) + 1
-        lo, hi = len(spine), 2 * len(spine)  # the predicate is False at lo
-        while not u < cls.p_zero(hi):
-            lo, hi = hi, 2 * hi
+        # u < 1 - 1/sqrt(m+1) iff m > 1/(1-u)^2 - 1, whose smallest integer
+        # is m0 = floor(1/(1-u)^2).  In floats m0 is the answer up to about
+        # m = 2^29 and within 2 of it up to 2^35; deeper, p_zero is flat over
+        # runs of m and m0 can be off by about m * sqrt(m) * 2^-52.  So
+        # gallop from m0 to the nearest bracket, then bisect: two predicate
+        # calls at every depth up to about 2^29, so on all but 2^-14.5 of
+        # the draws.
+        p_zero = cls.p_zero
+        lo = len(spine)  # the predicate is False at lo
+        m = max(int(1.0 / ((1.0 - u) * (1.0 - u))), lo + 1)
+        step = 1
+        if u < p_zero(m):
+            hi = m
+            while hi - step > lo and u < p_zero(hi - step):
+                hi -= step
+                step *= 2
+            lo = max(lo, hi - step)
+        else:
+            lo = m
+            while not u < p_zero(lo + step):
+                lo += step
+                step *= 2
+            hi = lo + step
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if u < cls.p_zero(mid):
+            if u < p_zero(mid):
                 hi = mid
             else:
                 lo = mid

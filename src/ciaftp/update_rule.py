@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import MaxDepthExceeded
-from .kernels import Kernel, LowerBoundRow
+from .kernels import Distribution, Kernel, resolves
 from .tries import Context, ContextTrie, Symbol, prune_minimal
 
 DEFAULT_MAX_DEPTH = 10_000
@@ -70,21 +70,23 @@ class UpdateSlice:
         return self.trie.is_coalesced()
 
 
-def _level_ends(row: LowerBoundRow, prev: Tuple[float, ...], pos: float) -> List[float]:
+def _level_ends(lower: Distribution, mass: float, prev: Tuple[float, ...],
+                pos: float) -> List[float]:
     """Right ends of one level's intervals, in alphabet order, for a level
-    that starts at ``pos``: symbol i gains ``row.lower[i] - prev[i]``.
+    with lower-bound row ``(lower, mass)`` that starts at ``pos``: symbol i
+    gains ``lower[i] - prev[i]``.
 
     At a resolving level the last interval of nonzero width ends at exactly
     1.0, so the intervals tile [0, 1) whatever the rounding of the sums and
     every draw (``1 - 2**-53`` included) lands in one of them.
     """
     ends = []
-    for lower, before in zip(row.lower, prev):
-        pos += lower - before
+    for low, before in zip(lower, prev):
+        pos += low - before
         ends.append(pos)
-    if pos != 1.0 and row.resolved:
+    if pos != 1.0 and resolves(mass):
         last = len(ends) - 1
-        while last > 0 and row.lower[last] == prev[last]:
+        while last > 0 and lower[last] == prev[last]:
             last -= 1
         ends[last:] = [1.0] * (len(ends) - last)
     return ends
@@ -92,14 +94,15 @@ def _level_ends(row: LowerBoundRow, prev: Tuple[float, ...], pos: float) -> List
 
 def _levels(kernel: Kernel, w: Context) -> Iterator[Tuple[int, float, List[float]]]:
     """``(level, start, interval ends)`` for levels 0..len(w) of the chain
-    ``w``, in canonical order."""
+    ``w``, in canonical order; the rows come from
+    :meth:`~ciaftp.kernels.Kernel.suffix_bounds`, at O(1) cost per level
+    past a finite order and on the renewal kernel."""
     pos = 0.0
     prev = (0.0,) * kernel.alphabet.size
-    for k in range(len(w) + 1):
-        row = kernel.lower_bounds(w[len(w) - k:])
-        ends = _level_ends(row, prev, pos)
+    for k, (lower, mass) in enumerate(kernel.suffix_bounds(w)):
+        ends = _level_ends(lower, mass, prev, pos)
         yield k, pos, ends
-        pos, prev = ends[-1], row.lower
+        pos, prev = ends[-1], lower
 
 
 def interval_table(kernel: Kernel, w: Context, u_cap: float = 1.0) -> List[IntervalAssignment]:
@@ -179,7 +182,7 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
         touches += 1
         reach = max(reach, len(ctx))
         row = kernel.lower_bounds(ctx)
-        ends = _level_ends(row, prev, pos)
+        ends = _level_ends(row.lower, row.mass, prev, pos)
         level_end = ends[-1]
         if u < level_end:
             hi = min(hi, level_end)

@@ -4,6 +4,7 @@ import functools
 import gc
 import os
 import pickle
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +570,7 @@ def test_on_iteration_sees_every_step_up_to_a_budget_error(make, length, error, 
 def test_audit_catches_a_corrupt_slice_entry(monkeypatch, corrupt):
     k = desk_vlmc()
     table = slice_table(k)
+    table.compile_all()
     # corrupt the gap of the first draw, which every run composes
     u = RngStream(5).uniform()
     entry = table.lookup(u)
@@ -580,6 +582,10 @@ def test_audit_catches_a_corrupt_slice_entry(monkeypatch, corrupt):
         # symbol: take the other symbol's child instead
         parent, child = entry.walk[0]
         bad = dataclasses.replace(entry, walk=((parent, 1 - child),) + entry.walk[1:])
+    # a replaced entry starts with no memo and no compiled program: the
+    # original's compiled program would hide the corruption
+    assert entry.program is not None
+    assert (bad.program, bad.runs, bad.memo) == (None, 0, {})
     monkeypatch.setattr(table, "entries", table.entries[:i] + [bad] + table.entries[i + 1:])
     run(k, 3, RngStream(5))  # the hot path alone cannot tell
     with pytest.raises(InvariantViolation):
@@ -734,7 +740,7 @@ def test_wide_windows_share_their_start_and_the_memo(monkeypatch):
     table = slice_table(k)
     start = table.starts[13]
     # a binary tree of n nodes has (n + 1) / 2 leaves
-    assert table.maps[start] is start and (start[2] + 1) // 2 == 2**13
+    assert table.maps[start] is start and (start[1] + 1) // 2 == 2**13
     assert all(outcome[1] <= -13 for outcome in first)  # at least 13 draws
     assert again == first and audited == first
     assert len(composed) < sum(outcome[2] for outcome in again + audited)
@@ -780,7 +786,7 @@ def test_audit_checks_memo_hits(tamper):
     if tamper == "touches":
         assert got[3] == before[3] + 1 and got[:3] == before[:3]
     else:
-        assert (got[0], got[1]) == (leaf[3], -1) != (before[0], before[1])
+        assert (got[0], got[1]) == (leaf[2], -1) != (before[0], before[1])
     with pytest.raises(InvariantViolation):
         run(k, 3, RngStream(seed), on_iteration=lambda a: None)
 
@@ -804,3 +810,142 @@ def test_compiled_hot_path_skips_the_reference(monkeypatch):
     for (k, length), samples in zip(kernels, before):
         monkeypatch.setattr(k, "lower_bounds", refuse)
         assert [run(k, length, RngStream(seed)).sample for seed in range(30)] == samples
+
+
+def _program_kernels():
+    """``(name, kernel)`` for every finite shipped kernel, then 16 random
+    binary and 16 random ternary VLMCs."""
+    kernels = [(path.stem, load_kernel(str(path))) for path in sorted(KERNELS.glob("*.json"))]
+    kernels = [(name, k) for name, k in kernels if k.order is not None]
+    rng = np.random.Generator(np.random.PCG64(29))
+    for alphabet in (BINARY, TERNARY):
+        kernels += [(f"random{alphabet.size}-{i}",
+                     random_vlmc(rng, alphabet, int(rng.integers(1, 8)))) for i in range(16)]
+    return kernels
+
+
+def _composed_maps(monkeypatch, k, lengths, seeds):
+    """The distinct maps runs of ``k`` hand to ``engine._compose``."""
+    maps = {}
+    compose = engine._compose
+
+    def recording(root, entry, arity):
+        maps[id(root)] = root
+        return compose(root, entry, arity)
+
+    monkeypatch.setattr(engine, "_compose", recording)
+    for length in lengths:
+        for seed in seeds:
+            try:
+                run(k, length, RngStream(seed))
+            except BudgetError:
+                pass
+    monkeypatch.undo()
+    return list(maps.values())
+
+
+def test_compiled_programs_equal_the_interpreted_ones(monkeypatch):
+    # on every gap, the compiled function gives the interpreted program's
+    # new map and node touches, from maps real runs compose at L = 1..4
+    for name, k in _program_kernels():
+        maps = _composed_maps(monkeypatch, k, (1, 2, 3, 4), range(4))
+        table = slice_table(k)
+        table.compile_all()
+        assert maps and len(set(table.lows)) == len(table.entries)
+        arity = k.alphabet.size
+        for entry in table.entries:
+            for root in maps:
+                assert entry.program(root) == engine._interpret(root, entry, arity), name
+
+
+def test_compiled_programs_pass_the_audit(monkeypatch):
+    # with every program compiled before the first run, audited runs check
+    # each compiled step against the reference step
+    rng = np.random.Generator(np.random.PCG64(41))
+    cases = [(load_kernel(str(KERNELS / "order4.json")), 2),
+             (load_kernel(str(KERNELS / "order6.json")), 1),
+             (random_vlmc(rng, TERNARY, 6), 2)]
+
+    def refuse(*args):
+        raise AssertionError("a program was interpreted")
+
+    for k, length in cases:
+        slice_table(k).compile_all()
+        monkeypatch.setattr(engine, "_interpret", refuse)
+        steps = sum(run(k, length, RngStream(seed), on_iteration=lambda a: None)
+                    .diagnostics.iterations for seed in range(200))
+        monkeypatch.undo()
+        assert steps > 200
+
+
+def test_compose_compiles_a_program_at_its_compile_after_th_run(monkeypatch):
+    # runs 1 .. COMPILE_AFTER - 1 interpret the program, run COMPILE_AFTER
+    # compiles it, and every later run calls the compiled function
+    k = load_kernel(str(KERNELS / "order6.json"))
+    entry = slice_table(k).lookup(0.5)
+    root = engine._initial_map(k.alphabet.symbols, 1)
+    want = engine._interpret(root, entry, 2)
+    interpreted = []
+    interpret = engine._interpret
+    monkeypatch.setattr(engine, "_interpret",
+                        lambda *args: interpreted.append(args) or interpret(*args))
+    for _ in range(engine.COMPILE_AFTER - 1):
+        assert engine._compose(root, entry, 2) == want
+    assert entry.program is None and entry.runs == len(interpreted) == engine.COMPILE_AFTER - 1
+    for _ in range(3):
+        assert engine._compose(root, entry, 2) == want
+    assert entry.program is not None and len(interpreted) == engine.COMPILE_AFTER - 1
+
+
+def test_program_runs_count_no_memo_hit(monkeypatch):
+    # each entry counts the program runs that reach it, and a memo hit is
+    # none; a few warm-up runs compile nothing
+    k = desk_vlmc()
+    composed = []
+    compose = engine._compose
+    monkeypatch.setattr(engine, "_compose", lambda *args: composed.append(args) or compose(*args))
+    steps = sum(run(k, 3, RngStream(seed)).diagnostics.iterations for seed in range(40))
+    table = slice_table(k)
+    assert sum(entry.runs for entry in table.entries) == len(composed) < steps
+    order6 = load_kernel(str(KERNELS / "order6.json"))
+    for seed in range(10):
+        run(order6, 1, RngStream(2**62 + seed))
+    assert not any(entry.program for entry in slice_table(order6).entries)
+
+
+def test_a_dropped_kernels_programs_die_at_once():
+    # compiled programs share one globals dict and make no cycle, so the
+    # last reference to their kernel frees them without the collector
+    k = load_kernel(str(KERNELS / "order6.json"))
+    table = slice_table(k)
+    table.compile_all()
+    run(k, 1, RngStream(0))
+    programs = [weakref.ref(entry.program) for entry in table.entries]
+    assert all(p().__globals__ is engine._PROGRAM_GLOBALS for p in programs)
+    gc.collect()
+    gc.disable()
+    try:
+        del k, table
+        assert not any(p() for p in programs)
+    finally:
+        gc.enable()
+
+
+def test_symbol_names_never_reach_a_program_source(monkeypatch):
+    # symbol names that are Python code stay out of every generated source,
+    # which holds only integers, names of locals and the program's syntax;
+    # the compiled programs report what interpreted ones do
+    names = ("__import__('os').getcwd()", "(lambda: 'x')()", "'; raise SystemExit #")
+    trie = random_vlmc(np.random.Generator(np.random.PCG64(3)), Alphabet(names), 5).trie
+    want = [_outcome(ContextTreeKernel(trie), 2, seed) for seed in range(20)]
+    sources = []
+    source = engine._program_source
+    monkeypatch.setattr(engine, "_program_source",
+                        lambda *args: sources.append(source(*args)) or sources[-1])
+    k = ContextTreeKernel(trie)
+    slice_table(k).compile_all()
+    assert [_outcome(k, 2, seed) for seed in range(20)] == want
+    assert len(sources) == len(slice_table(k).entries) > 1
+    syntax = set("abcdefghijklmnopqrstuvwxyzN0123456789_ ,()[]=+:\n")
+    for text in sources:
+        assert set(text) <= syntax and not any(name in text for name in names)

@@ -180,6 +180,26 @@ def test_renewal_slice_depth_table_matches_the_gallop():
     assert table == [k.p_zero(m) for m in range(1, len(table) + 1)]
 
 
+def test_renewal_slice_depth_past_the_cap_matches_the_gallop():
+    # past the table the depth starts from the closed form 1/(1-u)^2 and is
+    # settled on the float predicate: it must agree with the gallop from 1
+    # on random draws past the cap and at, below and above p_zero(m) for m
+    # from the cap up to where p_zero(m) is the largest draw, 1 - 2**-53
+    k = RenewalSqrtKernel()
+    first = k.p_zero(RenewalSqrtKernel.SPINE_CAP)  # the smallest draw past the table
+    rng = np.random.Generator(np.random.PCG64(11))
+    draws = [first, 1.0 - 2**-53] + [first + (1.0 - first) * x for x in rng.random(2000)]
+    for e in range(8, 54):
+        draws += [1.0 - 2.0**-e, math.nextafter(1.0 - 2.0**-e, 0.0)]
+    for j in range(14, 110):
+        for m in (2**j - 1, 2**j, 2**j + 1, 3 * 2**j):
+            p = k.p_zero(m)
+            draws += [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
+    draws = [u for u in draws if first <= u < 1.0]
+    assert len(draws) > 3000
+    assert [k.slice_depth(u) for u in draws] == [_gallop_slice_depth(u) for u in draws]
+
+
 @pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
 def test_oscillation_mass_sandwich_random(alphabet):
     # 1 - (|G|-1) * eta <= A <= 1 - eta at every trie node

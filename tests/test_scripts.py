@@ -25,7 +25,8 @@ def test_renewal_depth_tail(tmp_path):
 
 
 def test_run_outcomes(tmp_path):
-    out = run_script("run_outcomes.py", ["--seeds", "1"], tmp_path).splitlines()
+    lines = run_script("run_outcomes.py", ["--seeds", "1"], tmp_path).splitlines()
+    out = [line for line in lines if not line.startswith("compiled ")]
     # the shipped kernels, then the script's one-symbol and ternary specs
     kernels = sorted(p.stem for p in (SCRIPTS.parent / "kernels").glob("*.json"))
     kernels += ["one_symbol", "ternary_vlmc"]
@@ -64,6 +65,12 @@ def test_run_outcomes(tmp_path):
                    if " default " in line and line.split()[0] != "renewal_sqrt"
                    and line.split()[1] != "L=13"]
     assert pw_samples == run_samples
+    # then every finite kernel's lines again, from programs compiled before
+    # the first run: they report exactly what the interpreted ones do
+    compiled = lines[len(out):]
+    assert all(line.startswith("compiled ") for line in compiled)
+    assert [line.removeprefix("compiled ") for line in compiled] == [
+        line for line in out if line.split()[0] != "renewal_sqrt"]
 
 
 def test_memo_traffic(tmp_path):

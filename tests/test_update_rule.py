@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ciaftp import engine
+from ciaftp import engine, update_rule
 from ciaftp.engine import RngStream, pw_extended, run, slice_table
-from ciaftp.errors import IterationLimitExceeded, MaxDepthExceeded
+from ciaftp.errors import IterationLimitExceeded, MaxDepthExceeded, UnknownSymbol
 from ciaftp.kernels import (
     ContextTreeKernel,
     LowerBoundRow,
@@ -20,6 +20,7 @@ from ciaftp.kernels import (
 )
 from ciaftp.update_rule import (
     DEFAULT_MAX_DEPTH,
+    IntervalAssignment,
     build_slice,
     interval_table,
     phi,
@@ -274,13 +275,13 @@ def _compose_leaf_by_leaf(root, slice_, alphabet):
                 if target[0] is None:
                     break
                 target = target[0][i]
-            grafted += target[2]
+            grafted += target[1]
             return target
         kids = tuple(compose(node.children[g], path + (i,))
                      for i, g in enumerate(alphabet.symbols))
         if kids[0][0] is None and all(kid is kids[0] for kid in kids):
             return kids[0]  # one leaf object per label: the pruning rule
-        return (kids, 1 + max(kid[1] for kid in kids), 1 + sum(kid[2] for kid in kids))
+        return (kids, 1 + sum(kid[1] for kid in kids))
 
     return compose(slice_.trie.root, ()), grafted
 
@@ -461,3 +462,78 @@ def test_phi_refuses_draws_outside_the_unit_interval():
             with pytest.raises(ValueError):
                 phi(k, u, ("0", "1"))
         assert k.layouts == {}
+
+
+def _levels_per_suffix(kernel, w):
+    """The levels of the chain ``w`` from one ``lower_bounds`` call per
+    suffix: the reference for ``Kernel.suffix_bounds``."""
+    pos, prev = 0.0, (0.0,) * kernel.alphabet.size
+    for k in range(len(w) + 1):
+        row = kernel.lower_bounds(w[len(w) - k:])
+        ends = update_rule._level_ends(row.lower, row.mass, prev, pos)
+        yield k, pos, ends
+        pos, prev = ends[-1], row.lower
+
+
+def _until_error(levels):
+    """The levels up to an UnknownSymbol, then its message."""
+    out = []
+    try:
+        for level in levels:
+            out.append(level)
+    except UnknownSymbol as exc:
+        out.append(str(exc))
+    return out
+
+
+def test_levels_match_one_row_per_suffix():
+    # the levels, phi and the interval table read each level's row in O(1)
+    # and stay what one lower_bounds call per suffix gives, unknown symbols
+    # included
+    renewal = RenewalSqrtKernel()
+    cases = [(renewal, ("1",) * n) for n in (0, 1, 2, 7, 3000)]
+    cases += [(renewal, ("1",) * j + ("0",) + ("1",) * n) for j in (0, 3) for n in (0, 1, 5, 400)]
+    cases += [(renewal, ("0", "1", "x", "1", "1")), (renewal, ("x", "0", "1")),
+              (renewal, ("1", "0", "0", "1", "1", "1"))]
+    rng = np.random.Generator(np.random.PCG64(61))
+    finite = [desk_vlmc(), load_kernel(str(KERNELS / "order6.json")),
+              random_vlmc(rng, TERNARY, 6)]
+    for k in finite:
+        cases += [(k, random_context(rng, k.alphabet, n)) for n in (0, 1, k.order, k.order + 9)]
+    for k, w in cases:
+        want = _until_error(_levels_per_suffix(k, w))
+        assert _until_error(update_rule._levels(k, w)) == want, w[-12:]
+        if isinstance(want[-1], str):
+            continue
+        for u in (0.5, 0.99, 0.995):
+            # the first interval ending above u holds it
+            ends = [(g, end) for _, _, level in want for g, end in zip(k.alphabet.symbols, level)]
+            assert phi(k, u, w) == next((g for g, end in ends if u < end), None), (w[-12:], u)
+            table = []
+            for level, pos, level_ends in want:
+                if level and pos > u:
+                    break
+                for g, end in zip(k.alphabet.symbols, level_ends):
+                    table.append(IntervalAssignment(level, g, pos, end))
+                    pos = end
+            assert interval_table(k, w, u_cap=u) == table, (w[-12:], u)
+
+
+def test_levels_cost_no_row_per_deep_suffix(monkeypatch):
+    # the renewal kernel reads one symbol per level and no lower_bounds row;
+    # a finite-order kernel reads rows up to its order only
+    def refuse(self, s):
+        raise AssertionError("a lower_bounds row was read")
+
+    monkeypatch.setattr(RenewalSqrtKernel, "lower_bounds", refuse)
+    w = ("1",) * 10**5
+    assert len(list(update_rule._levels(RenewalSqrtKernel(), w))) == len(w) + 1
+    # u = 0.995 needs about 4 * 10^4 trailing ones
+    assert phi(RenewalSqrtKernel(), 0.995, w[:10**4]) is None
+    assert phi(RenewalSqrtKernel(), 0.995, w) == "0"
+    k = load_kernel(str(KERNELS / "order4.json"))
+    read = []
+    lower_bounds = k.lower_bounds
+    monkeypatch.setattr(k, "lower_bounds", lambda s: read.append(s) or lower_bounds(s))
+    assert len(list(update_rule._levels(k, w))) == len(w) + 1
+    assert read == [w[len(w) - j:] for j in range(k.order + 1)]
