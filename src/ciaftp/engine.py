@@ -23,8 +23,10 @@ two are built from the same immutable nodes:
   once, graft the subtrees reached by reference and rebuild only the
   slice's internal nodes.  So a step costs O(slice size), not O(state
   size).  A program is interpreted by three flat loops until its
-  :data:`COMPILE_AFTER`-th run, which compiles it into one straight-line
-  Python function of the map, built from integers only.  Few distinct
+  :data:`COMPILE_AFTER`-th run, which compiles it into one Python function
+  of the map, built from integers only, whose walk branches on leaves: a
+  parent that is a leaf fills every graft below it at once.  On order6 a
+  compiled run costs about a third of an interpreted one.  Few distinct
   maps occur, so the table is also an exact memo of whole steps, which
   interns at most :data:`MEMO_CAP` maps: a step that repeats a stored
   (map, gap) transition is a dict lookup;
@@ -259,16 +261,16 @@ def _backward(
 # the size memo makes the node touches O(1).  Every internal node has |G|
 # children, so a tree of size n has ((|G| - 1) * n + 1) / |G| leaves and
 # needs no leaf count of its own; its depth is not stored either, and only
-# the trace records and the audit, which read it, walk for it (_depth).  A
-# node is never changed once built, so a step grafts the previous map's
-# subtrees by reference.  Each label has one leaf object: the initial map
-# creates every leaf and later steps only graft them, so a node whose
-# children are all the same leaf object becomes that leaf - the rule of
-# tries.prune_minimal.  Grafted subtrees come from a minimal map, so only
-# the nodes a step rebuilds need the rule.  (The initial map is built
-# reduced too; it differs from the complete trie only for a one-symbol
-# alphabet, whose chain of L nodes is one leaf here: that map is constant
-# before any draw.)
+# the trace records and the audit, which read it, walk for it (_depth), once
+# per map the slice table interns (SliceTable.depths).  A node is never
+# changed once built, so a step grafts the previous map's subtrees by
+# reference.  Each label has one leaf object: the initial map creates every
+# leaf and later steps only graft them, so a node whose children are all
+# the same leaf object becomes that leaf - the rule of tries.prune_minimal.
+# Grafted subtrees come from a minimal map, so only the nodes a step
+# rebuilds need the rule.  (The initial map is built reduced too; it
+# differs from the complete trie only for a one-symbol alphabet, whose
+# chain of L nodes is one leaf here: that map is constant before any draw.)
 
 
 def _node(kids: tuple) -> tuple:
@@ -379,8 +381,8 @@ class SliceEntry:
     interpreted runs (memo hits excluded), and ``program`` is the program
     compiled into one function (:func:`_compile_program`), which
     :func:`_compose` builds at run :data:`COMPILE_AFTER`.  Compiled, an
-    order6 program costs about 11 KB (tracemalloc, CPython 3.11), so its 65
-    gaps' programs about 0.74 MB.
+    order6 program costs about 13.8 KB (tracemalloc, CPython 3.11), so its
+    65 gaps' programs about 0.90 MB.
     """
 
     walk: Tuple[WalkStep, ...]
@@ -477,7 +479,10 @@ class SliceTable:
     is not interned, its ``id`` is no key (keys are ids of live interned
     maps) and its steps miss and store nothing.  So the memo holds at most
     ``MEMO_CAP`` maps plus one start for each window length, and at most
-    one transition per (map, gap).  Over seeds 0..2999
+    one transition per (map, gap).  ``depths`` holds the depth of each
+    interned map that a traced or audited run has sized
+    (:meth:`_SharedMap.size`), keyed by its ``id`` like the memo: a map
+    that is not interned is walked each time.  Over seeds 0..2999
     (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes 120 transitions
     between 38 maps and the memo answers 99.3% of its steps; order2 at
     L=3 stores 687 transitions on 256 maps (76.3%); order6 at L=1 stores
@@ -498,6 +503,7 @@ class SliceTable:
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
         self.maps: Dict[tuple, tuple] = {}
         self.starts: Dict[int, tuple] = {}
+        self.depths: Dict[int, int] = {}
         self._add(0.0)
 
     def lookup(self, u: float) -> SliceEntry:
@@ -547,11 +553,12 @@ def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
     A program's first ``COMPILE_AFTER - 1`` runs interpret it
     (:func:`_interpret`).  Run ``COMPILE_AFTER`` compiles it into one
     function (:func:`_compile_program`), which gives the same map and
-    touches and runs from then on.  On an order6 program (2 vCPU, CPython
-    3.11) a compile costs about 3 ms and a compiled run about 10 us
-    against the interpreter's 21 us, so it pays back after about 280 runs:
-    only the gaps a kernel keeps drawing are compiled, and a few warm-up
-    runs compile nothing.
+    touches and runs from then on.  On order6 at L=1 (2 vCPU, CPython
+    3.11, median over its 65 programs and 8945 recorded steps) a compile
+    costs about 2.3 ms and a compiled run about 3.5 us against the
+    interpreter's 10.8 us, so it pays back after about 315 runs, close to
+    ``COMPILE_AFTER`` = 300: only the gaps a kernel keeps drawing are
+    compiled, and a few warm-up runs compile nothing.
     """
     program = entry.program
     if program is None:
@@ -591,26 +598,65 @@ def _interpret(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
     return slots[-1], touches
 
 
-def _program_source(entry: SliceEntry, arity: int) -> str:
-    """``entry``'s program as the source of one straight-line function of
-    the map ``s0``, whose locals are the slots (slot ``i`` is ``s<i>``).
+# CPython's tokenizer refuses a line indented this many levels: a limit of
+# the language, which _program_source keeps below, not a setting.
+_INDENT_LIMIT = 100
 
-    Each parent slot the walk reads is unpacked into its children in one
-    statement, ``_`` naming the ones no step takes, and a leaf stands for
-    each of its children; each internal node is one conditional expression
-    with the collapse rule of :func:`_node` (one leaf object per label, so
-    equal leaves are the same object); the return adds the grafts' tree
-    sizes to ``touch_base``.  Only integers reach the source: slot and child
+
+def _program_source(entry: SliceEntry, arity: int) -> str:
+    """``entry``'s program as the source of one function of the map ``s0``,
+    whose locals are the slots (slot ``i`` is ``s<i>``).
+
+    The walk is emitted as nested branches.  Each parent slot's children
+    are read once, into ``k``: if the parent is a leaf, every graft slot
+    below it is set to that leaf in one chained assignment and nothing
+    under it is unpacked (only the nodes and the return read slots, and
+    they read grafts alone); otherwise ``k`` is unpacked into the children,
+    ``_`` naming the ones no step takes, and each child that is a parent is
+    emitted the same way, one indentation level deeper.  CPython refuses a
+    line indented :data:`_INDENT_LIMIT` levels, so a subtree at the last
+    allowed level is emitted flat, one unpack per parent in which a leaf
+    stands for each of its children.  On order6 at L=1 a step fills about
+    84 walk slots, 71% of them below a leaf, so most of the walk is chained
+    assignments; against a walk of flat unpacks only, the branches make a
+    run about 1.35 times as fast, a compile about 1.4 times as slow and the
+    function about 1.2 times as large (see :func:`_compose` and
+    :class:`SliceEntry`).
+
+    After the walk, each internal node is one conditional expression with
+    the collapse rule of :func:`_node` (one leaf object per label, so equal
+    leaves are the same object); the return adds the grafts' tree sizes to
+    ``touch_base``.  Only integers reach the source: slot and child
     indices, the arity and ``touch_base``.
     """
     taken: Dict[int, Dict[int, int]] = {}
-    for slot, (parent, child) in enumerate(entry.walk, 1):
-        taken.setdefault(int(parent), {})[int(child)] = slot
+    # the graft slots of each walk slot's subtree; a child's slot is larger
+    # than its parent's, so one backward pass collects them
+    below: Dict[int, List[int]] = {int(g): [int(g)] for g in entry.grafts}
+    for slot in range(len(entry.walk), 0, -1):
+        parent, child = map(int, entry.walk[slot - 1])
+        taken.setdefault(parent, {})[child] = slot
+        below.setdefault(parent, []).extend(below[slot])
+
     lines = ["def program(s0):"]
-    for parent in sorted(taken):
-        kids = taken[parent]
-        names = "".join(f"s{kids[i]}, " if i in kids else "_, " for i in range(arity))
-        lines.append(f" {names}= s{parent}[0] or ({f's{parent}, ' * arity})")
+    # (parent slot, indentation level), popped in the order of the lines
+    stack = [(0, 1)]
+    while stack:
+        parent, level = stack.pop()
+        pad = " " * level
+        children = taken[parent]
+        names = "".join(f"s{children[i]}, " if i in children else "_, " for i in range(arity))
+        if level + 1 < _INDENT_LIMIT:
+            lines.append(f"{pad}k = s{parent}[0]")
+            lines.append(f"{pad}if k is None: {' = '.join(f's{g}' for g in below[parent])}"
+                         f" = s{parent}")
+            lines.append(f"{pad}else:")
+            lines.append(f"{pad} {names}= k")
+            level += 1
+        else:
+            lines.append(f"{pad}{names}= s{parent}[0] or ({f's{parent}, ' * arity})")
+        stack.extend((children[i], level) for i in sorted(children, reverse=True)
+                     if children[i] in taken)
     first = len(entry.walk) + 1
     slots = range(first + len(entry.nodes))
     for i, get in enumerate(entry.nodes):
@@ -648,7 +694,7 @@ class _SharedMap:
     the nodes of the unpruned composition.
     """
 
-    __slots__ = ("length", "arity", "lookup", "maps", "root", "coalesced")
+    __slots__ = ("length", "arity", "lookup", "maps", "depths", "root", "coalesced")
 
     def __init__(self, kernel: Kernel, length: int):
         self.length = length
@@ -656,6 +702,7 @@ class _SharedMap:
         table = slice_table(kernel)
         self.lookup = table.lookup
         self.maps = maps = table.maps
+        self.depths = table.depths
         root = table.starts.get(length)
         if root is None:
             root = _initial_map(kernel.alphabet.symbols, length)
@@ -682,7 +729,12 @@ class _SharedMap:
 
     def size(self) -> Tuple[int, int]:
         root, arity = self.root, self.arity
-        return ((arity - 1) * root[1] + 1) // arity, _depth(root)
+        depth = self.depths.get(id(root))
+        if depth is None:
+            depth = _depth(root)
+            if self.maps.get(root) is root:
+                self.depths[id(root)] = depth
+        return ((arity - 1) * root[1] + 1) // arity, depth
 
     def sample(self) -> Context:
         return _window(self.root, self.length)

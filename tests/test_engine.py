@@ -844,18 +844,100 @@ def _composed_maps(monkeypatch, k, lengths, seeds):
     return list(maps.values())
 
 
+def _walk_depths(entry):
+    """The depth of each slot of ``entry``'s walk, slot 0 (the root) at 0."""
+    depths = [0]
+    for parent, _ in entry.walk:
+        depths.append(depths[parent] + 1)
+    return depths
+
+
+def _leaf_depths(root, entry):
+    """The depths at which ``entry``'s walk into ``root`` first meets a leaf."""
+    slots, depths, met = [root], _walk_depths(entry), set()
+    for slot, (parent, child) in enumerate(entry.walk, 1):
+        node = slots[parent]
+        if node[0] is None:
+            slots.append(node)
+        else:
+            slots.append(node[0][child])
+            if slots[-1][0] is None:
+                met.add(depths[slot])
+    return met
+
+
+def _collapsed(node, depth, cut, rng):
+    """``node``, at ``depth``, rebuilt with every subtree below it that
+    ``cut(depth)`` picks replaced by one of its leaves, chosen at random."""
+    if node[0] is None:
+        return node
+    if cut(depth):
+        while node[0] is not None:
+            node = node[0][int(rng.integers(len(node[0])))]
+        return node
+    return engine._node(tuple(_collapsed(kid, depth + 1, cut, rng) for kid in node[0]))
+
+
+def _collapsed_maps(symbols, length, rng):
+    """The start map at ``length`` with subtrees collapsed onto one of their
+    leaves: every subtree at depth d, for each d in 1..length, then random
+    subtrees at any depth."""
+    start = engine._initial_map(symbols, length)
+    maps = [_collapsed(start, 0, lambda depth, d=d: depth == d, rng)
+            for d in range(1, length + 1)]
+    maps += [_collapsed(start, 0, lambda depth: depth and rng.random() < 0.25, rng)
+             for _ in range(4)]
+    return maps
+
+
 def test_compiled_programs_equal_the_interpreted_ones(monkeypatch):
     # on every gap, the compiled function gives the interpreted program's
-    # new map and node touches, from maps real runs compose at L = 1..4
+    # new map and node touches, from maps real runs compose at L = 1..4 and
+    # from collapsed start maps, on which each program's walk meets a leaf
+    # at every depth from 1 to its walk depth, so every leaf branch runs
+    rng = np.random.Generator(np.random.PCG64(53))
     for name, k in _program_kernels():
         maps = _composed_maps(monkeypatch, k, (1, 2, 3, 4), range(4))
         table = slice_table(k)
         table.compile_all()
         assert maps and len(set(table.lows)) == len(table.entries)
+        deepest = max(max(_walk_depths(entry)) for entry in table.entries)
+        collapsed = _collapsed_maps(k.alphabet.symbols, deepest, rng)
         arity = k.alphabet.size
         for entry in table.entries:
-            for root in maps:
+            met = set()
+            for root in maps + collapsed:
                 assert entry.program(root) == engine._interpret(root, entry, arity), name
+                met |= _leaf_depths(root, entry)
+            assert met >= set(range(1, max(_walk_depths(entry)) + 1)), name
+
+
+def test_deep_walks_compile(monkeypatch):
+    # a comb context tree of order 120, contexts 0 1^j (j < 120) and 1^120:
+    # a draw in [0.3, 0.9) resolves at depth 120 only, so its program walks
+    # 121 levels, deeper than CPython lets a source nest, and the maps runs
+    # compose after such draws are as deep; every program compiles, equals
+    # the interpreted one on those maps and passes the audit
+    leaves = {("0",) + ("1",) * j: (0.3, 0.7) for j in range(120)}
+    leaves[("1",) * 120] = (0.9, 0.1)
+    k = ContextTreeKernel(ContextTrie.from_leaves(BINARY, leaves))
+    table = slice_table(k)
+    table.compile_all()
+    assert all(entry.program for entry in table.entries)
+    assert max(max(_walk_depths(entry)) for entry in table.entries) == 121
+    maps = _composed_maps(monkeypatch, k, (1, 2, 3), range(20))
+    assert max(map(engine._depth, maps)) >= engine._INDENT_LIMIT
+    for entry in table.entries:
+        for root in maps:
+            assert entry.program(root) == engine._interpret(root, entry, 2)
+
+    def refuse(*args):
+        raise AssertionError("a program was interpreted")
+
+    monkeypatch.setattr(engine, "_interpret", refuse)
+    steps = sum(run(k, 1 + seed % 3, RngStream(seed), on_iteration=lambda a: None)
+                .diagnostics.iterations for seed in range(50))
+    assert steps > 100
 
 
 def test_compiled_programs_pass_the_audit(monkeypatch):
