@@ -2,9 +2,9 @@
 """Empirical slice-depth tail of the square-root renewal kernel.
 
 The kernel's slice depth satisfies P(depth >= k) = 1/sqrt(k) exactly; this
-script draws uniforms, reads each slice depth with ``slice_depth`` (one
-bisection over the kernel's cached spine masses, a gallop past its cap), and
-prints the empirical tail against the law at a few depths.  Also reports the
+script draws uniforms, reads each slice depth with ``slice_depth`` (its
+closed form, settled on the kernel's float inequality), and prints the
+empirical tail against the law at a few depths.  Also reports the
 termination profile (-tau distribution) of full sampling runs.
 
 Usage:

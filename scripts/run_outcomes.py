@@ -10,9 +10,9 @@ and at ``max_depth=2``, ``max_nodes=40`` and ``max_iter=3``, for seeds
 0..N-1.  Infinite-memory kernels also run plain at ``max_depth=10**12``
 and ``max_nodes=10**15`` (the ``deep`` case), so their slices go as deep
 as the draws take them, for seeds 0..max(N, 64)-1: the first slice past
-the renewal kernel's spine-mass table (``SPINE_CAP``) comes at seed 53, at
-L=3.  The audited reference is left out there, because it expands a slice
-node by node at O(depth^2) cost; plain runs are cheap.  ``order1`` also
+the default ``max_depth`` (10_000) comes at seed 53, at L=3, 344089 deep.
+The audited reference is left out there, because it expands a slice node
+by node at O(depth^2) cost; plain runs are cheap.  ``order1`` also
 runs at L=13 (the ``wide`` case: 8192 leaves), plain and audited, at the
 default budgets for seeds 0..N-1, so the diff covers windows of more than
 4096 leaves too.  Finite-order kernels also run the ``pw_extended``
@@ -54,7 +54,8 @@ BUDGETS = [
     ("max_nodes=40", {"max_nodes": 40}),
     ("max_iter=3", {"max_iter": 3}),
 ]
-# infinite-memory kernels only, plain only, over at least DEEP_SEEDS seeds
+# infinite-memory kernels only, plain only, over at least DEEP_SEEDS seeds:
+# enough that some slices go far past the default max_depth
 DEEP = ("deep", {"max_depth": 10**12, "max_nodes": 10**15})
 DEEP_SEEDS = 64
 # the pw_extended baseline, finite-order kernels only

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 from . import engine, oracle
 from .engine import RNG_ALGORITHM, RunRow
 from .errors import CiaftpError, KernelSpecError
-from .kernels import expected_depth_bound, kernel_spec_digest, load_kernel
+from .kernels import expected_depth_bound, kernel_spec_digest, load_kernel, resolves
 from .tries import prefix_closure
 from .update_rule import build_slice, interval_table
 
@@ -273,16 +273,13 @@ def _inspect_kernel(kernel, args, buf: io.StringIO) -> None:
             f"# closure size {len(closed)} <= |D|*depth = {n_leaves}*{d}"
             f" = {n_leaves * d}\n" if d > 0 else "# closure size 1 (memoryless)\n"
         )
-    depth_cap = 0
-    while depth_cap < args.max_depth and kernel.alphabet.size ** (depth_cap + 1) <= 4096:
-        depth_cap += 1
-    if kernel.order is None:
-        depth_cap = min(args.max_depth, 64)
+    # a finite kernel's masses resolve by its order
+    depth_cap = args.max_depth if kernel.order is not None else min(args.max_depth, 64)
     buf.write("# worst-case coupled mass by depth\nk,A_k_min\n")
     for k in range(depth_cap + 1):
         mass = kernel.min_mass(k)
         buf.write(f"{k},{mass!r}\n")
-        if mass >= 1.0 - 1e-12:
+        if resolves(mass):
             break
     bound = expected_depth_bound(kernel, args.length)
     buf.write(f"# expected depth bound (window {args.length}): ")

@@ -33,8 +33,8 @@ two are built from the same immutable nodes:
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
   run-length-compressed side subtrees along the all-ones spine.  A step
-  finds the slice depth by one bisection in the kernel's cached table of
-  spine masses, then costs O(number of runs), whatever the depth;
+  takes the slice depth from its closed form (``kernel.slice_depth``),
+  then costs O(number of runs), whatever the depth;
 * :class:`_TableMap` - the full depth-d table of an order-d chain, the
   classical baseline behind :func:`pw_extended`; it evaluates ``phi``
   pointwise, one bisection in a cached interval layout per history, and
@@ -70,6 +70,7 @@ from weakref import ref
 import numpy as np
 
 from .errors import (
+    BudgetError,
     InvariantViolation,
     IterationLimitExceeded,
     MaxDepthExceeded,
@@ -754,8 +755,8 @@ class _SharedMap:
 class _CombMap:
     """The composite map of the renewal kernel, at every window length.
 
-    A step costs one bisection, in ``kernel.slice_depth``'s cached table
-    of spine masses, plus O(number of runs) to compose the comb.  Runs
+    A step costs one closed-form slice depth, ``kernel.slice_depth``,
+    plus O(number of runs) to compose the comb.  Runs
     share their start ``(runs, spine)``, kept per window length in
     ``kernel.slice_cache``: :meth:`advance` never changes a run list."""
 
@@ -1071,7 +1072,7 @@ def run_many(
         try:
             result = sampler(kernel, length, RngStream(seed_base + idx), max_iter=max_iter,
                              max_depth=max_depth, max_nodes=max_nodes, trace=trace)
-        except (IterationLimitExceeded, MaxDepthExceeded, NodeBudgetExceeded) as exc:
+        except BudgetError as exc:
             sample, error, d = None, exc.code, exc.diagnostics
         else:
             sample, error, d = result.sample, None, result.diagnostics

@@ -21,9 +21,9 @@ import hashlib
 import itertools
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from math import sqrt
+from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import (
     BadProbability,
@@ -36,7 +36,7 @@ from .errors import (
     UnknownSymbol,
     UnsupportedOperation,
 )
-from .tries import Alphabet, Context, ContextTrie, iter_leaves_below
+from .tries import EMPTY, Alphabet, Context, ContextTrie, iter_leaves_below
 
 PROB_TOL = 1e-12
 ENUM_GUARD = 10**7
@@ -168,12 +168,21 @@ class ContextTreeKernel(Kernel):
         return row
 
     def min_mass(self, k: int) -> float:
-        # beyond the dictionary depth every context resolves exactly
-        if k >= self.order:
-            if k < 0:
-                raise ValueError("depth must be >= 0")
-            return 1.0
-        return super().min_mass(k)
+        # a depth-k context either passes a leaf at depth <= k, and resolves
+        # (mass 1), or is an internal node at depth k: read those nodes, not
+        # all |G|^k contexts
+        if k < 0:
+            raise ValueError("depth must be >= 0")
+        level = [(EMPTY, self.trie.root)]
+        leaf_above = False
+        for _ in range(k):
+            leaf_above = leaf_above or any(node.children is None for _, node in level)
+            level = [((sym,) + ctx, child) for ctx, node in level if node.children is not None
+                     for sym, child in node.children.items()]
+        masses = [1.0] if leaf_above else []
+        masses += [1.0 if node.children is None else self.lower_bounds(ctx).mass
+                   for ctx, node in level]
+        return min(masses)
 
     def oscillation(self, s: Context) -> float:
         """Largest total-variation distance between conditional laws of two
@@ -230,7 +239,7 @@ class RenewalSqrtKernel(Kernel):
 
     @staticmethod
     def p_zero(trailing_ones: int) -> float:
-        return 1.0 - 1.0 / math.sqrt(trailing_ones + 1)
+        return 1.0 - 1.0 / sqrt(trailing_ones + 1)
 
     def _bounds(self, r: int, all_ones: bool) -> Tuple[Distribution, float]:
         """``(lower, mass)`` of a context ending in r ones, all of it ones or
@@ -271,55 +280,33 @@ class RenewalSqrtKernel(Kernel):
         # the minimizing depth-k context is the all-ones one
         return self.p_zero(k)
 
-    # p_zero(1..SPINE_CAP), a memo of a fixed function, so one table serves
-    # every instance (about 0.5 MB).  The process's first draw fills it in
-    # one go (about 2.4 ms); draws deeper than the cap start from the
-    # closed form
-    SPINE_CAP = 2**14
-    _spine: List[float] = []
-
     def slice_depth(self, u: float) -> int:
         """Depth of the minimal slice for draw ``u``: the smallest m >= 1
-        with ``u < 1 - 1/sqrt(m+1)``."""
+        with ``u < 1 - 1/sqrt(m+1)``, on the exact float predicate
+        ``u < p_zero(m)`` of the lower-bound rows."""
         if not 0.0 <= u < 1.0:
             raise ValueError("u must lie in [0, 1)")
-        # p_zero never decreases in floating point, so bisecting its table
-        # finds the smallest m with u < p_zero(m), the exact float predicate
-        # of the lower-bound rows
-        spine = self._spine
-        m = bisect_right(spine, u) + 1
-        if m <= len(spine):
-            return m
-        return self._deep_slice_depth(u)
-
-    @classmethod
-    def _deep_slice_depth(cls, u: float) -> int:
-        """:meth:`slice_depth` for a draw past the table: fill the table, or
-        past its cap start from the closed form and settle the answer on
-        ``u < p_zero(m)``."""
-        spine = cls._spine
-        if len(spine) < cls.SPINE_CAP:
-            # a new list, so a reader never sees a half-built table
-            spine = cls._spine = [cls.p_zero(m) for m in range(1, cls.SPINE_CAP + 1)]
-            if u < spine[-1]:
-                return bisect_right(spine, u) + 1
         # u < 1 - 1/sqrt(m+1) iff m > 1/(1-u)^2 - 1, whose smallest integer
-        # is m0 = floor(1/(1-u)^2).  In floats m0 is the answer up to about
-        # m = 2^29 and within 2 of it up to 2^35; deeper, p_zero is flat over
-        # runs of m and m0 can be off by about m * sqrt(m) * 2^-52.  So
-        # gallop from m0 to the nearest bracket, then bisect: two predicate
-        # calls at every depth up to about 2^29, so on all but 2^-14.5 of
-        # the draws.
-        p_zero = cls.p_zero
-        lo = len(spine)  # the predicate is False at lo
-        m = max(int(1.0 / ((1.0 - u) * (1.0 - u))), lo + 1)
+        # is m0 = floor(1/(1-u)^2) >= 1.  In floats m0 is the answer up to
+        # about m = 2^29 and within 2 of it up to 2^35; deeper, p_zero is
+        # flat over runs of m and m0 can be off by about m * sqrt(m) * 2^-52.
+        # So check m0 first (the predicate written out), else, as p_zero
+        # never decreases in floats, gallop from m0 to the nearest bracket
+        # and bisect: two predicate calls at every depth up to about 2^29,
+        # so on all but 2^-14.5 of the draws
+        v = 1.0 - u
+        m = int(1.0 / (v * v))
+        if u < 1.0 - 1.0 / sqrt(m + 1) and (m == 1 or not u < 1.0 - 1.0 / sqrt(m)):
+            return m
+        p_zero = self.p_zero
         step = 1
         if u < p_zero(m):
+            # the predicate is False at 0
             hi = m
-            while hi - step > lo and u < p_zero(hi - step):
+            while hi - step > 0 and u < p_zero(hi - step):
                 hi -= step
                 step *= 2
-            lo = max(lo, hi - step)
+            lo = max(0, hi - step)
         else:
             lo = m
             while not u < p_zero(lo + step):
@@ -405,8 +392,11 @@ def parse_kernel_spec(text: str) -> Kernel:
     raw_alphabet = doc.get("alphabet")
     if not isinstance(raw_alphabet, list) or not raw_alphabet:
         raise KernelSpecError("alphabet must be a non-empty list of symbol names")
+    for g in raw_alphabet:
+        if not isinstance(g, str):
+            raise KernelSpecError(f"symbol names must be strings: {g!r}")
     try:
-        alphabet = Alphabet(tuple(str(g) for g in raw_alphabet))
+        alphabet = Alphabet(tuple(raw_alphabet))
     except ValueError as exc:
         raise KernelSpecError(str(exc)) from exc
 

@@ -178,9 +178,13 @@ def test_bad_probability_in_spec(tmp_path, capsys, probs):
      "contexts": [{"context": 0, "probs": {"0": 0.5, "1": 0.5}}]},
     {"alphabet": ["0", "1"], "type": "renewal_sqrt",
      "contexts": [{"context": "0", "probs": {"0": 0.5, "1": 0.5}}]},
+    *({"alphabet": alphabet, "type": "memoryless",
+       "contexts": [{"context": "", "probs": {str(g): 0.5 for g in alphabet}}]}
+      for alphabet in ([0, 1], [True, False], [None, "a"], [[1], 2])),
 ])
 def test_spec_with_a_field_it_cannot_have(tmp_path, capsys, doc):
-    # a context that is no string, and contexts given to renewal_sqrt
+    # a context that is no string, contexts given to renewal_sqrt, and
+    # symbol names that are no strings (each would load as its str())
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     rc, out, err = run_cli(["sample", "--kernel", str(bad), "--seed", "1"], capsys)
@@ -188,6 +192,23 @@ def test_spec_with_a_field_it_cannot_have(tmp_path, capsys, doc):
     assert out == ""
     assert err.startswith("ciaftp: error: KernelSpec: ")
     assert err.count("\n") == 1
+
+
+def test_inspect_deep_comb_kernel(tmp_path, capsys):
+    # the order-30 comb VLMC: contexts 0 1^j for j < 30, plus 1^30.  Its
+    # masses resolve only at depth 30, where |G|^k contexts are far too
+    # many to list
+    order = 30
+    contexts = [("0" + "1" * j, 0.1 + 0.8 * j / order) for j in range(order)]
+    contexts.append(("1" * order, 0.95))
+    spec = tmp_path / "comb.json"
+    spec.write_text(json.dumps({"alphabet": ["0", "1"], "type": "context_tree", "contexts": [
+        {"context": c, "probs": {"0": p0, "1": 1.0 - p0}} for c, p0 in contexts]}))
+    rc, out, err = run_cli(["inspect", "--kernel", str(spec)], capsys)
+    assert (rc, err) == (0, "")
+    table = out.split("k,A_k_min\n")[1].splitlines()
+    assert [row.split(",")[0] for row in table[:-1]] == [str(k) for k in range(order + 1)]
+    assert table[order] == f"{order},1.0"
 
 
 def test_context_needs_u(capsys):

@@ -19,6 +19,7 @@ from ciaftp.errors import (
     UnsupportedOperation,
 )
 from ciaftp.kernels import (
+    Kernel,
     RenewalSqrtKernel,
     expected_depth_bound,
     full_markov_kernel,
@@ -69,6 +70,22 @@ def test_desk_min_mass():
     assert k.min_mass(2) == 1.0
     assert k.min_mass(7) == 1.0
     assert k.order == 2
+    with pytest.raises(ValueError):
+        k.min_mass(-1)
+
+
+@pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
+def test_min_mass_reads_the_trie_as_the_enumeration_does(alphabet):
+    # the internal nodes at depth k, and 1 for a leaf at depth <= k, are
+    # the values the |G|^k enumeration takes the minimum of
+    rng = np.random.Generator(np.random.PCG64(19))
+    kernels = [random_vlmc(rng, alphabet, int(rng.integers(1, 10))) for _ in range(20)]
+    shipped = Path(__file__).resolve().parent.parent / "kernels"
+    kernels += [k for k in map(load_kernel, map(str, sorted(shipped.glob("*.json"))))
+                if k.order is not None]
+    for k in kernels:
+        for depth in range(k.order + 2):
+            assert k.min_mass(depth) == Kernel.min_mass(k, depth)
 
 
 def test_order1_coupled_mass():
@@ -166,38 +183,31 @@ def _gallop_slice_depth(u):
     return hi
 
 
-def test_renewal_slice_depth_table_matches_the_gallop():
+def test_renewal_slice_depth_matches_the_gallop():
+    # the depth starts from the closed form 1/(1-u)^2 and is settled on the
+    # float predicate: it must agree with the gallop from 1 at, below and
+    # above p_zero(m) for every m up to 2^15 + 1 and for m up to where
+    # p_zero(m) is the largest draw, 1 - 2**-53, and on random draws over
+    # [0, 1) and past p_zero(2^14)
     k = RenewalSqrtKernel()
-    cap = RenewalSqrtKernel.SPINE_CAP
-    draws = [0.0, 1.0 - 2**-53]
-    for m in [*range(1, 2 * cap + 2), 10**6, 10**6 + 1, 10**9, 10**9 + 1]:
+    rng = np.random.Generator(np.random.PCG64(11))
+    deep = k.p_zero(2**14)
+    draws = [0.0, 1.0 - 2**-53] + [deep + (1.0 - deep) * x for x in rng.random(2000)]
+    draws += list(rng.random(2000))
+    for e in range(1, 54):
+        draws += [1.0 - 2.0**-e, math.nextafter(1.0 - 2.0**-e, 0.0)]
+    ms = [*range(1, 2**15 + 2), 10**6, 10**6 + 1, 10**9, 10**9 + 1]
+    for j in range(14, 110):
+        ms += [2**j - 1, 2**j, 2**j + 1, 3 * 2**j]
+    for m in ms:
         p = k.p_zero(m)
         draws += [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
-    assert [k.slice_depth(u) for u in draws] == [_gallop_slice_depth(u) for u in draws]
-    # the table is p_zero(1..K), grown no further than the cap
-    table = RenewalSqrtKernel._spine
-    assert 0 < len(table) <= cap
-    assert table == [k.p_zero(m) for m in range(1, len(table) + 1)]
-
-
-def test_renewal_slice_depth_past_the_cap_matches_the_gallop():
-    # past the table the depth starts from the closed form 1/(1-u)^2 and is
-    # settled on the float predicate: it must agree with the gallop from 1
-    # on random draws past the cap and at, below and above p_zero(m) for m
-    # from the cap up to where p_zero(m) is the largest draw, 1 - 2**-53
-    k = RenewalSqrtKernel()
-    first = k.p_zero(RenewalSqrtKernel.SPINE_CAP)  # the smallest draw past the table
-    rng = np.random.Generator(np.random.PCG64(11))
-    draws = [first, 1.0 - 2**-53] + [first + (1.0 - first) * x for x in rng.random(2000)]
-    for e in range(8, 54):
-        draws += [1.0 - 2.0**-e, math.nextafter(1.0 - 2.0**-e, 0.0)]
-    for j in range(14, 110):
-        for m in (2**j - 1, 2**j, 2**j + 1, 3 * 2**j):
-            p = k.p_zero(m)
-            draws += [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
-    draws = [u for u in draws if first <= u < 1.0]
-    assert len(draws) > 3000
-    assert [k.slice_depth(u) for u in draws] == [_gallop_slice_depth(u) for u in draws]
+    draws = [u for u in draws if 0.0 <= u < 1.0]
+    expected = [_gallop_slice_depth(u) for u in draws]
+    assert [k.slice_depth(u) for u in draws] == expected
+    # deep draws on which the closed form misses, so the correction runs
+    misses = [u for u, m in zip(draws, expected) if int(1.0 / ((1.0 - u) * (1.0 - u))) != m]
+    assert len(misses) > 100
 
 
 @pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
