@@ -183,31 +183,51 @@ def _gallop_slice_depth(u):
     return hi
 
 
-def test_renewal_slice_depth_matches_the_gallop():
-    # the depth starts from the closed form 1/(1-u)^2 and is settled on the
-    # float predicate: it must agree with the gallop from 1 at, below and
-    # above p_zero(m) for every m up to 2^15 + 1 and for m up to where
-    # p_zero(m) is the largest draw, 1 - 2**-53, and on random draws over
-    # [0, 1) and past p_zero(2^14)
+def _closed_form_misses(draws, expected):
+    # the draws on which 1/(1-u)^2 alone misses the depth, so the
+    # correction from m0 runs
+    return [u for u, m in zip(draws, expected) if int(1.0 / ((1.0 - u) * (1.0 - u))) != m]
+
+
+def test_renewal_slice_depth_table_matches_the_gallop():
+    # the shallow depths, every m up to 2^15 + 1 (twice the range of the
+    # p_zero table the kernel once kept), and 10^6, 10^9: the depth from the
+    # closed form must agree with the gallop from 1 at, below and above
+    # p_zero(m), and on random draws over [0, 1)
     k = RenewalSqrtKernel()
     rng = np.random.Generator(np.random.PCG64(11))
-    deep = k.p_zero(2**14)
-    draws = [0.0, 1.0 - 2**-53] + [deep + (1.0 - deep) * x for x in rng.random(2000)]
-    draws += list(rng.random(2000))
+    draws = [0.0, 1.0 - 2**-53] + list(rng.random(2000))
     for e in range(1, 54):
         draws += [1.0 - 2.0**-e, math.nextafter(1.0 - 2.0**-e, 0.0)]
-    ms = [*range(1, 2**15 + 2), 10**6, 10**6 + 1, 10**9, 10**9 + 1]
-    for j in range(14, 110):
-        ms += [2**j - 1, 2**j, 2**j + 1, 3 * 2**j]
-    for m in ms:
+    for m in [*range(1, 2**15 + 2), 10**6, 10**6 + 1, 10**9, 10**9 + 1]:
         p = k.p_zero(m)
         draws += [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
     draws = [u for u in draws if 0.0 <= u < 1.0]
     expected = [_gallop_slice_depth(u) for u in draws]
     assert [k.slice_depth(u) for u in draws] == expected
-    # deep draws on which the closed form misses, so the correction runs
-    misses = [u for u, m in zip(draws, expected) if int(1.0 / ((1.0 - u) * (1.0 - u))) != m]
-    assert len(misses) > 100
+    assert len(_closed_form_misses(draws, expected)) > 100
+
+
+def test_renewal_slice_depth_past_the_cap_matches_the_gallop():
+    # the deep draws, past p_zero(2^14) (where the kernel's p_zero table
+    # once stopped): the depth must agree with the gallop from 1 on random
+    # draws there and at, below and above p_zero(m) for m from 2^14 up to
+    # where p_zero(m) is the largest draw, 1 - 2**-53
+    k = RenewalSqrtKernel()
+    first = k.p_zero(2**14)
+    rng = np.random.Generator(np.random.PCG64(11))
+    draws = [first, 1.0 - 2**-53] + [first + (1.0 - first) * x for x in rng.random(2000)]
+    for e in range(8, 54):
+        draws += [1.0 - 2.0**-e, math.nextafter(1.0 - 2.0**-e, 0.0)]
+    for j in range(14, 110):
+        for m in (2**j - 1, 2**j, 2**j + 1, 3 * 2**j):
+            p = k.p_zero(m)
+            draws += [math.nextafter(p, 0.0), p, math.nextafter(p, 1.0)]
+    draws = [u for u in draws if first <= u < 1.0]
+    assert len(draws) > 3000
+    expected = [_gallop_slice_depth(u) for u in draws]
+    assert [k.slice_depth(u) for u in draws] == expected
+    assert len(_closed_form_misses(draws, expected)) > 100
 
 
 @pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
