@@ -43,11 +43,12 @@ two are built from the same immutable nodes:
 Runs of one kernel share the start of each window length, whatever its
 size, in one place: the kernel's own cache, ``kernel.slice_cache``.
 
-:func:`step` is the validated reference: it composes through
-:func:`~ciaftp.update_rule.build_slice`, ``ContextTrie.from_leaves`` and
-``prune_minimal``.  Its slices are expanded from the kernel's lower-bound
-rows for every family, the renewal kernel included, so the comb's
-closed-form slice depth is checked against the law.  Under
+:func:`step` is the validated reference: it composes the slice of
+:func:`~ciaftp.update_rule.build_slice` onto the previous state's leaves,
+through ``ContextTrie.from_leaves`` and ``prune_minimal``.  Its slices
+are expanded from the kernel's lower-bound rows for every family, the
+renewal kernel included, so the comb's closed-form slice depth is checked
+against the law.  Under
 ``run(on_iteration=...)`` it is advanced beside the family's map
 (:class:`_AuditedMap`), which raises InvariantViolation on any step where
 they differ and hands the reference tries of each step to the hook.
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -78,7 +80,8 @@ from .errors import (
     UnsupportedOperation,
 )
 from .kernels import Kernel, RenewalSqrtKernel, check_enumeration
-from .tries import Alphabet, Context, ContextTrie, complete_trie, prune_minimal
+from .tries import (Alphabet, Context, ContextTrie, complete_trie, internal_node,
+                    iter_leaves_below, node_depth, prune_minimal)
 from .update_rule import DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, phi
 
 DEFAULT_MAX_ITER = 10**6
@@ -160,9 +163,11 @@ def step(
 ) -> Tuple[ContextTrie, UpdateSlice, ContextTrie]:
     """One backward iteration; returns (new state, slice, unpruned trie).
 
-    The unpruned trie is rebuilt through the validating constructor, so the
-    claim that it is a complete suffix dictionary is re-checked on every
-    step.
+    Slice leaf ``s`` emitting ``g`` takes the state's label at ``s + (g,)``,
+    or the leaves of the state's subtree there (``iter_leaves_below``).
+    The unpruned trie is rebuilt from them through the validating
+    ``ContextTrie.from_leaves``, so the claim that it is a complete suffix
+    dictionary is re-checked on every step.
     """
     slice_ = build_slice(kernel, u, max_depth)
     e_leaves: Dict[Context, Context] = {}
@@ -172,17 +177,8 @@ def step(
         if hit is not None:
             e_leaves[s] = hit[1]
         else:
-            # the previous dictionary needs older symbols: pull in its
-            # subtree below `target`, one leaf per required extension
-            node = state.node_at(target)
-            stack = [(node, ())]
-            while stack:
-                nd, ext = stack.pop()
-                if nd.children is None:
-                    e_leaves[ext + s] = nd.label
-                else:
-                    for sym, child in nd.children.items():
-                        stack.append((child, (sym,) + ext))
+            for ext, label in iter_leaves_below(state, target):
+                e_leaves[ext + s] = label
     e_trie = ContextTrie.from_leaves(kernel.alphabet, e_leaves)
     return prune_minimal(e_trie), slice_, e_trie
 
@@ -257,19 +253,15 @@ def _backward(
     return RunResult(rep.sample(), diagnostics)
 
 
-# Nodes of the composite map.  A leaf is ``(None, 1, label)`` and an
-# internal node ``(children, tree size)``, with children in alphabet order;
-# the size memo makes the node touches O(1).  Every internal node has |G|
-# children, so a tree of size n has ((|G| - 1) * n + 1) / |G| leaves and
-# needs no leaf count of its own; its depth is not stored either, and only
-# the trace records and the audit, which read it, walk for it (_depth), once
-# per map the slice table interns (SliceTable.depths).  A node is never
-# changed once built, so a step grafts the previous map's subtrees by
-# reference.  Each label has one leaf object: the initial map creates every
-# leaf and later steps only graft them, so a node whose children are all
-# the same leaf object becomes that leaf - the rule of tries.prune_minimal.
-# Grafted subtrees come from a minimal map, so only the nodes a step
-# rebuilds need the rule.  (The initial map is built reduced too; it
+# The composite maps are built from the trie nodes of ciaftp.tries, whose
+# size makes the node touches O(1); only the trace records and the audit
+# read a map's depth (node_depth), once per map the slice table interns
+# (SliceTable.depths).  The engine keeps one invariant of its own: each
+# label has one leaf object.  The initial map creates every leaf and later
+# steps only graft them, so a node whose children are all the same leaf
+# object becomes that leaf - the rule of tries.prune_minimal, collapsed by
+# identity.  Grafted subtrees come from a minimal map, so only the nodes a
+# step rebuilds need the rule.  (The initial map is built reduced too; it
 # differs from the complete trie only for a one-symbol alphabet, whose
 # chain of L nodes is one leaf here: that map is constant before any draw.)
 
@@ -278,21 +270,7 @@ def _node(kids: tuple) -> tuple:
     first = kids[0]
     if first[0] is None and kids.count(first) == len(kids):
         return first
-    size = 1
-    for k in kids:
-        size += k[1]
-    return (kids, size)
-
-
-def _depth(root: tuple) -> int:
-    """The depth of a shared-subtree map, one level at a time, each distinct
-    internal node of a level once."""
-    depth = 0
-    level = [] if root[0] is None else [root]
-    while level:
-        depth += 1
-        level = list({id(k): k for node in level for k in node[0] if k[0] is not None}.values())
-    return depth
+    return internal_node(kids)
 
 
 def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
@@ -310,20 +288,6 @@ def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
         stride = len(symbols) ** k
         level = [_node(tuple(level[j::stride])) for j in range(stride)]
     return level[0]
-
-
-def _map_leaves(root: tuple, symbols: Tuple[str, ...]) -> Dict[Context, Context]:
-    """``{context: label}`` of a shared-subtree map, like ContextTrie.leaves."""
-    out: Dict[Context, Context] = {}
-    stack = [(root, ())]
-    while stack:
-        node, ctx = stack.pop()
-        if node[0] is None:
-            out[ctx] = node[2]
-        else:
-            for g, child in zip(symbols, node[0]):
-                stack.append((child, (g,) + ctx))
-    return out
 
 
 def _window(leaf: tuple, length: int) -> Context:
@@ -418,9 +382,9 @@ def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
     stack = [(slice_.trie.root, (), False)]
     while stack:
         node, path, closing = stack.pop()
-        if node.children is None:
+        if node[0] is None:
             slot = 0
-            for i in (alphabet.index(node.label),) + path:
+            for i in (alphabet.index(node[2]),) + path:
                 step = (slot, i)
                 slot = slot_of.get(step)
                 if slot is None:
@@ -430,12 +394,10 @@ def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
             pending.append(slot)
         elif closing:
             nodes.append(pending[-n:])
-            del pending[-n:]
-            pending.append(~(len(nodes) - 1))
+            pending[-n:] = [~(len(nodes) - 1)]
         else:
             stack.append((node, path, True))
-            for i in reversed(range(n)):
-                stack.append((node.children[alphabet.symbols[i]], path + (i,), False))
+            stack.extend((node[0][i], path + (i,), False) for i in reversed(range(n)))
     first = len(walk) + 1
     node_getters = []
     for kids in nodes:
@@ -471,10 +433,14 @@ class SliceTable:
     initial map that every run of a window length starts from.  Every
     step looks its map's ``id`` up in the gap's :attr:`SliceEntry.memo`;
     a miss runs the program, and while ``maps`` holds fewer than
-    :data:`MEMO_CAP` maps (starts included) its result is interned and
-    stored there as ``(next interned map, node touches)``.  A program's
-    result depends only on the map's structure and the gap, so a stored
-    transition gives exactly what the program would: the memo is exact.
+    ``memo_cap`` maps (starts included) its result is interned and stored
+    there as ``(next interned map, node touches)``.  ``memo_cap`` is
+    :data:`MEMO_CAP`, or 0 for a kernel of order at least a quarter of the
+    recursion limit, whose maps are too deep for interning to compare:
+    there only the starts are interned, and every step misses and stores
+    nothing, as on a full memo.  A program's result depends only on the
+    map's structure and the gap, so a stored transition gives exactly what
+    the program would: the memo is exact.
     ``maps`` only grows, so while it has room every map a run holds is
     interned and kept alive by it; once it is full, a map a run composes
     is not interned, its ``id`` is no key (keys are ids of live interned
@@ -503,6 +469,10 @@ class SliceTable:
         self._steps: Dict[WalkStep, WalkStep] = {}
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
         self.maps: Dict[tuple, tuple] = {}
+        # interning compares maps by tuple ==, which recurses two levels per
+        # trie level; maps as deep as the order (windows are short) may take
+        # at most half the recursion limit, else only the starts are interned
+        self.memo_cap = MEMO_CAP if 4 * kernel.order < sys.getrecursionlimit() else 0
         self.starts: Dict[int, tuple] = {}
         self.depths: Dict[int, int] = {}
         self._add(0.0)
@@ -695,7 +665,7 @@ class _SharedMap:
     the nodes of the unpruned composition.
     """
 
-    __slots__ = ("length", "arity", "lookup", "maps", "depths", "root", "coalesced")
+    __slots__ = ("length", "arity", "lookup", "maps", "memo_cap", "depths", "root", "coalesced")
 
     def __init__(self, kernel: Kernel, length: int):
         self.length = length
@@ -703,6 +673,7 @@ class _SharedMap:
         table = slice_table(kernel)
         self.lookup = table.lookup
         self.maps = maps = table.maps
+        self.memo_cap = table.memo_cap
         self.depths = table.depths
         root = table.starts.get(length)
         if root is None:
@@ -720,7 +691,7 @@ class _SharedMap:
         else:
             new, touches = _compose(root, entry, self.arity)
             maps = self.maps
-            if len(maps) < MEMO_CAP:
+            if len(maps) < self.memo_cap:
                 new = maps.setdefault(new, new)
                 entry.memo[id(root)] = (new, touches)
             root = new
@@ -732,7 +703,7 @@ class _SharedMap:
         root, arity = self.root, self.arity
         depth = self.depths.get(id(root))
         if depth is None:
-            depth = _depth(root)
+            depth = node_depth(root)
             if self.maps.get(root) is root:
                 self.depths[id(root)] = depth
         return ((arity - 1) * root[1] + 1) // arity, depth
@@ -823,7 +794,7 @@ class _CombMap:
         for side, count in self.runs:
             size += count * (side[1] + 1)
             end += count
-            depth = max(depth, end + _depth(side))
+            depth = max(depth, end + node_depth(side))
         return (size + 1) // 2, depth
 
     @property
@@ -852,7 +823,9 @@ class _AuditedMap:
     beside it on every draw: any step where their work, slice depth,
     regeneration flag, reach, state or trace size differ raises
     InvariantViolation; a draw the reference refuses must reach deeper
-    than ``max_depth``.  Each step that passes goes to ``on_iteration``."""
+    than ``max_depth``.  The states are compared node by node, the map read
+    as a ``ContextTrie`` on its own nodes, with no leaf dict and no context
+    tuple.  Each step that passes goes to ``on_iteration``."""
 
     def __init__(self, kernel: Kernel, length: int, max_depth: int,
                  on_iteration: Callable[[StepAudit], None]):
@@ -877,10 +850,9 @@ class _AuditedMap:
             if got[3] > self.max_depth:
                 return got  # for _backward to refuse
             state, want = self.state, None
-        leaves = dict(state.leaves())
         if got != want or (
-            _map_leaves(self.map.root, self.kernel.alphabet.symbols) != leaves
-            or self.map.size() != (len(leaves), max(map(len, leaves)))
+            ContextTrie(self.kernel.alphabet, self.map.root) != state
+            or self.map.size() != (state.leaf_count(), state.depth())
         ):
             raise InvariantViolation(
                 f"at u={u!r} the composite map gives {got} and the reference {want}"

@@ -173,14 +173,15 @@ class ContextTreeKernel(Kernel):
         # all |G|^k contexts
         if k < 0:
             raise ValueError("depth must be >= 0")
+        symbols = self.alphabet.symbols
         level = [(EMPTY, self.trie.root)]
         leaf_above = False
         for _ in range(k):
-            leaf_above = leaf_above or any(node.children is None for _, node in level)
-            level = [((sym,) + ctx, child) for ctx, node in level if node.children is not None
-                     for sym, child in node.children.items()]
+            leaf_above = leaf_above or any(node[0] is None for _, node in level)
+            level = [((sym,) + ctx, child) for ctx, node in level if node[0] is not None
+                     for sym, child in zip(symbols, node[0])]
         masses = [1.0] if leaf_above else []
-        masses += [1.0 if node.children is None else self.lower_bounds(ctx).mass
+        masses += [1.0 if node[0] is None else self.lower_bounds(ctx).mass
                    for ctx, node in level]
         return min(masses)
 
@@ -200,9 +201,7 @@ class ContextTreeKernel(Kernel):
 
 
 def memoryless_kernel(alphabet: Alphabet, probs: Distribution) -> ContextTreeKernel:
-    trie = ContextTrie.from_leaves(alphabet, {(): tuple(probs)})
-    k = ContextTreeKernel(trie)
-    return k
+    return ContextTreeKernel(ContextTrie.from_leaves(alphabet, {(): tuple(probs)}))
 
 
 def full_markov_kernel(

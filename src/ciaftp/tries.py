@@ -8,11 +8,13 @@ which the edge nearest the root carries the MOST RECENT symbol, so trie
 traversal consumes a context from its newest end.
 
 ``ContextTrie`` covers both plain dictionaries (labels ``None``) and
-piecewise-constant maps (a label at every leaf).
+piecewise-constant maps (a label at every leaf), on the immutable nodes
+the engine's composite maps are built from: one node format for both.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
@@ -91,24 +93,92 @@ def is_suffix(s: Context, h: Context) -> bool:
     return h[-n:] == s
 
 
-class _Node:
-    __slots__ = ("children", "label")
+# Trie nodes.  A leaf is ``(None, 1, label)`` and an internal node
+# ``(children, tree size)``, with one child per alphabet symbol, in alphabet
+# order.  Every internal node has |G| children, so a tree of n nodes has
+# ((|G| - 1) * n + 1) / |G| leaves.  A node is never changed once built, so
+# tries share subtrees by reference.  Every walk below is iterative:
+# CPython's tuple ``==`` and pickling recurse, two levels per trie level,
+# and fail past about 500 of them.
 
-    def __init__(self, children: Optional[Dict[Symbol, "_Node"]] = None, label: Any = None):
-        self.children = children
-        self.label = label
+
+def internal_node(kids: tuple) -> tuple:
+    size = 1
+    for k in kids:
+        size += k[1]
+    return (kids, size)
+
+
+def minimal_node(kids: tuple) -> tuple:
+    """The node over ``kids`` (its children in alphabet order) under the
+    rule of :func:`prune_minimal`: the first child when all of them are
+    leaves with equal labels."""
+    first = kids[0]
+    if first[0] is None and all(k[0] is None and k[2] == first[2] for k in kids):
+        return first
+    return internal_node(kids)
+
+
+def node_depth(node: tuple) -> int:
+    """The depth of the trie below ``node``, one level at a time, each
+    distinct internal node of a level once."""
+    depth = 0
+    level = [] if node[0] is None else [node]
+    while level:
+        depth += 1
+        level = list({id(k): k for nd in level for k in nd[0] if k[0] is not None}.values())
+    return depth
+
+
+def _iter_leaves(node: tuple, symbols: Tuple[Symbol, ...]) -> Iterator[Tuple[Context, Any]]:
+    # in alphabet order of the newest symbol first
+    stack = [(node, EMPTY)]
+    while stack:
+        nd, c = stack.pop()
+        kids = nd[0]
+        if kids is None:
+            yield (c, nd[2])
+        else:
+            for sym, child in zip(reversed(symbols), reversed(kids)):
+                stack.append((child, (sym,) + c))
+
+
+def _freeze(symbols: Tuple[Symbol, ...], staged: Any) -> tuple:
+    """The staged trie (a dict of children per internal node, a leaf node
+    per leaf) as nodes, in one post-order pass that refuses a node with a
+    missing branch."""
+    holder = {None: staged}
+    path: list = []  # the keys from the holder down to the node last opened
+    # (node, its parent, its key there, its depth), or depth -1 to close it
+    stack = [(staged, holder, None, 0)] if type(staged) is dict else []
+    while stack:
+        node, parent, key, depth = stack.pop()
+        if depth < 0:
+            parent[key] = internal_node(tuple(map(node.__getitem__, symbols)))
+            continue
+        path[depth:] = [key]
+        if len(node) != len(symbols):
+            ctx = tuple(reversed(path[1:]))
+            missing = next(g for g in symbols if g not in node)
+            raise IncompleteTrie(f"incomplete node at context {ctx}: no branch for symbol "
+                                 f"{missing!r} (uncovered context {(missing,) + ctx})")
+        stack.append((node, parent, key, -1))
+        for sym, child in node.items():
+            if type(child) is dict:
+                stack.append((child, node, sym, depth + 1))
+    return holder[None]
 
 
 class ContextTrie:
     """A complete suffix dictionary, optionally with a label at each leaf.
 
     Use :meth:`from_leaves` to build one; direct construction assumes the
-    root is already a valid complete trie.
+    root is already a valid complete trie (see the node layout above).
     """
 
     __slots__ = ("alphabet", "root")
 
-    def __init__(self, alphabet: Alphabet, root: _Node):
+    def __init__(self, alphabet: Alphabet, root: tuple):
         self.alphabet = alphabet
         self.root = root
 
@@ -123,61 +193,38 @@ class ContextTrie:
         Rejects overlapping leaves (one a suffix of another), duplicate
         leaves, and incomplete branching.
         """
-        if isinstance(leaves, Mapping):
-            items: Iterable[Tuple[Context, Any]] = leaves.items()
-        else:
-            items = ((c, None) for c in leaves)
-
-        root = _Node()
-        declared: set[int] = set()
-        empty = True
+        items = leaves.items() if isinstance(leaves, Mapping) else ((c, None) for c in leaves)
+        # staged as _freeze reads it, the root under the key None
+        known = alphabet._index  # type: ignore[attr-defined]
+        top: Dict[Optional[Symbol], Any] = {}
         for ctx, label in items:
-            empty = False
-            node = root
+            node, key = top, None
             # walk newest-to-oldest; create internal nodes along the way
-            for i in range(1, len(ctx) + 1):
-                sym = ctx[-i]
-                if sym not in alphabet:
+            for depth, sym in enumerate(reversed(ctx)):
+                if sym not in known:
                     raise UnknownSymbol(f"symbol {sym!r} not in alphabet {alphabet.symbols}")
-                if id(node) in declared:
-                    raise TrieStructureError(
-                        f"context {ctx} descends through leaf {ctx[len(ctx) - i + 1:]}"
-                    )
-                if node.children is None:
-                    node.children = {}
-                child = node.children.get(sym)
+                child = node.get(key)
                 if child is None:
-                    child = _Node()
-                    node.children[sym] = child
-                node = child
-            if node.children is not None:
+                    child = node[key] = {}
+                elif type(child) is tuple:
+                    raise TrieStructureError(
+                        f"context {ctx} descends through leaf {ctx[len(ctx) - depth:]}"
+                    )
+                node, key = child, sym
+            child = node.get(key)
+            if type(child) is dict:
                 raise TrieStructureError(f"context {ctx} is an ancestor of another leaf")
-            if id(node) in declared:
+            if child is not None:
                 raise TrieStructureError(f"duplicate leaf context {ctx}")
-            declared.add(id(node))
-            node.label = label
-        if empty:
+            node[key] = (None, 1, label)
+        if not top:
             raise TrieStructureError("a trie needs at least one leaf")
+        return cls(alphabet, _freeze(alphabet.symbols, top[None]))
 
-        trie = cls(alphabet, root)
-        trie._finalize_and_check()
-        return trie
-
-    def _finalize_and_check(self) -> None:
-        full = self.alphabet.size
-        stack = [(self.root, EMPTY)]
-        while stack:
-            node, ctx = stack.pop()
-            if node.children is None:
-                continue
-            if len(node.children) != full:
-                missing = next(g for g in self.alphabet if g not in node.children)
-                raise IncompleteTrie(
-                    f"incomplete node at context {ctx}: no branch for symbol {missing!r} "
-                    f"(uncovered context {(missing,) + ctx})"
-                )
-            for sym, child in node.children.items():
-                stack.append((child, (sym,) + ctx))
+    def __reduce__(self):
+        # rebuilt from its leaves, validated on load: a pickled node tuple
+        # would recurse once per trie level
+        return (type(self).from_leaves, (self.alphabet, dict(self.leaves())))
 
     # -- queries ----------------------------------------------------------
 
@@ -186,91 +233,89 @@ class ContextTrie:
         ``h``, or ``None`` if ``h`` is too short to resolve (ends at an
         internal node)."""
         node = self.root
+        index = self.alphabet.index
         n = len(h)
         for i in range(n):
-            if node.children is None:
-                return (h[n - i:], node.label)
-            sym = h[n - 1 - i]
-            try:
-                node = node.children[sym]
-            except KeyError:
-                raise UnknownSymbol(f"symbol {sym!r} not in alphabet {self.alphabet.symbols}")
-        if node.children is None:
-            return (h, node.label)
+            kids = node[0]
+            if kids is None:
+                return (h[n - i:], node[2])
+            node = kids[index(h[n - 1 - i])]
+        if node[0] is None:
+            return (h, node[2])
         return None
 
-    def node_at(self, ctx: Context) -> _Node:
+    def node_at(self, ctx: Context) -> tuple:
         node = self.root
+        index = self.alphabet.index
         for i in range(1, len(ctx) + 1):
-            if node.children is None:
+            if node[0] is None:
                 raise TrieStructureError(f"context {ctx} passes through a leaf")
-            node = node.children[ctx[-i]]
+            node = node[0][index(ctx[-i])]
         return node
 
     def leaves(self) -> Iterator[Tuple[Context, Any]]:
         """Yield ``(context, label)`` for every leaf."""
-        yield from _iter_leaves(self.root, EMPTY)
+        return _iter_leaves(self.root, self.alphabet.symbols)
 
     def leaf_contexts(self) -> Iterator[Context]:
-        for ctx, _ in self.leaves():
-            yield ctx
+        return (ctx for ctx, _ in self.leaves())
 
     def depth(self) -> int:
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.children is None:
-                if d > best:
-                    best = d
-            else:
-                for child in node.children.values():
-                    stack.append((child, d + 1))
-        return best
+        return node_depth(self.root)
 
     def leaf_count(self) -> int:
-        return sum(1 for _ in self.leaves())
+        n = self.alphabet.size
+        return ((n - 1) * self.root[1] + 1) // n
 
     def node_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if node.children is not None:
-                stack.extend(node.children.values())
-        return count
+        return self.root[1]
 
     def is_coalesced(self) -> bool:
         """True iff the dictionary is the root-only trie {eps}."""
-        return self.root.children is None
+        return self.root[0] is None
 
     def root_label(self) -> Any:
-        return self.root.label
+        return self.root[2] if self.root[0] is None else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContextTrie):
             return NotImplemented
-        return self.alphabet == other.alphabet and dict(self.leaves()) == dict(other.leaves())
+        if self.alphabet != other.alphabet:
+            return False
+        # node by node, labels by equality
+        stack = [(self.root, other.root)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a[0] is None or b[0] is None:
+                if a[0] is not b[0] or a[2] != b[2]:
+                    return False
+            elif a[1] != b[1]:
+                return False
+            else:
+                stack.extend(zip(a[0], b[0]))
+        return True
 
-    def __hash__(self):  # mutable-ish structure; containers should use ids
+    def __hash__(self):  # equal tries are not one object; containers use ids
         return id(self)
 
     # -- debug output -----------------------------------------------------
 
     def to_text(self) -> str:
         lines: list[str] = []
-        stack: list[tuple[_Node, Optional[Symbol], int]] = [(self.root, None, 0)]
+        symbols = self.alphabet.symbols
+        stack: list[tuple[tuple, Optional[Symbol], int]] = [(self.root, None, 0)]
         while stack:
             node, sym, indent = stack.pop()
             head = "." if sym is None else sym
-            if node.children is None:
-                lab = "" if node.label is None else f"  -> {_fmt_label(node.label)}"
+            if node[0] is None:
+                lab = "" if node[2] is None else f"  -> {_fmt_label(node[2])}"
                 lines.append("  " * indent + head + lab)
             else:
                 lines.append("  " * indent + head)
-                for g in reversed(self.alphabet.symbols):
-                    stack.append((node.children[g], g, indent + 1))
+                for g, child in zip(reversed(symbols), reversed(node[0])):
+                    stack.append((child, g, indent + 1))
         return "\n".join(lines)
 
 
@@ -280,21 +325,10 @@ def _fmt_label(label: Any) -> str:
     return str(label)
 
 
-def _iter_leaves(node: _Node, ctx: Context) -> Iterator[Tuple[Context, Any]]:
-    stack = [(node, ctx)]
-    while stack:
-        nd, c = stack.pop()
-        if nd.children is None:
-            yield (c, nd.label)
-        else:
-            for sym, child in nd.children.items():
-                stack.append((child, (sym,) + c))
-
-
 def iter_leaves_below(trie: ContextTrie, ctx: Context) -> Iterator[Tuple[Context, Any]]:
     """Yield ``(extension, label)`` for leaves below the node at ``ctx``;
     the leaf's full context is ``extension + ctx``."""
-    yield from _iter_leaves(trie.node_at(ctx), EMPTY)
+    return _iter_leaves(trie.node_at(ctx), trie.alphabet.symbols)
 
 
 def dominates(dp: ContextTrie, d: ContextTrie) -> bool:
@@ -308,30 +342,22 @@ def prune_minimal(trie: ContextTrie) -> ContextTrie:
     """The unique minimal trie representing the same piecewise-constant map.
 
     Post-order: whenever all children of a node are leaves with equal
-    labels, the node becomes a leaf with that label.  Labels are compared
-    by exact equality.  The input is not modified.
+    labels, the node becomes a leaf with that label (:func:`minimal_node`).
+    Labels are compared by exact equality.  The input is not modified;
+    its leaves, and each shared subtree's result, are reused.
     """
-
-    # iterative post-order (tries can be deeper than the recursion limit)
-    done: Dict[int, _Node] = {}
+    done: Dict[int, tuple] = {}
     stack = [(trie.root, False)]
     while stack:
-        node, expanded = stack.pop()
-        if node.children is None:
-            done[id(node)] = _Node(None, node.label)
-        elif not expanded:
+        node, closing = stack.pop()
+        kids = node[0]
+        if kids is None:
+            done[id(node)] = node
+        elif closing:
+            done[id(node)] = minimal_node(tuple(done[id(k)] for k in kids))
+        elif id(node) not in done:
             stack.append((node, True))
-            for child in node.children.values():
-                stack.append((child, False))
-        else:
-            kids = {sym: done[id(child)] for sym, child in node.children.items()}
-            first = next(iter(kids.values()))
-            if first.children is None and all(
-                c.children is None and c.label == first.label for c in kids.values()
-            ):
-                done[id(node)] = _Node(None, first.label)
-            else:
-                done[id(node)] = _Node(kids)
+            stack.extend((k, False) for k in kids)
     return ContextTrie(trie.alphabet, done[id(trie.root)])
 
 
@@ -342,27 +368,16 @@ def prefix_closure(d: ContextTrie) -> ContextTrie:
     leaf and keeps the maximal elements for the suffix order.  Satisfies
     ``|closure| <= |d| * depth(d)``.
     """
-    leaves = list(d.leaf_contexts())
-    if leaves == [EMPTY]:
+    if d.is_coalesced():
         return ContextTrie.from_leaves(d.alphabet, [EMPTY])
-    prefixes = set()
-    for s in leaves:
-        for j in range(1, len(s) + 1):
-            prefixes.add(s[:j])
-    maximal = [
-        t
-        for t in prefixes
-        if not any(u != t and is_suffix(t, u) for u in prefixes)
-    ]
+    prefixes = {s[:j] for s in d.leaf_contexts() for j in range(1, len(s) + 1)}
+    maximal = [t for t in prefixes if not any(u != t and is_suffix(t, u) for u in prefixes)]
     return ContextTrie.from_leaves(d.alphabet, maximal)
 
 
 def complete_trie(alphabet: Alphabet, depth: int, label_fn=None) -> ContextTrie:
     """The complete trie of the given depth; leaf ``s`` labeled
     ``label_fn(s)`` when a label function is supplied."""
-    import itertools
-
-    leaves: Dict[Context, Any] = {}
-    for tup in itertools.product(alphabet.symbols, repeat=depth):
-        leaves[tup] = None if label_fn is None else label_fn(tup)
-    return ContextTrie.from_leaves(alphabet, leaves)
+    return ContextTrie.from_leaves(alphabet, {
+        s: None if label_fn is None else label_fn(s)
+        for s in itertools.product(alphabet.symbols, repeat=depth)})

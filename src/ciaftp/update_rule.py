@@ -23,11 +23,12 @@ of infinite-memory kernels are unbounded, so there ``phi`` scans the
 levels up to the first interval end above ``u`` and stores nothing.
 
 :func:`build_slice` expands the slice node by node from the kernel's
-lower-bound rows alone, for finite and infinite memory alike, and returns
-a validated :class:`UpdateSlice` trie.  It also reports the slice's reach
-(the depth of the deepest context it visits) and its gap: every comparison
-it makes is ``u < e`` for an interval end ``e``, so every draw between the
-nearest compared ends below and above ``u`` gets the same slice.  What
+lower-bound rows alone, for finite and infinite memory alike, and builds
+its minimal, complete :class:`UpdateSlice` trie in the same pass.  It also
+reports the slice's reach (the depth of the deepest context it visits) and
+its gap: every comparison it makes is ``u < e`` for an interval end ``e``,
+so every draw between the nearest compared ends below and above ``u`` gets
+the same slice.  What
 the sampler does with slices, and how it stores them, is up to
 :mod:`ciaftp.engine`.
 """
@@ -40,7 +41,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .errors import MaxDepthExceeded
 from .kernels import Distribution, Kernel, resolves
-from .tries import Context, ContextTrie, Symbol, prune_minimal
+from .tries import Context, ContextTrie, Symbol, minimal_node
 
 DEFAULT_MAX_DEPTH = 10_000
 MEASURE_TOL = 1e-9  # verify_measure's bound on interval mass and coverage errors
@@ -159,26 +160,34 @@ def phi(kernel: Kernel, u: float, s: Context) -> Optional[Symbol]:
 def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) -> UpdateSlice:
     """Expand the minimal slice trie for draw ``u``.
 
-    Depth-first from the root: a node whose accumulated mass exceeds ``u``
-    becomes a leaf labeled with the update value; otherwise all children
-    are expanded, and MaxDepthExceeded is raised when they would lie
-    deeper than ``max_depth``.  Only the kernel's lower-bound rows are
-    read, so every kernel family gets its slice the same way.  The slice's
-    gap runs from the largest end compared at or below ``u`` to the
-    smallest one compared above it (0 and 1 when there is none).
+    Depth-first from the root, children in alphabet order: a node whose
+    accumulated mass exceeds ``u`` becomes a leaf labeled with the update
+    value; otherwise all children are expanded, and MaxDepthExceeded is
+    raised when they would lie deeper than ``max_depth``.  An expanded node
+    is built when its closing frame pops, from its |G| children, by
+    :func:`~ciaftp.tries.minimal_node`.  Only the kernel's lower-bound rows
+    are read, so every kernel family gets its slice the same way.  The
+    slice's gap runs from the largest end compared at or below ``u`` to
+    the smallest one compared above it (0 and 1 when there is none).
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     symbols = kernel.alphabet.symbols
+    n = len(symbols)
     touches = reach = 0
     lo, hi = 0.0, 1.0
-    leaves = {}
-    # stack entries: (context, accumulated position, previous-level bounds)
-    stack: List[Tuple[Context, float, Tuple[float, ...]]] = [((), 0.0, (0.0,) * len(symbols))]
+    done: List[tuple] = []  # built nodes whose parent is not built yet
+    # stack entries: (context, accumulated position, previous-level bounds),
+    # or None, which builds a node from the last n nodes done
+    stack: list = [((), 0.0, (0.0,) * n)]
     while stack:
-        ctx, pos, prev = stack.pop()
+        frame = stack.pop()
+        if frame is None:
+            done[-n:] = [minimal_node(tuple(done[-n:]))]
+            continue
+        ctx, pos, prev = frame
         touches += 1
         reach = max(reach, len(ctx))
         row = kernel.lower_bounds(ctx)
@@ -189,7 +198,7 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
             # u >= pos, so the first interval ending above u holds it
             for g, end in zip(symbols, ends):
                 if u < end:
-                    leaves[ctx] = g
+                    done.append((None, 1, g))
                     hi = min(hi, end)
                     break
                 lo = max(lo, end)
@@ -199,9 +208,10 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
                 raise MaxDepthExceeded(
                     f"slice for u={u!r} did not resolve within depth {max_depth}"
                 )
-            for g in symbols:
+            stack.append(None)
+            for g in reversed(symbols):
                 stack.append(((g,) + ctx, level_end, row.lower))
-    trie = prune_minimal(ContextTrie.from_leaves(kernel.alphabet, leaves))
+    trie = ContextTrie(kernel.alphabet, done[0])
     return UpdateSlice(u, trie, trie.depth(), touches, reach, (lo, hi))
 
 

@@ -31,7 +31,7 @@ from ciaftp.errors import (
     UnsupportedOperation,
 )
 from ciaftp.kernels import ContextTreeKernel, RenewalSqrtKernel, load_kernel, memoryless_kernel
-from ciaftp.tries import Alphabet, ContextTrie, dominates, prefix_closure
+from ciaftp.tries import Alphabet, ContextTrie, dominates, prefix_closure, prune_minimal
 
 from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
 
@@ -61,6 +61,17 @@ def test_init_state():
     assert all(ctx == lab for ctx, lab in t.leaves())
     with pytest.raises(ValueError):
         init_state(BINARY, 0)
+
+
+@pytest.mark.parametrize("alphabet,lengths", [(BINARY, (1, 2, 3, 4)),
+                                              (TERNARY, (1, 2, 3, 4)),
+                                              (Alphabet(("a",)), (1, 3))])
+def test_initial_map_is_the_pruned_initial_state(alphabet, lengths):
+    # the engine's start and the reference's, one node format: equal as
+    # tries, labels compared by equality
+    for length in lengths:
+        start = ContextTrie(alphabet, engine._initial_map(alphabet.symbols, length))
+        assert prune_minimal(init_state(alphabet, length)) == start
 
 
 def test_run_deterministic_per_seed():
@@ -801,7 +812,7 @@ def test_compiled_hot_path_skips_the_reference(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the reference machinery ran on the hot path")
 
-    for owner in (engine, tries, update_rule):
+    for owner in (engine, tries):
         monkeypatch.setattr(owner, "prune_minimal", refuse)
     for owner, name in [(ContextTrie, "from_leaves"), (ContextTrie, "find_suffix"),
                         (engine, "step"), (engine, "build_slice"),
@@ -918,15 +929,13 @@ def test_deep_walks_compile(monkeypatch):
     # 121 levels, deeper than CPython lets a source nest, and the maps runs
     # compose after such draws are as deep; every program compiles, equals
     # the interpreted one on those maps and passes the audit
-    leaves = {("0",) + ("1",) * j: (0.3, 0.7) for j in range(120)}
-    leaves[("1",) * 120] = (0.9, 0.1)
-    k = ContextTreeKernel(ContextTrie.from_leaves(BINARY, leaves))
+    k = _comb_kernel(120)
     table = slice_table(k)
     table.compile_all()
     assert all(entry.program for entry in table.entries)
     assert max(max(_walk_depths(entry)) for entry in table.entries) == 121
     maps = _composed_maps(monkeypatch, k, (1, 2, 3), range(20))
-    assert max(map(engine._depth, maps)) >= engine._INDENT_LIMIT
+    assert max(map(tries.node_depth, maps)) >= engine._INDENT_LIMIT
     for entry in table.entries:
         for root in maps:
             assert entry.program(root) == engine._interpret(root, entry, 2)
@@ -938,6 +947,36 @@ def test_deep_walks_compile(monkeypatch):
     steps = sum(run(k, 1 + seed % 3, RngStream(seed), on_iteration=lambda a: None)
                 .diagnostics.iterations for seed in range(50))
     assert steps > 100
+
+
+def _comb_kernel(order):
+    """The comb context tree of ``test_deep_walks_compile`` at any order:
+    contexts 0 1^j (j < order) with law (0.3, 0.7), and 1^order with (0.9, 0.1)."""
+    leaves = {("0",) + ("1",) * j: (0.3, 0.7) for j in range(order)}
+    leaves[("1",) * order] = (0.9, 0.1)
+    return ContextTreeKernel(ContextTrie.from_leaves(BINARY, leaves))
+
+
+def test_deep_kernels_run_without_interning():
+    # maps of order 1000 are too deep for tuple == to intern them, so the
+    # table interns only its starts; the runs complete, in worker processes
+    # too (the kernel's trie pickles without recursion), with the same rows
+    k = _comb_kernel(1000)
+    serial = run_many(k, 1, 0, 0, 40, timing=False)
+    assert not any(row.error for row in serial)
+    assert max(row.max_slice_depth for row in serial) == 1000
+    table = slice_table(k)
+    assert table.memo_cap == 0 and len(table.maps) == len(table.starts) == 1
+    assert not any(entry.memo for entry in table.entries)
+    assert run_many(k, 1, 0, 0, 40, timing=False, jobs=2) == serial
+    assert run_many(pickle.loads(pickle.dumps(k)), 1, 0, 0, 40, timing=False) == serial
+    # at order 600 the audit passes, and reports what the plain run does
+    k = _comb_kernel(600)
+    for seed in range(3):
+        audited = _outcome(k, 1, seed, on_iteration=lambda a: None)
+        assert audited == _outcome(k, 1, seed)
+    # the order-120 comb still interns
+    assert slice_table(_comb_kernel(120)).memo_cap == engine.MEMO_CAP
 
 
 def test_compiled_programs_pass_the_audit(monkeypatch):

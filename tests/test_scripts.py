@@ -87,3 +87,18 @@ def test_memo_traffic(tmp_path):
         assert 0 < int(programs) <= int(steps)
         assert float(share) == pytest.approx(1 - int(programs) / int(steps), abs=1e-4)
         assert 0 < int(maps) and 0 < int(transitions)
+
+
+def test_cli_outputs(tmp_path):
+    run_script("cli_outputs.py", ["out", "--kernels", "desk_vlmc"], tmp_path)
+    cases = sorted(str(p.relative_to(tmp_path / "out")) for p in (tmp_path / "out").glob("*/*"))
+    assert cases == ["desk_vlmc/L1", "desk_vlmc/L3"]
+    case = tmp_path / "out" / "desk_vlmc" / "L3"
+    names = {p.stem for p in case.glob("*.exit")}
+    assert len(names) == 10
+    for name in names:
+        assert (case / f"{name}.out").exists() and (case / f"{name}.err").exists()
+    assert (case / "sample_csv.exit").read_text() == "0\n"
+    assert "# seed=11" in (case / "sample_csv.out").read_text()
+    assert (case / "sample_trace.records").read_text().startswith("run_id,t,")
+    assert (case / "inspect_u073_context.out").read_text().startswith("# slice for u=0.73")

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,7 +207,33 @@ def test_complete_trie():
     assert complete_trie(BINARY, 0).is_coalesced()
 
 
+def _walked_counts(trie):
+    """(nodes, leaves) of ``trie``, counted by a walk."""
+    nodes = leaves = 0
+    stack = [trie.root]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node[0] is None:
+            leaves += 1
+        else:
+            stack.extend(node[0])
+    return nodes, leaves
+
+
+def _comb(depth, label):
+    """The binary comb whose leaves are 0 1^j (j < depth), labeled "1", and
+    1^depth, labeled ``label``."""
+    node = (None, 1, label)
+    for _ in range(depth):
+        node = (((None, 1, "1"), node), node[1] + 2)
+    return ContextTrie(BINARY, node)
+
+
 def test_deep_trie_no_recursion_limit():
+    # tuple ==, and pickling a node tuple, recurse once per trie level and
+    # fail long before depth 5000; the trie's walks, equality and pickling
+    # do not
     depth = 5000
     leaves = {("0",) + ("1",) * j: "1" for j in range(depth)}
     leaves[("1",) * depth] = "0"
@@ -214,6 +242,23 @@ def test_deep_trie_no_recursion_limit():
     p = prune_minimal(t)
     assert p.depth() == depth
     assert len(t.to_text().splitlines()) == t.node_count()
+    assert (t.node_count(), t.leaf_count()) == _walked_counts(t) == (2 * depth + 1, depth + 1)
+    # the same comb built bottom-up, without from_leaves
+    assert _comb(depth, "0") == t == p and _comb(depth, "0").root is not t.root
+    assert _comb(depth, "1") != t
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
+def test_equality_compares_labels_and_shape():
+    t = desk_trie()
+    assert t == ContextTrie.from_leaves(BINARY, dict(reversed(DESK_LEAVES.items())))
+    assert t != ContextTrie.from_leaves(BINARY, {**DESK_LEAVES, ("0",): "z"})
+    assert t != ContextTrie.from_leaves(BINARY, {("0",): "a", ("1",): "b"})
+    assert t != ContextTrie.from_leaves(TERNARY, {("a",): "a", ("b",): "b", ("c",): "c"})
+    # a plain dictionary, labels None, survives a pickle round trip too
+    plain = ContextTrie.from_leaves(BINARY, list(DESK_LEAVES))
+    assert pickle.loads(pickle.dumps(plain)) == plain
+    assert dict(plain.leaves()) == dict.fromkeys(DESK_LEAVES)
 
 
 @settings(max_examples=50, deadline=None)

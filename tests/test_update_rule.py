@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from ciaftp.kernels import (
     load_kernel,
     memoryless_kernel,
 )
+from ciaftp.tries import ContextTrie, prune_minimal
 from ciaftp.update_rule import (
     DEFAULT_MAX_DEPTH,
     IntervalAssignment,
@@ -269,16 +271,15 @@ def _compose_leaf_by_leaf(root, slice_, alphabet):
 
     def compose(node, path):
         nonlocal grafted
-        if node.children is None:
+        if node[0] is None:
             target = root
-            for i in (alphabet.index(node.label),) + path:
+            for i in (alphabet.index(node[2]),) + path:
                 if target[0] is None:
                     break
                 target = target[0][i]
             grafted += target[1]
             return target
-        kids = tuple(compose(node.children[g], path + (i,))
-                     for i, g in enumerate(alphabet.symbols))
+        kids = tuple(compose(child, path + (i,)) for i, child in enumerate(node[0]))
         if kids[0][0] is None and all(kid is kids[0] for kid in kids):
             return kids[0]  # one leaf object per label: the pruning rule
         return (kids, 1 + sum(kid[1] for kid in kids))
@@ -316,6 +317,37 @@ def test_build_slice_max_depth():
     u = 0.995  # depth ~ 40000
     with pytest.raises(MaxDepthExceeded):
         build_slice(k, u, max_depth=100)
+
+
+def test_refused_deep_slice_keeps_no_pending_contexts():
+    # the expansion resolves each 0 sibling before it goes deeper along the
+    # spine, and its closing frames keep no context: refusing a renewal
+    # draw at depth 3000 peaked at 36.7 MB when every pending sibling kept
+    # its context tuple
+    k = RenewalSqrtKernel()
+    tracemalloc.start()
+    try:
+        with pytest.raises(MaxDepthExceeded):
+            build_slice(k, 0.9999999, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
+def test_slice_trie_is_minimal_and_valid(alphabet):
+    # built in one pass, the slice is what from_leaves and prune_minimal
+    # make of its leaves
+    rng = np.random.Generator(np.random.PCG64(37))
+    kernels = [random_vlmc(rng, alphabet, int(rng.integers(1, 8))) for _ in range(10)]
+    if alphabet == BINARY:
+        kernels.append(RenewalSqrtKernel())
+    for k in kernels:
+        for u in rng.random(10):
+            trie = build_slice(k, float(u)).trie
+            rebuilt = ContextTrie.from_leaves(alphabet, dict(trie.leaves()))
+            assert trie == rebuilt == prune_minimal(rebuilt)
 
 
 @pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
