@@ -31,7 +31,10 @@ compiles one at its ``COMPILE_AFTER``-th run), so after those lines every
 finite-order kernel's lines are printed again, each prefixed ``compiled``,
 from a fresh copy of the kernel whose every slice program was compiled
 before its first run (``SliceTable.compile_all``; a ``--src`` checkout
-without it prints none): they must equal the lines above them.
+without it prints none): they must equal the lines above them.  Each gap
+has two compiled programs, and ``compile_all`` compiles both: the bounded
+one runs the lines whose L is at most the kernel's order, and the general
+one the longer windows (L=3 of ``desk_vlmc``, L=2, 3 and 13 of ``order1``).
 
 Usage:
     python scripts/run_outcomes.py --seeds 6 > change.txt

@@ -13,7 +13,9 @@ the wall time.  Each kernel family has one representation of the
 composite map, which only advances by one draw and reports its work, the
 slice's depth and reach, its size and its sample, and is coalesced exactly
 when its value is constant, at the start as after each draw.  The first
-two are built from the same immutable nodes:
+two are built from the same immutable trie nodes of :mod:`ciaftp.tries`,
+one flat tuple each: ``(tree size, child_0, ..., child_{|G|-1})``, or
+``(1, None, label)`` for a leaf:
 
 * :class:`_SharedMap` - finite-order kernels.  The minimal labeled trie
   as shared subtrees, whose leaf labels are full length-L windows.  A step
@@ -21,15 +23,18 @@ two are built from the same immutable nodes:
   and runs the gap's program (:class:`SliceEntry`, :func:`_compose`): walk
   each distinct prefix of the slice leaves' paths into the previous map
   once, graft the subtrees reached by reference and rebuild only the
-  slice's internal nodes.  So a step costs O(slice size), not O(state
-  size).  A program is interpreted by three flat loops until its
-  :data:`COMPILE_AFTER`-th run, which compiles it into one Python function
-  of the map, built from integers only, whose walk branches on leaves: a
-  parent that is a leaf fills every graft below it at once.  On order6 a
-  compiled run costs about a third of an interpreted one.  Few distinct
-  maps occur, so the table is also an exact memo of whole steps, which
-  interns at most :data:`MEMO_CAP` maps: a step that repeats a stored
-  (map, gap) transition is a dict lookup;
+  slice's internal nodes, one tuple each.  So a step costs O(slice size),
+  not O(state size).  A program is interpreted by three flat loops until
+  its :data:`COMPILE_AFTER`-th run, which compiles it into one Python
+  function of the map, built from integers only, whose walk branches on
+  leaves: a parent that is a leaf fills every graft below it at once.  At
+  a window length up to the kernel's order every map is at most the order
+  deep, so its nodes at that depth are leaves, and a second compiled
+  variant, the bounded program, neither tests nor walks below them.  On
+  order6 at L=1 a bounded compiled run costs about a fifth of an
+  interpreted one.  Few distinct maps occur, so the table is also an exact
+  memo of whole steps, which interns at most :data:`MEMO_CAP` maps: a
+  step that repeats a stored (map, gap) transition is a dict lookup;
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
   run-length-compressed side subtrees along the all-ones spine.  A step
@@ -268,7 +273,7 @@ def _backward(
 
 def _node(kids: tuple) -> tuple:
     first = kids[0]
-    if first[0] is None and kids.count(first) == len(kids):
+    if first[1] is None and kids.count(first) == len(kids):
         return first
     return internal_node(kids)
 
@@ -283,7 +288,7 @@ def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
     # built from the leaves up; each level lists its contexts in
     # itertools.product order, so the children (g,) + c of context c sit
     # one stride apart
-    level = [(None, 1, w) for w in itertools.product(symbols, repeat=length)]
+    level = [(1, None, w) for w in itertools.product(symbols, repeat=length)]
     for k in range(length - 1, -1, -1):
         stride = len(symbols) ** k
         level = [_node(tuple(level[j::stride])) for j in range(stride)]
@@ -339,15 +344,15 @@ class SliceEntry:
     refuses the draw exactly when it exceeds ``max_depth``, as
     :func:`~ciaftp.update_rule.build_slice` does.
 
-    Three fields are not init fields, so an entry made by
+    Four fields are not init fields, so an entry made by
     ``dataclasses.replace`` starts with none of the original's: ``memo``
     holds the table's stored transitions through this gap, at most one per
     interned map, keyed by the map's ``id``; ``runs`` counts the program's
-    interpreted runs (memo hits excluded), and ``program`` is the program
-    compiled into one function (:func:`_compile_program`), which
-    :func:`_compose` builds at run :data:`COMPILE_AFTER`.  Compiled, an
-    order6 program costs about 13.8 KB (tracemalloc, CPython 3.11), so its
-    65 gaps' programs about 0.90 MB.
+    interpreted runs (memo hits excluded); ``program`` is the program
+    compiled into one function (:func:`_compile_program`), and ``bounded``
+    the one compiled for maps no deeper than the kernel's order, which runs
+    at window lengths up to the order.  :func:`_compose` builds the one it
+    needs when ``runs`` reaches :data:`COMPILE_AFTER`.
     """
 
     walk: Tuple[WalkStep, ...]
@@ -360,6 +365,7 @@ class SliceEntry:
         default_factory=dict, init=False, compare=False, repr=False)
     runs: int = field(default=0, init=False, compare=False, repr=False)
     program: Optional[Program] = field(default=None, init=False, compare=False, repr=False)
+    bounded: Optional[Program] = field(default=None, init=False, compare=False, repr=False)
 
 
 def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
@@ -382,7 +388,7 @@ def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
     stack = [(slice_.trie.root, (), False)]
     while stack:
         node, path, closing = stack.pop()
-        if node[0] is None:
+        if node[1] is None:
             slot = 0
             for i in (alphabet.index(node[2]),) + path:
                 step = (slot, i)
@@ -397,7 +403,7 @@ def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
             pending[-n:] = [~(len(nodes) - 1)]
         else:
             stack.append((node, path, True))
-            stack.extend((node[0][i], path + (i,), False) for i in reversed(range(n)))
+            stack.extend((node[1 + i], path + (i,), False) for i in reversed(range(n)))
     first = len(walk) + 1
     node_getters = []
     for kids in nodes:
@@ -429,13 +435,13 @@ class SliceTable:
     reads and fills.  A composite map is a function on contexts of depth
     max(order, L), so only finitely many occur, and few in practice.
     ``maps`` interns them (shared-subtree root tuples, each its own key,
-    so equal maps are one object) and ``starts`` holds the interned
-    initial map that every run of a window length starts from.  Every
-    step looks its map's ``id`` up in the gap's :attr:`SliceEntry.memo`;
-    a miss runs the program, and while ``maps`` holds fewer than
-    ``memo_cap`` maps (starts included) its result is interned and stored
-    there as ``(next interned map, node touches)``.  ``memo_cap`` is
-    :data:`MEMO_CAP`, or 0 for a kernel of order at least a quarter of the
+    so equal maps are one object), ``interned`` holds their ids, and
+    ``starts`` holds the interned initial map that every run of a window
+    length starts from.  Every step looks its map's ``id`` up in the gap's
+    :attr:`SliceEntry.memo`; a miss runs the program, and while ``maps``
+    holds fewer than ``memo_cap`` maps (starts included) its result is
+    interned and stored there as ``(next interned map, node touches)``.  ``memo_cap`` is
+    :data:`MEMO_CAP`, or 0 for a kernel of order at least half the
     recursion limit, whose maps are too deep for interning to compare:
     there only the starts are interned, and every step misses and stores
     nothing, as on a full memo.  A program's result depends only on the
@@ -449,18 +455,19 @@ class SliceTable:
     one transition per (map, gap).  ``depths`` holds the depth of each
     interned map that a traced or audited run has sized
     (:meth:`_SharedMap.size`), keyed by its ``id`` like the memo: a map
-    that is not interned is walked each time.  Over seeds 0..2999
-    (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes 120 transitions
-    between 38 maps and the memo answers 99.3% of its steps; order2 at
-    L=3 stores 687 transitions on 256 maps (76.3%); order6 at L=1 stores
-    262 (1.0%), and its maps cost about 2.0 KB each (tracemalloc, CPython
-    3.11), so the cap holds about 0.51 MB there.
+    whose ``id`` is not in ``interned`` is walked each time, and no map is
+    hashed to find out.  Over seeds 0..2999 (``scripts/memo_traffic.py``):
+    desk_vlmc at L=3 takes 120 transitions between 38 maps and the memo
+    answers 99.3% of its steps; order2 at L=3 stores 687 transitions on 256
+    maps (76.3%); order6 at L=1 stores 262 (1.0%), and the distinct nodes of a full memo's 256 maps take about
+    0.27 MB there (1.1 KB a map; ``sys.getsizeof``, CPython 3.11).
     """
 
     def __init__(self, kernel: Kernel):
         if kernel.order is None:
             raise UnsupportedOperation("a slice table needs a finite-order kernel")
         self._kernel = ref(kernel)
+        self.order = kernel.order
         self._max_depth = max(kernel.order, 1)
         self.arity = kernel.alphabet.size
         self.lows: List[float] = []
@@ -469,22 +476,25 @@ class SliceTable:
         self._steps: Dict[WalkStep, WalkStep] = {}
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
         self.maps: Dict[tuple, tuple] = {}
-        # interning compares maps by tuple ==, which recurses two levels per
+        self.interned: set = set()
+        # interning compares maps by tuple ==, which recurses one level per
         # trie level; maps as deep as the order (windows are short) may take
         # at most half the recursion limit, else only the starts are interned
-        self.memo_cap = MEMO_CAP if 4 * kernel.order < sys.getrecursionlimit() else 0
+        self.memo_cap = MEMO_CAP if 2 * kernel.order < sys.getrecursionlimit() else 0
         self.starts: Dict[int, tuple] = {}
         self.depths: Dict[int, int] = {}
         self._add(0.0)
 
     def lookup(self, u: float) -> SliceEntry:
-        """The entry of the gap holding the draw ``u`` (0 <= u < 1)."""
+        """The entry of the gap holding the draw ``u`` (0 <= u < 1); the
+        same bisection as :meth:`_SharedMap.advance`, which inlines it."""
         i = bisect_right(self.lows, u) - 1
         if u < self.highs[i]:
             return self.entries[i]
         return self._add(u)
 
     def _add(self, u: float) -> SliceEntry:
+        """Expand, compile and insert the gap of a draw in no known gap."""
         slice_ = build_slice(self._kernel(), u, self._max_depth)
         entry = _compile_entry(slice_, self._steps, self._getters)
         lo, hi = slice_.gap
@@ -494,16 +504,25 @@ class SliceTable:
         self.entries.insert(i, entry)
         return entry
 
+    def intern(self, root: tuple) -> tuple:
+        """The interned map equal to ``root``, interning it if none is."""
+        root = self.maps.setdefault(root, root)
+        self.interned.add(id(root))
+        return root
+
     def compile_all(self) -> None:
         """Find every gap, from 0 up, and compile each program that is not
-        compiled yet, so that every later program run is a compiled one
-        (``scripts/run_outcomes.py`` diffs those runs against interpreted
-        ones)."""
+        compiled yet, the general one and, for a kernel of order at least 1,
+        the bounded one, so that every later program run is a compiled one
+        at every window length (``scripts/run_outcomes.py`` diffs those runs
+        against interpreted ones)."""
         u = 0.0
         while u < 1.0:
             entry = self.lookup(u)
             if entry.program is None:
-                entry.program = _compile_program(entry, self.arity)
+                entry.program = _compile_program(entry, self.arity, None)
+            if entry.bounded is None and self.order >= 1:
+                entry.bounded = _compile_program(entry, self.arity, self.order)
             u = self.highs[bisect_right(self.lows, u) - 1]
 
 
@@ -517,26 +536,36 @@ def slice_table(kernel: Kernel) -> SliceTable:
     return table
 
 
-def _compose(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
+def _compose(root: tuple, entry: SliceEntry, arity: int,
+             bound: Optional[int]) -> Tuple[tuple, int]:
     """Run ``entry``'s program on the map ``root``; returns (new map, node
-    touches).
+    touches).  With a ``bound`` (the kernel's order, at a window length up
+    to it), ``root`` is at most that deep, and the program compiled for
+    such maps (``entry.bounded``) runs; without one, the general program
+    does.
 
     A program's first ``COMPILE_AFTER - 1`` runs interpret it
-    (:func:`_interpret`).  Run ``COMPILE_AFTER`` compiles it into one
-    function (:func:`_compile_program`), which gives the same map and
-    touches and runs from then on.  On order6 at L=1 (2 vCPU, CPython
-    3.11, median over its 65 programs and 8945 recorded steps) a compile
-    costs about 2.3 ms and a compiled run about 3.5 us against the
-    interpreter's 10.8 us, so it pays back after about 315 runs, close to
-    ``COMPILE_AFTER`` = 300: only the gaps a kernel keeps drawing are
-    compiled, and a few warm-up runs compile nothing.
+    (:func:`_interpret`), whichever variant is asked for.  From run
+    ``COMPILE_AFTER`` on, the variant asked for is compiled into one
+    function (:func:`_compile_program`) the first time it is needed, and
+    gives the same map and touches from then on.  On order6 at L=1 (2 vCPU,
+    CPython 3.11; 3000 recorded steps, and the median compile over its
+    programs) a run costs about 8.3 us interpreted, 1.6 us bounded and
+    2.0 us general, and a compile about 1.5 and 1.8 ms, so a compile pays
+    back after about 230 and 290 runs, below ``COMPILE_AFTER`` = 300: only
+    the gaps a kernel keeps drawing are compiled, and a few warm-up runs
+    compile nothing.
     """
-    program = entry.program
+    program = entry.program if bound is None else entry.bounded
     if program is None:
         runs = entry.runs = entry.runs + 1
         if runs < COMPILE_AFTER:
             return _interpret(root, entry, arity)
-        program = entry.program = _compile_program(entry, arity)
+        program = _compile_program(entry, arity, bound)
+        if bound is None:
+            entry.program = program
+        else:
+            entry.bounded = program
     return program(root)
 
 
@@ -550,22 +579,21 @@ def _interpret(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
     append = slots.append
     for parent, child in entry.walk:
         node = slots[parent]
-        kids = node[0]
-        append(node if kids is None else kids[child])
+        append(node if node[1] is None else node[1 + child])
     touches = entry.touch_base
     for graft in entry.grafts:
-        touches += slots[graft][1]
+        touches += slots[graft][0]
     for get in entry.nodes:
         # _node, inlined
         kids = get(slots)
         first = kids[0]
-        if first[0] is None and kids.count(first) == arity:
+        if first[1] is None and kids.count(first) == arity:
             append(first)
             continue
         size = 1
         for k in kids:
-            size += k[1]
-        append((kids, size))
+            size += k[0]
+        append((size,) + kids)
     return slots[-1], touches
 
 
@@ -574,40 +602,62 @@ def _interpret(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
 _INDENT_LIMIT = 100
 
 
-def _program_source(entry: SliceEntry, arity: int) -> str:
+def _program_source(entry: SliceEntry, arity: int, bound: Optional[int]) -> str:
     """``entry``'s program as the source of one function of the map ``s0``,
     whose locals are the slots (slot ``i`` is ``s<i>``).
 
-    The walk is emitted as nested branches.  Each parent slot's children
-    are read once, into ``k``: if the parent is a leaf, every graft slot
-    below it is set to that leaf in one chained assignment and nothing
-    under it is unpacked (only the nodes and the return read slots, and
-    they read grafts alone); otherwise ``k`` is unpacked into the children,
-    ``_`` naming the ones no step takes, and each child that is a parent is
-    emitted the same way, one indentation level deeper.  CPython refuses a
-    line indented :data:`_INDENT_LIMIT` levels, so a subtree at the last
-    allowed level is emitted flat, one unpack per parent in which a leaf
-    stands for each of its children.  On order6 at L=1 a step fills about
-    84 walk slots, 71% of them below a leaf, so most of the walk is chained
-    assignments; against a walk of flat unpacks only, the branches make a
-    run about 1.35 times as fast, a compile about 1.4 times as slow and the
-    function about 1.2 times as large (see :func:`_compose` and
-    :class:`SliceEntry`).
+    The walk is emitted as nested branches.  Each parent slot is tested
+    once: if it is a leaf, every graft slot below it is set to it in one
+    chained assignment and nothing under it is unpacked (only the nodes and
+    the return read slots, and they read grafts alone); otherwise it is
+    unpacked into its size and children, ``_`` naming the size and the
+    children no step takes, and each child that is a parent is emitted the
+    same way, one indentation level deeper.  CPython refuses a line
+    indented :data:`_INDENT_LIMIT` levels, so a subtree at the last allowed
+    level is emitted flat, one unpack per parent in which a leaf stands for
+    each of its children.
 
     After the walk, each internal node is one conditional expression with
     the collapse rule of :func:`_node` (one leaf object per label, so equal
     leaves are the same object); the return adds the grafts' tree sizes to
-    ``touch_base``.  Only integers reach the source: slot and child
-    indices, the arity and ``touch_base``.
+    ``touch_base``.  Only integers reach the source: slot indices, tree
+    sizes and node touches.
+
+    With a ``bound``, the program is for maps of depth at most ``bound``
+    only, whose nodes at that depth are leaves: a slot at depth ``bound``
+    is a leaf, and a slot below it holds that leaf.  Such a slot is never
+    tested nor unpacked, and the slots below it are not filled: the nodes
+    and the return read the leaf itself.  Each such graft adds its size of
+    1 to the constant, and a node with such a leaf among its children
+    collapses exactly when its children are one object, with no leaf test.
     """
+    walk = [tuple(map(int, step)) for step in entry.walk]
+    depth = [0]
+    for parent, _ in walk:
+        depth.append(depth[parent] + 1)
+    # the slot whose variable holds each walk slot: past the bound, its
+    # ancestor at the bound
+    hold = list(range(len(depth)))
+    if bound is not None:
+        for slot, (parent, _) in enumerate(walk, 1):
+            if depth[parent] >= bound:
+                hold[slot] = hold[parent]
+
+    def known_leaf(slot: int) -> bool:
+        return bound is not None and slot < len(depth) and depth[slot] >= bound
+
+    grafts = [int(g) for g in entry.grafts]
     taken: Dict[int, Dict[int, int]] = {}
-    # the graft slots of each walk slot's subtree; a child's slot is larger
-    # than its parent's, so one backward pass collects them
-    below: Dict[int, List[int]] = {int(g): [int(g)] for g in entry.grafts}
-    for slot in range(len(entry.walk), 0, -1):
-        parent, child = map(int, entry.walk[slot - 1])
-        taken.setdefault(parent, {})[child] = slot
-        below.setdefault(parent, []).extend(below[slot])
+    # the variables of the grafts in each walk slot's subtree; a child's
+    # slot is larger than its parent's, so one backward pass collects them
+    below: Dict[int, Dict[int, None]] = {}
+    for g in grafts:
+        below.setdefault(hold[g], {})[hold[g]] = None
+    for slot in range(len(walk), 0, -1):
+        parent, child = walk[slot - 1]
+        if hold[slot] == slot:
+            taken.setdefault(parent, {})[child] = slot
+            below.setdefault(parent, {}).update(below[slot])
 
     lines = ["def program(s0):"]
     # (parent slot, indentation level), popped in the order of the lines
@@ -618,24 +668,29 @@ def _program_source(entry: SliceEntry, arity: int) -> str:
         children = taken[parent]
         names = "".join(f"s{children[i]}, " if i in children else "_, " for i in range(arity))
         if level + 1 < _INDENT_LIMIT:
-            lines.append(f"{pad}k = s{parent}[0]")
-            lines.append(f"{pad}if k is None: {' = '.join(f's{g}' for g in below[parent])}"
-                         f" = s{parent}")
+            lines.append(f"{pad}if s{parent}[1] is None: "
+                         f"{' = '.join(f's{g}' for g in below[parent])} = s{parent}")
             lines.append(f"{pad}else:")
-            lines.append(f"{pad} {names}= k")
+            lines.append(f"{pad} _, {names}= s{parent}")
             level += 1
         else:
-            lines.append(f"{pad}{names}= s{parent}[0] or ({f's{parent}, ' * arity})")
+            lines.append(f"{pad}_, {names}= ({f's{parent}, ' * (arity + 1)})"
+                         f" if s{parent}[1] is None else s{parent}")
         stack.extend((children[i], level) for i in sorted(children, reverse=True)
                      if children[i] in taken)
-    first = len(entry.walk) + 1
+    first = len(walk) + 1
     slots = range(first + len(entry.nodes))
     for i, get in enumerate(entry.nodes):
         # a getter applied to the slot numbers picks its children's slots
-        kids = [f"s{slot}" for slot in get(slots)]
-        lines.append(f" s{first + i} = {kids[0]} if {' is '.join(kids)} and {kids[0]}[0] is None"
-                     f" else (({', '.join(kids)}), {' + '.join(k + '[1]' for k in kids)} + 1)")
-    touches = " + ".join([str(int(entry.touch_base))] + [f"s{int(g)}[1]" for g in entry.grafts])
+        kid_slots = get(slots)
+        kids = [f"s{hold[slot] if slot < first else slot}" for slot in kid_slots]
+        leafy = [known_leaf(slot) for slot in kid_slots]
+        sizes = "".join(f"{k}[0] + " for k, leaf in zip(kids, leafy) if not leaf)
+        same = " is ".join(kids) + ("" if any(leafy) else f" and {kids[0]}[1] is None")
+        lines.append(f" s{first + i} = {kids[0]} if {same}"
+                     f" else ({sizes}{1 + sum(leafy)}, {', '.join(kids)})")
+    base = int(entry.touch_base) + sum(map(known_leaf, grafts))
+    touches = " + ".join([str(base)] + [f"s{g}[0]" for g in grafts if not known_leaf(g)])
     lines.append(f" return s{slots[-1]}, {touches}")
     return "\n".join(lines) + "\n"
 
@@ -645,11 +700,11 @@ def _program_source(entry: SliceEntry, arity: int) -> str:
 _PROGRAM_GLOBALS: dict = {"__builtins__": {}}
 
 
-def _compile_program(entry: SliceEntry, arity: int) -> Program:
+def _compile_program(entry: SliceEntry, arity: int, bound: Optional[int]) -> Program:
     """``entry``'s program compiled into one function (see
     :func:`_program_source`), built from its code object on the shared
     :data:`_PROGRAM_GLOBALS`."""
-    module = compile(_program_source(entry, arity), "<slice program>", "exec")
+    module = compile(_program_source(entry, arity, bound), "<slice program>", "exec")
     code = next(c for c in module.co_consts if isinstance(c, CodeType))
     return FunctionType(code, _PROGRAM_GLOBALS)
 
@@ -657,56 +712,59 @@ def _compile_program(entry: SliceEntry, arity: int) -> Program:
 class _SharedMap:
     """The composite map of a finite-order kernel, as shared subtrees.
 
-    A step looks the draw's :class:`SliceEntry` up in the kernel's
-    :class:`SliceTable` and reads the step from the entry's memo, or, on a
-    miss, composes it onto the map with the entry's program
-    (:func:`_compose`) and stores it while the table's ``maps`` has room.
-    Node touches count what :func:`step` counts: the slice's touches plus
-    the nodes of the unpruned composition.
+    A step finds the draw's :class:`SliceEntry` in the kernel's
+    :class:`SliceTable` (the table's bisection, inlined) and reads the step
+    from the entry's memo, or, on a miss, composes it onto the map with the
+    entry's program (:func:`_compose`) and stores it while the table's
+    ``maps`` has room.  At a window length up to the kernel's order every
+    map is at most the order deep, so the bounded programs run; at longer
+    windows, the general ones.  Node touches count what :func:`step`
+    counts: the slice's touches plus the nodes of the unpruned composition.
     """
 
-    __slots__ = ("length", "arity", "lookup", "maps", "memo_cap", "depths", "root", "coalesced")
+    __slots__ = ("length", "arity", "bound", "table", "lows", "highs", "entries", "root",
+                 "coalesced")
 
     def __init__(self, kernel: Kernel, length: int):
         self.length = length
         self.arity = kernel.alphabet.size
-        table = slice_table(kernel)
-        self.lookup = table.lookup
-        self.maps = maps = table.maps
-        self.memo_cap = table.memo_cap
-        self.depths = table.depths
+        self.bound = kernel.order if length <= kernel.order else None
+        self.table = table = slice_table(kernel)
+        # the table inserts new gaps into these lists in place
+        self.lows, self.highs, self.entries = table.lows, table.highs, table.entries
         root = table.starts.get(length)
         if root is None:
             root = _initial_map(kernel.alphabet.symbols, length)
-            root = table.starts[length] = maps.setdefault(root, root)
+            root = table.starts[length] = table.intern(root)
         self.root = root
-        self.coalesced = root[0] is None
+        self.coalesced = root[1] is None
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:
-        entry = self.lookup(u)
+        i = bisect_right(self.lows, u) - 1
+        entry = self.entries[i] if u < self.highs[i] else self.table._add(u)
         root = self.root
         hit = entry.memo.get(id(root))
         if hit is not None:
             root, touches = hit
         else:
-            new, touches = _compose(root, entry, self.arity)
-            maps = self.maps
-            if len(maps) < self.memo_cap:
-                new = maps.setdefault(new, new)
+            new, touches = _compose(root, entry, self.arity, self.bound)
+            table = self.table
+            if len(table.maps) < table.memo_cap:
+                new = table.intern(new)
                 entry.memo[id(root)] = (new, touches)
             root = new
         self.root = root
-        self.coalesced = root[0] is None
+        self.coalesced = root[1] is None
         return touches, entry.depth, not entry.depth, entry.reach
 
     def size(self) -> Tuple[int, int]:
-        root, arity = self.root, self.arity
-        depth = self.depths.get(id(root))
+        root, table = self.root, self.table
+        depth = table.depths.get(id(root))
         if depth is None:
             depth = node_depth(root)
-            if self.maps.get(root) is root:
-                self.depths[id(root)] = depth
-        return ((arity - 1) * root[1] + 1) // arity, depth
+            if id(root) in table.interned:
+                table.depths[id(root)] = depth
+        return ((self.arity - 1) * root[0] + 1) // self.arity, depth
 
     def sample(self) -> Context:
         return _window(self.root, self.length)
@@ -745,8 +803,8 @@ class _CombMap:
             # whose 0-child is that node
             runs: List[Tuple[tuple, int]] = []
             node = _initial_map(kernel.alphabet.symbols, length)
-            while node[0] is not None:
-                side, node = node[0]
+            while node[1] is not None:
+                _, side, node = node
                 runs.append((side, 1))
             start = starts[length] = (runs, node)
         self.runs, self.spine = start
@@ -765,21 +823,21 @@ class _CombMap:
         for side, count in shifted:
             take = count if count < need else need
             new_runs.append((side, take))
-            touches += take * (side[1] - 1)
+            touches += take * (side[0] - 1)
             need -= take
             if not need:
                 break
         else:
             new_runs.append((self.spine, need))
         node = head
-        if node[0] is not None:
+        if node[1] is not None:
             for _ in range(m):
-                if node[0] is None:
+                if node[1] is None:
                     break
-                node = node[0][1]
-            touches += node[1] - 1
-            while node[0] is not None:
-                side, node = node[0]
+                node = node[2]
+            touches += node[0] - 1
+            while node[1] is not None:
+                _, side, node = node
                 new_runs.append((side, 1))
         while new_runs and new_runs[-1][0] is node:
             new_runs.pop()
@@ -792,7 +850,7 @@ class _CombMap:
         # the last run ends, and that run's side reaches at least as deep
         size, depth, end = 1, 0, 0
         for side, count in self.runs:
-            size += count * (side[1] + 1)
+            size += count * (side[0] + 1)
             end += count
             depth = max(depth, end + node_depth(side))
         return (size + 1) // 2, depth

@@ -177,11 +177,11 @@ class ContextTreeKernel(Kernel):
         level = [(EMPTY, self.trie.root)]
         leaf_above = False
         for _ in range(k):
-            leaf_above = leaf_above or any(node[0] is None for _, node in level)
-            level = [((sym,) + ctx, child) for ctx, node in level if node[0] is not None
-                     for sym, child in zip(symbols, node[0])]
+            leaf_above = leaf_above or any(node[1] is None for _, node in level)
+            level = [((sym,) + ctx, child) for ctx, node in level if node[1] is not None
+                     for sym, child in zip(symbols, node[1:])]
         masses = [1.0] if leaf_above else []
-        masses += [1.0 if node[0] is None else self.lower_bounds(ctx).mass
+        masses += [1.0 if node[1] is None else self.lower_bounds(ctx).mass
                    for ctx, node in level]
         return min(masses)
 

@@ -93,20 +93,22 @@ def is_suffix(s: Context, h: Context) -> bool:
     return h[-n:] == s
 
 
-# Trie nodes.  A leaf is ``(None, 1, label)`` and an internal node
-# ``(children, tree size)``, with one child per alphabet symbol, in alphabet
-# order.  Every internal node has |G| children, so a tree of n nodes has
+# Trie nodes.  A node is one flat tuple: an internal node is ``(tree size,
+# child_0, ..., child_{|G|-1})``, one child per alphabet symbol in alphabet
+# order, and a leaf is ``(1, None, label)``.  So ``node[0]`` is the tree
+# size, ``node[1 + i]`` the child of symbol i, and ``node[1] is None`` the
+# leaf test.  Every internal node has |G| children, so a tree of n nodes has
 # ((|G| - 1) * n + 1) / |G| leaves.  A node is never changed once built, so
 # tries share subtrees by reference.  Every walk below is iterative:
-# CPython's tuple ``==`` and pickling recurse, two levels per trie level,
-# and fail past about 500 of them.
+# CPython's tuple ``==`` and pickling recurse, one level per trie level,
+# and fail near ``sys.getrecursionlimit()`` levels.
 
 
 def internal_node(kids: tuple) -> tuple:
     size = 1
     for k in kids:
-        size += k[1]
-    return (kids, size)
+        size += k[0]
+    return (size,) + kids
 
 
 def minimal_node(kids: tuple) -> tuple:
@@ -114,7 +116,7 @@ def minimal_node(kids: tuple) -> tuple:
     rule of :func:`prune_minimal`: the first child when all of them are
     leaves with equal labels."""
     first = kids[0]
-    if first[0] is None and all(k[0] is None and k[2] == first[2] for k in kids):
+    if first[1] is None and all(k[1] is None and k[2] == first[2] for k in kids):
         return first
     return internal_node(kids)
 
@@ -123,10 +125,10 @@ def node_depth(node: tuple) -> int:
     """The depth of the trie below ``node``, one level at a time, each
     distinct internal node of a level once."""
     depth = 0
-    level = [] if node[0] is None else [node]
+    level = [] if node[1] is None else [node]
     while level:
         depth += 1
-        level = list({id(k): k for nd in level for k in nd[0] if k[0] is not None}.values())
+        level = list({id(k): k for nd in level for k in nd[1:] if k[1] is not None}.values())
     return depth
 
 
@@ -135,11 +137,10 @@ def _iter_leaves(node: tuple, symbols: Tuple[Symbol, ...]) -> Iterator[Tuple[Con
     stack = [(node, EMPTY)]
     while stack:
         nd, c = stack.pop()
-        kids = nd[0]
-        if kids is None:
+        if nd[1] is None:
             yield (c, nd[2])
         else:
-            for sym, child in zip(reversed(symbols), reversed(kids)):
+            for sym, child in zip(reversed(symbols), reversed(nd[1:])):
                 stack.append((child, (sym,) + c))
 
 
@@ -216,15 +217,28 @@ class ContextTrie:
                 raise TrieStructureError(f"context {ctx} is an ancestor of another leaf")
             if child is not None:
                 raise TrieStructureError(f"duplicate leaf context {ctx}")
-            node[key] = (None, 1, label)
+            node[key] = (1, None, label)
         if not top:
             raise TrieStructureError("a trie needs at least one leaf")
         return cls(alphabet, _freeze(alphabet.symbols, top[None]))
 
     def __reduce__(self):
-        # rebuilt from its leaves, validated on load: a pickled node tuple
-        # would recurse once per trie level
-        return (type(self).from_leaves, (self.alphabet, dict(self.leaves())))
+        # the nodes in pre-order, 0 for an internal node and 1 for a leaf,
+        # and the leaves' labels in that order: O(nodes), rebuilt and
+        # validated by _decode (a pickled node tuple would recurse once per
+        # trie level)
+        shape = bytearray()
+        labels = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node[1] is None:
+                shape.append(1)
+                labels.append(node[2])
+            else:
+                shape.append(0)
+                stack.extend(reversed(node[1:]))
+        return (_decode, (self.alphabet, bytes(shape), labels))
 
     # -- queries ----------------------------------------------------------
 
@@ -236,11 +250,10 @@ class ContextTrie:
         index = self.alphabet.index
         n = len(h)
         for i in range(n):
-            kids = node[0]
-            if kids is None:
+            if node[1] is None:
                 return (h[n - i:], node[2])
-            node = kids[index(h[n - 1 - i])]
-        if node[0] is None:
+            node = node[1 + index(h[n - 1 - i])]
+        if node[1] is None:
             return (h, node[2])
         return None
 
@@ -248,9 +261,9 @@ class ContextTrie:
         node = self.root
         index = self.alphabet.index
         for i in range(1, len(ctx) + 1):
-            if node[0] is None:
+            if node[1] is None:
                 raise TrieStructureError(f"context {ctx} passes through a leaf")
-            node = node[0][index(ctx[-i])]
+            node = node[1 + index(ctx[-i])]
         return node
 
     def leaves(self) -> Iterator[Tuple[Context, Any]]:
@@ -265,17 +278,17 @@ class ContextTrie:
 
     def leaf_count(self) -> int:
         n = self.alphabet.size
-        return ((n - 1) * self.root[1] + 1) // n
+        return ((n - 1) * self.root[0] + 1) // n
 
     def node_count(self) -> int:
-        return self.root[1]
+        return self.root[0]
 
     def is_coalesced(self) -> bool:
         """True iff the dictionary is the root-only trie {eps}."""
-        return self.root[0] is None
+        return self.root[1] is None
 
     def root_label(self) -> Any:
-        return self.root[2] if self.root[0] is None else None
+        return self.root[2] if self.root[1] is None else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContextTrie):
@@ -288,13 +301,13 @@ class ContextTrie:
             a, b = stack.pop()
             if a is b:
                 continue
-            if a[0] is None or b[0] is None:
-                if a[0] is not b[0] or a[2] != b[2]:
+            if a[1] is None or b[1] is None:
+                if a[1] is not b[1] or a[2] != b[2]:
                     return False
-            elif a[1] != b[1]:
+            elif a[0] != b[0]:
                 return False
             else:
-                stack.extend(zip(a[0], b[0]))
+                stack.extend(zip(a[1:], b[1:]))
         return True
 
     def __hash__(self):  # equal tries are not one object; containers use ids
@@ -309,14 +322,51 @@ class ContextTrie:
         while stack:
             node, sym, indent = stack.pop()
             head = "." if sym is None else sym
-            if node[0] is None:
+            if node[1] is None:
                 lab = "" if node[2] is None else f"  -> {_fmt_label(node[2])}"
                 lines.append("  " * indent + head + lab)
             else:
                 lines.append("  " * indent + head)
-                for g, child in zip(reversed(symbols), reversed(node[0])):
+                for g, child in zip(reversed(symbols), reversed(node[1:])):
                     stack.append((child, g, indent + 1))
         return "\n".join(lines)
+
+
+def _decode(alphabet: Alphabet, shape: bytes, labels: list) -> ContextTrie:
+    """The trie :meth:`ContextTrie.__reduce__` encoded as ``shape`` (its
+    nodes in pre-order, 0 internal and 1 leaf) and ``labels`` (its leaves'
+    labels in that order); an encoding that ends before the trie is
+    complete, goes on past its root, or whose labels are not one per leaf
+    is refused."""
+    n = alphabet.size
+    label_iter, end = iter(labels), object()
+    open_kids: list = []  # the children built so far of each open internal node
+    root = None
+    for mark in shape:
+        if root is not None:
+            raise TrieStructureError("trie encoding goes on past its root")
+        if mark == 0:
+            open_kids.append([])
+            continue
+        if mark != 1:
+            raise TrieStructureError(f"trie encoding has an unknown node mark {mark}")
+        node = (1, None, next(label_iter, end))
+        if node[2] is end:
+            raise TrieStructureError("trie encoding has fewer labels than leaves")
+        while open_kids:
+            kids = open_kids[-1]
+            kids.append(node)
+            if len(kids) < n:
+                break
+            open_kids.pop()
+            node = internal_node(tuple(kids))
+        else:
+            root = node
+    if root is None:
+        raise IncompleteTrie("trie encoding ends before its trie is complete")
+    if next(label_iter, end) is not end:
+        raise TrieStructureError("trie encoding has more labels than leaves")
+    return ContextTrie(alphabet, root)
 
 
 def _fmt_label(label: Any) -> str:
@@ -350,14 +400,13 @@ def prune_minimal(trie: ContextTrie) -> ContextTrie:
     stack = [(trie.root, False)]
     while stack:
         node, closing = stack.pop()
-        kids = node[0]
-        if kids is None:
+        if node[1] is None:
             done[id(node)] = node
         elif closing:
-            done[id(node)] = minimal_node(tuple(done[id(k)] for k in kids))
+            done[id(node)] = minimal_node(tuple(done[id(k)] for k in node[1:]))
         elif id(node) not in done:
             stack.append((node, True))
-            stack.extend((k, False) for k in kids)
+            stack.extend((k, False) for k in node[1:])
     return ContextTrie(trie.alphabet, done[id(trie.root)])
 
 

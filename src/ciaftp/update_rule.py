@@ -198,7 +198,7 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
             # u >= pos, so the first interval ending above u holds it
             for g, end in zip(symbols, ends):
                 if u < end:
-                    done.append((None, 1, g))
+                    done.append((1, None, g))
                     hi = min(hi, end)
                     break
                 lo = max(lo, end)

@@ -2,8 +2,11 @@ import concurrent.futures
 import dataclasses
 import functools
 import gc
+import json
 import os
 import pickle
+import runpy
+import sys
 import weakref
 from pathlib import Path
 
@@ -30,7 +33,8 @@ from ciaftp.errors import (
     NodeBudgetExceeded,
     UnsupportedOperation,
 )
-from ciaftp.kernels import ContextTreeKernel, RenewalSqrtKernel, load_kernel, memoryless_kernel
+from ciaftp.kernels import (ContextTreeKernel, RenewalSqrtKernel, load_kernel, memoryless_kernel,
+                            parse_kernel_spec)
 from ciaftp.tries import Alphabet, ContextTrie, dominates, prefix_closure, prune_minimal
 
 from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
@@ -751,7 +755,7 @@ def test_wide_windows_share_their_start_and_the_memo(monkeypatch):
     table = slice_table(k)
     start = table.starts[13]
     # a binary tree of n nodes has (n + 1) / 2 leaves
-    assert table.maps[start] is start and (start[1] + 1) // 2 == 2**13
+    assert table.maps[start] is start and (start[0] + 1) // 2 == 2**13
     assert all(outcome[1] <= -13 for outcome in first)  # at least 13 draws
     assert again == first and audited == first
     assert len(composed) < sum(outcome[2] for outcome in again + audited)
@@ -791,7 +795,7 @@ def test_audit_checks_memo_hits(tamper):
         entry.memo[id(start)] = (after, touches + 1)
     else:
         # a coalesced map from an earlier run: the run stops at t = -1
-        leaf = next(root for root in table.maps if root[0] is None)
+        leaf = next(root for root in table.maps if root[1] is None)
         entry.memo[id(start)] = (leaf, touches)
     got = _outcome(k, 3, seed)
     if tamper == "touches":
@@ -840,9 +844,9 @@ def _composed_maps(monkeypatch, k, lengths, seeds):
     maps = {}
     compose = engine._compose
 
-    def recording(root, entry, arity):
+    def recording(root, *args):
         maps[id(root)] = root
-        return compose(root, entry, arity)
+        return compose(root, *args)
 
     monkeypatch.setattr(engine, "_compose", recording)
     for length in lengths:
@@ -868,11 +872,11 @@ def _leaf_depths(root, entry):
     slots, depths, met = [root], _walk_depths(entry), set()
     for slot, (parent, child) in enumerate(entry.walk, 1):
         node = slots[parent]
-        if node[0] is None:
+        if node[1] is None:
             slots.append(node)
         else:
-            slots.append(node[0][child])
-            if slots[-1][0] is None:
+            slots.append(node[1 + child])
+            if slots[-1][1] is None:
                 met.add(depths[slot])
     return met
 
@@ -880,13 +884,13 @@ def _leaf_depths(root, entry):
 def _collapsed(node, depth, cut, rng):
     """``node``, at ``depth``, rebuilt with every subtree below it that
     ``cut(depth)`` picks replaced by one of its leaves, chosen at random."""
-    if node[0] is None:
+    if node[1] is None:
         return node
     if cut(depth):
-        while node[0] is not None:
-            node = node[0][int(rng.integers(len(node[0])))]
+        while node[1] is not None:
+            node = node[1 + int(rng.integers(len(node) - 1))]
         return node
-    return engine._node(tuple(_collapsed(kid, depth + 1, cut, rng) for kid in node[0]))
+    return engine._node(tuple(_collapsed(kid, depth + 1, cut, rng) for kid in node[1:]))
 
 
 def _collapsed_maps(symbols, length, rng):
@@ -921,6 +925,70 @@ def test_compiled_programs_equal_the_interpreted_ones(monkeypatch):
                 assert entry.program(root) == engine._interpret(root, entry, arity), name
                 met |= _leaf_depths(root, entry)
             assert met >= set(range(1, max(_walk_depths(entry)) + 1)), name
+
+
+def test_bounded_programs_equal_the_interpreted_ones(monkeypatch):
+    # on maps no deeper than the kernel's order - the maps runs compose at
+    # every window length up to the order, and start maps of that length
+    # collapsed at every depth - every gap's bounded program gives the
+    # interpreted program's new map and node touches, and its walk meets a
+    # leaf at every depth from 1 to the order or its walk depth
+    rng = np.random.Generator(np.random.PCG64(59))
+    for name, k in _program_kernels():
+        if k.order < 1:
+            continue
+        maps = _composed_maps(monkeypatch, k, range(1, k.order + 1), range(4))
+        maps += _collapsed_maps(k.alphabet.symbols, k.order, rng)
+        assert max(map(tries.node_depth, maps)) == k.order, name
+        table = slice_table(k)
+        table.compile_all()
+        arity = k.alphabet.size
+        for entry in table.entries:
+            met = set()
+            for root in maps:
+                assert entry.bounded(root) == engine._interpret(root, entry, arity), name
+                met |= _leaf_depths(root, entry)
+            assert met >= set(range(1, min(k.order, max(_walk_depths(entry))) + 1)), name
+
+
+def test_one_kernel_runs_both_program_variants(monkeypatch):
+    # with every program compiled, one kernel object alternates between
+    # windows up to its order, which run the bounded programs, and longer
+    # ones, which run the general programs; each run reports what the same
+    # seed reports on a fresh kernel at that window length
+    spec = runpy.run_path(str(KERNELS.parent / "scripts" / "run_outcomes.py"))["SPECS"]
+    cases = [(desk_vlmc, (1, 2, 3)),
+             (functools.partial(load_kernel, str(KERNELS / "order1.json")), (1, 2)),
+             (functools.partial(parse_kernel_spec, json.dumps(spec["ternary_vlmc"])),
+              (1, 2, 3, 4))]
+    seeds = range(12)
+    for make, lengths in cases:
+        want = {}
+        for length in lengths:
+            fresh = make()
+            want[length] = [_outcome(fresh, length, seed) for seed in seeds]
+        k = make()
+        assert min(lengths) <= k.order < max(lengths)
+        table = slice_table(k)
+        table.compile_all()
+        assert all(entry.program and entry.bounded for entry in table.entries)
+        bounds = set()
+        compose = engine._compose
+
+        def recording(*args):
+            bounds.add(args[3])
+            return compose(*args)
+
+        def refuse(*args):
+            raise AssertionError("a program was interpreted")
+
+        monkeypatch.setattr(engine, "_compose", recording)
+        monkeypatch.setattr(engine, "_interpret", refuse)
+        for seed in seeds:
+            for length in lengths:
+                assert _outcome(k, length, seed) == want[length][seed], (k.order, length, seed)
+        monkeypatch.undo()
+        assert bounds == {k.order, None}
 
 
 def test_deep_walks_compile(monkeypatch):
@@ -979,6 +1047,29 @@ def test_deep_kernels_run_without_interning():
     assert slice_table(_comb_kernel(120)).memo_cap == engine.MEMO_CAP
 
 
+def test_interning_stops_at_half_the_recursion_limit(monkeypatch):
+    # tuple == recurses one level per trie level of a flat node, so a table
+    # interns while twice its order is below the recursion limit: at the
+    # last such order its maps, as deep as the order, are interned and
+    # compared, and the runs report what runs with no memo report
+    order = (sys.getrecursionlimit() - 1) // 2
+    assert slice_table(_comb_kernel(order + 1)).memo_cap == 0
+    k = _comb_kernel(order)
+    table = slice_table(k)
+    assert table.memo_cap == engine.MEMO_CAP
+    seeds = range(30)
+    composed = []
+    compose = engine._compose
+    monkeypatch.setattr(engine, "_compose", lambda *args: composed.append(args) or compose(*args))
+    got = [_outcome(k, 1, seed) for seed in seeds]
+    monkeypatch.undo()
+    assert max(map(tries.node_depth, table.maps)) == order
+    assert len(composed) < sum(outcome[2] for outcome in got)  # the memo answered
+    monkeypatch.setattr(engine, "MEMO_CAP", 0)
+    fresh = _comb_kernel(order)
+    assert got == [_outcome(fresh, 1, seed) for seed in seeds]
+
+
 def test_compiled_programs_pass_the_audit(monkeypatch):
     # with every program compiled before the first run, audited runs check
     # each compiled step against the reference step
@@ -1001,7 +1092,9 @@ def test_compiled_programs_pass_the_audit(monkeypatch):
 
 def test_compose_compiles_a_program_at_its_compile_after_th_run(monkeypatch):
     # runs 1 .. COMPILE_AFTER - 1 interpret the program, run COMPILE_AFTER
-    # compiles it, and every later run calls the compiled function
+    # compiles it, and every later run calls the compiled function; the
+    # runs of either variant count together, so the bounded variant, first
+    # asked for after that, is compiled at once
     k = load_kernel(str(KERNELS / "order6.json"))
     entry = slice_table(k).lookup(0.5)
     root = engine._initial_map(k.alphabet.symbols, 1)
@@ -1011,11 +1104,15 @@ def test_compose_compiles_a_program_at_its_compile_after_th_run(monkeypatch):
     monkeypatch.setattr(engine, "_interpret",
                         lambda *args: interpreted.append(args) or interpret(*args))
     for _ in range(engine.COMPILE_AFTER - 1):
-        assert engine._compose(root, entry, 2) == want
+        assert engine._compose(root, entry, 2, None) == want
     assert entry.program is None and entry.runs == len(interpreted) == engine.COMPILE_AFTER - 1
     for _ in range(3):
-        assert engine._compose(root, entry, 2) == want
+        assert engine._compose(root, entry, 2, None) == want
     assert entry.program is not None and len(interpreted) == engine.COMPILE_AFTER - 1
+    assert entry.bounded is None
+    for _ in range(3):
+        assert engine._compose(root, entry, 2, k.order) == want
+    assert entry.bounded is not None and len(interpreted) == engine.COMPILE_AFTER - 1
 
 
 def test_program_runs_count_no_memo_hit(monkeypatch):
@@ -1066,7 +1163,8 @@ def test_symbol_names_never_reach_a_program_source(monkeypatch):
     k = ContextTreeKernel(trie)
     slice_table(k).compile_all()
     assert [_outcome(k, 2, seed) for seed in range(20)] == want
-    assert len(sources) == len(slice_table(k).entries) > 1
+    # compile_all compiles the general and the bounded program of each gap
+    assert len(sources) == 2 * len(slice_table(k).entries) > 2
     syntax = set("abcdefghijklmnopqrstuvwxyzN0123456789_ ,()[]=+:\n")
     for text in sources:
         assert set(text) <= syntax and not any(name in text for name in names)

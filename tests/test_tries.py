@@ -214,19 +214,19 @@ def _walked_counts(trie):
     while stack:
         node = stack.pop()
         nodes += 1
-        if node[0] is None:
+        if node[1] is None:
             leaves += 1
         else:
-            stack.extend(node[0])
+            stack.extend(node[1:])
     return nodes, leaves
 
 
 def _comb(depth, label):
     """The binary comb whose leaves are 0 1^j (j < depth), labeled "1", and
     1^depth, labeled ``label``."""
-    node = (None, 1, label)
+    node = (1, None, label)
     for _ in range(depth):
-        node = (((None, 1, "1"), node), node[1] + 2)
+        node = (node[0] + 2, (1, None, "1"), node)
     return ContextTrie(BINARY, node)
 
 
@@ -246,7 +246,38 @@ def test_deep_trie_no_recursion_limit():
     # the same comb built bottom-up, without from_leaves
     assert _comb(depth, "0") == t == p and _comb(depth, "0").root is not t.root
     assert _comb(depth, "1") != t
-    assert pickle.loads(pickle.dumps(t)) == t
+    # a pickle lists each node once: O(nodes), not O(leaves x depth)
+    data = pickle.dumps(t)
+    assert len(data) < 10**6
+    assert pickle.loads(data) == t
+
+
+def test_trie_pickle_refuses_a_bad_encoding():
+    # the encoding is the nodes in pre-order, 0 internal and 1 leaf, and the
+    # leaves' labels in that order; one that ends early, goes on past its
+    # root or has labels that are not one per leaf is refused
+    t = desk_trie()
+    decode, (alphabet, shape, labels) = t.__reduce__()
+    assert (shape, labels) == (bytes([0, 1, 0, 1, 1]), ["a", "b", "c"])
+    assert decode(alphabet, shape, labels) == t
+    with pytest.raises(IncompleteTrie):
+        decode(alphabet, shape[:-1], labels[:-1])
+    with pytest.raises(IncompleteTrie):
+        decode(alphabet, b"", [])
+    with pytest.raises(TrieStructureError, match="past its root"):
+        decode(alphabet, shape + bytes([1]), labels + ["d"])
+    with pytest.raises(TrieStructureError, match="fewer labels"):
+        decode(alphabet, shape, labels[:-1])
+    with pytest.raises(TrieStructureError, match="more labels"):
+        decode(alphabet, shape, labels + ["d"])
+    with pytest.raises(TrieStructureError, match="unknown node mark"):
+        decode(alphabet, bytes([0, 1, 2, 1, 1]), labels)
+    # a shared subtree is written once per place it hangs
+    leaf = (1, None, "x")
+    inner = (3, leaf, (1, None, "y"))
+    shared = ContextTrie(BINARY, (7, inner, inner))
+    back = pickle.loads(pickle.dumps(shared))
+    assert back == shared and back.node_count() == 7
 
 
 def test_equality_compares_labels_and_shape():

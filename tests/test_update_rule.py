@@ -271,18 +271,18 @@ def _compose_leaf_by_leaf(root, slice_, alphabet):
 
     def compose(node, path):
         nonlocal grafted
-        if node[0] is None:
+        if node[1] is None:
             target = root
             for i in (alphabet.index(node[2]),) + path:
-                if target[0] is None:
+                if target[1] is None:
                     break
-                target = target[0][i]
-            grafted += target[1]
+                target = target[1 + i]
+            grafted += target[0]
             return target
-        kids = tuple(compose(child, path + (i,)) for i, child in enumerate(node[0]))
-        if kids[0][0] is None and all(kid is kids[0] for kid in kids):
+        kids = tuple(compose(child, path + (i,)) for i, child in enumerate(node[1:]))
+        if kids[0][1] is None and all(kid is kids[0] for kid in kids):
             return kids[0]  # one leaf object per label: the pruning rule
-        return (kids, 1 + sum(kid[1] for kid in kids))
+        return (1 + sum(kid[0] for kid in kids),) + kids
 
     return compose(slice_.trie.root, ()), grafted
 
@@ -294,17 +294,19 @@ def test_slice_programs_compose_like_a_walk_per_leaf():
     for name, k in _finite_kernels():
         lookup = slice_table(k).lookup
         for length in (1, 3):
+            # the bounded programs at a window no longer than the order
+            bound = k.order if length <= k.order else None
             for seed in range(3):
                 root = engine._initial_map(k.alphabet.symbols, length)
                 rng = RngStream(seed)
                 for _ in range(200):
-                    if root[0] is None:
+                    if root[1] is None:
                         break
                     u = rng.uniform()
                     ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
                     want, grafted = _compose_leaf_by_leaf(root, ref, k.alphabet)
                     entry = lookup(u)
-                    root, touches = engine._compose(root, entry, k.alphabet.size)
+                    root, touches = engine._compose(root, entry, k.alphabet.size, bound)
                     assert root == want, (name, length, seed, u)
                     leaves = ref.trie.leaf_count()
                     assert touches == ref.node_touches + ref.trie.node_count() + grafted - leaves
