@@ -9,13 +9,15 @@ sample.
 One loop, :func:`_backward`, owns everything that does not depend on how
 the composite map is stored: the depth, iteration and node budgets, the
 diagnostics, the per-iteration trace records, the regeneration times and
-the wall time.  Each kernel family has one representation of the
-composite map, which only advances by one draw and reports its work, the
-slice's depth and reach, its size and its sample, and is coalesced exactly
-when its value is constant, at the start as after each draw.  The first
-two are built from the same immutable trie nodes of :mod:`ciaftp.tries`,
-one flat tuple each: ``(tree size, child_0, ..., child_{|G|-1})``, or
-``(1, None, label)`` for a leaf:
+the wall time.  It iterates the stream's draws (:attr:`RngStream.draws`)
+and takes one step per draw, so a step's fixed cost is the map's
+``advance`` and a few local tests.  Each kernel family has one
+representation of the composite map, which only advances by one draw and
+reports its work, the slice's depth and reach, its size and its sample,
+and is coalesced exactly when its value is constant, at the start as
+after each draw.  The first two are built from the same immutable trie
+nodes of :mod:`ciaftp.tries`, one flat tuple each: ``(tree size,
+child_0, ..., child_{|G|-1})``, or ``(1, None, label)`` for a leaf:
 
 * :class:`_SharedMap` - finite-order kernels.  The minimal labeled trie
   as shared subtrees, whose leaf labels are full length-L windows.  A step
@@ -34,7 +36,8 @@ one flat tuple each: ``(tree size, child_0, ..., child_{|G|-1})``, or
   order6 at L=1 a bounded compiled run costs about a fifth of an
   interpreted one.  Few distinct maps occur, so the table is also an exact
   memo of whole steps, which interns at most :data:`MEMO_CAP` maps: a
-  step that repeats a stored (map, gap) transition is a dict lookup;
+  step that repeats a stored (map, gap) transition is a bisection and a
+  dict lookup, which returns the stored step as it is;
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
   run-length-compressed side subtrees along the all-ones spine.  A step
@@ -71,7 +74,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from types import CodeType, FunctionType
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from weakref import ref
 
 import numpy as np
@@ -102,28 +105,31 @@ class RngStream:
     an identical draw sequence on every platform.  Independent runs derive
     their seeds as base + run index.
 
-    Draws are served from blocks of ``Generator.random(k)``, which gives
-    the same doubles as k scalar calls.  The first block, of 8 draws, is
-    drawn by the first :meth:`uniform` call, and each later one is twice as
-    large, up to 1024 draws: a short run draws few doubles it does not use,
-    and a long one makes few generator calls.
+    ``draws`` is one iterator of the stream's doubles, which
+    :func:`_backward` loops over and :meth:`uniform` advances.  It chains
+    blocks of ``Generator.random(k)``, which gives the same doubles as k
+    scalar calls.  The first block, of 8 draws, is drawn when the first
+    draw is read, and each later one is twice as large, up to 1024 draws:
+    a short run draws few doubles it does not use, and a long one makes
+    few generator calls.  The iterator holds a generator, so a stream does
+    not pickle.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._block: List[float] = []
-        self._pos = 0
+        self.draws = itertools.chain.from_iterable(
+            _blocks(np.random.Generator(np.random.PCG64(seed))))
 
     def uniform(self) -> float:
-        pos = self._pos
-        block = self._block
-        if pos == len(block):
-            size = min(2 * len(block), 1024) if block else 8
-            block = self._block = self._gen.random(size).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return block[pos]
+        return next(self.draws)
+
+
+def _blocks(gen: np.random.Generator) -> Iterator[List[float]]:
+    """Blocks of 8, 16, ..., 1024, 1024, ... doubles of ``gen``."""
+    size = 8
+    while True:
+        yield gen.random(size).tolist()
+        size = min(2 * size, 1024)
 
 
 @dataclass
@@ -216,41 +222,48 @@ def _backward(
     is constant, ``advance(u)`` composes one more draw and returns (node
     touches, slice depth, regenerated, reach), ``size()`` gives (leaf
     count, depth) for the trace records and ``sample()`` the constant
-    value.  This loop alone checks the three budgets: a draw whose reach
-    (the depth of the deepest context its slice's expansion visits) exceeds
-    ``max_depth`` raises MaxDepthExceeded, as in
-    :func:`~ciaftp.update_rule.build_slice`, before the step is counted.
-    A budget error leaves the loop as its (class, message) and is raised
-    after it with the diagnostics and tau None.  No local holds the raised
-    error: its traceback holds this frame, and the cycle would keep the
-    failed run's map alive until the cyclic collector runs.
+    value.  The loop runs over the stream's ``draws``, one step per draw,
+    and leaves it right after the step that makes the map constant, so a
+    run reads exactly its own draws.  This loop alone checks the three
+    budgets: a draw whose reach (the depth of the deepest context its
+    slice's expansion visits) exceeds ``max_depth`` raises
+    MaxDepthExceeded, as in :func:`~ciaftp.update_rule.build_slice`,
+    before the step is counted; ``max_iter`` is checked after each step
+    that leaves the map non-constant, so the run draws no more than
+    ``max_iter`` times.  A budget error leaves the loop as its (class,
+    message) and is raised after it with the diagnostics and tau None.  No
+    local holds the raised error: its traceback holds this frame, and the
+    cycle would keep the failed run's map alive until the cyclic collector
+    runs.
     """
     t = touches = max_slice_depth = 0
     regen: List[int] = []
     records: Optional[List[IterationRecord]] = [] if trace else None
     advance = rep.advance
-    uniform = rng.uniform
     error: Optional[Tuple[type, str]] = None
-    while not rep.coalesced:
-        if -t >= max_iter:
-            error = IterationLimitExceeded, f"no coalescence within {max_iter} iterations"
-            break
-        u = uniform()
-        t -= 1
-        step_touches, slice_depth, regenerated, reach = advance(u)
-        if reach > max_depth:
-            error = MaxDepthExceeded, f"slice for u={u!r} did not resolve within depth {max_depth}"
-            break
-        if slice_depth > max_slice_depth:
-            max_slice_depth = slice_depth
-        if regenerated:
-            regen.append(t)
-        touches += step_touches
-        if touches > max_nodes:
-            error = NodeBudgetExceeded, f"node budget {max_nodes} exhausted at t={t}"
-            break
-        if records is not None:
-            records.append(IterationRecord(t, *rep.size(), step_touches))
+    if not rep.coalesced:
+        for u in rng.draws:
+            t -= 1
+            step_touches, slice_depth, regenerated, reach = advance(u)
+            if reach > max_depth:
+                error = (MaxDepthExceeded,
+                         f"slice for u={u!r} did not resolve within depth {max_depth}")
+                break
+            if slice_depth > max_slice_depth:
+                max_slice_depth = slice_depth
+            if regenerated:
+                regen.append(t)
+            touches += step_touches
+            if touches > max_nodes:
+                error = NodeBudgetExceeded, f"node budget {max_nodes} exhausted at t={t}"
+                break
+            if records is not None:
+                records.append(IterationRecord(t, *rep.size(), step_touches))
+            if rep.coalesced:
+                break
+            if -t >= max_iter:
+                error = IterationLimitExceeded, f"no coalescence within {max_iter} iterations"
+                break
     diagnostics = RunDiagnostics(None if error else t, -t, touches, max_slice_depth, regen,
                                  records, rng.seed, time.perf_counter_ns() - start_ns)
     if error is not None:
@@ -347,12 +360,13 @@ class SliceEntry:
     Four fields are not init fields, so an entry made by
     ``dataclasses.replace`` starts with none of the original's: ``memo``
     holds the table's stored transitions through this gap, at most one per
-    interned map, keyed by the map's ``id``; ``runs`` counts the program's
-    interpreted runs (memo hits excluded); ``program`` is the program
-    compiled into one function (:func:`_compile_program`), and ``bounded``
-    the one compiled for maps no deeper than the kernel's order, which runs
-    at window lengths up to the order.  :func:`_compose` builds the one it
-    needs when ``runs`` reaches :data:`COMPILE_AFTER`.
+    interned map, keyed by the map's ``id``, each ``(next interned map,
+    step)`` with the step as :meth:`_SharedMap.advance` returns it; ``runs``
+    counts the program's interpreted runs (memo hits excluded); ``program``
+    is the program compiled into one function (:func:`_compile_program`),
+    and ``bounded`` the one compiled for maps no deeper than the kernel's
+    order, which runs at window lengths up to the order.  :func:`_compose`
+    builds the one it needs when ``runs`` reaches :data:`COMPILE_AFTER`.
     """
 
     walk: Tuple[WalkStep, ...]
@@ -361,7 +375,7 @@ class SliceEntry:
     touch_base: int
     depth: int
     reach: int
-    memo: Dict[int, Tuple[tuple, int]] = field(
+    memo: Dict[int, Tuple[tuple, Tuple[int, int, bool, int]]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     runs: int = field(default=0, init=False, compare=False, repr=False)
     program: Optional[Program] = field(default=None, init=False, compare=False, repr=False)
@@ -440,7 +454,9 @@ class SliceTable:
     length starts from.  Every step looks its map's ``id`` up in the gap's
     :attr:`SliceEntry.memo`; a miss runs the program, and while ``maps``
     holds fewer than ``memo_cap`` maps (starts included) its result is
-    interned and stored there as ``(next interned map, node touches)``.  ``memo_cap`` is
+    interned and stored there as ``(next interned map, step)``, the step
+    being the tuple (node touches, slice depth, regenerated, reach) that a
+    hit returns without building it again.  ``memo_cap`` is
     :data:`MEMO_CAP`, or 0 for a kernel of order at least half the
     recursion limit, whose maps are too deep for interning to compare:
     there only the starts are interned, and every step misses and stores
@@ -713,10 +729,10 @@ class _SharedMap:
     """The composite map of a finite-order kernel, as shared subtrees.
 
     A step finds the draw's :class:`SliceEntry` in the kernel's
-    :class:`SliceTable` (the table's bisection, inlined) and reads the step
-    from the entry's memo, or, on a miss, composes it onto the map with the
-    entry's program (:func:`_compose`) and stores it while the table's
-    ``maps`` has room.  At a window length up to the kernel's order every
+    :class:`SliceTable` (the table's bisection, inlined) and reads the next
+    map and the whole step tuple from the entry's memo, or, on a miss,
+    composes it onto the map with the entry's program (:func:`_compose`)
+    and stores it while the table's ``maps`` has room.  At a window length up to the kernel's order every
     map is at most the order deep, so the bounded programs run; at longer
     windows, the general ones.  Node touches count what :func:`step`
     counts: the slice's touches plus the nodes of the unpruned composition.
@@ -745,17 +761,18 @@ class _SharedMap:
         root = self.root
         hit = entry.memo.get(id(root))
         if hit is not None:
-            root, touches = hit
+            root, step = hit
         else:
             new, touches = _compose(root, entry, self.arity, self.bound)
+            step = touches, entry.depth, not entry.depth, entry.reach
             table = self.table
             if len(table.maps) < table.memo_cap:
                 new = table.intern(new)
-                entry.memo[id(root)] = (new, touches)
+                entry.memo[id(root)] = (new, step)
             root = new
         self.root = root
         self.coalesced = root[1] is None
-        return touches, entry.depth, not entry.depth, entry.reach
+        return step
 
     def size(self) -> Tuple[int, int]:
         root, table = self.root, self.table
@@ -814,21 +831,26 @@ class _CombMap:
         # the slice visits the spine down to depth m: its reach is m
         m = self.slice_depth(u)
         runs = self.runs
-        head, head_count = runs[0]
-        shifted = runs[1:] if head_count == 1 else [(head, head_count - 1)] + runs[1:]
+        head, count = runs[0]
         # the slice's 2m+1 touches and 2m+1 nodes, then the grafts
         touches = 4 * m + 2
         new_runs = []
-        need = m
-        for side, count in shifted:
-            take = count if count < need else need
-            new_runs.append((side, take))
-            touches += take * (side[0] - 1)
-            need -= take
-            if not need:
+        # new sides 0..m-1 are old sides 1..m: walk the old runs by index,
+        # from the head's remainder on
+        side, count, i, need = head, count - 1, 1, m
+        while True:
+            if count:
+                take = count if count < need else need
+                new_runs.append((side, take))
+                touches += take * (side[0] - 1)
+                need -= take
+                if not need:
+                    break
+            if i == len(runs):
+                new_runs.append((self.spine, need))
                 break
-        else:
-            new_runs.append((self.spine, need))
+            side, count = runs[i]
+            i += 1
         node = head
         if node[1] is not None:
             for _ in range(m):
@@ -941,8 +963,10 @@ def run(
 ) -> RunResult:
     """Draw one exact stationary window of the given length.
 
-    Draws are consumed in backward time order (the first draw belongs to
-    time -1) until the composite map is constant; one constant from the
+    ``rng`` is any object with a ``seed`` and an iterator ``draws`` of
+    doubles in [0, 1), such as :class:`RngStream`.  Draws are consumed in
+    backward time order (the first draw belongs to time -1) until the
+    composite map is constant, and none past it; one constant from the
     start (a one-symbol alphabet) takes no draw, as in :func:`pw_extended`.
     Budget violations raise with partial diagnostics attached.
     With ``on_iteration`` the kernel family's composite map runs beside the

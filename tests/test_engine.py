@@ -581,6 +581,72 @@ def test_on_iteration_sees_every_step_up_to_a_budget_error(make, length, error, 
     assert raised and max(raised) >= 2
 
 
+def _one_symbol():
+    return memoryless_kernel(Alphabet(("a",)), (1.0,))
+
+
+@pytest.mark.parametrize("sampler, make, length, outcome, budget", [
+    (run, desk_vlmc, 3, None, {}),
+    (run, desk_vlmc, 3, IterationLimitExceeded, {"max_iter": 2}),
+    (run, desk_vlmc, 3, MaxDepthExceeded, {"max_depth": 1}),
+    (run, desk_vlmc, 3, NodeBudgetExceeded, {"max_nodes": 20}),
+    (run, RenewalSqrtKernel, 2, None, {}),
+    (run, RenewalSqrtKernel, 2, IterationLimitExceeded, {"max_iter": 2}),
+    (run, RenewalSqrtKernel, 2, MaxDepthExceeded, {"max_depth": 10}),
+    (run, RenewalSqrtKernel, 2, NodeBudgetExceeded, {"max_nodes": 30}),
+    # the table map reports reach 0, so it never exceeds max_depth
+    (pw_extended, desk_vlmc, 3, None, {}),
+    (pw_extended, desk_vlmc, 3, IterationLimitExceeded, {"max_iter": 2}),
+    (pw_extended, desk_vlmc, 3, NodeBudgetExceeded, {"max_nodes": 40}),
+    (run, _one_symbol, 2, None, {}),
+    (pw_extended, _one_symbol, 2, None, {}),
+])
+def test_runs_consume_exactly_their_draws(sampler, make, length, outcome, budget):
+    # the loop over the stream's draws reads no draw past the step that
+    # ends the run: the stream's next draw is scalar draw iterations + 1
+    k = make()
+    seen = []
+    for seed in range(12):
+        rng = RngStream(seed)
+        try:
+            d = sampler(k, length, rng, **budget).diagnostics
+            got = None
+        except BudgetError as exc:
+            d, got = exc.diagnostics, type(exc)
+        gen = np.random.Generator(np.random.PCG64(seed))
+        expected = [gen.random() for _ in range(d.iterations + 1)][-1]
+        assert rng.uniform() == expected, (seed, got, d.iterations)
+        if got is outcome:
+            seen.append(d.iterations)
+    assert seen and max(seen) >= (0 if make is _one_symbol else 2)
+
+
+@pytest.mark.parametrize("sampler, make, length", [
+    (run, desk_vlmc, 3),
+    (run, RenewalSqrtKernel, 2),
+    (pw_extended, desk_vlmc, 2),
+])
+def test_iteration_budget_at_its_edge(sampler, make, length):
+    # a run with tau = -n completes under max_iter = n, and under n - 1 it
+    # raises after exactly n - 1 steps
+    k = make()
+    edges = 0
+    for seed in range(20):
+        full = _outcome(k, length, seed, sampler)
+        n = -(full[1] or 0)
+        if n < 2:
+            continue
+        assert _outcome(k, length, seed, sampler, max_iter=n) == full
+        with pytest.raises(IterationLimitExceeded) as info:
+            sampler(k, length, RngStream(seed), trace=True, max_iter=n - 1)
+        d = info.value.diagnostics
+        assert (d.tau, d.iterations) == (None, n - 1)
+        assert [r.t for r in d.records] == list(range(-1, -n, -1))
+        assert [vars(r) for r in d.records] == full[-1][:n - 1]
+        edges += 1
+    assert edges >= 5
+
+
 @pytest.mark.parametrize("corrupt", ["touches", "symbol"])
 def test_audit_catches_a_corrupt_slice_entry(monkeypatch, corrupt):
     k = desk_vlmc()
@@ -790,13 +856,13 @@ def test_audit_checks_memo_hits(tamper):
     table = slice_table(k)
     entry = table.lookup(RngStream(seed).uniform())
     start = table.starts[3]
-    after, touches = entry.memo[id(start)]
+    after, (touches, *rest) = entry.memo[id(start)]
     if tamper == "touches":
-        entry.memo[id(start)] = (after, touches + 1)
+        entry.memo[id(start)] = (after, (touches + 1, *rest))
     else:
         # a coalesced map from an earlier run: the run stops at t = -1
         leaf = next(root for root in table.maps if root[1] is None)
-        entry.memo[id(start)] = (leaf, touches)
+        entry.memo[id(start)] = (leaf, (touches, *rest))
     got = _outcome(k, 3, seed)
     if tamper == "touches":
         assert got[3] == before[3] + 1 and got[:3] == before[:3]

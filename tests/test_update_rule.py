@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -50,6 +51,7 @@ class FixedStream:
 
     def __init__(self, u: float = TOP):
         self.u = u
+        self.draws = itertools.repeat(u)
 
     def uniform(self) -> float:
         return self.u
