@@ -135,10 +135,10 @@ def _row_dicts(kernel, rows: List[RunRow]) -> List[dict]:
         {
             "run_id": r.run_id,
             "sample": fmt(r.sample) if r.sample is not None else "",
-            "tau": "" if r.tau is None else r.tau,
-            "iterations": r.iterations,
-            "node_touches": r.node_touches,
-            "wall_ns": r.wall_ns,
+            "tau": "" if r.diagnostics.tau is None else r.diagnostics.tau,
+            "iterations": r.diagnostics.iterations,
+            "node_touches": r.diagnostics.node_touches,
+            "wall_ns": r.diagnostics.wall_ns,
             "error": r.error or "",
         }
         for r in rows
@@ -175,7 +175,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         trace=args.trace is not None, jobs=args.jobs, **_budgets(args),
     )
     if args.trace is not None:
-        records = [dict(run_id=r.run_id, **vars(rec)) for r in rows for rec in r.records or ()]
+        records = [dict(run_id=r.run_id, **vars(rec)) for r in rows
+                   for rec in r.diagnostics.records or ()]
         _emit(_render(args, seed, TRACE_FIELDS, records, key="records", header=False), args.trace)
     _emit(_render(args, seed, ROW_FIELDS, _row_dicts(kernel, rows)), args.out)
     failed = [r for r in rows if r.error is not None]

@@ -449,7 +449,7 @@ class SliceTable:
     reads and fills.  A composite map is a function on contexts of depth
     max(order, L), so only finitely many occur, and few in practice.
     ``maps`` interns them (shared-subtree root tuples, each its own key,
-    so equal maps are one object), ``interned`` holds their ids, and
+    so equal maps are one object), ``depths`` is keyed by their ids, and
     ``starts`` holds the interned initial map that every run of a window
     length starts from.  Every step looks its map's ``id`` up in the gap's
     :attr:`SliceEntry.memo`; a miss runs the program, and while ``maps``
@@ -468,15 +468,16 @@ class SliceTable:
     is not interned, its ``id`` is no key (keys are ids of live interned
     maps) and its steps miss and store nothing.  So the memo holds at most
     ``MEMO_CAP`` maps plus one start for each window length, and at most
-    one transition per (map, gap).  ``depths`` holds the depth of each
-    interned map that a traced or audited run has sized
-    (:meth:`_SharedMap.size`), keyed by its ``id`` like the memo: a map
-    whose ``id`` is not in ``interned`` is walked each time, and no map is
-    hashed to find out.  Over seeds 0..2999 (``scripts/memo_traffic.py``):
-    desk_vlmc at L=3 takes 120 transitions between 38 maps and the memo
-    answers 99.3% of its steps; order2 at L=3 stores 687 transitions on 256
-    maps (76.3%); order6 at L=1 stores 262 (1.0%), and the distinct nodes of a full memo's 256 maps take about
-    0.27 MB there (1.1 KB a map; ``sys.getsizeof``, CPython 3.11).
+    one transition per (map, gap).  ``depths`` maps the ``id`` of each
+    interned map to its depth once a traced or audited run has sized it
+    (:meth:`_SharedMap.size`), and to None before: a map whose ``id`` is
+    no key is walked each time, and no map is hashed to find out.  Over
+    seeds 0..2999 (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes
+    120 transitions between 38 maps and the memo answers 99.3% of its
+    steps; order2 at L=3 stores 687 transitions on 256 maps (76.3%);
+    order6 at L=1 stores 262 (1.0%), and the distinct nodes of a full
+    memo's 256 maps take about 0.27 MB there (1.1 KB a map;
+    ``sys.getsizeof``, CPython 3.11).
     """
 
     def __init__(self, kernel: Kernel):
@@ -492,13 +493,12 @@ class SliceTable:
         self._steps: Dict[WalkStep, WalkStep] = {}
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
         self.maps: Dict[tuple, tuple] = {}
-        self.interned: set = set()
         # interning compares maps by tuple ==, which recurses one level per
         # trie level; maps as deep as the order (windows are short) may take
         # at most half the recursion limit, else only the starts are interned
         self.memo_cap = MEMO_CAP if 2 * kernel.order < sys.getrecursionlimit() else 0
         self.starts: Dict[int, tuple] = {}
-        self.depths: Dict[int, int] = {}
+        self.depths: Dict[int, Optional[int]] = {}
         self._add(0.0)
 
     def lookup(self, u: float) -> SliceEntry:
@@ -523,7 +523,7 @@ class SliceTable:
     def intern(self, root: tuple) -> tuple:
         """The interned map equal to ``root``, interning it if none is."""
         root = self.maps.setdefault(root, root)
-        self.interned.add(id(root))
+        self.depths.setdefault(id(root), None)
         return root
 
     def compile_all(self) -> None:
@@ -775,12 +775,15 @@ class _SharedMap:
         return step
 
     def size(self) -> Tuple[int, int]:
-        root, table = self.root, self.table
-        depth = table.depths.get(id(root))
+        """(leaf count, depth) of the map.  The depth of an interned map is
+        walked once and kept in the table's ``depths``; any other map's is
+        walked on every call."""
+        root, depths = self.root, self.table.depths
+        depth = depths.get(id(root))
         if depth is None:
             depth = node_depth(root)
-            if id(root) in table.interned:
-                table.depths[id(root)] = depth
+            if id(root) in depths:
+                depths[id(root)] = depth
         return ((self.arity - 1) * root[0] + 1) // self.arity, depth
 
     def sample(self) -> Context:
@@ -1058,17 +1061,14 @@ def pw_extended(
 
 @dataclass
 class RunRow:
-    """One line of the sample/bench reports."""
+    """One line of the sample/bench reports: the run's sample, or the code
+    of the budget error that ended it, and the run's own diagnostics (the
+    error's, tau None, for a failed run)."""
 
     run_id: int
     sample: Optional[Context]
-    tau: Optional[int]
-    iterations: int
-    node_touches: int
-    wall_ns: int
-    error: Optional[str] = None
-    max_slice_depth: int = 0
-    records: Optional[List[IterationRecord]] = None
+    error: Optional[str]
+    diagnostics: RunDiagnostics
 
 
 def _usable_cpus() -> int:
@@ -1098,10 +1098,11 @@ def run_many(
     become rows with an error code instead of aborting the batch.
 
     ``algorithm`` is ``"ciaftp"`` (:func:`run`, never audited) or
-    ``"pw_extended"``, and ``trace`` keeps each run's iteration records on
-    its row.  With ``jobs > 1`` the runs are split into contiguous blocks
-    over that many processes, but never more than this process's usable
-    CPUs; the rows come back in run order and never depend on ``jobs``.
+    ``"pw_extended"``, and ``trace`` keeps each run's iteration records in
+    its row's diagnostics, and ``timing=False`` zeroes their ``wall_ns``.
+    With ``jobs > 1`` the runs are split into contiguous blocks over that
+    many processes, but never more than this process's usable CPUs; the
+    rows come back in run order and never depend on ``jobs``.
     """
     workers = min(jobs, _usable_cpus()) if jobs > 1 else 1
     if workers > 1 and count >= 2 * workers:
@@ -1127,13 +1128,10 @@ def run_many(
             result = sampler(kernel, length, RngStream(seed_base + idx), max_iter=max_iter,
                              max_depth=max_depth, max_nodes=max_nodes, trace=trace)
         except BudgetError as exc:
-            sample, error, d = None, exc.code, exc.diagnostics
+            row = RunRow(idx, None, exc.code, exc.diagnostics)
         else:
-            sample, error, d = result.sample, None, result.diagnostics
-        # a budget error's diagnostics have tau None
-        rows.append(RunRow(
-            run_id=idx, sample=sample, tau=d.tau, iterations=d.iterations,
-            node_touches=d.node_touches, wall_ns=d.wall_ns if timing else 0, error=error,
-            max_slice_depth=0 if error else d.max_slice_depth, records=d.records,
-        ))
+            row = RunRow(idx, result.sample, None, result.diagnostics)
+        if not timing:
+            row.diagnostics.wall_ns = 0
+        rows.append(row)
     return rows

@@ -68,7 +68,6 @@ def check_distribution(alphabet: Alphabet, probs: Distribution, where: str = "")
 class LowerBoundRow:
     """Per-symbol conditional-probability infima over one context ball."""
 
-    context: Context
     lower: Distribution
     mass: float
 
@@ -159,11 +158,11 @@ class ContextTreeKernel(Kernel):
             hit = self.trie.find_suffix(s)
             if hit is not None:
                 dist = hit[1]
-                row = LowerBoundRow(s, dist, 1.0)
+                row = LowerBoundRow(dist, 1.0)
             else:
                 dists = [label for _, label in iter_leaves_below(self.trie, s)]
                 lower = tuple(min(d[i] for d in dists) for i in range(self.alphabet.size))
-                row = LowerBoundRow(s, lower, math.fsum(lower))
+                row = LowerBoundRow(lower, math.fsum(lower))
             self._rows[s] = row
         return row
 
@@ -257,7 +256,7 @@ class RenewalSqrtKernel(Kernel):
         if tail.count("1") != r:
             sym = next(x for x in reversed(tail) if x != "1")
             raise UnknownSymbol(f"symbol {sym!r} not in alphabet ('0', '1')")
-        return LowerBoundRow(s, *self._bounds(r, r == len(s)))
+        return LowerBoundRow(*self._bounds(r, r == len(s)))
 
     def suffix_bounds(self, w: Context) -> Iterator[Tuple[Distribution, float]]:
         # level k reads one symbol more, the k-th newest, so O(1) work per

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -198,7 +198,10 @@ def validation_tolerance(n_cells: int, n_runs: int) -> float:
 
 @dataclass
 class ValidationReport:
-    kernel_family: str
+    """The outcome of :func:`validate`; its fields, by name, are the
+    ``report`` object of ``ciaftp validate --format json``."""
+
+    kernel: str
     length: int
     n_runs: int
     n_failed: int
@@ -209,17 +212,7 @@ class ValidationReport:
     cells: List[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kernel": self.kernel_family,
-            "length": self.length,
-            "n_runs": self.n_runs,
-            "n_failed": self.n_failed,
-            "failures_by_code": self.failures_by_code,
-            "tv": self.tv,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "cells": self.cells,
-        }
+        return asdict(self)
 
 
 def validate(
@@ -266,7 +259,7 @@ def validate(
         for w in sorted(counts)
     ]
     return ValidationReport(
-        kernel_family=kernel.family,
+        kernel=kernel.family,
         length=length,
         n_runs=n_runs,
         n_failed=n_failed,

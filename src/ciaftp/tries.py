@@ -414,13 +414,14 @@ def prefix_closure(d: ContextTrie) -> ContextTrie:
     """The minimal prefix-closed CSD dominating ``d``.
 
     Collects every nonempty prefix (initial, i.e. oldest, segment) of every
-    leaf and keeps the maximal elements for the suffix order.  Satisfies
+    leaf and keeps the maximal elements for the suffix order: the prefixes
+    that are no proper suffix of a prefix.  Satisfies
     ``|closure| <= |d| * depth(d)``.
     """
     if d.is_coalesced():
         return ContextTrie.from_leaves(d.alphabet, [EMPTY])
     prefixes = {s[:j] for s in d.leaf_contexts() for j in range(1, len(s) + 1)}
-    maximal = [t for t in prefixes if not any(u != t and is_suffix(t, u) for u in prefixes)]
+    maximal = prefixes.difference(t[i:] for t in prefixes for i in range(1, len(t)))
     return ContextTrie.from_leaves(d.alphabet, maximal)
 
 

@@ -105,7 +105,7 @@ def test_03_order1_exactness():
     n = 200_000
     rows = run_many(k, 1, 30_000, 0, n, timing=False)
     assert all(r.error is None for r in rows)
-    assert all(r.max_slice_depth <= 1 for r in rows)
+    assert all(r.diagnostics.max_slice_depth <= 1 for r in rows)
     count1 = sum(1 for r in rows if r.sample == ("1",))
     tv = abs(count1 / n - 1 / 3)
     assert tv <= 0.01, tv
@@ -148,7 +148,7 @@ def test_05_memoryless_degenerate():
     k = memoryless_25_75()
     for length in (1, 2, 4):
         rows = run_many(k, length, 0, 0, 500, timing=False)
-        assert all(r.tau == -length for r in rows)
+        assert all(r.diagnostics.tau == -length for r in rows)
     print("PASS: criterion 5 - tau(n) = n exactly for all memoryless runs")
 
 
@@ -161,7 +161,7 @@ def test_06_renewal_convergence():
     )
     elapsed = time.perf_counter() - t0
     assert all(r.error is None for r in rows)
-    mean_tau = sum(-r.tau for r in rows) / len(rows)
+    mean_tau = sum(-r.diagnostics.tau for r in rows) / len(rows)
     assert mean_tau <= 55.0, mean_tau
     print(
         f"PASS: criterion 6 - 10^4 renewal runs terminated in {elapsed:.1f}s, "

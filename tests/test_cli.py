@@ -110,17 +110,17 @@ def test_kernel_path_is_a_directory(capsys):
 
 
 def test_bad_kernel_spec(tmp_path, capsys):
+    # a dictionary missing context 11, and probs that are a list, not an object
+    incomplete = [{"context": "0", "probs": {"0": 0.7, "1": 0.3}},
+                  {"context": "01", "probs": {"0": 0.4, "1": 0.6}}]
+    listed = [{"context": "", "probs": [0.5, 0.5]}]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "alphabet": ["0", "1"], "type": "context_tree",
-        "contexts": [
-            {"context": "0", "probs": {"0": 0.7, "1": 0.3}},
-            {"context": "01", "probs": {"0": 0.4, "1": 0.6}},
-        ],
-    }))
-    rc, _, err = run_cli(["sample", "--kernel", str(bad)], capsys)
-    assert rc == 2
-    assert "IncompleteDictionary" in err
+    for contexts, code in ((incomplete, "IncompleteDictionary"), (listed, "BadProbability")):
+        bad.write_text(json.dumps({"alphabet": ["0", "1"], "type": "context_tree",
+                                   "contexts": contexts}))
+        rc, _, err = run_cli(["sample", "--kernel", str(bad)], capsys)
+        assert rc == 2
+        assert err.startswith(f"ciaftp: error: {code}: ")
 
 
 def test_symbol_name_with_a_comma(tmp_path, capsys):
@@ -181,10 +181,19 @@ def test_bad_probability_in_spec(tmp_path, capsys, probs):
     *({"alphabet": alphabet, "type": "memoryless",
        "contexts": [{"context": "", "probs": {str(g): 0.5 for g in alphabet}}]}
       for alphabet in ([0, 1], [True, False], [None, "a"], [[1], 2])),
+    [{"alphabet": ["0", "1"], "type": "memoryless"}],
+    *({"type": "memoryless", "contexts": [{"context": "", "probs": {}}], **alphabet}
+      for alphabet in ({}, {"alphabet": []})),
+    *({"alphabet": ["0", "1"], "type": "memoryless", **contexts}
+      for contexts in ({}, {"contexts": []})),
+    *({"alphabet": ["0", "1"], "type": "memoryless", "contexts": [entry]}
+      for entry in ({"probs": {"0": 0.5, "1": 0.5}}, {"context": ""})),
 ])
 def test_spec_with_a_field_it_cannot_have(tmp_path, capsys, doc):
-    # a context that is no string, contexts given to renewal_sqrt, and
-    # symbol names that are no strings (each would load as its str())
+    # a context that is no string, contexts given to renewal_sqrt, symbol
+    # names that are no strings (each would load as its str()), a top level
+    # that is no object, a missing or empty alphabet or context list, and a
+    # context entry without its context or its probs
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     rc, out, err = run_cli(["sample", "--kernel", str(bad), "--seed", "1"], capsys)
@@ -444,6 +453,20 @@ def test_inspect_slice_fixture(capsys):
         ["inspect", "--kernel", kpath("renewal_sqrt"), "--u", "1.5"], capsys
     )
     assert rc == 1
+    # desk_vlmc at u=0.73: without --context the table runs along the
+    # deepest slice leaf 01, with --context 1 along 1, whose levels 0..1
+    # stop short of 1 (the context does not resolve)
+    desk = ["inspect", "--kernel", kpath("desk_vlmc"), "--u", "0.73"]
+    rc, out, _ = run_cli(desk + ["--context", "1"], capsys)
+    assert rc == 0
+    assert out.split("\n\n")[1].splitlines() == [
+        "# interval table along context 1", "level,symbol,alpha,beta",
+        "0,0,0.0,0.1", "0,1,0.1,0.4", "1,0,0.4,0.4", "1,1,0.4,0.7"]
+    rc, out, _ = run_cli(desk, capsys)
+    assert rc == 0
+    table = out.split("\n\n")[1].splitlines()
+    assert table[0] == "# interval table along context 01"
+    assert table[-2:] == ["2,0,0.7,1.0", "2,1,1.0,1.0"]
 
 
 def test_inspect_kernel_views(capsys):

@@ -16,6 +16,7 @@ import pytest
 from ciaftp import engine, tries, update_rule
 from ciaftp.engine import (
     RngStream,
+    RunRow,
     StepAudit,
     init_state,
     pw_extended,
@@ -65,6 +66,16 @@ def test_init_state():
     assert all(ctx == lab for ctx, lab in t.leaves())
     with pytest.raises(ValueError):
         init_state(BINARY, 0)
+
+
+@pytest.mark.parametrize("sampler", [run, pw_extended])
+def test_runs_refuse_an_empty_window_and_limits_below_one(sampler):
+    k = order1_chain()
+    with pytest.raises(ValueError, match="window length"):
+        sampler(k, 0, RngStream(0))
+    for limit in ("max_iter", "max_depth", "max_nodes"):
+        with pytest.raises(ValueError, match="limits must be positive"):
+            sampler(k, 1, RngStream(0), **{limit: 0})
 
 
 @pytest.mark.parametrize("alphabet,lengths", [(BINARY, (1, 2, 3, 4)),
@@ -312,7 +323,7 @@ def test_run_many_rows():
     # seed discipline: row i equals an individual run with seed 500 + i
     solo = run(k, 1, RngStream(507))
     assert rows[7].sample == solo.sample
-    assert rows[7].tau == solo.diagnostics.tau
+    assert rows[7].diagnostics.tau == solo.diagnostics.tau
     # start offset produces the same tail
     tail = run_many(k, 1, 500, 15, 5)
     assert [(r.run_id, r.sample) for r in tail] == [
@@ -379,9 +390,17 @@ def test_run_many_caps_its_workers_at_the_usable_cpus(monkeypatch):
 
 def test_run_many_budget_rows():
     k = desk_vlmc()
-    rows = run_many(k, 3, 0, 0, 5, max_iter=1)
+    rows = run_many(k, 3, 0, 0, 5, max_iter=1, timing=False)
+    assert [f.name for f in dataclasses.fields(RunRow)] == [
+        "run_id", "sample", "error", "diagnostics"]
     assert all(r.error == "IterationLimitExceeded" for r in rows)
-    assert all(r.sample is None and r.tau is None for r in rows)
+    assert all(r.sample is None and r.diagnostics.tau is None for r in rows)
+    # an error row carries the raised error's diagnostics, wall time zeroed
+    for r in rows:
+        with pytest.raises(IterationLimitExceeded) as exc:
+            run(k, 3, RngStream(r.run_id), max_iter=1)
+        assert r.diagnostics == dataclasses.replace(exc.value.diagnostics, wall_ns=0)
+    assert any(r.diagnostics.max_slice_depth > 0 for r in rows)
     with pytest.raises(ValueError):
         run_many(k, 1, 0, 0, 2, algorithm="nope")
 
@@ -768,6 +787,11 @@ def test_step_memo_holds_at_most_its_cap(monkeypatch):
     for entry in table.entries:
         assert set(entry.memo) <= interned
         assert all(table.maps[after] is after for after, _ in entry.memo.values())
+    # the traced runs sized maps on and off the full memo: only interned
+    # maps are keys of the depth registry, each with its own depth
+    assert set(table.depths) == interned
+    assert all(table.depths[id(root)] in (None, tries.node_depth(root)) for root in table.maps)
+    assert any(depth is not None for depth in table.depths.values())
     assert len(set(table.lows)) == len(table.entries)
 
 
@@ -1098,7 +1122,7 @@ def test_deep_kernels_run_without_interning():
     k = _comb_kernel(1000)
     serial = run_many(k, 1, 0, 0, 40, timing=False)
     assert not any(row.error for row in serial)
-    assert max(row.max_slice_depth for row in serial) == 1000
+    assert max(row.diagnostics.max_slice_depth for row in serial) == 1000
     table = slice_table(k)
     assert table.memo_cap == 0 and len(table.maps) == len(table.starts) == 1
     assert not any(entry.memo for entry in table.entries)

@@ -116,6 +116,12 @@ def test_memoryless_kernel():
 def test_full_markov_requires_all_contexts():
     with pytest.raises(IncompleteDictionary):
         full_markov_kernel(BINARY, 2, {("0", "0"): (0.5, 0.5)})
+    with pytest.raises(ValueError, match="order"):
+        full_markov_kernel(BINARY, 0, {(): (0.5, 0.5)})
+    # every length-1 context, and one of length 2
+    table = {("0",): (0.5, 0.5), ("1",): (0.5, 0.5), ("0", "1"): (0.5, 0.5)}
+    with pytest.raises(KernelSpecError, match="does not have length 1"):
+        full_markov_kernel(BINARY, 1, table)
 
 
 def test_renewal_lower_bounds():

@@ -83,6 +83,8 @@ def test_stationary_two_methods_agree():
         a = stationary(chain, method="solve")
         b = stationary(chain, method="power")
         assert np.abs(a - b).sum() <= 1e-10
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        stationary(build_extended(order1_chain()), method="x")
 
 
 def test_stationary_rejects_reducible():

@@ -110,6 +110,11 @@ def test_from_leaves_rejects_duplicate_and_empty():
         ContextTrie.from_leaves(BINARY, [])
 
 
+def test_from_leaves_rejects_an_unknown_symbol():
+    with pytest.raises(UnknownSymbol, match="'x'"):
+        ContextTrie.from_leaves(BINARY, [("0",), ("x", "1"), ("1", "1")])
+
+
 def test_root_only_trie():
     t = ContextTrie.from_leaves(BINARY, {(): "z"})
     assert t.is_coalesced()
@@ -123,6 +128,9 @@ def test_iter_leaves_below():
     below = dict(iter_leaves_below(t, ("1",)))
     assert below == {("0",): "b", ("1",): "c"}
     assert dict(iter_leaves_below(t, ())) == DESK_LEAVES
+    # context 10 passes through the leaf 0
+    with pytest.raises(TrieStructureError, match="passes through a leaf"):
+        iter_leaves_below(t, ("1", "0"))
 
 
 def test_dominates():
@@ -133,6 +141,8 @@ def test_dominates():
     root = ContextTrie.from_leaves(BINARY, [()])
     assert dominates(desk_trie(), root)
     assert not dominates(root, desk_trie())
+    with pytest.raises(ValueError, match="alphabet"):
+        dominates(complete_trie(TERNARY, 1), complete_trie(BINARY, 1))
 
 
 def test_prune_minimal_merges_equal_labels():
@@ -180,6 +190,9 @@ def test_prefix_closure_already_closed():
     assert set(prefix_closure(d).leaf_contexts()) == set(DESK_LEAVES)
     root = ContextTrie.from_leaves(BINARY, [()])
     assert list(prefix_closure(root).leaf_contexts()) == [()]
+    # the full binary order-12 dictionary is closed: its 4096 leaves
+    full = complete_trie(BINARY, 12)
+    assert set(prefix_closure(full).leaf_contexts()) == set(full.leaf_contexts())
 
 
 @pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
@@ -197,6 +210,11 @@ def test_prefix_closure_properties_random(alphabet):
                     is_suffix(s[:j], t) for t in c.leaf_contexts()
                 )
         assert c.leaf_count() <= max(1, d.leaf_count() * d.depth())
+        # the maximal prefixes, found by a pairwise scan of the suffix order
+        if not d.is_coalesced():
+            prefixes = {s[:j] for s in d.leaf_contexts() for j in range(1, len(s) + 1)}
+            assert set(c.leaf_contexts()) == {
+                t for t in prefixes if not any(u != t and is_suffix(t, u) for u in prefixes)}
 
 
 def test_complete_trie():

@@ -15,6 +15,7 @@ from ciaftp.engine import RngStream, pw_extended, run, slice_table
 from ciaftp.errors import IterationLimitExceeded, MaxDepthExceeded, UnknownSymbol
 from ciaftp.kernels import (
     ContextTreeKernel,
+    Kernel,
     LowerBoundRow,
     RenewalSqrtKernel,
     load_kernel,
@@ -146,7 +147,7 @@ class _LooseRoot(ContextTreeKernel):
         if s:
             return row
         lower = tuple(p / 2 for p in row.lower)
-        return LowerBoundRow(s, lower, sum(lower))
+        return LowerBoundRow(lower, sum(lower))
 
 
 def _finite_kernels():
@@ -397,6 +398,53 @@ def test_verify_measure_renewal_resolving_context():
     assert rep.ok, rep.failures
 
 
+class _SplitBounds(Kernel):
+    """A binary kernel whose law at every context is ``law`` (a
+    ``(lower, mass)`` pair), while its interval layout reads ``rows``, one
+    per level: where the two disagree, the layout no longer gives the law."""
+
+    order = 1
+
+    def __init__(self, law, rows):
+        super().__init__(BINARY)
+        self.law, self.rows = law, rows
+
+    def lower_bounds(self, s):
+        return LowerBoundRow(*self.law)
+
+    def suffix_bounds(self, w):
+        return iter(self.rows)
+
+
+@pytest.mark.parametrize("law, rows, failures", [
+    # level 1 lowers symbol 0's bound from 0.5 to 0.25: its interval runs back
+    (((0.25, 0.75), 1.0), [((0.5, 0.0), 0.5), ((0.25, 0.75), 1.0)],
+     ["inverted interval IntervalAssignment(level=1, symbol='0', alpha=0.5, beta=0.25)"]),
+    # the layout's last level holds mass 0.75 and so stops short of 1
+    (((0.25, 0.5), 1.0), [((0.25, 0.5), 0.75)],
+     ["intervals cover [0, 0.75) instead of [0, 1)"]),
+    # a layout that tiles [0, 1) with another law
+    (((0.5, 0.5), 1.0), [((0.25, 0.75), 1.0)],
+     ["symbol '0': interval mass 0.25 vs law 0.5", "symbol '1': interval mass 0.75 vs law 0.5"]),
+])
+def test_verify_measure_reports_a_layout_off_the_law(law, rows, failures):
+    rep = verify_measure(_SplitBounds(law, rows), ("0",))
+    assert rep.ok is False
+    assert rep.failures == failures
+
+
+def test_verify_measure_reports_overlapping_intervals(monkeypatch):
+    # interval_table starts each interval where the one before ends, so an
+    # overlap takes a table written by hand: interval 2 starts inside
+    # interval 1, and a gap before interval 3 keeps the cover and the masses
+    table = [IntervalAssignment(0, "0", 0.0, 0.5), IntervalAssignment(0, "1", 0.4, 0.6),
+             IntervalAssignment(0, "1", 0.7, 1.0)]
+    monkeypatch.setattr(update_rule, "interval_table", lambda kernel, w, u_cap: table)
+    rep = verify_measure(memoryless_kernel(BINARY, (0.5, 0.5)), ())
+    assert rep.ok is False
+    assert rep.failures == [f"interval {table[1]} overlaps its predecessor (cursor 0.5)"]
+
+
 def test_interval_table_u_cap_stops_early():
     k = RenewalSqrtKernel()
     w = ("1",) * 50
@@ -456,7 +504,7 @@ class _ShrinkingRows(ContextTreeKernel):
         if s not in self._scales:
             self._scales[s] = self._rng.random(self.alphabet.size)
         lower = tuple(float(p * f) for p, f in zip(row.lower, self._scales[s]))
-        return LowerBoundRow(s, lower, math.fsum(lower))
+        return LowerBoundRow(lower, math.fsum(lower))
 
 
 def test_phi_matches_a_scan_of_the_layout():
