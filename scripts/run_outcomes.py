@@ -31,10 +31,10 @@ compiles one at its ``COMPILE_AFTER``-th run), so after those lines every
 finite-order kernel's lines are printed again, each prefixed ``compiled``,
 from a fresh copy of the kernel whose every slice program was compiled
 before its first run (``SliceTable.compile_all``; a ``--src`` checkout
-without it prints none): they must equal the lines above them.  Each gap
-has two compiled programs, and ``compile_all`` compiles both: the bounded
-one runs the lines whose L is at most the kernel's order, and the general
-one the longer windows (L=3 of ``desk_vlmc``, L=2, 3 and 13 of ``order1``).
+without it prints none): they must equal the lines above them.  A slice
+table serves one window length, so the table of every length the kernel's
+lines run is compiled; a ``--src`` checkout whose one table serves every
+length (``slice_table(kernel)``) compiles that one.
 
 Usage:
     python scripts/run_outcomes.py --seeds 6 > change.txt
@@ -45,6 +45,7 @@ Usage:
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -61,6 +62,8 @@ BUDGETS = [
 # enough that some slices go far past the default max_depth
 DEEP = ("deep", {"max_depth": 10**12, "max_nodes": 10**15})
 DEEP_SEEDS = 64
+# order1 only, plain and audited, at the default budgets: 8192 leaves
+WIDE_LENGTH = 13
 # the pw_extended baseline, finite-order kernels only
 PW_BUDGETS = [BUDGETS[0], BUDGETS[3]]
 # kernels of alphabet sizes other than 2, run after the shipped ones
@@ -104,6 +107,25 @@ def outcome(sampler, kernel, length, seed, budget, budget_error):
     return f"{fields} records={digest} plain={'same' if plain == fields else 'differs'}"
 
 
+def lengths(name):
+    """The window lengths of a kernel's lines."""
+    return (1, 2, 3) + ((WIDE_LENGTH,) if name == "order1" else ())
+
+
+def compile_tables(slice_table, kernel, lengths):
+    """Compile every slice program of ``kernel`` at each of ``lengths``;
+    False, compiling nothing, for a checkout without compiled programs."""
+    if "length" in inspect.signature(slice_table).parameters:
+        tables = [slice_table(kernel, length) for length in lengths]
+    else:
+        tables = [slice_table(kernel)]  # one table for every length
+    if not all(hasattr(table, "compile_all") for table in tables):
+        return False
+    for table in tables:
+        table.compile_all()
+    return True
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -128,9 +150,7 @@ def main() -> int:
         if kernel.order is None:
             continue
         # a --src checkout older than compiled programs prints no such lines
-        compile_all = getattr(slice_table(kernel), "compile_all", None)
-        if compile_all is not None:
-            compile_all()
+        if compile_tables(slice_table, kernel, lengths(name)):
             kernels.append(("compiled ", name, kernel))
     for prefix, name, kernel in kernels:
         cases = [(case, budget, both, args.seeds) for case, budget in BUDGETS]
@@ -139,9 +159,8 @@ def main() -> int:
         else:
             cases += [(case, budget, [("pw_extended", pw_extended)], args.seeds)
                       for case, budget in PW_BUDGETS]
-        grid = [(length, cases) for length in (1, 2, 3)]
-        if name == "order1":
-            grid.append((13, [("wide", {}, both, args.seeds)]))
+        wide = [("wide", {}, both, args.seeds)]
+        grid = [(length, wide if length == WIDE_LENGTH else cases) for length in lengths(name)]
         for length, length_cases in grid:
             for case, budget, samplers, seeds in length_cases:
                 for tag, sampler in samplers:

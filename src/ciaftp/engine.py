@@ -29,15 +29,15 @@ child_0, ..., child_{|G|-1})``, or ``(1, None, label)`` for a leaf:
   not O(state size).  A program is interpreted by three flat loops until
   its :data:`COMPILE_AFTER`-th run, which compiles it into one Python
   function of the map, built from integers only, whose walk branches on
-  leaves: a parent that is a leaf fills every graft below it at once.  At
-  a window length up to the kernel's order every map is at most the order
-  deep, so its nodes at that depth are leaves, and a second compiled
-  variant, the bounded program, neither tests nor walks below them.  On
-  order6 at L=1 a bounded compiled run costs about a fifth of an
-  interpreted one.  Few distinct maps occur, so the table is also an exact
-  memo of whole steps, which interns at most :data:`MEMO_CAP` maps: a
-  step that repeats a stored (map, gap) transition is a bisection and a
-  dict lookup, which returns the stored step as it is;
+  leaves: a parent that is a leaf fills every graft below it at once.  A
+  table serves one window length L, at which every map is at most
+  max(order, L) deep, the table's bound: a node at that depth is a leaf,
+  so the compiled program neither tests nor walks below it.  On order6 at
+  L=1 a compiled run costs about a fifth of an interpreted one.  Few
+  distinct maps occur, so the table is also an exact memo of whole steps,
+  which interns at most :data:`MEMO_CAP` maps: a step that repeats a
+  stored (map, gap) transition is a bisection and a dict lookup, which
+  returns the stored step as it is;
 * :class:`_CombMap` - the renewal kernel, at every window length.  Its
   slices are combs whose depth has no finite mean, so the map is kept as
   run-length-compressed side subtrees along the all-ones spine.  A step
@@ -48,8 +48,10 @@ child_0, ..., child_{|G|-1})``, or ``(1, None, label)`` for a leaf:
   pointwise, one bisection in a cached interval layout per history, and
   shares no slice code with the other two.
 
-Runs of one kernel share the start of each window length, whatever its
-size, in one place: the kernel's own cache, ``kernel.slice_cache``.
+The runs of one kernel at one window length share their start, whatever
+its size, in one place: the kernel's own cache, ``kernel.slice_cache``,
+keyed by window length, which holds that length's slice table or, for the
+renewal kernel, the comb's start.
 
 :func:`step` is the validated reference: it composes the slice of
 :func:`~ciaftp.update_rule.build_slice` onto the previous state's leaves,
@@ -146,10 +148,10 @@ class RunDiagnostics:
     iterations: int
     node_touches: int
     max_slice_depth: int
-    regeneration_times: List[int] = field(default_factory=list)
-    records: Optional[List[IterationRecord]] = None
-    seed: Optional[int] = None
-    wall_ns: int = 0
+    regeneration_times: List[int]
+    records: Optional[List[IterationRecord]]
+    seed: Optional[int]
+    wall_ns: int
 
 
 @dataclass
@@ -357,16 +359,15 @@ class SliceEntry:
     refuses the draw exactly when it exceeds ``max_depth``, as
     :func:`~ciaftp.update_rule.build_slice` does.
 
-    Four fields are not init fields, so an entry made by
+    Three fields are not init fields, so an entry made by
     ``dataclasses.replace`` starts with none of the original's: ``memo``
     holds the table's stored transitions through this gap, at most one per
     interned map, keyed by the map's ``id``, each ``(next interned map,
     step)`` with the step as :meth:`_SharedMap.advance` returns it; ``runs``
     counts the program's interpreted runs (memo hits excluded); ``program``
-    is the program compiled into one function (:func:`_compile_program`),
-    and ``bounded`` the one compiled for maps no deeper than the kernel's
-    order, which runs at window lengths up to the order.  :func:`_compose`
-    builds the one it needs when ``runs`` reaches :data:`COMPILE_AFTER`.
+    is the program compiled into one function for the maps of its table's
+    window length (:func:`_compile_program`), which :func:`_compose` builds
+    when ``runs`` reaches :data:`COMPILE_AFTER`.
     """
 
     walk: Tuple[WalkStep, ...]
@@ -379,7 +380,6 @@ class SliceEntry:
         default_factory=dict, init=False, compare=False, repr=False)
     runs: int = field(default=0, init=False, compare=False, repr=False)
     program: Optional[Program] = field(default=None, init=False, compare=False, repr=False)
-    bounded: Optional[Program] = field(default=None, init=False, compare=False, repr=False)
 
 
 def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
@@ -432,7 +432,7 @@ def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
 
 class SliceTable:
     """The slices of a finite-order kernel, found by bisection, and the
-    memo of the steps composed with them.
+    memo of the steps composed with them, at one window length.
 
     Gap ``i`` of the ones found so far, in ascending order, is
     ``[lows[i], highs[i])`` and its draws get ``entries[i]``.  A draw in no
@@ -445,31 +445,38 @@ class SliceTable:
     entries' compiled programs share one globals dict and hold no cycle,
     so dropping the kernel frees them at once.
 
+    Every map at the table's window ``length`` L is at most ``bound`` =
+    max(order, L) deep: the start is L deep, and a step grafts below each
+    slice leaf, at most the order deep, a subtree found one level deeper
+    in the previous map, so the new map is at most max(order, d - 1) deep
+    after a map d deep.  So one compiled program per gap, for maps at most
+    ``bound`` deep, serves every run of the table
+    (:func:`_program_source`).
+
     The table is also a memo of whole steps, which :class:`_SharedMap`
     reads and fills.  A composite map is a function on contexts of depth
-    max(order, L), so only finitely many occur, and few in practice.
-    ``maps`` interns them (shared-subtree root tuples, each its own key,
-    so equal maps are one object), ``depths`` is keyed by their ids, and
-    ``starts`` holds the interned initial map that every run of a window
-    length starts from.  Every step looks its map's ``id`` up in the gap's
-    :attr:`SliceEntry.memo`; a miss runs the program, and while ``maps``
-    holds fewer than ``memo_cap`` maps (starts included) its result is
-    interned and stored there as ``(next interned map, step)``, the step
-    being the tuple (node touches, slice depth, regenerated, reach) that a
-    hit returns without building it again.  ``memo_cap`` is
-    :data:`MEMO_CAP`, or 0 for a kernel of order at least half the
-    recursion limit, whose maps are too deep for interning to compare:
-    there only the starts are interned, and every step misses and stores
-    nothing, as on a full memo.  A program's result depends only on the
-    map's structure and the gap, so a stored transition gives exactly what
-    the program would: the memo is exact.
+    ``bound``, so only finitely many occur, and few in practice.  ``maps``
+    interns them (shared-subtree root tuples, each its own key, so equal
+    maps are one object), ``depths`` is keyed by their ids, and ``start``
+    is the interned initial map that every run starts from.  Every step
+    looks its map's ``id`` up in the gap's :attr:`SliceEntry.memo`; a miss
+    runs the program, and while ``maps`` holds fewer than ``memo_cap`` maps
+    (the start included) its result is interned and stored there as
+    ``(next interned map, step)``, the step being the tuple (node touches,
+    slice depth, regenerated, reach) that a hit returns without building
+    it again.  ``memo_cap`` is :data:`MEMO_CAP`, or 0 for a bound of at
+    least half the recursion limit, whose maps are too deep for interning
+    to compare: there only the start is interned, and every step misses
+    and stores nothing, as on a full memo.  A program's result depends
+    only on the map's structure and the gap, so a stored transition gives
+    exactly what the program would: the memo is exact.
     ``maps`` only grows, so while it has room every map a run holds is
     interned and kept alive by it; once it is full, a map a run composes
     is not interned, its ``id`` is no key (keys are ids of live interned
     maps) and its steps miss and store nothing.  So the memo holds at most
-    ``MEMO_CAP`` maps plus one start for each window length, and at most
-    one transition per (map, gap).  ``depths`` maps the ``id`` of each
-    interned map to its depth once a traced or audited run has sized it
+    ``MEMO_CAP`` maps, the start included, and at most one transition per
+    (map, gap).  ``depths`` maps the ``id`` of each interned map to its
+    depth once a traced or audited run has sized it
     (:meth:`_SharedMap.size`), and to None before: a map whose ``id`` is
     no key is walked each time, and no map is hashed to find out.  Over
     seeds 0..2999 (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes
@@ -480,12 +487,13 @@ class SliceTable:
     ``sys.getsizeof``, CPython 3.11).
     """
 
-    def __init__(self, kernel: Kernel):
+    def __init__(self, kernel: Kernel, length: int):
         if kernel.order is None:
             raise UnsupportedOperation("a slice table needs a finite-order kernel")
         self._kernel = ref(kernel)
-        self.order = kernel.order
         self._max_depth = max(kernel.order, 1)
+        self.length = length
+        self.bound = max(kernel.order, length)
         self.arity = kernel.alphabet.size
         self.lows: List[float] = []
         self.highs: List[float] = []
@@ -494,11 +502,11 @@ class SliceTable:
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
         self.maps: Dict[tuple, tuple] = {}
         # interning compares maps by tuple ==, which recurses one level per
-        # trie level; maps as deep as the order (windows are short) may take
-        # at most half the recursion limit, else only the starts are interned
-        self.memo_cap = MEMO_CAP if 2 * kernel.order < sys.getrecursionlimit() else 0
-        self.starts: Dict[int, tuple] = {}
+        # trie level; maps as deep as the bound may take at most half the
+        # recursion limit, else only the start is interned
+        self.memo_cap = MEMO_CAP if 2 * self.bound < sys.getrecursionlimit() else 0
         self.depths: Dict[int, Optional[int]] = {}
+        self.start = self.intern(_initial_map(kernel.alphabet.symbols, length))
         self._add(0.0)
 
     def lookup(self, u: float) -> SliceEntry:
@@ -528,60 +536,47 @@ class SliceTable:
 
     def compile_all(self) -> None:
         """Find every gap, from 0 up, and compile each program that is not
-        compiled yet, the general one and, for a kernel of order at least 1,
-        the bounded one, so that every later program run is a compiled one
-        at every window length (``scripts/run_outcomes.py`` diffs those runs
-        against interpreted ones)."""
+        compiled yet, so that every later program run is a compiled one
+        (``scripts/run_outcomes.py`` diffs those runs against interpreted
+        ones)."""
         u = 0.0
         while u < 1.0:
             entry = self.lookup(u)
             if entry.program is None:
-                entry.program = _compile_program(entry, self.arity, None)
-            if entry.bounded is None and self.order >= 1:
-                entry.bounded = _compile_program(entry, self.arity, self.order)
+                entry.program = _compile_program(entry, self.arity, self.bound)
             u = self.highs[bisect_right(self.lows, u) - 1]
 
 
-def slice_table(kernel: Kernel) -> SliceTable:
-    """The kernel's :class:`SliceTable`, built on first use and kept on the
-    kernel object; an infinite-memory kernel has none, whatever its cache
-    holds."""
-    table = kernel.slice_cache
+def slice_table(kernel: Kernel, length: int) -> SliceTable:
+    """The kernel's :class:`SliceTable` at window length ``length``, built
+    on first use and kept in ``kernel.slice_cache`` under that length; an
+    infinite-memory kernel has none, whatever its cache holds."""
+    table = kernel.slice_cache.get(length)
     if not isinstance(table, SliceTable):
-        table = kernel.slice_cache = SliceTable(kernel)
+        table = kernel.slice_cache[length] = SliceTable(kernel, length)
     return table
 
 
-def _compose(root: tuple, entry: SliceEntry, arity: int,
-             bound: Optional[int]) -> Tuple[tuple, int]:
-    """Run ``entry``'s program on the map ``root``; returns (new map, node
-    touches).  With a ``bound`` (the kernel's order, at a window length up
-    to it), ``root`` is at most that deep, and the program compiled for
-    such maps (``entry.bounded``) runs; without one, the general program
-    does.
+def _compose(root: tuple, entry: SliceEntry, arity: int, bound: int) -> Tuple[tuple, int]:
+    """Run ``entry``'s program on the map ``root``, at most ``bound`` deep
+    (its table's bound); returns (new map, node touches).
 
     A program's first ``COMPILE_AFTER - 1`` runs interpret it
-    (:func:`_interpret`), whichever variant is asked for.  From run
-    ``COMPILE_AFTER`` on, the variant asked for is compiled into one
-    function (:func:`_compile_program`) the first time it is needed, and
-    gives the same map and touches from then on.  On order6 at L=1 (2 vCPU,
-    CPython 3.11; 3000 recorded steps, and the median compile over its
-    programs) a run costs about 8.3 us interpreted, 1.6 us bounded and
-    2.0 us general, and a compile about 1.5 and 1.8 ms, so a compile pays
-    back after about 230 and 290 runs, below ``COMPILE_AFTER`` = 300: only
-    the gaps a kernel keeps drawing are compiled, and a few warm-up runs
-    compile nothing.
+    (:func:`_interpret`).  Run ``COMPILE_AFTER`` compiles it into one
+    function for maps at most ``bound`` deep (:func:`_compile_program`),
+    which gives the same map and touches from then on.  On order6 at L=1
+    (2 vCPU, CPython 3.11; 3000 recorded steps, and the median compile
+    over its programs) a run costs about 8.3 us interpreted and 1.6 us
+    compiled, and a compile about 1.5 ms, so a compile pays back after
+    about 230 runs, below ``COMPILE_AFTER`` = 300: only the gaps a kernel
+    keeps drawing are compiled, and a few warm-up runs compile nothing.
     """
-    program = entry.program if bound is None else entry.bounded
+    program = entry.program
     if program is None:
         runs = entry.runs = entry.runs + 1
         if runs < COMPILE_AFTER:
             return _interpret(root, entry, arity)
-        program = _compile_program(entry, arity, bound)
-        if bound is None:
-            entry.program = program
-        else:
-            entry.bounded = program
+        program = entry.program = _compile_program(entry, arity, bound)
     return program(root)
 
 
@@ -618,9 +613,10 @@ def _interpret(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
 _INDENT_LIMIT = 100
 
 
-def _program_source(entry: SliceEntry, arity: int, bound: Optional[int]) -> str:
-    """``entry``'s program as the source of one function of the map ``s0``,
-    whose locals are the slots (slot ``i`` is ``s<i>``).
+def _program_source(entry: SliceEntry, arity: int, bound: int) -> str:
+    """``entry``'s program as the source of one function of a map ``s0``
+    at most ``bound`` deep, whose locals are the slots (slot ``i`` is
+    ``s<i>``).
 
     The walk is emitted as nested branches.  Each parent slot is tested
     once: if it is a leaf, every graft slot below it is set to it in one
@@ -639,13 +635,14 @@ def _program_source(entry: SliceEntry, arity: int, bound: Optional[int]) -> str:
     ``touch_base``.  Only integers reach the source: slot indices, tree
     sizes and node touches.
 
-    With a ``bound``, the program is for maps of depth at most ``bound``
-    only, whose nodes at that depth are leaves: a slot at depth ``bound``
+    The map's nodes at depth ``bound`` are leaves: a slot at that depth
     is a leaf, and a slot below it holds that leaf.  Such a slot is never
     tested nor unpacked, and the slots below it are not filled: the nodes
     and the return read the leaf itself.  Each such graft adds its size of
     1 to the constant, and a node with such a leaf among its children
     collapses exactly when its children are one object, with no leaf test.
+    A walk is at most one level deeper than the kernel's order, so from a
+    window length of the order plus 2 on, no slot reaches the bound.
     """
     walk = [tuple(map(int, step)) for step in entry.walk]
     depth = [0]
@@ -654,13 +651,12 @@ def _program_source(entry: SliceEntry, arity: int, bound: Optional[int]) -> str:
     # the slot whose variable holds each walk slot: past the bound, its
     # ancestor at the bound
     hold = list(range(len(depth)))
-    if bound is not None:
-        for slot, (parent, _) in enumerate(walk, 1):
-            if depth[parent] >= bound:
-                hold[slot] = hold[parent]
+    for slot, (parent, _) in enumerate(walk, 1):
+        if depth[parent] >= bound:
+            hold[slot] = hold[parent]
 
     def known_leaf(slot: int) -> bool:
-        return bound is not None and slot < len(depth) and depth[slot] >= bound
+        return slot < len(depth) and depth[slot] >= bound
 
     grafts = [int(g) for g in entry.grafts]
     taken: Dict[int, Dict[int, int]] = {}
@@ -716,7 +712,7 @@ def _program_source(entry: SliceEntry, arity: int, bound: Optional[int]) -> str:
 _PROGRAM_GLOBALS: dict = {"__builtins__": {}}
 
 
-def _compile_program(entry: SliceEntry, arity: int, bound: Optional[int]) -> Program:
+def _compile_program(entry: SliceEntry, arity: int, bound: int) -> Program:
     """``entry``'s program compiled into one function (see
     :func:`_program_source`), built from its code object on the shared
     :data:`_PROGRAM_GLOBALS`."""
@@ -729,30 +725,21 @@ class _SharedMap:
     """The composite map of a finite-order kernel, as shared subtrees.
 
     A step finds the draw's :class:`SliceEntry` in the kernel's
-    :class:`SliceTable` (the table's bisection, inlined) and reads the next
-    map and the whole step tuple from the entry's memo, or, on a miss,
-    composes it onto the map with the entry's program (:func:`_compose`)
-    and stores it while the table's ``maps`` has room.  At a window length up to the kernel's order every
-    map is at most the order deep, so the bounded programs run; at longer
-    windows, the general ones.  Node touches count what :func:`step`
-    counts: the slice's touches plus the nodes of the unpruned composition.
+    :class:`SliceTable` of the run's window length (the table's bisection,
+    inlined) and reads the next map and the whole step tuple from the
+    entry's memo, or, on a miss, composes it onto the map with the entry's
+    program (:func:`_compose`) and stores it while the table's ``maps`` has
+    room.  Node touches count what :func:`step` counts: the slice's touches
+    plus the nodes of the unpruned composition.
     """
 
-    __slots__ = ("length", "arity", "bound", "table", "lows", "highs", "entries", "root",
-                 "coalesced")
+    __slots__ = ("table", "lows", "highs", "entries", "root", "coalesced")
 
     def __init__(self, kernel: Kernel, length: int):
-        self.length = length
-        self.arity = kernel.alphabet.size
-        self.bound = kernel.order if length <= kernel.order else None
-        self.table = table = slice_table(kernel)
+        self.table = table = slice_table(kernel, length)
         # the table inserts new gaps into these lists in place
         self.lows, self.highs, self.entries = table.lows, table.highs, table.entries
-        root = table.starts.get(length)
-        if root is None:
-            root = _initial_map(kernel.alphabet.symbols, length)
-            root = table.starts[length] = table.intern(root)
-        self.root = root
+        self.root = root = table.start
         self.coalesced = root[1] is None
 
     def advance(self, u: float) -> Tuple[int, int, bool, int]:
@@ -763,9 +750,9 @@ class _SharedMap:
         if hit is not None:
             root, step = hit
         else:
-            new, touches = _compose(root, entry, self.arity, self.bound)
-            step = touches, entry.depth, not entry.depth, entry.reach
             table = self.table
+            new, touches = _compose(root, entry, table.arity, table.bound)
+            step = touches, entry.depth, not entry.depth, entry.reach
             if len(table.maps) < table.memo_cap:
                 new = table.intern(new)
                 entry.memo[id(root)] = (new, step)
@@ -777,17 +764,25 @@ class _SharedMap:
     def size(self) -> Tuple[int, int]:
         """(leaf count, depth) of the map.  The depth of an interned map is
         walked once and kept in the table's ``depths``; any other map's is
-        walked on every call."""
-        root, depths = self.root, self.table.depths
+        walked on every call.  A walked depth past the table's ``bound``,
+        which its compiled programs take for granted, raises
+        InvariantViolation."""
+        root, table = self.root, self.table
+        depths = table.depths
         depth = depths.get(id(root))
         if depth is None:
             depth = node_depth(root)
+            if depth > table.bound:
+                raise InvariantViolation(
+                    f"a map at window length {table.length} is {depth} deep,"
+                    f" past its table's bound {table.bound}")
             if id(root) in depths:
                 depths[id(root)] = depth
-        return ((self.arity - 1) * root[0] + 1) // self.arity, depth
+        arity = table.arity
+        return ((arity - 1) * root[0] + 1) // arity, depth
 
     def sample(self) -> Context:
-        return _window(self.root, self.length)
+        return _window(self.root, self.table.length)
 
 
 # Every map of the renewal kernel is a comb: side subtrees at the paths
@@ -805,8 +800,8 @@ class _CombMap:
     """The composite map of the renewal kernel, at every window length.
 
     A step costs one closed-form slice depth, ``kernel.slice_depth``,
-    plus O(number of runs) to compose the comb.  Runs
-    share their start ``(runs, spine)``, kept per window length in
+    plus O(number of runs) to compose the comb.  The runs of a window
+    length share their start ``(runs, spine)``, kept under that length in
     ``kernel.slice_cache``: :meth:`advance` never changes a run list."""
 
     __slots__ = ("length", "slice_depth", "runs", "spine", "coalesced")
@@ -815,8 +810,6 @@ class _CombMap:
         self.length = length
         self.slice_depth = kernel.slice_depth
         starts = kernel.slice_cache
-        if starts is None:
-            starts = kernel.slice_cache = {}
         start = starts.get(length)
         if start is None:
             # (side node, count) from the root down: count spine levels

@@ -88,18 +88,19 @@ class Kernel:
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        # what the engine's runs of this kernel share, built on first use:
-        # the slice table (engine.slice_table) of a finite-order kernel, or
-        # the renewal comb's start of each window length
-        self.slice_cache = None
+        # what the engine's runs of this kernel share, built on first use
+        # and keyed by window length: the length's slice table
+        # (engine.slice_table) of a finite-order kernel, or the renewal
+        # comb's start
+        self.slice_cache: Dict[int, object] = {}
         # update_rule.phi's interval layouts of a finite-order kernel, by
         # context of at most ``order`` symbols
         self.layouts: Dict[Context, tuple] = {}
 
     def __getstate__(self) -> dict:
-        # the slice table holds its kernel weakly and cannot be pickled:
+        # a slice table holds its kernel weakly and cannot be pickled:
         # every process builds its own caches
-        return dict(self.__dict__, slice_cache=None, layouts={})
+        return dict(self.__dict__, slice_cache={}, layouts={})
 
     # Markov order, or None for infinite memory
     order: Optional[int] = None

@@ -336,10 +336,10 @@ def test_run_many_jobs_after_a_run():
     # the table stays behind, and each worker builds its own
     k = load_kernel(str(KERNELS / "order2.json"))
     run(k, 1, RngStream(0))
-    assert k.slice_cache is not None
+    assert list(k.slice_cache) == [1]
     serial = run_many(k, 1, 40, 0, 8, timing=False)
     assert run_many(k, 1, 40, 0, 8, timing=False, jobs=2) == serial
-    assert k.slice_cache is not None
+    assert list(k.slice_cache) == [1]
 
 
 def test_run_many_pw_jobs_after_a_run():
@@ -498,7 +498,7 @@ def _first_steps(sampler, k, length, seed, n):
     """The traced diagnostics of a run's first n steps, at the default
     budgets."""
     if n == 0:
-        return engine.RunDiagnostics(None, 0, 0, 0, [], [], seed)
+        return engine.RunDiagnostics(None, 0, 0, 0, [], [], seed, 0)
     try:
         return sampler(k, length, RngStream(seed), trace=True, max_iter=n).diagnostics
     except IterationLimitExceeded as exc:
@@ -669,7 +669,7 @@ def test_iteration_budget_at_its_edge(sampler, make, length):
 @pytest.mark.parametrize("corrupt", ["touches", "symbol"])
 def test_audit_catches_a_corrupt_slice_entry(monkeypatch, corrupt):
     k = desk_vlmc()
-    table = slice_table(k)
+    table = slice_table(k, 3)
     table.compile_all()
     # corrupt the gap of the first draw, which every run composes
     u = RngStream(5).uniform()
@@ -717,7 +717,7 @@ def _program_outcomes(monkeypatch, make, length, seeds):
     monkeypatch.setattr(engine, "MEMO_CAP", 0)
     k = make()
     out = [_outcome(k, length, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
-    assert not any(entry.memo for entry in slice_table(k).entries)
+    assert not any(entry.memo for entry in slice_table(k, length).entries)
     monkeypatch.undo()
     return out
 
@@ -753,13 +753,13 @@ def _transitions(table):
 
 def test_step_memo_holds_at_most_its_cap(monkeypatch):
     # order6 at L=1 reaches far more distinct maps than the cap: the table
-    # interns the cap's worth plus its start, a full memo stores nothing
-    # more, and outcomes stay the program's
+    # interns the cap's worth, its start included, a full memo stores
+    # nothing more, and outcomes stay the program's
     make = functools.partial(load_kernel, str(KERNELS / "order6.json"))
     seeds = range(200, 212)
     want = _program_outcomes(monkeypatch, make, 1, seeds)
     k = make()
-    table = slice_table(k)
+    table = slice_table(k, 1)
     full = []
     compose = engine._compose
 
@@ -778,8 +778,8 @@ def test_step_memo_holds_at_most_its_cap(monkeypatch):
     got = [_outcome(k, 1, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
     assert got == want
     assert _transitions(table) == stored  # a full memo takes no new transition
-    assert list(table.starts) == [1]
-    assert len(table.maps) <= engine.MEMO_CAP + len(table.starts)
+    assert list(k.slice_cache) == [1] and table.maps[table.start] is table.start
+    assert len(table.maps) == engine.MEMO_CAP
     assert all(table.maps[root] is root for root in table.maps)
     # every key is an interned map and every stored step leads to one; each
     # gap has one entry, so there is at most one transition per (map, gap)
@@ -797,15 +797,16 @@ def test_step_memo_holds_at_most_its_cap(monkeypatch):
 
 def test_step_memo_counts_maps_not_transitions():
     # order2 at L=3 keeps stepping between few maps: it stores more than
-    # MEMO_CAP transitions while interning at most MEMO_CAP maps and its start
+    # MEMO_CAP transitions while interning at most MEMO_CAP maps, its start
+    # included
     k = load_kernel(str(KERNELS / "order2.json"))
-    table = slice_table(k)
+    table = slice_table(k, 3)
     for seed in range(500):
         run(k, 3, RngStream(seed))
         if _transitions(table) > engine.MEMO_CAP:
             break
     assert _transitions(table) > engine.MEMO_CAP
-    assert len(table.maps) <= engine.MEMO_CAP + 1
+    assert len(table.maps) <= engine.MEMO_CAP
 
 
 @pytest.mark.parametrize("sampler, name", [(run, "order1"), (pw_extended, "order1"),
@@ -842,8 +843,8 @@ def test_wide_windows_share_their_start_and_the_memo(monkeypatch):
     audited = [_outcome(k, 13, seed, on_iteration=lambda a: None) for seed in seeds]
     monkeypatch.undo()
     assert len(built) == 1
-    table = slice_table(k)
-    start = table.starts[13]
+    table = slice_table(k, 13)
+    start = table.start
     # a binary tree of n nodes has (n + 1) / 2 leaves
     assert table.maps[start] is start and (start[0] + 1) // 2 == 2**13
     assert all(outcome[1] <= -13 for outcome in first)  # at least 13 draws
@@ -860,14 +861,69 @@ def test_renewal_runs_share_their_start():
     got = {length: [_outcome(k, length, seed) for seed in seeds[:20]] for length in (1, 2, 3)}
     starts = dict(k.slice_cache)
     assert sorted(starts) == [1, 2, 3]
-    with pytest.raises(UnsupportedOperation):
-        slice_table(k)  # the cache holds the comb's starts, not a table
+    for length in (1, 2, 3, 4):
+        # the cache holds the comb's starts, not tables, or nothing at L=4
+        with pytest.raises(UnsupportedOperation):
+            slice_table(k, length)
+    assert k.slice_cache == starts
     for length, start in starts.items():
         got[length] += [_outcome(k, length, seed) for seed in seeds[20:]]
         assert k.slice_cache[length] is start
         fresh = engine._CombMap(RenewalSqrtKernel(), length)
         assert start == (fresh.runs, fresh.spine)
         assert got[length] == [_outcome(RenewalSqrtKernel(), length, seed) for seed in seeds]
+
+
+def test_each_window_length_has_its_own_table():
+    # runs at L=1 and L=3 build one table each, kept under its length in the
+    # kernel's cache; the two share no interned map, memo key or program,
+    # and the kernel's runs still sample what pw_extended samples, and
+    # what its rows sample in worker processes
+    k = load_kernel(str(KERNELS / "order2.json"))
+    seeds = range(200)
+    samples = {length: [run(k, length, RngStream(seed)).sample for seed in seeds]
+               for length in (1, 3)}
+    assert sorted(k.slice_cache) == [1, 3]
+    one, three = k.slice_cache[1], k.slice_cache[3]
+    assert slice_table(k, 1) is one and slice_table(k, 3) is three
+    assert (one.length, one.bound, three.length, three.bound) == (1, 2, 3, 3)
+    one.compile_all()
+    three.compile_all()
+    assert not {id(root) for root in one.maps} & {id(root) for root in three.maps}
+    keys = [{key for entry in table.entries for key in entry.memo} for table in (one, three)]
+    assert all(keys) and not keys[0] & keys[1]
+    programs = [{id(entry.program) for entry in table.entries} for table in (one, three)]
+    assert not programs[0] & programs[1]
+    for length in (1, 3):
+        assert samples[length] == [pw_extended(k, length, RngStream(seed)).sample
+                                   for seed in seeds]
+        serial = run_many(k, length, 0, 0, 40, timing=False)
+        assert [row.sample for row in serial] == samples[length][:40]
+        assert run_many(k, length, 0, 0, 40, timing=False, jobs=2) == serial
+    assert sorted(k.slice_cache) == [1, 3]
+
+
+@pytest.mark.parametrize("name, length", [("order1", 1), ("desk_vlmc", 2), ("order6", 1)])
+def test_a_map_deeper_than_its_tables_bound_is_refused(name, length):
+    # traced runs size each map after a step: none is deeper than its
+    # table's bound, max(order, L), and at L <= order some map reaches it
+    # (past the order only the start does, which no step sizes); on a
+    # fresh table whose bound is lowered by one, traced and audited runs
+    # raise, while plain runs, which size nothing, still sample as before
+    path = str(KERNELS / f"{name}.json")
+    k = load_kernel(path)
+    seeds = range(40)
+    results = [run(k, length, RngStream(seed), trace=True) for seed in seeds]
+    depths = [record.depth for result in results for record in result.diagnostics.records]
+    assert max(depths) == slice_table(k, length).bound == k.order
+    low = load_kernel(path)
+    slice_table(low, length).bound -= 1
+    assert [run(low, length, RngStream(seed)).sample for seed in seeds] == [
+        result.sample for result in results]
+    for audit in ({"trace": True}, {"on_iteration": lambda a: None}):
+        with pytest.raises(InvariantViolation, match="past its table's bound"):
+            for seed in seeds:
+                run(low, length, RngStream(seed), **audit)
 
 
 @pytest.mark.parametrize("tamper", ["touches", "map"])
@@ -877,9 +933,9 @@ def test_audit_checks_memo_hits(tamper):
     k = desk_vlmc()
     seed = next(s for s in range(100) if run(k, 3, RngStream(s)).diagnostics.tau < -1)
     before = _outcome(k, 3, seed)
-    table = slice_table(k)
+    table = slice_table(k, 3)
     entry = table.lookup(RngStream(seed).uniform())
-    start = table.starts[3]
+    start = table.start
     after, (touches, *rest) = entry.memo[id(start)]
     if tamper == "touches":
         entry.memo[id(start)] = (after, (touches + 1, *rest))
@@ -918,10 +974,13 @@ def test_compiled_hot_path_skips_the_reference(monkeypatch):
 
 
 def _program_kernels():
-    """``(name, kernel)`` for every finite shipped kernel, then 16 random
-    binary and 16 random ternary VLMCs."""
+    """``(name, kernel)`` for every finite shipped kernel, the ternary spec
+    of ``scripts/run_outcomes.py``, then 16 random binary and 16 random
+    ternary VLMCs."""
     kernels = [(path.stem, load_kernel(str(path))) for path in sorted(KERNELS.glob("*.json"))]
     kernels = [(name, k) for name, k in kernels if k.order is not None]
+    spec = runpy.run_path(str(KERNELS.parent / "scripts" / "run_outcomes.py"))["SPECS"]
+    kernels.append(("ternary_vlmc", parse_kernel_spec(json.dumps(spec["ternary_vlmc"]))))
     rng = np.random.Generator(np.random.PCG64(29))
     for alphabet in (BINARY, TERNARY):
         kernels += [(f"random{alphabet.size}-{i}",
@@ -996,61 +1055,78 @@ def _collapsed_maps(symbols, length, rng):
 
 
 def test_compiled_programs_equal_the_interpreted_ones(monkeypatch):
-    # on every gap, the compiled function gives the interpreted program's
-    # new map and node touches, from maps real runs compose at L = 1..4 and
-    # from collapsed start maps, on which each program's walk meets a leaf
-    # at every depth from 1 to its walk depth, so every leaf branch runs
+    # at every window length L = 1..order+2, every gap's program, compiled
+    # for its table's bound max(order, L), gives the interpreted program's
+    # new map and node touches: on the maps runs at L compose, and on start
+    # maps of the bound's length collapsed at every depth up to it, on
+    # which the walk meets a leaf at every depth from 1 to the bound or to
+    # its walk depth, so every leaf branch runs.  Compiled for one level
+    # less, when that is at least 1, some program of each table gives
+    # another result on one of those maps.
     rng = np.random.Generator(np.random.PCG64(53))
     for name, k in _program_kernels():
-        maps = _composed_maps(monkeypatch, k, (1, 2, 3, 4), range(4))
-        table = slice_table(k)
-        table.compile_all()
-        assert maps and len(set(table.lows)) == len(table.entries)
-        deepest = max(max(_walk_depths(entry)) for entry in table.entries)
-        collapsed = _collapsed_maps(k.alphabet.symbols, deepest, rng)
         arity = k.alphabet.size
-        for entry in table.entries:
-            met = set()
-            for root in maps + collapsed:
-                assert entry.program(root) == engine._interpret(root, entry, arity), name
-                met |= _leaf_depths(root, entry)
-            assert met >= set(range(1, max(_walk_depths(entry)) + 1)), name
+        for length in range(1, k.order + 3):
+            table = slice_table(k, length)
+            maps = _composed_maps(monkeypatch, k, (length,), range(4))
+            maps += _collapsed_maps(k.alphabet.symbols, table.bound, rng)
+            assert max(map(tries.node_depth, maps)) == table.bound, (name, length)
+            table.compile_all()
+            assert len(set(table.lows)) == len(table.entries)
+            shallow = False
+            for entry in table.entries:
+                met = set()
+                walk = max(_walk_depths(entry))
+                for root in maps:
+                    want = engine._interpret(root, entry, arity)
+                    assert entry.program(root) == want, (name, length)
+                    met |= _leaf_depths(root, entry)
+                assert met >= set(range(1, min(table.bound, walk) + 1)), (name, length)
+                if not shallow and table.bound > 1 and walk >= table.bound - 1:
+                    low = engine._compile_program(entry, arity, table.bound - 1)
+                    shallow = any(low(root) != engine._interpret(root, entry, arity)
+                                  for root in maps)
+            assert shallow == (table.bound > 1), (name, length)
 
 
 def test_bounded_programs_equal_the_interpreted_ones(monkeypatch):
-    # on maps no deeper than the kernel's order - the maps runs compose at
-    # every window length up to the order, and start maps of that length
-    # collapsed at every depth - every gap's bounded program gives the
-    # interpreted program's new map and node touches, and its walk meets a
-    # leaf at every depth from 1 to the order or its walk depth
+    # every window length up to the order has the order as its table's
+    # bound, so a program compiled for the order serves the maps of every
+    # such length: on maps no deeper than the order - the maps runs compose
+    # at every window length up to it, and start maps of that length
+    # collapsed at every depth - every gap's program, compiled by the table
+    # at L=1, gives the interpreted program's new map and node touches, and
+    # its walk meets a leaf at every depth from 1 to the order or its walk
+    # depth
     rng = np.random.Generator(np.random.PCG64(59))
     for name, k in _program_kernels():
         if k.order < 1:
             continue
+        assert {slice_table(k, length).bound for length in range(1, k.order + 1)} == {k.order}
         maps = _composed_maps(monkeypatch, k, range(1, k.order + 1), range(4))
         maps += _collapsed_maps(k.alphabet.symbols, k.order, rng)
         assert max(map(tries.node_depth, maps)) == k.order, name
-        table = slice_table(k)
+        table = slice_table(k, 1)
         table.compile_all()
         arity = k.alphabet.size
         for entry in table.entries:
             met = set()
             for root in maps:
-                assert entry.bounded(root) == engine._interpret(root, entry, arity), name
+                assert entry.program(root) == engine._interpret(root, entry, arity), name
                 met |= _leaf_depths(root, entry)
             assert met >= set(range(1, min(k.order, max(_walk_depths(entry))) + 1)), name
 
 
-def test_one_kernel_runs_both_program_variants(monkeypatch):
+def test_one_kernel_runs_every_window_length_on_its_own_table(monkeypatch):
     # with every program compiled, one kernel object alternates between
-    # windows up to its order, which run the bounded programs, and longer
-    # ones, which run the general programs; each run reports what the same
-    # seed reports on a fresh kernel at that window length
+    # window lengths up to its order and past it, each on its own table,
+    # whose programs are compiled for that length's bound; each run reports
+    # what the same seed reports on a fresh kernel at that window length
     spec = runpy.run_path(str(KERNELS.parent / "scripts" / "run_outcomes.py"))["SPECS"]
     cases = [(desk_vlmc, (1, 2, 3)),
              (functools.partial(load_kernel, str(KERNELS / "order1.json")), (1, 2)),
              (functools.partial(parse_kernel_spec, json.dumps(spec["ternary_vlmc"])),
-              (1, 2, 3, 4))]
+              (1, 2, 3, 4, 5))]
     seeds = range(12)
     for make, lengths in cases:
         want = {}
@@ -1059,9 +1135,9 @@ def test_one_kernel_runs_both_program_variants(monkeypatch):
             want[length] = [_outcome(fresh, length, seed) for seed in seeds]
         k = make()
         assert min(lengths) <= k.order < max(lengths)
-        table = slice_table(k)
-        table.compile_all()
-        assert all(entry.program and entry.bounded for entry in table.entries)
+        for length in lengths:
+            slice_table(k, length).compile_all()
+        assert sorted(k.slice_cache) == list(lengths)
         bounds = set()
         compose = engine._compose
 
@@ -1078,7 +1154,7 @@ def test_one_kernel_runs_both_program_variants(monkeypatch):
             for length in lengths:
                 assert _outcome(k, length, seed) == want[length][seed], (k.order, length, seed)
         monkeypatch.undo()
-        assert bounds == {k.order, None}
+        assert bounds == {max(k.order, length) for length in lengths}
 
 
 def test_deep_walks_compile(monkeypatch):
@@ -1088,15 +1164,16 @@ def test_deep_walks_compile(monkeypatch):
     # compose after such draws are as deep; every program compiles, equals
     # the interpreted one on those maps and passes the audit
     k = _comb_kernel(120)
-    table = slice_table(k)
-    table.compile_all()
-    assert all(entry.program for entry in table.entries)
-    assert max(max(_walk_depths(entry)) for entry in table.entries) == 121
-    maps = _composed_maps(monkeypatch, k, (1, 2, 3), range(20))
-    assert max(map(tries.node_depth, maps)) >= engine._INDENT_LIMIT
-    for entry in table.entries:
-        for root in maps:
-            assert entry.program(root) == engine._interpret(root, entry, 2)
+    for length in (1, 2, 3):
+        table = slice_table(k, length)
+        table.compile_all()
+        assert all(entry.program for entry in table.entries)
+        assert max(max(_walk_depths(entry)) for entry in table.entries) == 121
+        maps = _composed_maps(monkeypatch, k, (length,), range(20))
+        assert max(map(tries.node_depth, maps)) >= engine._INDENT_LIMIT
+        for entry in table.entries:
+            for root in maps:
+                assert entry.program(root) == engine._interpret(root, entry, 2)
 
     def refuse(*args):
         raise AssertionError("a program was interpreted")
@@ -1117,14 +1194,14 @@ def _comb_kernel(order):
 
 def test_deep_kernels_run_without_interning():
     # maps of order 1000 are too deep for tuple == to intern them, so the
-    # table interns only its starts; the runs complete, in worker processes
+    # table interns only its start; the runs complete, in worker processes
     # too (the kernel's trie pickles without recursion), with the same rows
     k = _comb_kernel(1000)
     serial = run_many(k, 1, 0, 0, 40, timing=False)
     assert not any(row.error for row in serial)
     assert max(row.diagnostics.max_slice_depth for row in serial) == 1000
-    table = slice_table(k)
-    assert table.memo_cap == 0 and len(table.maps) == len(table.starts) == 1
+    table = slice_table(k, 1)
+    assert table.memo_cap == 0 and list(table.maps) == [table.start]
     assert not any(entry.memo for entry in table.entries)
     assert run_many(k, 1, 0, 0, 40, timing=False, jobs=2) == serial
     assert run_many(pickle.loads(pickle.dumps(k)), 1, 0, 0, 40, timing=False) == serial
@@ -1134,18 +1211,18 @@ def test_deep_kernels_run_without_interning():
         audited = _outcome(k, 1, seed, on_iteration=lambda a: None)
         assert audited == _outcome(k, 1, seed)
     # the order-120 comb still interns
-    assert slice_table(_comb_kernel(120)).memo_cap == engine.MEMO_CAP
+    assert slice_table(_comb_kernel(120), 1).memo_cap == engine.MEMO_CAP
 
 
 def test_interning_stops_at_half_the_recursion_limit(monkeypatch):
     # tuple == recurses one level per trie level of a flat node, so a table
-    # interns while twice its order is below the recursion limit: at the
-    # last such order its maps, as deep as the order, are interned and
-    # compared, and the runs report what runs with no memo report
+    # interns while twice its bound is below the recursion limit: at the
+    # last such order its maps at L=1, as deep as the order, are interned
+    # and compared, and the runs report what runs with no memo report
     order = (sys.getrecursionlimit() - 1) // 2
-    assert slice_table(_comb_kernel(order + 1)).memo_cap == 0
+    assert slice_table(_comb_kernel(order + 1), 1).memo_cap == 0
     k = _comb_kernel(order)
-    table = slice_table(k)
+    table = slice_table(k, 1)
     assert table.memo_cap == engine.MEMO_CAP
     seeds = range(30)
     composed = []
@@ -1172,7 +1249,7 @@ def test_compiled_programs_pass_the_audit(monkeypatch):
         raise AssertionError("a program was interpreted")
 
     for k, length in cases:
-        slice_table(k).compile_all()
+        slice_table(k, length).compile_all()
         monkeypatch.setattr(engine, "_interpret", refuse)
         steps = sum(run(k, length, RngStream(seed), on_iteration=lambda a: None)
                     .diagnostics.iterations for seed in range(200))
@@ -1182,27 +1259,26 @@ def test_compiled_programs_pass_the_audit(monkeypatch):
 
 def test_compose_compiles_a_program_at_its_compile_after_th_run(monkeypatch):
     # runs 1 .. COMPILE_AFTER - 1 interpret the program, run COMPILE_AFTER
-    # compiles it, and every later run calls the compiled function; the
-    # runs of either variant count together, so the bounded variant, first
-    # asked for after that, is compiled at once
+    # compiles it for the bound it is given, and every later run calls the
+    # compiled function
     k = load_kernel(str(KERNELS / "order6.json"))
-    entry = slice_table(k).lookup(0.5)
-    root = engine._initial_map(k.alphabet.symbols, 1)
+    table = slice_table(k, 1)
+    entry = table.lookup(0.5)
+    root = table.start
     want = engine._interpret(root, entry, 2)
-    interpreted = []
-    interpret = engine._interpret
+    interpreted, compiled = [], []
+    interpret, compile_program = engine._interpret, engine._compile_program
     monkeypatch.setattr(engine, "_interpret",
                         lambda *args: interpreted.append(args) or interpret(*args))
+    monkeypatch.setattr(engine, "_compile_program",
+                        lambda *args: compiled.append(args) or compile_program(*args))
     for _ in range(engine.COMPILE_AFTER - 1):
-        assert engine._compose(root, entry, 2, None) == want
+        assert engine._compose(root, entry, 2, table.bound) == want
     assert entry.program is None and entry.runs == len(interpreted) == engine.COMPILE_AFTER - 1
     for _ in range(3):
-        assert engine._compose(root, entry, 2, None) == want
+        assert engine._compose(root, entry, 2, table.bound) == want
     assert entry.program is not None and len(interpreted) == engine.COMPILE_AFTER - 1
-    assert entry.bounded is None
-    for _ in range(3):
-        assert engine._compose(root, entry, 2, k.order) == want
-    assert entry.bounded is not None and len(interpreted) == engine.COMPILE_AFTER - 1
+    assert compiled == [(entry, 2, table.bound)] and table.bound == k.order
 
 
 def test_program_runs_count_no_memo_hit(monkeypatch):
@@ -1213,22 +1289,25 @@ def test_program_runs_count_no_memo_hit(monkeypatch):
     compose = engine._compose
     monkeypatch.setattr(engine, "_compose", lambda *args: composed.append(args) or compose(*args))
     steps = sum(run(k, 3, RngStream(seed)).diagnostics.iterations for seed in range(40))
-    table = slice_table(k)
+    table = slice_table(k, 3)
     assert sum(entry.runs for entry in table.entries) == len(composed) < steps
     order6 = load_kernel(str(KERNELS / "order6.json"))
     for seed in range(10):
         run(order6, 1, RngStream(2**62 + seed))
-    assert not any(entry.program for entry in slice_table(order6).entries)
+    assert not any(entry.program for entry in slice_table(order6, 1).entries)
 
 
 def test_a_dropped_kernels_programs_die_at_once():
     # compiled programs share one globals dict and make no cycle, so the
-    # last reference to their kernel frees them without the collector
+    # last reference to their kernel frees them, in the table of every
+    # window length, without the collector
     k = load_kernel(str(KERNELS / "order6.json"))
-    table = slice_table(k)
-    table.compile_all()
-    run(k, 1, RngStream(0))
-    programs = [weakref.ref(entry.program) for entry in table.entries]
+    programs = []
+    for length in (1, 3):
+        table = slice_table(k, length)
+        table.compile_all()
+        run(k, length, RngStream(0))
+        programs += [weakref.ref(entry.program) for entry in table.entries]
     assert all(p().__globals__ is engine._PROGRAM_GLOBALS for p in programs)
     gc.collect()
     gc.disable()
@@ -1251,10 +1330,10 @@ def test_symbol_names_never_reach_a_program_source(monkeypatch):
     monkeypatch.setattr(engine, "_program_source",
                         lambda *args: sources.append(source(*args)) or sources[-1])
     k = ContextTreeKernel(trie)
-    slice_table(k).compile_all()
+    slice_table(k, 2).compile_all()
     assert [_outcome(k, 2, seed) for seed in range(20)] == want
-    # compile_all compiles the general and the bounded program of each gap
-    assert len(sources) == 2 * len(slice_table(k).entries) > 2
+    # compile_all compiles one program per gap
+    assert len(sources) == len(slice_table(k, 2).entries) > 2
     syntax = set("abcdefghijklmnopqrstuvwxyzN0123456789_ ,()[]=+:\n")
     for text in sources:
         assert set(text) <= syntax and not any(name in text for name in names)

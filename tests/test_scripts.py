@@ -1,10 +1,14 @@
 """Smoke tests of the experiment scripts the README lists, at tiny sizes."""
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ciaftp.engine import slice_table
+from ciaftp.kernels import load_kernel
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -71,6 +75,31 @@ def test_run_outcomes(tmp_path):
     assert all(line.startswith("compiled ") for line in compiled)
     assert [line.removeprefix("compiled ") for line in compiled] == [
         line for line in out if line.split()[0] != "renewal_sqrt"]
+    # each kernel's lines run at the lengths whose tables the script compiles
+    lengths = runpy.run_path(str(SCRIPTS / "run_outcomes.py"))["lengths"]
+    for name in {line.split()[1] for line in compiled}:
+        assert {line.split()[2] for line in compiled if line.split()[1] == name} == {
+            f"L={length}" for length in lengths(name)}
+
+
+def test_run_outcomes_compiles_every_table_it_runs():
+    # the table of each length is compiled; with a slice_table(kernel) of
+    # one table for every length, as older checkouts have, that one is
+    script = runpy.run_path(str(SCRIPTS / "run_outcomes.py"))
+    k = load_kernel(str(SCRIPTS.parent / "kernels" / "order1.json"))
+    assert script["compile_tables"](slice_table, k, script["lengths"]("order1"))
+    assert sorted(k.slice_cache) == [1, 2, 3, 13]
+    assert all(entry.program for table in k.slice_cache.values() for entry in table.entries)
+    k = load_kernel(str(SCRIPTS.parent / "kernels" / "order1.json"))
+    calls = []
+
+    def one_table(kernel):
+        calls.append(kernel)
+        return slice_table(kernel, 2)
+
+    assert script["compile_tables"](one_table, k, (1, 2, 3))
+    assert calls == [k] and list(k.slice_cache) == [2]
+    assert all(entry.program for entry in k.slice_cache[2].entries)
 
 
 def test_memo_traffic(tmp_path):

@@ -207,8 +207,8 @@ def test_slice_table_matches_generic_slice():
     # the table's entry for a draw is compiled from the slice build_slice
     # expands for it: at both ends of every gap, which run from 0 to 1
     for name, k in _finite_kernels():
-        table = slice_table(k)
-        assert slice_table(k) is table
+        table = slice_table(k, 1)
+        assert slice_table(k, 1) is table
         gaps = []
         for u in _gap_probes(k):
             ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
@@ -260,7 +260,7 @@ def test_slice_table_does_not_keep_its_kernel_alive():
     gc.disable()
     try:
         run(k, 1, RngStream(0))
-        table = weakref.ref(slice_table(k))
+        table = weakref.ref(slice_table(k, 1))
         del k
         assert table() is None
     finally:
@@ -295,10 +295,8 @@ def test_slice_programs_compose_like_a_walk_per_leaf():
     # nodes (labels and memos) and node touches of one walk per slice leaf;
     # the program runs on every step here, not the step memo in front of it
     for name, k in _finite_kernels():
-        lookup = slice_table(k).lookup
         for length in (1, 3):
-            # the bounded programs at a window no longer than the order
-            bound = k.order if length <= k.order else None
+            table = slice_table(k, length)
             for seed in range(3):
                 root = engine._initial_map(k.alphabet.symbols, length)
                 rng = RngStream(seed)
@@ -308,8 +306,8 @@ def test_slice_programs_compose_like_a_walk_per_leaf():
                     u = rng.uniform()
                     ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
                     want, grafted = _compose_leaf_by_leaf(root, ref, k.alphabet)
-                    entry = lookup(u)
-                    root, touches = engine._compose(root, entry, k.alphabet.size, bound)
+                    entry = table.lookup(u)
+                    root, touches = engine._compose(root, entry, table.arity, table.bound)
                     assert root == want, (name, length, seed, u)
                     leaves = ref.trie.leaf_count()
                     assert touches == ref.node_touches + ref.trie.node_count() + grafted - leaves
