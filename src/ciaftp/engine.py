@@ -10,24 +10,27 @@ One loop, :func:`_backward`, owns everything that does not depend on how
 the composite map is stored: the depth, iteration and node budgets, the
 diagnostics, the per-iteration trace records, the regeneration times and
 the wall time.  It iterates the stream's draws (:attr:`RngStream.draws`)
-and takes one step per draw, so a step's fixed cost is the map's
-``advance`` and a few local tests.  Each kernel family has one
-representation of the composite map, which only advances by one draw and
-reports its work, the slice's depth and reach, its size and its sample,
-and is coalesced exactly when its value is constant, at the start as
-after each draw.  The first two are built from the same immutable trie
-nodes of :mod:`ciaftp.tries`, one flat tuple each: ``(tree size,
-child_0, ..., child_{|G|-1})``, or ``(1, None, label)`` for a leaf:
+and keeps the map in a local.  Each kernel family has one representation
+of the composite map, a plain value, and one step function,
+``step(map, u) -> (next map, (node touches, slice depth, regenerated,
+reach, constant))``, whose last field says whether the next map's value
+is constant; with a size function (leaf count and depth, for the trace
+records) and a sample function, that is all the loop knows of a family,
+so a step's fixed cost is one call and a few local tests.  The first two
+are built from the same immutable trie nodes of :mod:`ciaftp.tries`, one
+flat tuple each: ``(tree size, child_0, ..., child_{|G|-1})``, or ``(1,
+None, label)`` for a leaf:
 
-* :class:`_SharedMap` - finite-order kernels.  The minimal labeled trie
-  as shared subtrees, whose leaf labels are full length-L windows.  A step
-  finds the draw's gap in the kernel's :class:`SliceTable` by bisection
-  and runs the gap's program (:class:`SliceEntry`, :func:`_compose`): walk
-  each distinct prefix of the slice leaves' paths into the previous map
-  once, graft the subtrees reached by reference and rebuild only the
-  slice's internal nodes, one tuple each.  So a step costs O(slice size),
-  not O(state size).  A program is interpreted by three flat loops until
-  its :data:`COMPILE_AFTER`-th run, which compiles it into one Python
+* finite-order kernels - the minimal labeled trie as shared subtrees,
+  whose leaf labels are full length-L windows, stepped by the function
+  the kernel's :class:`SliceTable` builds once (:func:`_shared_step`).  A
+  step finds the draw's gap by bisection and runs the gap's program
+  (:class:`SliceEntry`, :func:`_compose`): walk each distinct prefix of
+  the slice leaves' paths into the previous map once, graft the subtrees
+  reached by reference and rebuild only the slice's internal nodes, one
+  tuple each.  So a step costs O(slice size), not O(state size).  A
+  program is interpreted by three flat loops until its
+  :data:`COMPILE_AFTER`-th run, which compiles it into one Python
   function of the map, built from integers only, whose walk branches on
   leaves: a parent that is a leaf fills every graft below it at once.  A
   table serves one window length L, at which every map is at most
@@ -37,14 +40,15 @@ child_0, ..., child_{|G|-1})``, or ``(1, None, label)`` for a leaf:
   distinct maps occur, so the table is also an exact memo of whole steps,
   which interns at most :data:`MEMO_CAP` maps: a step that repeats a
   stored (map, gap) transition is a bisection and a dict lookup, which
-  returns the stored step as it is;
-* :class:`_CombMap` - the renewal kernel, at every window length.  Its
-  slices are combs whose depth has no finite mean, so the map is kept as
-  run-length-compressed side subtrees along the all-ones spine.  A step
-  takes the slice depth from its closed form (``kernel.slice_depth``),
-  then costs O(number of runs), whatever the depth;
-* :class:`_TableMap` - the full depth-d table of an order-d chain, the
-  classical baseline behind :func:`pw_extended`; it evaluates ``phi``
+  returns the stored (next map, step) pair itself;
+* the renewal kernel, at every window length - a comb (:func:`_comb_step`).
+  Its slices are combs whose depth has no finite mean, so the map is kept
+  as run-length-compressed side subtrees along the all-ones spine, ``(runs,
+  spine)``.  A step takes the slice depth from its closed form
+  (``kernel.slice_depth``, read once per run), then costs O(number of
+  runs), whatever the depth;
+* :func:`pw_extended` - the full depth-d table of an order-d chain, the
+  classical baseline, kept as ``(table, d)``; it evaluates ``phi``
   pointwise, one bisection in a cached interval layout per history, and
   shares no slice code with the other two.
 
@@ -58,12 +62,11 @@ renewal kernel, the comb's start.
 through ``ContextTrie.from_leaves`` and ``prune_minimal``.  Its slices
 are expanded from the kernel's lower-bound rows for every family, the
 renewal kernel included, so the comb's closed-form slice depth is checked
-against the law.  Under
-``run(on_iteration=...)`` it is advanced beside the family's map
-(:class:`_AuditedMap`), which raises InvariantViolation on any step where
-they differ and hands the reference tries of each step to the hook.
-:func:`run` picks the family's map with :func:`_composite_map`, and
-:func:`run_many` is the batch driver for every command.
+against the law.  Under ``run(on_iteration=...)`` it is advanced beside
+the family's step function (:class:`_Audit`), which raises
+InvariantViolation on any step where they differ and hands the reference
+tries of each step to the hook.  :func:`run` picks the kernel's family,
+and :func:`run_many` is the batch driver for every command.
 """
 
 from __future__ import annotations
@@ -74,8 +77,9 @@ import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
-from types import CodeType, FunctionType
+from types import CodeType, FunctionType, MethodType
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from weakref import ref
 
@@ -209,8 +213,18 @@ class StepAudit:
 # -- the backward loop ------------------------------------------------------
 
 
+# What a step reports: (node touches, slice depth, regenerated, reach,
+# whether the next map is constant).
+StepReport = Tuple[int, int, bool, int, bool]
+StepFunction = Callable[[object, float], Tuple[object, StepReport]]
+
+
 def _backward(
-    rep,
+    step_fn: StepFunction,
+    state,
+    constant: bool,
+    size: Callable[[object], Tuple[int, int]],
+    sample: Callable[[object], Context],
     rng: RngStream,
     max_depth: int,
     max_iter: int,
@@ -218,35 +232,36 @@ def _backward(
     trace: bool,
     start_ns: int,
 ) -> RunResult:
-    """Compose draws backward in time until ``rep`` is constant.
+    """Compose draws backward in time, from the map ``state``, until the
+    map is constant.
 
-    ``rep`` holds the composite map: ``coalesced`` says whether its value
-    is constant, ``advance(u)`` composes one more draw and returns (node
-    touches, slice depth, regenerated, reach), ``size()`` gives (leaf
-    count, depth) for the trace records and ``sample()`` the constant
-    value.  The loop runs over the stream's ``draws``, one step per draw,
-    and leaves it right after the step that makes the map constant, so a
-    run reads exactly its own draws.  This loop alone checks the three
-    budgets: a draw whose reach (the depth of the deepest context its
-    slice's expansion visits) exceeds ``max_depth`` raises
-    MaxDepthExceeded, as in :func:`~ciaftp.update_rule.build_slice`,
-    before the step is counted; ``max_iter`` is checked after each step
-    that leaves the map non-constant, so the run draws no more than
-    ``max_iter`` times.  A budget error leaves the loop as its (class,
-    message) and is raised after it with the diagnostics and tau None.  No
-    local holds the raised error: its traceback holds this frame, and the
-    cycle would keep the failed run's map alive until the cyclic collector
-    runs.
+    ``constant`` says whether ``state`` is constant already.
+    ``step_fn(map, u)`` composes one more draw and returns (next map,
+    (node touches, slice depth, regenerated, reach, constant)), the last
+    field saying whether the next map is constant; ``size(map)`` gives
+    (leaf count, depth) for the trace records and ``sample(map)`` the
+    constant map's value.  The loop keeps the map in a local, runs over the
+    stream's ``draws``, one step per draw, and leaves it right after the
+    step that reports a constant map, so a run reads exactly its own draws.
+    This loop alone checks the three budgets: a draw whose reach (the depth
+    of the deepest context its slice's expansion visits) exceeds
+    ``max_depth`` raises MaxDepthExceeded, as in
+    :func:`~ciaftp.update_rule.build_slice`, before the step is counted;
+    ``max_iter`` is checked after each step that leaves the map
+    non-constant, so the run draws no more than ``max_iter`` times.  A
+    budget error leaves the loop as its (class, message) and is raised
+    after it with the diagnostics and tau None.  No local holds the raised
+    error: its traceback holds this frame, and the cycle would keep the
+    failed run's map alive until the cyclic collector runs.
     """
     t = touches = max_slice_depth = 0
     regen: List[int] = []
     records: Optional[List[IterationRecord]] = [] if trace else None
-    advance = rep.advance
     error: Optional[Tuple[type, str]] = None
-    if not rep.coalesced:
+    if not constant:
         for u in rng.draws:
             t -= 1
-            step_touches, slice_depth, regenerated, reach = advance(u)
+            state, (step_touches, slice_depth, regenerated, reach, constant) = step_fn(state, u)
             if reach > max_depth:
                 error = (MaxDepthExceeded,
                          f"slice for u={u!r} did not resolve within depth {max_depth}")
@@ -260,8 +275,8 @@ def _backward(
                 error = NodeBudgetExceeded, f"node budget {max_nodes} exhausted at t={t}"
                 break
             if records is not None:
-                records.append(IterationRecord(t, *rep.size(), step_touches))
-            if rep.coalesced:
+                records.append(IterationRecord(t, *size(state), step_touches))
+            if constant:
                 break
             if -t >= max_iter:
                 error = IterationLimitExceeded, f"no coalescence within {max_iter} iterations"
@@ -270,7 +285,7 @@ def _backward(
                                  records, rng.seed, time.perf_counter_ns() - start_ns)
     if error is not None:
         raise error[0](error[1], diagnostics)
-    return RunResult(rep.sample(), diagnostics)
+    return RunResult(sample(state), diagnostics)
 
 
 # The composite maps are built from the trie nodes of ciaftp.tries, whose
@@ -362,8 +377,10 @@ class SliceEntry:
     Three fields are not init fields, so an entry made by
     ``dataclasses.replace`` starts with none of the original's: ``memo``
     holds the table's stored transitions through this gap, at most one per
-    interned map, keyed by the map's ``id``, each ``(next interned map,
-    step)`` with the step as :meth:`_SharedMap.advance` returns it; ``runs``
+    interned map, keyed by the map's ``id``, each the pair ``(next interned
+    map, step report)`` that the table's step function returns
+    (:func:`_shared_step`), the report's last field saying whether the next
+    map is constant; ``runs``
     counts the program's interpreted runs (memo hits excluded); ``program``
     is the program compiled into one function for the maps of its table's
     window length (:func:`_compile_program`), which :func:`_compose` builds
@@ -376,7 +393,7 @@ class SliceEntry:
     touch_base: int
     depth: int
     reach: int
-    memo: Dict[int, Tuple[tuple, Tuple[int, int, bool, int]]] = field(
+    memo: Dict[int, Tuple[tuple, StepReport]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     runs: int = field(default=0, init=False, compare=False, repr=False)
     program: Optional[Program] = field(default=None, init=False, compare=False, repr=False)
@@ -453,38 +470,39 @@ class SliceTable:
     ``bound`` deep, serves every run of the table
     (:func:`_program_source`).
 
-    The table is also a memo of whole steps, which :class:`_SharedMap`
-    reads and fills.  A composite map is a function on contexts of depth
-    ``bound``, so only finitely many occur, and few in practice.  ``maps``
-    interns them (shared-subtree root tuples, each its own key, so equal
-    maps are one object), ``depths`` is keyed by their ids, and ``start``
-    is the interned initial map that every run starts from.  Every step
-    looks its map's ``id`` up in the gap's :attr:`SliceEntry.memo`; a miss
-    runs the program, and while ``maps`` holds fewer than ``memo_cap`` maps
-    (the start included) its result is interned and stored there as
-    ``(next interned map, step)``, the step being the tuple (node touches,
-    slice depth, regenerated, reach) that a hit returns without building
-    it again.  ``memo_cap`` is :data:`MEMO_CAP`, or 0 for a bound of at
-    least half the recursion limit, whose maps are too deep for interning
-    to compare: there only the start is interned, and every step misses
-    and stores nothing, as on a full memo.  A program's result depends
-    only on the map's structure and the gap, so a stored transition gives
-    exactly what the program would: the memo is exact.
+    The table is also a memo of whole steps, which its step function
+    ``step`` (:func:`_shared_step`, built once with the table) reads and
+    fills.  A composite map is a function on contexts of depth ``bound``,
+    so only finitely many occur, and few in practice.  ``maps`` interns
+    them (shared-subtree root tuples, each its own key, so equal maps are
+    one object), ``depths`` is keyed by their ids, and ``start`` is the
+    interned initial map that every run starts from.  Every step looks its
+    map's ``id`` up in the gap's :attr:`SliceEntry.memo`; a miss runs the
+    program, and while ``maps`` holds fewer than ``memo_cap`` maps (the
+    start included) its result is interned and stored there as the pair
+    ``(next interned map, step report)`` - the report being (node touches,
+    slice depth, regenerated, reach, constant) - which a hit returns
+    itself, building nothing.  ``memo_cap`` is :data:`MEMO_CAP`, or 0 for
+    a bound of at least half the recursion limit, whose maps are too deep
+    for interning to compare: there only the start is interned, and every
+    step misses and stores nothing, as on a full memo.  A program's result
+    depends only on the map's structure and the gap, so a stored transition
+    gives exactly what the program would: the memo is exact.
     ``maps`` only grows, so while it has room every map a run holds is
     interned and kept alive by it; once it is full, a map a run composes
     is not interned, its ``id`` is no key (keys are ids of live interned
     maps) and its steps miss and store nothing.  So the memo holds at most
     ``MEMO_CAP`` maps, the start included, and at most one transition per
     (map, gap).  ``depths`` maps the ``id`` of each interned map to its
-    depth once a traced or audited run has sized it
-    (:meth:`_SharedMap.size`), and to None before: a map whose ``id`` is
-    no key is walked each time, and no map is hashed to find out.  Over
-    seeds 0..2999 (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes
-    120 transitions between 38 maps and the memo answers 99.3% of its
-    steps; order2 at L=3 stores 687 transitions on 256 maps (76.3%);
-    order6 at L=1 stores 262 (1.0%), and the distinct nodes of a full
-    memo's 256 maps take about 0.27 MB there (1.1 KB a map;
-    ``sys.getsizeof``, CPython 3.11).
+    depth once a traced or audited run has sized it (:meth:`size`), and to
+    None before: a map whose ``id`` is no key is walked each time, and no
+    map is hashed to find out.  The table checks its start against
+    ``bound`` when it is built.  Over seeds 0..2999
+    (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes 120 transitions
+    between 38 maps and the memo answers 99.3% of its steps; order2 at L=3
+    stores 687 transitions on 256 maps (76.3%); order6 at L=1 stores 262
+    (1.0%), and the distinct nodes of a full memo's 256 maps take about
+    0.27 MB there (1.1 KB a map; ``sys.getsizeof``, CPython 3.11).
     """
 
     def __init__(self, kernel: Kernel, length: int):
@@ -500,18 +518,24 @@ class SliceTable:
         self.entries: List[SliceEntry] = []
         self._steps: Dict[WalkStep, WalkStep] = {}
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
-        self.maps: Dict[tuple, tuple] = {}
         # interning compares maps by tuple ==, which recurses one level per
         # trie level; maps as deep as the bound may take at most half the
         # recursion limit, else only the start is interned
         self.memo_cap = MEMO_CAP if 2 * self.bound < sys.getrecursionlimit() else 0
+        self.start = start = _initial_map(kernel.alphabet.symbols, length)
+        self.maps: Dict[tuple, tuple] = {start: start}
         self.depths: Dict[int, Optional[int]] = {}
-        self.start = self.intern(_initial_map(kernel.alphabet.symbols, length))
+        # past the order the start is the only map as deep as the bound,
+        # and no step leads back to it, so no run sizes it: check it here,
+        # once, before it is registered, so that its depth is not kept
+        self.size(start)
+        self.depths[id(start)] = None
+        self.step = _shared_step(self)
         self._add(0.0)
 
     def lookup(self, u: float) -> SliceEntry:
         """The entry of the gap holding the draw ``u`` (0 <= u < 1); the
-        same bisection as :meth:`_SharedMap.advance`, which inlines it."""
+        same bisection as the step function's, which inlines it."""
         i = bisect_right(self.lows, u) - 1
         if u < self.highs[i]:
             return self.entries[i]
@@ -528,11 +552,26 @@ class SliceTable:
         self.entries.insert(i, entry)
         return entry
 
-    def intern(self, root: tuple) -> tuple:
-        """The interned map equal to ``root``, interning it if none is."""
-        root = self.maps.setdefault(root, root)
-        self.depths.setdefault(id(root), None)
-        return root
+    def size(self, root: tuple) -> Tuple[int, int]:
+        """(leaf count, depth) of the map ``root``.  The depth of an
+        interned map is walked once and kept in ``depths``; any other map's
+        is walked on every call.  A walked depth past ``bound``, which the
+        compiled programs take for granted, raises InvariantViolation."""
+        depths = self.depths
+        depth = depths.get(id(root))
+        if depth is None:
+            depth = node_depth(root)
+            if depth > self.bound:
+                raise InvariantViolation(
+                    f"a map at window length {self.length} is {depth} deep,"
+                    f" past its table's bound {self.bound}")
+            if id(root) in depths:
+                depths[id(root)] = depth
+        arity = self.arity
+        return ((arity - 1) * root[0] + 1) // arity, depth
+
+    def sample(self, root: tuple) -> Context:
+        return _window(root, self.length)
 
     def compile_all(self) -> None:
         """Find every gap, from 0 up, and compile each program that is not
@@ -565,10 +604,12 @@ def _compose(root: tuple, entry: SliceEntry, arity: int, bound: int) -> Tuple[tu
     (:func:`_interpret`).  Run ``COMPILE_AFTER`` compiles it into one
     function for maps at most ``bound`` deep (:func:`_compile_program`),
     which gives the same map and touches from then on.  On order6 at L=1
-    (2 vCPU, CPython 3.11; 3000 recorded steps, and the median compile
-    over its programs) a run costs about 8.3 us interpreted and 1.6 us
-    compiled, and a compile about 1.5 ms, so a compile pays back after
-    about 230 runs, below ``COMPILE_AFTER`` = 300: only the gaps a kernel
+    (2 vCPU, CPython 3.11.7; the maps and gaps of 3000 recorded steps, run
+    interpreted and compiled, and the median compile over the table's 64
+    programs; two measurements, whose absolute times differ with the VM's
+    speed) a run costs about 17-21 us interpreted and 3.6-3.9 us compiled,
+    and a compile about 3.0-3.6 ms, so a compile pays back after about
+    210-225 runs, below ``COMPILE_AFTER`` = 300: only the gaps a kernel
     keeps drawing are compiled, and a few warm-up runs compile nothing.
     """
     program = entry.program
@@ -721,68 +762,42 @@ def _compile_program(entry: SliceEntry, arity: int, bound: int) -> Program:
     return FunctionType(code, _PROGRAM_GLOBALS)
 
 
-class _SharedMap:
-    """The composite map of a finite-order kernel, as shared subtrees.
+def _shared_step(table: SliceTable) -> StepFunction:
+    """The step function of a finite-order kernel's maps at ``table``'s
+    window length, built once by the table.
 
-    A step finds the draw's :class:`SliceEntry` in the kernel's
-    :class:`SliceTable` of the run's window length (the table's bisection,
-    inlined) and reads the next map and the whole step tuple from the
-    entry's memo, or, on a miss, composes it onto the map with the entry's
-    program (:func:`_compose`) and stores it while the table's ``maps`` has
-    room.  Node touches count what :func:`step` counts: the slice's touches
-    plus the nodes of the unpruned composition.
+    A step finds the draw's :class:`SliceEntry` by the table's bisection
+    and returns the pair that the entry's memo holds for the map, itself.
+    On a miss it composes the map with the entry's program
+    (:func:`_compose`) and, while the table's ``maps`` has room, interns
+    the result and stores the pair it returns.  Node touches count what
+    :func:`step` counts: the slice's touches plus the nodes of the unpruned
+    composition.  The function reads the table's lists and dicts, which the
+    table changes in place, and reaches the table itself only to insert a
+    new gap, through a weak reference: the table holds the function, so a
+    strong one would be a cycle.
     """
+    lows, highs, entries = table.lows, table.highs, table.entries
+    maps, depths, memo_cap = table.maps, table.depths, table.memo_cap
+    arity, bound = table.arity, table.bound
+    table_ref = ref(table)
 
-    __slots__ = ("table", "lows", "highs", "entries", "root", "coalesced")
-
-    def __init__(self, kernel: Kernel, length: int):
-        self.table = table = slice_table(kernel, length)
-        # the table inserts new gaps into these lists in place
-        self.lows, self.highs, self.entries = table.lows, table.highs, table.entries
-        self.root = root = table.start
-        self.coalesced = root[1] is None
-
-    def advance(self, u: float) -> Tuple[int, int, bool, int]:
-        i = bisect_right(self.lows, u) - 1
-        entry = self.entries[i] if u < self.highs[i] else self.table._add(u)
-        root = self.root
+    def shared_step(root: tuple, u: float) -> Tuple[tuple, StepReport]:
+        i = bisect_right(lows, u) - 1
+        entry = entries[i] if u < highs[i] else table_ref()._add(u)
         hit = entry.memo.get(id(root))
         if hit is not None:
-            root, step = hit
-        else:
-            table = self.table
-            new, touches = _compose(root, entry, table.arity, table.bound)
-            step = touches, entry.depth, not entry.depth, entry.reach
-            if len(table.maps) < table.memo_cap:
-                new = table.intern(new)
-                entry.memo[id(root)] = (new, step)
-            root = new
-        self.root = root
-        self.coalesced = root[1] is None
-        return step
+            return hit
+        new, touches = _compose(root, entry, arity, bound)
+        report = touches, entry.depth, not entry.depth, entry.reach, new[1] is None
+        if len(maps) >= memo_cap:
+            return new, report
+        new = maps.setdefault(new, new)
+        depths.setdefault(id(new), None)
+        hit = entry.memo[id(root)] = new, report
+        return hit
 
-    def size(self) -> Tuple[int, int]:
-        """(leaf count, depth) of the map.  The depth of an interned map is
-        walked once and kept in the table's ``depths``; any other map's is
-        walked on every call.  A walked depth past the table's ``bound``,
-        which its compiled programs take for granted, raises
-        InvariantViolation."""
-        root, table = self.root, self.table
-        depths = table.depths
-        depth = depths.get(id(root))
-        if depth is None:
-            depth = node_depth(root)
-            if depth > table.bound:
-                raise InvariantViolation(
-                    f"a map at window length {table.length} is {depth} deep,"
-                    f" past its table's bound {table.bound}")
-            if id(root) in depths:
-                depths[id(root)] = depth
-        arity = table.arity
-        return ((arity - 1) * root[0] + 1) // arity, depth
-
-    def sample(self) -> Context:
-        return _window(self.root, self.table.length)
+    return shared_step
 
 
 # Every map of the renewal kernel is a comb: side subtrees at the paths
@@ -793,157 +808,144 @@ class _SharedMap:
 # m steps along its ones, whose own sides (only in the first L-1 steps is it
 # internal) continue the comb down to its leaf; trailing sides that are that
 # leaf are absorbed into it.  Sides are kept as runs of one node object, so
-# a step costs O(number of runs), whatever the slice depth.
+# a step costs O(number of runs), whatever the slice depth.  A comb map is
+# the pair (runs, spine leaf): runs of (side node, count) from the root
+# down, count spine levels whose 0-child is that node.  It is constant
+# exactly when it has no run.
+
+Comb = Tuple[List[Tuple[tuple, int]], tuple]
 
 
-class _CombMap:
-    """The composite map of the renewal kernel, at every window length.
+def _comb_start(kernel: RenewalSqrtKernel, length: int) -> Comb:
+    """The comb's start at window length ``length``, built on first use and
+    kept under that length in ``kernel.slice_cache``: a step never changes
+    a run list, so every run of that length starts from it."""
+    starts = kernel.slice_cache
+    start = starts.get(length)
+    if start is None:
+        runs: List[Tuple[tuple, int]] = []
+        node = _initial_map(kernel.alphabet.symbols, length)
+        while node[1] is not None:
+            _, side, node = node
+            runs.append((side, 1))
+        start = starts[length] = (runs, node)
+    return start
 
-    A step costs one closed-form slice depth, ``kernel.slice_depth``,
-    plus O(number of runs) to compose the comb.  The runs of a window
-    length share their start ``(runs, spine)``, kept under that length in
-    ``kernel.slice_cache``: :meth:`advance` never changes a run list."""
 
-    __slots__ = ("length", "slice_depth", "runs", "spine", "coalesced")
-
-    def __init__(self, kernel: RenewalSqrtKernel, length: int):
-        self.length = length
-        self.slice_depth = kernel.slice_depth
-        starts = kernel.slice_cache
-        start = starts.get(length)
-        if start is None:
-            # (side node, count) from the root down: count spine levels
-            # whose 0-child is that node
-            runs: List[Tuple[tuple, int]] = []
-            node = _initial_map(kernel.alphabet.symbols, length)
-            while node[1] is not None:
-                _, side, node = node
-                runs.append((side, 1))
-            start = starts[length] = (runs, node)
-        self.runs, self.spine = start
-        self.coalesced = not self.runs
-
-    def advance(self, u: float) -> Tuple[int, int, bool, int]:
-        # the slice visits the spine down to depth m: its reach is m
-        m = self.slice_depth(u)
-        runs = self.runs
-        head, count = runs[0]
-        # the slice's 2m+1 touches and 2m+1 nodes, then the grafts
-        touches = 4 * m + 2
-        new_runs = []
-        # new sides 0..m-1 are old sides 1..m: walk the old runs by index,
-        # from the head's remainder on
-        side, count, i, need = head, count - 1, 1, m
-        while True:
-            if count:
-                take = count if count < need else need
-                new_runs.append((side, take))
-                touches += take * (side[0] - 1)
-                need -= take
-                if not need:
-                    break
-            if i == len(runs):
-                new_runs.append((self.spine, need))
+def _comb_step(slice_depth: Callable[[float], int], comb: Comb,
+               u: float) -> Tuple[Comb, StepReport]:
+    """The renewal kernel's step, given the kernel's closed-form
+    ``slice_depth``: one slice depth plus O(number of runs) to compose the
+    comb."""
+    # the slice visits the spine down to depth m: its reach is m
+    m = slice_depth(u)
+    runs, spine = comb
+    head, count = runs[0]
+    # the slice's 2m+1 touches and 2m+1 nodes, then the grafts
+    touches = 4 * m + 2
+    new_runs = []
+    # new sides 0..m-1 are old sides 1..m: walk the old runs by index,
+    # from the head's remainder on
+    side, count, i, need = head, count - 1, 1, m
+    while True:
+        if count:
+            take = count if count < need else need
+            new_runs.append((side, take))
+            touches += take * (side[0] - 1)
+            need -= take
+            if not need:
                 break
-            side, count = runs[i]
-            i += 1
-        node = head
-        if node[1] is not None:
-            for _ in range(m):
-                if node[1] is None:
-                    break
-                node = node[2]
-            touches += node[0] - 1
-            while node[1] is not None:
-                _, side, node = node
-                new_runs.append((side, 1))
-        while new_runs and new_runs[-1][0] is node:
-            new_runs.pop()
-        self.runs, self.spine = new_runs, node
-        self.coalesced = not new_runs
-        return touches, m, False, m
-
-    def size(self) -> Tuple[int, int]:
-        # a spine level is one node plus its side; the spine leaf lies where
-        # the last run ends, and that run's side reaches at least as deep
-        size, depth, end = 1, 0, 0
-        for side, count in self.runs:
-            size += count * (side[0] + 1)
-            end += count
-            depth = max(depth, end + node_depth(side))
-        return (size + 1) // 2, depth
-
-    @property
-    def root(self) -> tuple:
-        """The map as one shared-subtree node (for the audit)."""
-        node = self.spine
-        for side, count in reversed(self.runs):
-            for _ in range(count):
-                node = _node((side, node))
-        return node
-
-    def sample(self) -> Context:
-        return _window(self.spine, self.length)
+        if i == len(runs):
+            new_runs.append((spine, need))
+            break
+        side, count = runs[i]
+        i += 1
+    node = head
+    if node[1] is not None:
+        for _ in range(m):
+            if node[1] is None:
+                break
+            node = node[2]
+        touches += node[0] - 1
+        while node[1] is not None:
+            _, side, node = node
+            new_runs.append((side, 1))
+    while new_runs and new_runs[-1][0] is node:
+        new_runs.pop()
+    return (new_runs, node), (touches, m, False, m, not new_runs)
 
 
-def _composite_map(kernel: Kernel, length: int):
-    """The representation of the kernel's family: the comb for the renewal
-    kernel, shared subtrees on the slice table for finite-order kernels."""
-    if isinstance(kernel, RenewalSqrtKernel):
-        return _CombMap(kernel, length)
-    return _SharedMap(kernel, length)
+def _comb_size(comb: Comb) -> Tuple[int, int]:
+    """(leaf count, depth) of a comb map."""
+    # a spine level is one node plus its side; the spine leaf lies where
+    # the last run ends, and that run's side reaches at least as deep
+    size, depth, end = 1, 0, 0
+    for side, count in comb[0]:
+        size += count * (side[0] + 1)
+        end += count
+        depth = max(depth, end + node_depth(side))
+    return (size + 1) // 2, depth
 
 
-class _AuditedMap:
-    """The family's composite map with the reference :func:`step` advanced
-    beside it on every draw: any step where their work, slice depth,
-    regeneration flag, reach, state or trace size differ raises
-    InvariantViolation; a draw the reference refuses must reach deeper
-    than ``max_depth``.  The states are compared node by node, the map read
-    as a ``ContextTrie`` on its own nodes, with no leaf dict and no context
-    tuple.  Each step that passes goes to ``on_iteration``."""
+def _comb_root(comb: Comb) -> tuple:
+    """A comb map as one shared-subtree node (for the audit)."""
+    runs, node = comb
+    for side, count in reversed(runs):
+        for _ in range(count):
+            node = _node((side, node))
+    return node
 
-    def __init__(self, kernel: Kernel, length: int, max_depth: int,
-                 on_iteration: Callable[[StepAudit], None]):
+
+def _comb_sample(length: int, comb: Comb) -> Context:
+    return _window(comb[1], length)
+
+
+class _Audit:
+    """A family's step function with the reference :func:`step` advanced
+    beside it on every draw: any step where their node touches, slice
+    depth, regeneration flag, reach, constancy flag (the reference's being
+    whether its state is coalesced), state or trace size differ raises
+    InvariantViolation; a draw the reference refuses must reach deeper than
+    ``max_depth``.  The states are compared node by node, the map read as
+    a ``ContextTrie`` on its own nodes (``root_of`` builds them for a map
+    that is not one node), with no leaf dict and no context tuple.  Each
+    step that passes goes to ``on_iteration``."""
+
+    def __init__(self, step_fn: StepFunction, size: Callable[[object], Tuple[int, int]],
+                 root_of: Optional[Callable[[object], tuple]], kernel: Kernel, length: int,
+                 max_depth: int, on_iteration: Callable[[StepAudit], None]):
+        self.step_fn = step_fn
+        self.size = size
+        self.root_of = root_of
         self.kernel = kernel
         self.max_depth = max_depth
         self.on_iteration = on_iteration
-        self.map = _composite_map(kernel, length)
         self.state = prune_minimal(init_state(kernel.alphabet, length))
         self.t = 0
 
-    @property
-    def coalesced(self) -> bool:
-        return self.map.coalesced
-
-    def advance(self, u: float) -> Tuple[int, int, bool, int]:
-        got = self.map.advance(u)
+    def __call__(self, state, u: float):
+        new, got = self.step_fn(state, u)
         try:
-            state, slice_, unpruned = step(self.kernel, self.state, u, self.max_depth)
-            want = (slice_.node_touches + unpruned.node_count(),
-                    slice_.depth, slice_.is_regeneration, slice_.reach)
+            want_state, slice_, unpruned = step(self.kernel, self.state, u, self.max_depth)
+            want = (slice_.node_touches + unpruned.node_count(), slice_.depth,
+                    slice_.is_regeneration, slice_.reach, want_state.is_coalesced())
         except MaxDepthExceeded:
             if got[3] > self.max_depth:
-                return got  # for _backward to refuse
-            state, want = self.state, None
+                return new, got  # for _backward to refuse
+            want_state, want = self.state, None
+        root = new if self.root_of is None else self.root_of(new)
         if got != want or (
-            ContextTrie(self.kernel.alphabet, self.map.root) != state
-            or self.map.size() != (state.leaf_count(), state.depth())
+            ContextTrie(self.kernel.alphabet, root) != want_state
+            or self.size(new) != (want_state.leaf_count(), want_state.depth())
         ):
             raise InvariantViolation(
-                f"at u={u!r} the composite map gives {got} and the reference {want}"
+                f"at u={u!r} the step function gives {got} and the reference {want}"
                 ", or their states or sizes differ"
             )
-        self.state = state
+        self.state = want_state
         self.t -= 1
-        self.on_iteration(StepAudit(self.t, slice_, unpruned, state))
-        return got
-
-    def size(self) -> Tuple[int, int]:
-        return self.map.size()
-
-    def sample(self) -> Context:
-        return self.map.sample()
+        self.on_iteration(StepAudit(self.t, slice_, unpruned, want_state))
+        return new, got
 
 
 def run(
@@ -964,64 +966,75 @@ def run(
     backward time order (the first draw belongs to time -1) until the
     composite map is constant, and none past it; one constant from the
     start (a one-symbol alphabet) takes no draw, as in :func:`pw_extended`.
-    Budget violations raise with partial diagnostics attached.
-    With ``on_iteration`` the kernel family's composite map runs beside the
-    reference :func:`step`, which checks it on every draw and supplies the
-    tries of each :class:`StepAudit`.  The hook sees t = -1, -2, ... up
-    to the step that ends the run, the one that exhausts the node budget
-    included, but not a draw that ``max_depth`` refuses.
+    The kernel's family gives the loop its step function and start: the
+    comb's for the renewal kernel, the slice table's for a finite-order
+    kernel.  Budget violations raise with partial diagnostics attached.
+    With ``on_iteration`` the family's step function runs beside the
+    reference :func:`step` (:class:`_Audit`), which checks it on every draw
+    and supplies the tries of each :class:`StepAudit`.  The hook sees t =
+    -1, -2, ... up to the step that ends the run, the one that exhausts the
+    node budget included, but not a draw that ``max_depth`` refuses.
     """
     if max_iter < 1 or max_depth < 1 or max_nodes < 1:
         raise ValueError("limits must be positive")
     start_ns = time.perf_counter_ns()
-    rep = (_composite_map(kernel, length) if on_iteration is None
-           else _AuditedMap(kernel, length, max_depth, on_iteration))
-    return _backward(rep, rng, max_depth, max_iter, max_nodes, trace, start_ns)
+    root_of: Optional[Callable[[object], tuple]] = None
+    if isinstance(kernel, RenewalSqrtKernel):
+        state = _comb_start(kernel, length)
+        constant = not state[0]
+        # kernel.slice_depth is read once, here.  The comb's functions are
+        # bound as methods, so each run's are the same Python functions,
+        # whose calls CPython keeps specialized; a new closure per run would
+        # miss that specialization, and a functools.partial gets none.
+        step_fn = MethodType(_comb_step, kernel.slice_depth)
+        size, sample, root_of = _comb_size, MethodType(_comb_sample, length), _comb_root
+    else:
+        table = slice_table(kernel, length)
+        step_fn = table.step
+        state = table.start
+        constant = state[1] is None
+        size = table.size
+        sample = table.sample
+    if on_iteration is not None:
+        step_fn = _Audit(step_fn, size, root_of, kernel, length, max_depth, on_iteration)
+    return _backward(step_fn, state, constant, size, sample, rng, max_depth, max_iter,
+                     max_nodes, trace, start_ns)
 
 
 # -- extended Propp-Wilson baseline ---------------------------------------
 
 
-class _TableMap:
-    """The composite map on every history of length max(order, L), with no
-    adaptive dictionary and no pruning benefit."""
+def _pw_step(kernel: Kernel, order: int, state: Tuple[Dict[Context, Context], int],
+             u: float) -> Tuple[Tuple[Dict[Context, Context], int], StepReport]:
+    """The step function of the composite map ``state`` = (table, m) on
+    every history of length m, with no adaptive dictionary and no pruning
+    benefit; the next map is constant when its table holds one distinct
+    value."""
+    table, m = state
+    symbols = kernel.alphabet.symbols
+    m_next = max(order, m - 1)
+    new_table: Dict[Context, Context] = {}
+    for h in itertools.product(symbols, repeat=m_next):
+        g = phi(kernel, u, h)
+        if g is None:
+            raise InvariantViolation(
+                f"order-{order} kernel unresolved at depth-{m_next} context {h}"
+            )
+        new_table[h] = table[(h + (g,))[-m:]]
+    # every node of the full depth-m trie is held, not only the leaves;
+    # a one-symbol table is constant from the start, so n_sym >= 2
+    n_sym = len(symbols)
+    touches = (n_sym ** (m_next + 1) - 1) // (n_sym - 1)
+    # phi resolves at the full order: no slice, so no depth budget
+    return (new_table, m_next), (touches, 0, False, 0, len(set(new_table.values())) == 1)
 
-    def __init__(self, kernel: Kernel, order: int, length: int):
-        self.kernel = kernel
-        self.order = order
-        self.symbols = kernel.alphabet.symbols
-        self.m = max(order, length)
-        check_enumeration(len(self.symbols), self.m, f"histories of length {self.m}")
-        self.table: Dict[Context, Context] = {
-            h: h[-length:] for h in itertools.product(self.symbols, repeat=self.m)
-        }
-        self.coalesced = len(set(self.table.values())) == 1
 
-    def advance(self, u: float) -> Tuple[int, int, bool, int]:
-        m = self.m
-        m_next = max(self.order, m - 1)
-        new_table: Dict[Context, Context] = {}
-        for h in itertools.product(self.symbols, repeat=m_next):
-            g = phi(self.kernel, u, h)
-            if g is None:
-                raise InvariantViolation(
-                    f"order-{self.order} kernel unresolved at depth-{m_next} context {h}"
-                )
-            new_table[h] = self.table[(h + (g,))[-m:]]
-        self.table, self.m = new_table, m_next
-        self.coalesced = len(set(new_table.values())) == 1
-        # every node of the full depth-m trie is held, not only the leaves;
-        # a one-symbol table is constant from the start, so n_sym >= 2
-        n_sym = len(self.symbols)
-        touches = (n_sym ** (m_next + 1) - 1) // (n_sym - 1)
-        # phi resolves at the full order: no slice, so no depth budget
-        return touches, 0, False, 0
+def _pw_size(state: Tuple[Dict[Context, Context], int]) -> Tuple[int, int]:
+    return len(state[0]), state[1]
 
-    def size(self) -> Tuple[int, int]:
-        return len(self.table), self.m
 
-    def sample(self) -> Context:
-        return next(iter(self.table.values()))
+def _pw_sample(state: Tuple[Dict[Context, Context], int]) -> Context:
+    return next(iter(state[0].values()))
 
 
 def pw_extended(
@@ -1045,8 +1058,13 @@ def pw_extended(
     if length < 1:
         raise ValueError("window length must be >= 1")
     start_ns = time.perf_counter_ns()
-    rep = _TableMap(kernel, max(order, 1), length)
-    return _backward(rep, rng, max_depth, max_iter, max_nodes, trace, start_ns)
+    order = max(order, 1)
+    symbols = kernel.alphabet.symbols
+    m = max(order, length)
+    check_enumeration(len(symbols), m, f"histories of length {m}")
+    table = {h: h[-length:] for h in itertools.product(symbols, repeat=m)}
+    return _backward(partial(_pw_step, kernel, order), (table, m), len(set(table.values())) == 1,
+                     _pw_size, _pw_sample, rng, max_depth, max_iter, max_nodes, trace, start_ns)
 
 
 # -- batch driver ---------------------------------------------------------

@@ -232,32 +232,52 @@ def test_renewal_comb_trace_matches_generic():
         ]
 
 
-def _one_touch_more(advance):
-    def corrupt(self, u):
-        touches, depth, regenerated, reach = advance(self, u)
-        return touches + 1, depth, regenerated, reach
+def _one_touch_more(step_fn):
+    def corrupt(*args):
+        comb, (touches, *rest) = step_fn(*args)
+        return comb, (touches + 1, *rest)
     return corrupt
 
 
 def _one_leaf_more(size):
-    def corrupt(self):
-        leaves, depth = size(self)
+    def corrupt(comb):
+        leaves, depth = size(comb)
         return leaves + 1, depth
     return corrupt
 
 
+def _constant_one_step_late(step_fn):
+    # the step that makes the comb constant says it is not, and one more
+    # step, which leaves the constant comb as it is, says it is
+    def corrupt(slice_depth, comb, u):
+        if not comb[0]:
+            return comb, (0, 0, False, 0, True)
+        new, (*fields, _) = step_fn(slice_depth, comb, u)
+        return new, (*fields, False)
+    return corrupt
+
+
 @pytest.mark.parametrize("length", [1, 2])
-@pytest.mark.parametrize("method, corrupt", [("advance", _one_touch_more),
-                                             ("size", _one_leaf_more)],
-                         ids=["touches", "size"])
-def test_audit_catches_a_corrupt_comb_step(monkeypatch, method, corrupt, length):
-    # negative control: under on_iteration the comb itself is audited,
-    # including the sizes the trace records take from it alone
-    monkeypatch.setattr(engine._CombMap, method, corrupt(getattr(engine._CombMap, method)))
+@pytest.mark.parametrize("name, corrupt", [("_comb_step", _one_touch_more),
+                                           ("_comb_size", _one_leaf_more),
+                                           ("_comb_step", _constant_one_step_late)],
+                         ids=["touches", "size", "late"])
+def test_audit_catches_a_corrupt_comb_step(monkeypatch, name, corrupt, length):
+    # negative control: under on_iteration the comb's step function is
+    # audited, including the sizes the trace records take from it alone and
+    # the flag that ends the run, and the audit raises at the first step
+    # that is wrong: the first, or the one that makes the comb constant
     k = RenewalSqrtKernel()
-    run(k, length, RngStream(3), max_depth=300, trace=True)  # the comb alone cannot tell
+    tau = run(k, length, RngStream(3), max_depth=300).diagnostics.tau
+    late = corrupt is _constant_one_step_late
+    monkeypatch.setattr(engine, name, corrupt(getattr(engine, name)))
+    # the comb alone cannot tell
+    got = run(k, length, RngStream(3), max_depth=300, trace=True).diagnostics
+    assert got.tau == tau - late
+    seen = []
     with pytest.raises(InvariantViolation):
-        run(k, length, RngStream(3), max_depth=300, on_iteration=lambda a: None)
+        run(k, length, RngStream(3), max_depth=300, on_iteration=lambda a: seen.append(a.t))
+    assert len(seen) == (-tau - 1 if late else 0) and tau <= -2
 
 
 @pytest.mark.parametrize("length", [1, 2])
@@ -686,7 +706,8 @@ def test_audit_catches_a_corrupt_slice_entry(monkeypatch, corrupt):
     # original's compiled program would hide the corruption
     assert entry.program is not None
     assert (bad.program, bad.runs, bad.memo) == (None, 0, {})
-    monkeypatch.setattr(table, "entries", table.entries[:i] + [bad] + table.entries[i + 1:])
+    # in place: the table's step function reads this list
+    table.entries[i] = bad
     run(k, 3, RngStream(5))  # the hot path alone cannot tell
     with pytest.raises(InvariantViolation):
         run(k, 3, RngStream(5), on_iteration=lambda a: None)
@@ -869,8 +890,7 @@ def test_renewal_runs_share_their_start():
     for length, start in starts.items():
         got[length] += [_outcome(k, length, seed) for seed in seeds[20:]]
         assert k.slice_cache[length] is start
-        fresh = engine._CombMap(RenewalSqrtKernel(), length)
-        assert start == (fresh.runs, fresh.spine)
+        assert start == engine._comb_start(RenewalSqrtKernel(), length)
         assert got[length] == [_outcome(RenewalSqrtKernel(), length, seed) for seed in seeds]
 
 
@@ -926,6 +946,96 @@ def test_a_map_deeper_than_its_tables_bound_is_refused(name, length):
                 run(low, length, RngStream(seed), **audit)
 
 
+def test_a_start_deeper_than_its_tables_bound_is_refused():
+    # past the order the start is the only map as deep as the table's
+    # bound, and no run sizes it: the table checks it when it is built, so
+    # a table at L = order + 1 whose bound is one too low raises before any
+    # run
+    class LowBound(engine.SliceTable):
+        @property
+        def bound(self):
+            return self._bound - 1
+
+        @bound.setter
+        def bound(self, value):
+            self._bound = value
+
+    for name in ("order1", "order2", "desk_vlmc", "order4"):
+        k = load_kernel(str(KERNELS / f"{name}.json"))
+        assert engine.SliceTable(k, k.order + 1).bound == k.order + 1
+        with pytest.raises(InvariantViolation, match="past its table's bound"):
+            LowBound(k, k.order + 1)
+        assert not k.slice_cache
+
+
+def _is_constant(state):
+    """Whether a family's map is constant: a full table (table, m), a comb
+    (runs, spine) or a shared-subtree node."""
+    if isinstance(state[0], dict):
+        return len(set(state[0].values())) == 1
+    if isinstance(state[0], list):
+        return not state[0]
+    return state[1] is None
+
+
+def test_every_step_flags_exactly_the_constant_maps(monkeypatch):
+    # the loop stops on the flag its step function reports: for every
+    # family, plain and audited, the flag of the start and of every step
+    # is whether that map is constant
+    backward = engine._backward
+    flags = []
+
+    def spying(step_fn, state, constant, *rest):
+        flags.append((constant, _is_constant(state)))
+
+        def spy(state, u):
+            new, report = step_fn(state, u)
+            flags.append((report[4], _is_constant(new)))
+            return new, report
+
+        return backward(spy, state, constant, *rest)
+
+    monkeypatch.setattr(engine, "_backward", spying)
+    audited = functools.partial(run, on_iteration=lambda a: None)
+    order6 = functools.partial(load_kernel, str(KERNELS / "order6.json"))
+    cases = [(desk_vlmc, length, sampler) for length in (1, 2, 3)
+             for sampler in (run, audited, pw_extended)]
+    cases += [(order6, 1, sampler) for sampler in (run, audited, pw_extended)]
+    cases += [(RenewalSqrtKernel, length, sampler) for length in (1, 2)
+              for sampler in (run, audited)]
+    for make, length, sampler in cases:
+        k = make()
+        ended = 0
+        for seed in range(12):
+            flags.clear()
+            try:
+                sampler(k, length, RngStream(seed), max_depth=300)
+            except MaxDepthExceeded:
+                pass
+            else:
+                assert flags[-1] == (True, True)
+                ended += 1
+            assert flags and all(flag is constant for flag, constant in flags), (length, seed)
+        assert ended >= 6
+
+
+def test_a_memo_hit_returns_its_stored_pair():
+    # on a warm table, a step through a stored transition returns the pair
+    # the memo holds, the same object
+    k = desk_vlmc()
+    for seed in range(60):
+        run(k, 3, RngStream(seed))
+    table = slice_table(k, 3)
+    hits = 0
+    for root in table.maps:
+        for low, entry in zip(table.lows, table.entries):
+            stored = entry.memo.get(id(root))
+            if stored is not None:
+                assert table.step(root, low) is stored
+                hits += 1
+    assert hits >= 20
+
+
 @pytest.mark.parametrize("tamper", ["touches", "map"])
 def test_audit_checks_memo_hits(tamper):
     # a stored transition the memo returns is checked like a program run:
@@ -936,13 +1046,16 @@ def test_audit_checks_memo_hits(tamper):
     table = slice_table(k, 3)
     entry = table.lookup(RngStream(seed).uniform())
     start = table.start
-    after, (touches, *rest) = entry.memo[id(start)]
+    # the stored pair: (next map, (touches, depth, regenerated, reach, constant))
+    after, (touches, *rest, constant) = entry.memo[id(start)]
+    assert not constant
     if tamper == "touches":
-        entry.memo[id(start)] = (after, (touches + 1, *rest))
+        entry.memo[id(start)] = (after, (touches + 1, *rest, constant))
     else:
-        # a coalesced map from an earlier run: the run stops at t = -1
+        # a coalesced map from an earlier run, reported constant: the run
+        # stops at t = -1
         leaf = next(root for root in table.maps if root[1] is None)
-        entry.memo[id(start)] = (leaf, (touches, *rest))
+        entry.memo[id(start)] = (leaf, (touches, *rest, True))
     got = _outcome(k, 3, seed)
     if tamper == "touches":
         assert got[3] == before[3] + 1 and got[:3] == before[:3]

@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts the README lists, at tiny sizes."""
 
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -131,3 +132,36 @@ def test_cli_outputs(tmp_path):
     assert "# seed=11" in (case / "sample_csv.out").read_text()
     assert (case / "sample_trace.records").read_text().startswith("run_id,t,")
     assert (case / "inspect_u073_context.out").read_text().startswith("# slice for u=0.73")
+
+
+def test_ab_runs(tmp_path):
+    # the repository's own src on both sides: every seed agrees, and the
+    # report names both sides and each block's winner
+    src = str(SCRIPTS.parent / "src")
+    out = run_script("ab_runs.py", ["--a", src, "--b", src, "--kernel", "desk_vlmc",
+                                    "--length", "2", "--blocks", "3", "--block-seeds", "4"],
+                     tmp_path).splitlines()
+    assert out[0] == ("kernel desk_vlmc L=2: 3 blocks of 4 seeds,"
+                      " (sample, tau, node_touches) identical on all 12 seeds")
+    assert out[1] == out[2].replace("b: ", "a: ", 1)
+    assert out[3].startswith("block ratio a/b (above 1: b faster): median ")
+    won = out[4].replace(",", "").split()
+    assert won[:3] == ["blocks", "won:", "a"] and sum(int(won[i]) for i in (3, 5, 7)) == 3
+    assert out[5].startswith("us per run (median block): a ")
+
+
+def test_ab_runs_refuses_sides_that_differ(tmp_path):
+    # negative control: a copy whose streams are seeded one off samples
+    # differently, and the script stops instead of timing it
+    other = tmp_path / "other"
+    shutil.copytree(SCRIPTS.parent / "src" / "ciaftp", other / "ciaftp")
+    engine = other / "ciaftp" / "engine.py"
+    text = engine.read_text()
+    assert "np.random.PCG64(seed)" in text
+    engine.write_text(text.replace("np.random.PCG64(seed)", "np.random.PCG64(seed + 1)"))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "ab_runs.py"), "--a", str(SCRIPTS.parent / "src"),
+         "--b", str(other), "--kernel", "desk_vlmc", "--length", "2", "--blocks", "2",
+         "--block-seeds", "4"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 0 and "differ" in proc.stderr
