@@ -11,7 +11,8 @@ see nearly the same machine.
 
 Block ``i`` is the seeds ``i*S .. i*S + S-1`` (``S`` = ``--block-seeds``),
 each drawn from ``RngStream(seed)`` at the default budgets.  A block's time
-covers the ``run`` calls only: the streams are seeded before the timer
+covers the sampler's calls only (``run``, or ``pw_extended`` with
+``--algorithm pw_extended``): the streams are seeded before the timer
 starts.  Before the first block each side runs one block of seeds from
 2**40 on, untimed, so that its slice tables fill and its programs compile.
 Every seed must give the same ``(sample, tau, node_touches)`` on both
@@ -23,6 +24,8 @@ microseconds per run.
 
 Usage:
     python scripts/ab_runs.py --a ../parent/src --b src --kernel desk_vlmc --length 3
+    python scripts/ab_runs.py --a ../parent/src --b src --kernel order6 --length 1 \
+        --algorithm pw_extended --blocks 40 --block-seeds 100
 """
 
 import argparse
@@ -53,18 +56,20 @@ def load_side(name: str, src: Path):
 
 
 class Side:
-    """One checkout: its own kernel, run at one window length."""
+    """One checkout: its own kernel, run by one sampler at one window length."""
 
-    def __init__(self, name: str, src: Path, kernel_path: Path, length: int):
+    def __init__(self, name: str, src: Path, kernel_path: Path, length: int, algorithm: str):
         self.src = src
         self.engine, errors, kernels = load_side(name, src)
         self.budget_error = errors.BudgetError
         self.kernel = kernels.load_kernel(str(kernel_path))
         self.length = length
+        self.sampler = {"ciaftp": self.engine.run,
+                        "pw_extended": self.engine.pw_extended}[algorithm]
 
     def block(self, seeds: range):
         """(wall ns of the block's runs, the outcome of each seed)."""
-        run, kernel, length, budget_error = (self.engine.run, self.kernel, self.length,
+        run, kernel, length, budget_error = (self.sampler, self.kernel, self.length,
                                              self.budget_error)
         streams = [self.engine.RngStream(seed) for seed in seeds]
         outcomes = []
@@ -89,12 +94,14 @@ def main() -> int:
     ap.add_argument("--length", type=int, required=True, help="window length L")
     ap.add_argument("--blocks", type=int, default=100, help="timed blocks per side")
     ap.add_argument("--block-seeds", type=int, default=250, help="seeds per block")
+    ap.add_argument("--algorithm", choices=("ciaftp", "pw_extended"), default="ciaftp",
+                    help="the sampler to time: run (ciaftp) or pw_extended")
     args = ap.parse_args()
     kernel_path = Path(args.kernel)
     if not kernel_path.is_file():
         kernel_path = ROOT / "kernels" / f"{args.kernel}.json"
-    a = Side("ciaftp_a", args.a.resolve(), kernel_path, args.length)
-    b = Side("ciaftp_b", args.b.resolve(), kernel_path, args.length)
+    a = Side("ciaftp_a", args.a.resolve(), kernel_path, args.length, args.algorithm)
+    b = Side("ciaftp_b", args.b.resolve(), kernel_path, args.length, args.algorithm)
     size = args.block_seeds
     warmup = range(WARMUP_BASE, WARMUP_BASE + size)
     if a.block(warmup)[1] != b.block(warmup)[1]:
@@ -113,8 +120,10 @@ def main() -> int:
         b_us.append(b_ns / size / 1e3)
     q1, median, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
                       else ratios * 3)
-    print(f"kernel {kernel_path.stem} L={args.length}: {args.blocks} blocks of {size} seeds,"
-          f" (sample, tau, node_touches) identical on all {args.blocks * size} seeds")
+    sampler = "" if args.algorithm == "ciaftp" else f" {args.algorithm}"
+    print(f"kernel {kernel_path.stem} L={args.length}{sampler}: {args.blocks} blocks of"
+          f" {size} seeds, (sample, tau, node_touches) identical on all"
+          f" {args.blocks * size} seeds")
     print(f"a: {a.src}")
     print(f"b: {b.src}")
     print(f"block ratio a/b (above 1: b faster): median {median:.3f},"

@@ -94,13 +94,16 @@ class Kernel:
         # comb's start
         self.slice_cache: Dict[int, object] = {}
         # update_rule.phi's interval layouts of a finite-order kernel, by
-        # context of at most ``order`` symbols
+        # context of at most ``order`` symbols, and those of the contexts of
+        # exactly ``order`` symbols in product order
+        # (update_rule.context_layouts, read by engine.pw_extended)
         self.layouts: Dict[Context, tuple] = {}
+        self.context_layouts: Optional[tuple] = None
 
     def __getstate__(self) -> dict:
         # a slice table holds its kernel weakly and cannot be pickled:
         # every process builds its own caches
-        return dict(self.__dict__, slice_cache={}, layouts={})
+        return dict(self.__dict__, slice_cache={}, layouts={}, context_layouts=None)
 
     # Markov order, or None for infinite memory
     order: Optional[int] = None

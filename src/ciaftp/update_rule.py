@@ -21,6 +21,10 @@ draw reads a deeper level.  The layout is built once per such context by
 the same helper and cached on the kernel (``kernel.layouts``).  Contexts
 of infinite-memory kernels are unbounded, so there ``phi`` scans the
 levels up to the first interval end above ``u`` and stores nothing.
+:func:`phi_contexts` applies the same rule to every context of exactly
+``order`` symbols at once, in ``itertools.product`` order, through those
+layouts (:func:`context_layouts`): the extended baseline's one evaluation
+per draw.
 
 :func:`build_slice` expands the slice node by node from the kernel's
 lower-bound rows alone, for finite and infinite memory alike, and builds
@@ -35,6 +39,7 @@ the sampler does with slices, and how it stores them, is up to
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
@@ -149,12 +154,42 @@ def phi(kernel: Kernel, u: float, s: Context) -> Optional[Symbol]:
         return None
     # level ``order`` resolves and closes at exactly 1.0, so no draw reads
     # a deeper level: the last ``order`` symbols give the layout
-    key = s[len(s) - order:] if len(s) > order else s
+    ends, answers = _cached_layout(kernel, s[len(s) - order:] if len(s) > order else s)
+    return answers[bisect_right(ends, u)]
+
+
+def _cached_layout(kernel: Kernel, key: Context) -> tuple:
+    """The layout of a finite-order kernel's context ``key`` of at most
+    ``order`` symbols, built once and kept in ``kernel.layouts``."""
     layout = kernel.layouts.get(key)
     if layout is None:
         layout = kernel.layouts[key] = _layout(kernel, key)
-    ends, answers = layout
-    return answers[bisect_right(ends, u)]
+    return layout
+
+
+def context_layouts(kernel: Kernel) -> Tuple[tuple, ...]:
+    """The layouts of a finite-order kernel's contexts of exactly ``order``
+    symbols, in ``itertools.product`` order, with each interval's symbol
+    number in place of its symbol: ``phi``'s own layouts, read from
+    ``kernel.layouts``, and kept as one tuple of |G|^order entries in
+    ``kernel.context_layouts``."""
+    layouts = kernel.context_layouts
+    if layouts is None:
+        order = kernel.order
+        # every layout has order + 1 levels of |G| intervals, so one tuple
+        # of answers serves them all
+        answers = tuple(range(kernel.alphabet.size)) * (order + 1) + (None,)
+        layouts = kernel.context_layouts = tuple(
+            (_cached_layout(kernel, key)[0], answers)
+            for key in itertools.product(kernel.alphabet.symbols, repeat=order))
+    return layouts
+
+
+def phi_contexts(layouts: Tuple[tuple, ...], u: float) -> List[Optional[int]]:
+    """:func:`phi`'s rule at each context of :func:`context_layouts`, in
+    its order: the number of the update value, or None where the context
+    leaves ``u`` unresolved."""
+    return [answers[bisect_right(ends, u)] for ends, answers in layouts]
 
 
 def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) -> UpdateSlice:

@@ -34,8 +34,8 @@ from ciaftp.errors import (
     NodeBudgetExceeded,
     UnsupportedOperation,
 )
-from ciaftp.kernels import (ContextTreeKernel, RenewalSqrtKernel, load_kernel, memoryless_kernel,
-                            parse_kernel_spec)
+from ciaftp.kernels import (ContextTreeKernel, LowerBoundRow, RenewalSqrtKernel, load_kernel,
+                            memoryless_kernel, parse_kernel_spec)
 from ciaftp.tries import Alphabet, ContextTrie, dominates, prefix_closure, prune_minimal
 
 from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
@@ -309,6 +309,74 @@ def test_pw_extended_agrees_with_adaptive():
             assert a.diagnostics.tau == b.diagnostics.tau
 
 
+def _ternary_vlmc() -> ContextTreeKernel:
+    """An order-2 ternary context tree: ``c`` splits, ``a`` and ``b`` do not."""
+    leaves = {("a",): (0.5, 0.3, 0.2), ("b",): (0.2, 0.2, 0.6), ("a", "c"): (0.05, 0.15, 0.8),
+              ("b", "c"): (0.6, 0.4, 0.0), ("c", "c"): (0.4, 0.05, 0.55)}
+    return ContextTreeKernel(ContextTrie.from_leaves(TERNARY, leaves))
+
+
+@pytest.mark.parametrize("make, length", [(order1_chain, 5), (desk_vlmc, 5),
+                                          (_ternary_vlmc, 4)])
+def test_pw_extended_agrees_with_adaptive_while_its_table_shrinks(make, length):
+    # windows longer than the order: the table map loses one symbol per
+    # step down to the order, then keeps its depth.  run and pw_extended
+    # sample the same window at the same tau, and each pw record is the full
+    # table of its step: |G|^m leaves at depth m, every node of the depth-m
+    # trie touched, m = max(order, L - 1 - k) after step k
+    k = make()
+    n, order = k.alphabet.size, k.order
+    longest = 0
+    for seed in range(40):
+        a = run(k, length, RngStream(seed))
+        b = pw_extended(k, length, RngStream(seed), trace=True)
+        d = b.diagnostics
+        assert (a.sample, a.diagnostics.tau) == (b.sample, d.tau), seed
+        depths = [max(order, length - 1 - i) for i in range(d.iterations)]
+        assert [(r.t, r.leaf_count, r.depth) for r in d.records] == [
+            (-1 - i, n ** m, m) for i, m in enumerate(depths)], seed
+        touches = [(n ** (m + 1) - 1) // (n - 1) for m in depths]
+        assert [r.node_touches for r in d.records] == touches, seed
+        assert d.node_touches == sum(touches), seed
+        longest = max(longest, d.iterations)
+    # some run shrank its table down to the order and stepped on at it
+    assert longest > length - order
+
+
+class _UnresolvedDesk(ContextTreeKernel):
+    """The desk kernel, except that its depth-2 context ("0", "1") keeps only
+    0.9 of its mass: its layout leaves the band [0.9, 1) unresolved."""
+
+    def __init__(self):
+        super().__init__(desk_vlmc().trie)
+
+    def lower_bounds(self, s):
+        if s == ("0", "1"):
+            return LowerBoundRow((0.3, 0.6), 0.9)
+        return super().lower_bounds(s)
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_pw_extended_refuses_a_context_that_leaves_a_draw_unresolved(length):
+    # negative control for the guard: a draw in the unresolved band raises
+    # InvariantViolation naming the context, whatever the table's depth,
+    # and a draw below it still steps
+    k = _UnresolvedDesk()
+    assert update_rule.phi(k, 0.95, ("0", "1")) is None
+    assert update_rule.phi(k, 0.85, ("0", "1")) is not None
+
+    class Draws:
+        seed = 0
+
+        def __init__(self, draws):
+            self.draws = iter(draws)
+
+    with pytest.raises(InvariantViolation, match=r"depth-2 context \('0', '1'\) for u=0\.95"):
+        pw_extended(k, length, Draws([0.95]))
+    with pytest.raises(InvariantViolation, match=r"context \('0', '1'\) for u=0\.97"):
+        pw_extended(k, length, Draws([0.85, 0.5, 0.97] + [0.99] * 20))
+
+
 def test_one_symbol_map_is_constant_before_any_draw():
     # on a one-symbol alphabet the start is already constant: every sampler
     # returns at once, with no draw, no work and no hook call
@@ -363,14 +431,27 @@ def test_run_many_jobs_after_a_run():
 
 
 def test_run_many_pw_jobs_after_a_run():
-    # phi's cached layouts stay behind too: each worker builds its own
+    # phi's cached layouts stay behind too, and so do pw_extended's, one per
+    # context of exactly order symbols, kept apart from the slice tables:
+    # after runs of both samplers the slice cache holds run's lengths only,
+    # a pickled kernel carries none of the three caches, and each worker
+    # builds its own and gives the serial rows
     k = load_kernel(str(KERNELS / "order2.json"))
+    run(k, 3, RngStream(0))
     pw_extended(k, 2, RngStream(0))
-    layouts = dict(k.layouts)
-    assert layouts and pickle.loads(pickle.dumps(k)).layouts == {}
-    serial = run_many(k, 2, 40, 0, 8, algorithm="pw_extended", timing=False)
-    assert run_many(k, 2, 40, 0, 8, algorithm="pw_extended", timing=False, jobs=2) == serial
-    assert k.layouts == layouts
+    pw_extended(k, 4, RngStream(0))
+    run(k, 1, RngStream(0))
+    layouts, context_layouts = dict(k.layouts), k.context_layouts
+    assert layouts and len(context_layouts) == k.alphabet.size ** k.order == 4
+    assert sorted(k.slice_cache) == [1, 3]
+    copy = pickle.loads(pickle.dumps(k))
+    assert (copy.layouts, copy.context_layouts, copy.slice_cache) == ({}, None, {})
+    for length in (2, 4):
+        serial = run_many(k, length, 40, 0, 8, algorithm="pw_extended", timing=False)
+        assert run_many(k, length, 40, 0, 8, algorithm="pw_extended", timing=False,
+                        jobs=2) == serial
+    assert k.layouts == layouts and k.context_layouts is context_layouts
+    assert sorted(k.slice_cache) == [1, 3]
 
 
 def test_run_many_caps_its_workers_at_the_usable_cpus(monkeypatch):
@@ -969,10 +1050,11 @@ def test_a_start_deeper_than_its_tables_bound_is_refused():
 
 
 def _is_constant(state):
-    """Whether a family's map is constant: a full table (table, m), a comb
-    (runs, spine) or a shared-subtree node."""
-    if isinstance(state[0], dict):
-        return len(set(state[0].values())) == 1
+    """Whether a family's map is constant: a full table (table, m), whose
+    table lists the window of each history, a comb (runs, spine) or a
+    shared-subtree node."""
+    if isinstance(state[1], int):
+        return len(set(state[0])) == 1
     if isinstance(state[0], list):
         return not state[0]
     return state[1] is None

@@ -148,6 +148,13 @@ def test_ab_runs(tmp_path):
     won = out[4].replace(",", "").split()
     assert won[:3] == ["blocks", "won:", "a"] and sum(int(won[i]) for i in (3, 5, 7)) == 3
     assert out[5].startswith("us per run (median block): a ")
+    # the same comparison of pw_extended runs, named on the first line
+    out = run_script("ab_runs.py", ["--a", src, "--b", src, "--kernel", "desk_vlmc",
+                                    "--length", "3", "--blocks", "2", "--block-seeds", "5",
+                                    "--algorithm", "pw_extended"], tmp_path).splitlines()
+    assert out[0] == ("kernel desk_vlmc L=3 pw_extended: 2 blocks of 5 seeds,"
+                      " (sample, tau, node_touches) identical on all 10 seeds")
+    assert len(out) == 6 and out[5].startswith("us per run (median block): a ")
 
 
 def test_ab_runs_refuses_sides_that_differ(tmp_path):

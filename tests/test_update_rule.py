@@ -527,6 +527,29 @@ def test_phi_matches_a_scan_of_the_layout():
         assert k.layouts and all(len(key) <= k.order for key in k.layouts), name
 
 
+def test_phi_contexts_is_phi_at_every_context_of_the_order():
+    # one entry per context of exactly order symbols, in product order,
+    # whose ends are phi's own cached layout: at every end, the double below
+    # it and random draws, the entry gives the number of phi's value
+    rng = np.random.Generator(np.random.PCG64(9))
+    shrinking = [(f"shrinking-{name}", _ShrinkingRows(k.trie, i))
+                 for i, (name, k) in enumerate(_finite_kernels()) if k.order]
+    for name, k in _finite_kernels() + shrinking:
+        layouts = update_rule.context_layouts(k)
+        assert update_rule.context_layouts(k) is layouts is k.context_layouts, name
+        contexts = list(itertools.product(k.alphabet.symbols, repeat=k.order))
+        assert len(layouts) == len(contexts), name
+        number = {g: i for i, g in enumerate(k.alphabet.symbols)}
+        number[None] = None
+        ends = sorted({e for layout, _ in layouts for e in layout if e < 1.0})
+        draws = [0.0, TOP, *ends, *(math.nextafter(e, 0.0) for e in ends), *rng.random(5)]
+        for ctx, (layout, _) in zip(contexts, layouts):
+            assert layout is k.layouts[ctx][0], (name, ctx)
+        for u in draws:
+            want = [number[phi(k, float(u), ctx)] for ctx in contexts]
+            assert update_rule.phi_contexts(layouts, float(u)) == want, (name, u)
+
+
 def test_phi_on_infinite_memory_scans_and_stores_nothing():
     # contexts are unbounded, so the scan stops at the first end above u
     k = RenewalSqrtKernel()
