@@ -3,8 +3,8 @@
 
 For every finite-order shipped kernel at window lengths 1..3, one fresh
 kernel runs seeds 0..N-1 at the default budgets, so the runs share one
-slice table and its memo: the kernel's table of that length, or, in a
-``--src`` checkout whose one table serves every length, that table.  A line gives the case, the backward steps, the
+slice table and its memo, and no other length's runs reach them (lengths
+up to the order share a table).  A line gives the case, the backward steps, the
 program runs (calls of ``engine._compose``, counted by wrapping it), the
 share of steps the memo answered, the maps the table interned and the
 transitions it stored (``sum(len(entry.memo) for entry in
@@ -18,7 +18,6 @@ Usage:
 """
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
 
@@ -59,11 +58,7 @@ def main() -> int:
                 except BudgetError as exc:
                     d = exc.diagnostics
                 steps += d.iterations
-            # a --src checkout whose one table serves every length
-            # (slice_table(kernel)) is read the same way
-            table = (engine.slice_table(kernel, length)
-                     if "length" in inspect.signature(engine.slice_table).parameters
-                     else engine.slice_table(kernel))
+            table = engine.slice_table(kernel, length)
             transitions = sum(len(entry.memo) for entry in table.entries)
             share = 1 - programs / steps if steps else 0.0
             print(f"{path.stem} {length} {args.seeds} {steps} {programs} {share:.4f}"

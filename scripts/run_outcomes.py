@@ -30,11 +30,10 @@ A few dozen seeds never make ``engine._compose`` compile a program (it
 compiles one at its ``COMPILE_AFTER``-th run), so after those lines every
 finite-order kernel's lines are printed again, each prefixed ``compiled``,
 from a fresh copy of the kernel whose every slice program was compiled
-before its first run (``SliceTable.compile_all``; a ``--src`` checkout
-without it prints none): they must equal the lines above them.  A slice
-table serves one window length, so the table of every length the kernel's
-lines run is compiled; a ``--src`` checkout whose one table serves every
-length (``slice_table(kernel)``) compiles that one.
+before its first run (``SliceTable.compile_all``): they must equal the
+lines above them.  The table of every length the kernel's lines run is
+compiled; lengths that share a table compile it once and again, which
+compiles nothing more.
 
 Usage:
     python scripts/run_outcomes.py --seeds 6 > change.txt
@@ -45,7 +44,6 @@ Usage:
 import argparse
 import functools
 import hashlib
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -113,17 +111,9 @@ def lengths(name):
 
 
 def compile_tables(slice_table, kernel, lengths):
-    """Compile every slice program of ``kernel`` at each of ``lengths``;
-    False, compiling nothing, for a checkout without compiled programs."""
-    if "length" in inspect.signature(slice_table).parameters:
-        tables = [slice_table(kernel, length) for length in lengths]
-    else:
-        tables = [slice_table(kernel)]  # one table for every length
-    if not all(hasattr(table, "compile_all") for table in tables):
-        return False
-    for table in tables:
-        table.compile_all()
-    return True
+    """Compile every slice program of ``kernel`` at each of ``lengths``."""
+    for length in lengths:
+        slice_table(kernel, length).compile_all()
 
 
 def main() -> int:
@@ -149,9 +139,8 @@ def main() -> int:
         kernel = make()
         if kernel.order is None:
             continue
-        # a --src checkout older than compiled programs prints no such lines
-        if compile_tables(slice_table, kernel, lengths(name)):
-            kernels.append(("compiled ", name, kernel))
+        compile_tables(slice_table, kernel, lengths(name))
+        kernels.append(("compiled ", name, kernel))
     for prefix, name, kernel in kernels:
         cases = [(case, budget, both, args.seeds) for case, budget in BUDGETS]
         if kernel.order is None:

@@ -32,10 +32,11 @@ None, label)`` for a leaf:
   program is interpreted by three flat loops until its
   :data:`COMPILE_AFTER`-th run, which compiles it into one Python
   function of the map, built from integers only, whose walk branches on
-  leaves: a parent that is a leaf fills every graft below it at once.  A
-  table serves one window length L, at which every map is at most
-  max(order, L) deep, the table's bound: a node at that depth is a leaf,
-  so the compiled program neither tests nor walks below it.  On order6 at
+  leaves: a parent that is a leaf fills every graft below it at once.  At
+  window length L every map is at most max(order, L) deep, and a table
+  serves every length of one such bound, so every length up to the order
+  shares one: a node at the bound is a leaf, so the compiled program
+  neither tests nor walks below it.  On order6 at
   L=1 a compiled run costs about a fifth of an interpreted one.  Few
   distinct maps occur, so the table is also an exact memo of whole steps,
   which interns at most :data:`MEMO_CAP` maps: a step that repeats a
@@ -61,8 +62,9 @@ None, label)`` for a leaf:
 
 The runs of one kernel at one window length share their start, whatever
 its size, in one place: the kernel's own cache, ``kernel.slice_cache``,
-keyed by window length, which holds that length's slice table or, for the
-renewal kernel, the comb's start.
+keyed by window length, which holds the slice table of that length's
+bound, one object under every length that shares it, which keeps the
+length's start, or, for the renewal kernel, the comb's start.
 
 :func:`step` is the validated reference: it composes the slice of
 :func:`~ciaftp.update_rule.build_slice` onto the previous state's leaves,
@@ -103,7 +105,8 @@ from .errors import (
 from .kernels import Kernel, RenewalSqrtKernel, check_enumeration
 from .tries import (Alphabet, Context, ContextTrie, complete_trie, internal_node,
                     iter_leaves_below, node_depth, prune_minimal)
-from .update_rule import DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, context_layouts, phi_contexts
+from .update_rule import (DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, context_layouts,
+                          depth_message, phi_contexts)
 
 DEFAULT_MAX_ITER = 10**6
 DEFAULT_MAX_NODES = 10**7
@@ -270,8 +273,7 @@ def _backward(
             t -= 1
             state, (step_touches, slice_depth, regenerated, reach, constant) = step_fn(state, u)
             if reach > max_depth:
-                error = (MaxDepthExceeded,
-                         f"slice for u={u!r} did not resolve within depth {max_depth}")
+                error = MaxDepthExceeded, depth_message(u, max_depth)
                 break
             if slice_depth > max_slice_depth:
                 max_slice_depth = slice_depth
@@ -332,8 +334,9 @@ def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
     return level[0]
 
 
-def _window(leaf: tuple, length: int) -> Context:
-    """The label of the coalesced map's leaf, checked to be a window."""
+def _window(length: int, leaf: tuple) -> Context:
+    """The label of the coalesced map's leaf, checked to be a length-L
+    window; bound to its length as a method, it is a sample function."""
     sample = leaf[2]
     if len(sample) != length:
         raise InvariantViolation(f"coalesced label {sample} is not a length-{length} window")
@@ -390,7 +393,7 @@ class SliceEntry:
     map is constant; ``runs``
     counts the program's interpreted runs (memo hits excluded); ``program``
     is the program compiled into one function for the maps of its table's
-    window length (:func:`_compile_program`), which :func:`_compose` builds
+    bound (:func:`_compile_program`), which :func:`_compose` builds
     when ``runs`` reaches :data:`COMPILE_AFTER`.
     """
 
@@ -456,7 +459,8 @@ def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
 
 class SliceTable:
     """The slices of a finite-order kernel, found by bisection, and the
-    memo of the steps composed with them, at one window length.
+    memo of the steps composed with them, for every window length of one
+    depth bound.
 
     Gap ``i`` of the ones found so far, in ascending order, is
     ``[lows[i], highs[i])`` and its draws get ``entries[i]``.  A draw in no
@@ -469,56 +473,61 @@ class SliceTable:
     entries' compiled programs share one globals dict and hold no cycle,
     so dropping the kernel frees them at once.
 
-    Every map at the table's window ``length`` L is at most ``bound`` =
-    max(order, L) deep: the start is L deep, and a step grafts below each
-    slice leaf, at most the order deep, a subtree found one level deeper
-    in the previous map, so the new map is at most max(order, d - 1) deep
-    after a map d deep.  So one compiled program per gap, for maps at most
-    ``bound`` deep, serves every run of the table
-    (:func:`_program_source`).
+    Every map at window length L is at most max(order, L) deep: the start
+    is L deep, and a step grafts below each slice leaf, at most the order
+    deep, a subtree found one level deeper in the previous map, so the new
+    map is at most max(order, d - 1) deep after a map d deep.  A slice
+    depends only on the draw, and a step only on the map and the slice, so
+    the length decides only the start and that depth.  So a table serves
+    every length whose max(order, L) is its ``bound``, and one compiled
+    program per gap, for maps at most ``bound`` deep, serves every run of
+    those lengths (:func:`_program_source`): every length up to the order
+    shares the table of bound ``order``, and each longer length has its
+    own.  :meth:`add_start` adds a length: ``starts[length]`` is the pair
+    (interned initial map, sample function) that every run of that length
+    starts from, both built once.
 
     The table is also a memo of whole steps, which its step function
     ``step`` (:func:`_shared_step`, built once with the table) reads and
     fills.  A composite map is a function on contexts of depth ``bound``,
     so only finitely many occur, and few in practice.  ``maps`` interns
     them (shared-subtree root tuples, each its own key, so equal maps are
-    one object), ``depths`` is keyed by their ids, and ``start`` is the
-    interned initial map that every run starts from.  Every step looks its
-    map's ``id`` up in the gap's :attr:`SliceEntry.memo`; a miss runs the
-    program, and while ``maps`` holds fewer than ``memo_cap`` maps (the
-    start included) its result is interned and stored there as the pair
-    ``(next interned map, step report)`` - the report being (node touches,
-    slice depth, regenerated, reach, constant) - which a hit returns
-    itself, building nothing.  ``memo_cap`` is :data:`MEMO_CAP`, or 0 for
-    a bound of at least half the recursion limit, whose maps are too deep
-    for interning to compare: there only the start is interned, and every
-    step misses and stores nothing, as on a full memo.  A program's result
-    depends only on the map's structure and the gap, so a stored transition
-    gives exactly what the program would: the memo is exact.
-    ``maps`` only grows, so while it has room every map a run holds is
-    interned and kept alive by it; once it is full, a map a run composes
-    is not interned, its ``id`` is no key (keys are ids of live interned
-    maps) and its steps miss and store nothing.  So the memo holds at most
-    ``MEMO_CAP`` maps, the start included, and at most one transition per
+    one object; maps of two lengths have labels of two lengths, so they
+    are never equal), and ``depths`` is keyed by their ids.  Every step
+    looks its map's ``id`` up in the gap's :attr:`SliceEntry.memo`; a miss
+    runs the program, and while ``maps`` holds fewer than ``memo_cap``
+    maps (the starts included) its result is interned and stored there as
+    the pair ``(next interned map, step report)`` - the report being (node
+    touches, slice depth, regenerated, reach, constant) - which a hit
+    returns itself, building nothing.  ``memo_cap`` is :data:`MEMO_CAP`,
+    or 0 for a bound of at least half the recursion limit, whose maps are
+    too deep for interning to compare: there only the starts are
+    interned, and every step misses and stores nothing, as on a full memo.
+    A program's result depends only on the map's structure and the gap,
+    so a stored transition gives exactly what the program would: the memo
+    is exact, and the lengths that share it cannot tell.  ``maps`` only
+    grows, so while it has room every map a run holds is interned and
+    kept alive by it; once it is full, a map a run composes is not
+    interned, its ``id`` is no key (keys are ids of live interned maps)
+    and its steps miss and store nothing.  A start is interned even on a
+    full memo, so the memo holds at most ``MEMO_CAP`` maps plus one start
+    for each length added after it filled, and at most one transition per
     (map, gap).  ``depths`` maps the ``id`` of each interned map to its
     depth once a traced or audited run has sized it (:meth:`size`), and to
     None before: a map whose ``id`` is no key is walked each time, and no
-    map is hashed to find out.  The table checks its start against
-    ``bound`` when it is built.  Over seeds 0..2999
-    (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes 120 transitions
-    between 38 maps and the memo answers 99.3% of its steps; order2 at L=3
-    stores 687 transitions on 256 maps (76.3%); order6 at L=1 stores 262
-    (1.0%), and the distinct nodes of a full memo's 256 maps take about
-    0.27 MB there (1.1 KB a map; ``sys.getsizeof``, CPython 3.11).
+    map is hashed to find out.  Over seeds 0..2999, each window length on
+    a fresh kernel (``scripts/memo_traffic.py``): desk_vlmc at L=3 takes
+    120 transitions between 38 maps and the memo answers 99.3% of its
+    steps; order2 at L=3 stores 687 transitions on 256 maps (76.3%);
+    order6 at L=1 stores 262 (1.0%), and the distinct nodes of a full
+    memo's 256 maps take about 0.27 MB there (1.1 KB a map;
+    ``sys.getsizeof``, CPython 3.11).
     """
 
-    def __init__(self, kernel: Kernel, length: int):
-        if kernel.order is None:
-            raise UnsupportedOperation("a slice table needs a finite-order kernel")
+    def __init__(self, kernel: Kernel, bound: int):
         self._kernel = ref(kernel)
         self._max_depth = max(kernel.order, 1)
-        self.length = length
-        self.bound = max(kernel.order, length)
+        self.bound = bound
         self.arity = kernel.alphabet.size
         self.lows: List[float] = []
         self.highs: List[float] = []
@@ -527,18 +536,24 @@ class SliceTable:
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
         # interning compares maps by tuple ==, which recurses one level per
         # trie level; maps as deep as the bound may take at most half the
-        # recursion limit, else only the start is interned
-        self.memo_cap = MEMO_CAP if 2 * self.bound < sys.getrecursionlimit() else 0
-        self.start = start = _initial_map(kernel.alphabet.symbols, length)
-        self.maps: Dict[tuple, tuple] = {start: start}
+        # recursion limit, else only the starts are interned
+        self.memo_cap = MEMO_CAP if 2 * bound < sys.getrecursionlimit() else 0
+        self.maps: Dict[tuple, tuple] = {}
         self.depths: Dict[int, Optional[int]] = {}
-        # past the order the start is the only map as deep as the bound,
-        # and no step leads back to it, so no run sizes it: check it here,
-        # once, before it is registered, so that its depth is not kept
-        self.size(start)
-        self.depths[id(start)] = None
+        self.starts: Dict[int, Tuple[tuple, Callable[[tuple], Context]]] = {}
         self.step = _shared_step(self)
         self._add(0.0)
+
+    def add_start(self, length: int) -> None:
+        """Build, check and intern the start of window length ``length``.
+        Past the order the start is the only map as deep as the bound, and
+        no step leads back to it, so no run sizes it: it is checked here,
+        once, before it is registered, so that its depth is not kept."""
+        start = _initial_map(self._kernel().alphabet.symbols, length)
+        self.size(start)
+        self.maps[start] = start
+        self.depths[id(start)] = None
+        self.starts[length] = start, MethodType(_window, length)
 
     def lookup(self, u: float) -> SliceEntry:
         """The entry of the gap holding the draw ``u`` (0 <= u < 1); the
@@ -570,15 +585,11 @@ class SliceTable:
             depth = node_depth(root)
             if depth > self.bound:
                 raise InvariantViolation(
-                    f"a map at window length {self.length} is {depth} deep,"
-                    f" past its table's bound {self.bound}")
+                    f"a map is {depth} deep, past its table's bound {self.bound}")
             if id(root) in depths:
                 depths[id(root)] = depth
         arity = self.arity
         return ((arity - 1) * root[0] + 1) // arity, depth
-
-    def sample(self, root: tuple) -> Context:
-        return _window(root, self.length)
 
     def compile_all(self) -> None:
         """Find every gap, from 0 up, and compile each program that is not
@@ -594,12 +605,22 @@ class SliceTable:
 
 
 def slice_table(kernel: Kernel, length: int) -> SliceTable:
-    """The kernel's :class:`SliceTable` at window length ``length``, built
-    on first use and kept in ``kernel.slice_cache`` under that length; an
-    infinite-memory kernel has none, whatever its cache holds."""
-    table = kernel.slice_cache.get(length)
+    """The kernel's :class:`SliceTable` for window length ``length``, kept
+    in ``kernel.slice_cache`` under that length.  A length's first call
+    takes the cached table of its bound max(order, L), or builds one, and
+    adds the length's start to it; an infinite-memory kernel has none,
+    whatever its cache holds."""
+    cache = kernel.slice_cache
+    table = cache.get(length)
     if not isinstance(table, SliceTable):
-        table = kernel.slice_cache[length] = SliceTable(kernel, length)
+        if kernel.order is None:
+            raise UnsupportedOperation("a slice table needs a finite-order kernel")
+        bound = max(kernel.order, length)
+        table = next((t for t in cache.values() if t.bound == bound), None)
+        if table is None:
+            table = SliceTable(kernel, bound)
+        table.add_start(length)
+        cache[length] = table
     return table
 
 
@@ -770,8 +791,8 @@ def _compile_program(entry: SliceEntry, arity: int, bound: int) -> Program:
 
 
 def _shared_step(table: SliceTable) -> StepFunction:
-    """The step function of a finite-order kernel's maps at ``table``'s
-    window length, built once by the table.
+    """The step function of a finite-order kernel's maps at every window
+    length of ``table``'s bound, built once by the table.
 
     A step finds the draw's :class:`SliceEntry` by the table's bisection
     and returns the pair that the entry's memo holds for the map, itself.
@@ -904,7 +925,7 @@ def _comb_root(comb: Comb) -> tuple:
 
 
 def _comb_sample(length: int, comb: Comb) -> Context:
-    return _window(comb[1], length)
+    return _window(length, comb[1])
 
 
 class _Audit:
@@ -997,11 +1018,10 @@ def run(
         size, sample, root_of = _comb_size, MethodType(_comb_sample, length), _comb_root
     else:
         table = slice_table(kernel, length)
+        state, sample = table.starts[length]
         step_fn = table.step
-        state = table.start
         constant = state[1] is None
         size = table.size
-        sample = table.sample
     if on_iteration is not None:
         step_fn = _Audit(step_fn, size, root_of, kernel, length, max_depth, on_iteration)
     return _backward(step_fn, state, constant, size, sample, rng, max_depth, max_iter,

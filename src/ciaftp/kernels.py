@@ -89,21 +89,19 @@ class Kernel:
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         # what the engine's runs of this kernel share, built on first use
-        # and keyed by window length: the length's slice table
-        # (engine.slice_table) of a finite-order kernel, or the renewal
-        # comb's start
+        # and keyed by window length: the slice table (engine.slice_table)
+        # of a finite-order kernel, one object under every length of one
+        # depth bound max(order, L), or the renewal comb's start
         self.slice_cache: Dict[int, object] = {}
-        # update_rule.phi's interval layouts of a finite-order kernel, by
-        # context of at most ``order`` symbols, and those of the contexts of
-        # exactly ``order`` symbols in product order
+        # the interval layouts of a finite-order kernel's contexts of
+        # exactly ``order`` symbols, in product order
         # (update_rule.context_layouts, read by engine.pw_extended)
-        self.layouts: Dict[Context, tuple] = {}
         self.context_layouts: Optional[tuple] = None
 
     def __getstate__(self) -> dict:
         # a slice table holds its kernel weakly and cannot be pickled:
         # every process builds its own caches
-        return dict(self.__dict__, slice_cache={}, layouts={}, context_layouts=None)
+        return dict(self.__dict__, slice_cache={}, context_layouts=None)
 
     # Markov order, or None for infinite memory
     order: Optional[int] = None

@@ -14,17 +14,14 @@ boundaries from one helper, :func:`_level_ends`, in one canonical order
 never disagrees between table construction, pointwise evaluation and slice
 expansion.  The same helper closes every resolving level at exactly 1.0.
 
-:func:`phi` evaluates one context pointwise.  For a finite-order kernel
-it bisects the context's layout, which depends on the context's last
-``order`` symbols only: level ``order`` resolves and ends at 1.0, so no
-draw reads a deeper level.  The layout is built once per such context by
-the same helper and cached on the kernel (``kernel.layouts``).  Contexts
-of infinite-memory kernels are unbounded, so there ``phi`` scans the
-levels up to the first interval end above ``u`` and stores nothing.
-:func:`phi_contexts` applies the same rule to every context of exactly
-``order`` symbols at once, in ``itertools.product`` order, through those
-layouts (:func:`context_layouts`): the extended baseline's one evaluation
-per draw.
+:func:`phi` evaluates one context pointwise: it scans the levels up to
+the first interval end above ``u`` and stores nothing.  For a
+finite-order kernel level ``order`` resolves and closes at 1.0, so the
+scan stops there at the latest.  :func:`phi_contexts` applies the same
+rule to every context of exactly ``order`` symbols at once, in
+``itertools.product`` order, by bisection in each context's layout
+(:func:`context_layouts`, built once per kernel by the same helper): the
+extended baseline's one evaluation per draw.
 
 :func:`build_slice` expands the slice node by node from the kernel's
 lower-bound rows alone, for finite and infinite memory alike, and builds
@@ -125,16 +122,16 @@ def interval_table(kernel: Kernel, w: Context, u_cap: float = 1.0) -> List[Inter
     return out
 
 
-def _layout(kernel: Kernel, w: Context) -> Tuple[Tuple[float, ...], Tuple[Optional[Symbol], ...]]:
+def _layout(kernel: Kernel, w: Context) -> Tuple[float, ...]:
     """The running maximum of the chain ``w``'s interval ends, in canonical
-    order, and each interval's symbol followed by None: the position of the
-    first end above ``u`` gives ``u``'s update value."""
+    order: the position of the first end above ``u`` is that of the
+    interval holding ``u``'s update value."""
     ends, top = [], 0.0
     for _, _, level_ends in _levels(kernel, w):
         for end in level_ends:
             top = max(top, end)
             ends.append(top)
-    return tuple(ends), kernel.alphabet.symbols * (len(w) + 1) + (None,)
+    return tuple(ends)
 
 
 def phi(kernel: Kernel, u: float, s: Context) -> Optional[Symbol]:
@@ -143,36 +140,22 @@ def phi(kernel: Kernel, u: float, s: Context) -> Optional[Symbol]:
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
     # the levels below the first one ending above u end at or below u, so
-    # the first interval ending above u holds it
-    order = kernel.order
-    if order is None:
-        # unbounded contexts: scan up to that interval, and store nothing
-        for _, _, ends in _levels(kernel, s):
-            for g, end in zip(kernel.alphabet.symbols, ends):
-                if u < end:
-                    return g
-        return None
-    # level ``order`` resolves and closes at exactly 1.0, so no draw reads
-    # a deeper level: the last ``order`` symbols give the layout
-    ends, answers = _cached_layout(kernel, s[len(s) - order:] if len(s) > order else s)
-    return answers[bisect_right(ends, u)]
-
-
-def _cached_layout(kernel: Kernel, key: Context) -> tuple:
-    """The layout of a finite-order kernel's context ``key`` of at most
-    ``order`` symbols, built once and kept in ``kernel.layouts``."""
-    layout = kernel.layouts.get(key)
-    if layout is None:
-        layout = kernel.layouts[key] = _layout(kernel, key)
-    return layout
+    # the first interval ending above u holds it; a finite order's level
+    # closes at exactly 1.0, so no draw reads a deeper level
+    for _, _, ends in _levels(kernel, s):
+        for g, end in zip(kernel.alphabet.symbols, ends):
+            if u < end:
+                return g
+    return None
 
 
 def context_layouts(kernel: Kernel) -> Tuple[tuple, ...]:
     """The layouts of a finite-order kernel's contexts of exactly ``order``
     symbols, in ``itertools.product`` order, with each interval's symbol
-    number in place of its symbol: ``phi``'s own layouts, read from
-    ``kernel.layouts``, and kept as one tuple of |G|^order entries in
-    ``kernel.context_layouts``."""
+    number in place of its symbol, kept as one tuple of |G|^order entries
+    in ``kernel.context_layouts``: a bisection in an entry's running
+    maximum finds the first interval end above a draw, as ``phi``'s scan
+    does."""
     layouts = kernel.context_layouts
     if layouts is None:
         order = kernel.order
@@ -180,7 +163,7 @@ def context_layouts(kernel: Kernel) -> Tuple[tuple, ...]:
         # of answers serves them all
         answers = tuple(range(kernel.alphabet.size)) * (order + 1) + (None,)
         layouts = kernel.context_layouts = tuple(
-            (_cached_layout(kernel, key)[0], answers)
+            (_layout(kernel, key), answers)
             for key in itertools.product(kernel.alphabet.symbols, repeat=order))
     return layouts
 
@@ -190,6 +173,11 @@ def phi_contexts(layouts: Tuple[tuple, ...], u: float) -> List[Optional[int]]:
     its order: the number of the update value, or None where the context
     leaves ``u`` unresolved."""
     return [answers[bisect_right(ends, u)] for ends, answers in layouts]
+
+
+def depth_message(u: float, max_depth: int) -> str:
+    """The message of the MaxDepthExceeded that refuses the draw ``u``."""
+    return f"slice for u={u!r} did not resolve within depth {max_depth}"
 
 
 def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) -> UpdateSlice:
@@ -240,9 +228,7 @@ def build_slice(kernel: Kernel, u: float, max_depth: int = DEFAULT_MAX_DEPTH) ->
         else:
             lo = max(lo, level_end)
             if len(ctx) >= max_depth:
-                raise MaxDepthExceeded(
-                    f"slice for u={u!r} did not resolve within depth {max_depth}"
-                )
+                raise MaxDepthExceeded(depth_message(u, max_depth))
             stack.append(None)
             for g in reversed(symbols):
                 stack.append(((g,) + ctx, level_end, row.lower))

@@ -1,3 +1,4 @@
+import bisect
 import concurrent.futures
 import dataclasses
 import functools
@@ -431,26 +432,27 @@ def test_run_many_jobs_after_a_run():
 
 
 def test_run_many_pw_jobs_after_a_run():
-    # phi's cached layouts stay behind too, and so do pw_extended's, one per
-    # context of exactly order symbols, kept apart from the slice tables:
-    # after runs of both samplers the slice cache holds run's lengths only,
-    # a pickled kernel carries none of the three caches, and each worker
-    # builds its own and gives the serial rows
+    # pw_extended's layouts stay behind too, one per context of exactly
+    # order symbols, kept apart from the slice tables: after runs of both
+    # samplers the slice cache holds run's lengths only, a pickled kernel
+    # carries neither cache, and each worker builds its own and gives the
+    # serial rows
     k = load_kernel(str(KERNELS / "order2.json"))
     run(k, 3, RngStream(0))
     pw_extended(k, 2, RngStream(0))
     pw_extended(k, 4, RngStream(0))
     run(k, 1, RngStream(0))
-    layouts, context_layouts = dict(k.layouts), k.context_layouts
-    assert layouts and len(context_layouts) == k.alphabet.size ** k.order == 4
+    context_layouts = k.context_layouts
+    assert len(context_layouts) == k.alphabet.size ** k.order == 4
     assert sorted(k.slice_cache) == [1, 3]
     copy = pickle.loads(pickle.dumps(k))
-    assert (copy.layouts, copy.context_layouts, copy.slice_cache) == ({}, None, {})
+    assert (copy.context_layouts, copy.slice_cache) == (None, {})
+    assert not hasattr(copy, "layouts")
     for length in (2, 4):
         serial = run_many(k, length, 40, 0, 8, algorithm="pw_extended", timing=False)
         assert run_many(k, length, 40, 0, 8, algorithm="pw_extended", timing=False,
                         jobs=2) == serial
-    assert k.layouts == layouts and k.context_layouts is context_layouts
+    assert k.context_layouts is context_layouts
     assert sorted(k.slice_cache) == [1, 3]
 
 
@@ -880,7 +882,8 @@ def test_step_memo_holds_at_most_its_cap(monkeypatch):
     got = [_outcome(k, 1, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
     assert got == want
     assert _transitions(table) == stored  # a full memo takes no new transition
-    assert list(k.slice_cache) == [1] and table.maps[table.start] is table.start
+    start, _ = table.starts[1]
+    assert list(k.slice_cache) == [1] and table.maps[start] is start
     assert len(table.maps) == engine.MEMO_CAP
     assert all(table.maps[root] is root for root in table.maps)
     # every key is an interned map and every stored step leads to one; each
@@ -946,7 +949,8 @@ def test_wide_windows_share_their_start_and_the_memo(monkeypatch):
     monkeypatch.undo()
     assert len(built) == 1
     table = slice_table(k, 13)
-    start = table.start
+    start, _ = table.starts[13]
+    assert list(table.starts) == [13]
     # a binary tree of n nodes has (n + 1) / 2 leaves
     assert table.maps[start] is start and (start[0] + 1) // 2 == 2**13
     assert all(outcome[1] <= -13 for outcome in first)  # at least 13 draws
@@ -976,10 +980,11 @@ def test_renewal_runs_share_their_start():
 
 
 def test_each_window_length_has_its_own_table():
-    # runs at L=1 and L=3 build one table each, kept under its length in the
-    # kernel's cache; the two share no interned map, memo key or program,
-    # and the kernel's runs still sample what pw_extended samples, and
-    # what its rows sample in worker processes
+    # on an order-2 kernel, runs at L=1 and L=3 have the depth bounds 2 and
+    # 3, so they build one table each, kept under its length in the
+    # kernel's cache, which holds that length's start; the two share no
+    # interned map, memo key or program, and the kernel's runs still sample
+    # what pw_extended samples, and what its rows sample in worker processes
     k = load_kernel(str(KERNELS / "order2.json"))
     seeds = range(200)
     samples = {length: [run(k, length, RngStream(seed)).sample for seed in seeds]
@@ -987,7 +992,7 @@ def test_each_window_length_has_its_own_table():
     assert sorted(k.slice_cache) == [1, 3]
     one, three = k.slice_cache[1], k.slice_cache[3]
     assert slice_table(k, 1) is one and slice_table(k, 3) is three
-    assert (one.length, one.bound, three.length, three.bound) == (1, 2, 3, 3)
+    assert (one.bound, list(one.starts), three.bound, list(three.starts)) == (2, [1], 3, [3])
     one.compile_all()
     three.compile_all()
     assert not {id(root) for root in one.maps} & {id(root) for root in three.maps}
@@ -1002,6 +1007,46 @@ def test_each_window_length_has_its_own_table():
         assert [row.sample for row in serial] == samples[length][:40]
         assert run_many(k, length, 0, 0, 40, timing=False, jobs=2) == serial
     assert sorted(k.slice_cache) == [1, 3]
+
+
+def test_window_lengths_up_to_the_order_share_one_table(monkeypatch):
+    # a slice depends only on the draw and a step only on the map and the
+    # slice, so every length up to the order, whose maps share the bound
+    # max(order, L) = order, uses one table: one fresh order6 kernel at
+    # L=1..6 expands each gap once and compiles each program at most once,
+    # and each length's runs sample what pw_extended samples
+    k = load_kernel(str(KERNELS / "order6.json"))
+    expanded, compiled = [], []
+    build, compile_program = engine.build_slice, engine._compile_program
+    monkeypatch.setattr(engine, "build_slice",
+                        lambda *args: expanded.append(args[1]) or build(*args))
+    monkeypatch.setattr(engine, "_compile_program",
+                        lambda *args: compiled.append(args[0]) or compile_program(*args))
+    lengths = range(1, k.order + 1)
+    seeds = range(200)
+    samples = {length: [run(k, length, RngStream(seed)).sample for seed in seeds]
+               for length in lengths}
+    monkeypatch.undo()
+    table = k.slice_cache[1]
+    assert sorted(k.slice_cache) == list(lengths)
+    assert all(k.slice_cache[length] is table for length in lengths)
+    assert table.bound == k.order and sorted(table.starts) == list(lengths)
+    # one expansion per gap, each in a gap of its own
+    assert len(expanded) == len(table.entries) == len(set(table.lows)) > 40
+    assert [bisect.bisect_right(table.lows, u) for u in sorted(expanded)] == list(
+        range(1, len(table.entries) + 1))
+    # a program per gap, compiled at most once
+    assert compiled and len({id(entry) for entry in compiled}) == len(compiled)
+    assert all(any(entry is e for e in table.entries) for entry in compiled)
+    for length in lengths:
+        assert samples[length] == [pw_extended(k, length, RngStream(seed)).sample
+                                   for seed in seeds], length
+    # on order2, L=1 and L=2 share the table of bound 2, and L=3 has its own
+    k = load_kernel(str(KERNELS / "order2.json"))
+    tables = [slice_table(k, length) for length in (1, 2, 3)]
+    assert tables[0] is tables[1] is not tables[2]
+    assert [table.bound for table in tables] == [2, 2, 3]
+    assert (sorted(tables[0].starts), list(tables[2].starts)) == ([1, 2], [3])
 
 
 @pytest.mark.parametrize("name, length", [("order1", 1), ("desk_vlmc", 2), ("order6", 1)])
@@ -1029,23 +1074,21 @@ def test_a_map_deeper_than_its_tables_bound_is_refused(name, length):
 
 def test_a_start_deeper_than_its_tables_bound_is_refused():
     # past the order the start is the only map as deep as the table's
-    # bound, and no run sizes it: the table checks it when it is built, so
-    # a table at L = order + 1 whose bound is one too low raises before any
-    # run
-    class LowBound(engine.SliceTable):
-        @property
-        def bound(self):
-            return self._bound - 1
-
-        @bound.setter
-        def bound(self, value):
-            self._bound = value
-
+    # bound, and no run sizes it: a table checks each start when it adds
+    # it, so the table of bound order refuses the start at L = order + 1,
+    # and keeps nothing of it, while the table of bound order + 1 takes it
     for name in ("order1", "order2", "desk_vlmc", "order4"):
         k = load_kernel(str(KERNELS / f"{name}.json"))
-        assert engine.SliceTable(k, k.order + 1).bound == k.order + 1
+        table = engine.SliceTable(k, k.order + 1)
+        table.add_start(k.order + 1)
+        start, _ = table.starts[k.order + 1]
+        assert table.maps[start] is start and tries.node_depth(start) == k.order + 1
+        low = engine.SliceTable(k, k.order)
+        low.add_start(k.order)
+        kept = (dict(low.starts), dict(low.maps), dict(low.depths))
         with pytest.raises(InvariantViolation, match="past its table's bound"):
-            LowBound(k, k.order + 1)
+            low.add_start(k.order + 1)
+        assert (low.starts, low.maps, low.depths) == kept
         assert not k.slice_cache
 
 
@@ -1127,7 +1170,7 @@ def test_audit_checks_memo_hits(tamper):
     before = _outcome(k, 3, seed)
     table = slice_table(k, 3)
     entry = table.lookup(RngStream(seed).uniform())
-    start = table.start
+    start, _ = table.starts[3]
     # the stored pair: (next map, (touches, depth, regenerated, reach, constant))
     after, (touches, *rest, constant) = entry.memo[id(start)]
     assert not constant
@@ -1314,9 +1357,10 @@ def test_bounded_programs_equal_the_interpreted_ones(monkeypatch):
 
 def test_one_kernel_runs_every_window_length_on_its_own_table(monkeypatch):
     # with every program compiled, one kernel object alternates between
-    # window lengths up to its order and past it, each on its own table,
-    # whose programs are compiled for that length's bound; each run reports
-    # what the same seed reports on a fresh kernel at that window length
+    # window lengths up to its order, which share one table, and past it,
+    # each on its own table, whose programs are compiled for that length's
+    # bound; each run reports what the same seed reports on a fresh kernel
+    # at that window length
     spec = runpy.run_path(str(KERNELS.parent / "scripts" / "run_outcomes.py"))["SPECS"]
     cases = [(desk_vlmc, (1, 2, 3)),
              (functools.partial(load_kernel, str(KERNELS / "order1.json")), (1, 2)),
@@ -1396,8 +1440,12 @@ def test_deep_kernels_run_without_interning():
     assert not any(row.error for row in serial)
     assert max(row.diagnostics.max_slice_depth for row in serial) == 1000
     table = slice_table(k, 1)
-    assert table.memo_cap == 0 and list(table.maps) == [table.start]
+    start, _ = table.starts[1]
+    assert table.memo_cap == 0 and list(table.maps) == [start]
     assert not any(entry.memo for entry in table.entries)
+    # L=2 shares the table of bound 1000, which interns its start too
+    assert slice_table(k, 2) is table
+    assert list(table.maps) == [start, table.starts[2][0]]
     assert run_many(k, 1, 0, 0, 40, timing=False, jobs=2) == serial
     assert run_many(pickle.loads(pickle.dumps(k)), 1, 0, 0, 40, timing=False) == serial
     # at order 600 the audit passes, and reports what the plain run does
@@ -1459,7 +1507,7 @@ def test_compose_compiles_a_program_at_its_compile_after_th_run(monkeypatch):
     k = load_kernel(str(KERNELS / "order6.json"))
     table = slice_table(k, 1)
     entry = table.lookup(0.5)
-    root = table.start
+    root, _ = table.starts[1]
     want = engine._interpret(root, entry, 2)
     interpreted, compiled = [], []
     interpret, compile_program = engine._interpret, engine._compile_program
@@ -1495,7 +1543,7 @@ def test_program_runs_count_no_memo_hit(monkeypatch):
 def test_a_dropped_kernels_programs_die_at_once():
     # compiled programs share one globals dict and make no cycle, so the
     # last reference to their kernel frees them, in the table of every
-    # window length, without the collector
+    # depth bound, without the collector
     k = load_kernel(str(KERNELS / "order6.json"))
     programs = []
     for length in (1, 3):

@@ -84,23 +84,15 @@ def test_run_outcomes(tmp_path):
 
 
 def test_run_outcomes_compiles_every_table_it_runs():
-    # the table of each length is compiled; with a slice_table(kernel) of
-    # one table for every length, as older checkouts have, that one is
+    # the table of each length is compiled, a table that lengths up to the
+    # order share included
     script = runpy.run_path(str(SCRIPTS / "run_outcomes.py"))
-    k = load_kernel(str(SCRIPTS.parent / "kernels" / "order1.json"))
-    assert script["compile_tables"](slice_table, k, script["lengths"]("order1"))
-    assert sorted(k.slice_cache) == [1, 2, 3, 13]
-    assert all(entry.program for table in k.slice_cache.values() for entry in table.entries)
-    k = load_kernel(str(SCRIPTS.parent / "kernels" / "order1.json"))
-    calls = []
-
-    def one_table(kernel):
-        calls.append(kernel)
-        return slice_table(kernel, 2)
-
-    assert script["compile_tables"](one_table, k, (1, 2, 3))
-    assert calls == [k] and list(k.slice_cache) == [2]
-    assert all(entry.program for entry in k.slice_cache[2].entries)
+    for name, cache in [("order1", [1, 2, 3, 13]), ("order2", [1, 2, 3])]:
+        k = load_kernel(str(SCRIPTS.parent / "kernels" / f"{name}.json"))
+        script["compile_tables"](slice_table, k, script["lengths"](name))
+        assert sorted(k.slice_cache) == cache
+        assert all(entry.program for table in k.slice_cache.values()
+                   for entry in table.entries)
 
 
 def test_memo_traffic(tmp_path):

@@ -523,8 +523,8 @@ def test_phi_matches_a_scan_of_the_layout():
                     if u < 1.0:
                         want = next((iv.symbol for iv in table if u < iv.beta), None)
                         assert phi(k, float(u), s) == want, (name, s, u)
-        # one layout per context of at most order symbols
-        assert k.layouts and all(len(key) <= k.order for key in k.layouts), name
+        # phi scans and stores nothing on the kernel
+        assert k.context_layouts is None and not k.slice_cache, name
 
 
 def test_phi_contexts_is_phi_at_every_context_of_the_order():
@@ -543,8 +543,10 @@ def test_phi_contexts_is_phi_at_every_context_of_the_order():
         number[None] = None
         ends = sorted({e for layout, _ in layouts for e in layout if e < 1.0})
         draws = [0.0, TOP, *ends, *(math.nextafter(e, 0.0) for e in ends), *rng.random(5)]
+        # each entry's ends are the running maximum of its context's interval ends
         for ctx, (layout, _) in zip(contexts, layouts):
-            assert layout is k.layouts[ctx][0], (name, ctx)
+            want = tuple(itertools.accumulate((iv.beta for iv in interval_table(k, ctx)), max))
+            assert layout == want, (name, ctx)
         for u in draws:
             want = [number[phi(k, float(u), ctx)] for ctx in contexts]
             assert update_rule.phi_contexts(layouts, float(u)) == want, (name, u)
@@ -558,7 +560,7 @@ def test_phi_on_infinite_memory_scans_and_stores_nothing():
     assert phi(k, 0.9, ones) == "0"  # level 99
     assert phi(k, 0.9, ones + ("0",)) == "1"
     assert phi(k, 0.5, ("1",)) is None
-    assert k.layouts == {}
+    assert k.context_layouts is None
 
 
 def test_phi_refuses_draws_outside_the_unit_interval():
@@ -566,7 +568,7 @@ def test_phi_refuses_draws_outside_the_unit_interval():
         for u in (1.0, -0.0 - 1e-300, math.inf, math.nan):
             with pytest.raises(ValueError):
                 phi(k, u, ("0", "1"))
-        assert k.layouts == {}
+        assert k.context_layouts is None
 
 
 def _levels_per_suffix(kernel, w):
