@@ -15,8 +15,9 @@ of the composite map, a plain value, and one step function,
 ``step(map, u) -> (next map, (node touches, slice depth, regenerated,
 reach, constant))``, whose last field says whether the next map's value
 is constant; with a size function (leaf count and depth, for the trace
-records) and a sample function, that is all the loop knows of a family,
-so a step's fixed cost is one call and a few local tests.  The first two
+records) and a sample function, a plain read of the constant map's one
+label, that is all the loop knows of a family, so a step's fixed cost is
+one call and a few local tests.  The first two
 are built from the same immutable trie nodes of :mod:`ciaftp.tries`, one
 flat tuple each: ``(tree size, child_0, ..., child_{|G|-1})``, or ``(1,
 None, label)`` for a leaf:
@@ -55,10 +56,7 @@ None, label)`` for a leaf:
   bisection in that context's cached interval layout
   (:func:`~ciaftp.update_rule.phi_contexts`), and gathers the next table by
   index: history i moves on to history (i |G| + g) mod |G|^d, g the value
-  at its context.  It shares no slice code with the other two.  On order6
-  at L=1 this cut a run from about 1320 to 390 us, and on desk_vlmc at L=3
-  from 27 to 20 us, against 184 and 7.4 us for :func:`run` (2 vCPU,
-  CPython 3.11).
+  at its context.  It shares no slice code with the other two.
 
 The runs of one kernel at one window length share their start, whatever
 its size, in one place: the kernel's own cache, ``kernel.slice_cache``,
@@ -74,8 +72,13 @@ renewal kernel included, so the comb's closed-form slice depth is checked
 against the law.  Under ``run(on_iteration=...)`` it is advanced beside
 the family's step function (:class:`_Audit`), which raises
 InvariantViolation on any step where they differ and hands the reference
-tries of each step to the hook.  :func:`run` picks the kernel's family,
-and :func:`run_many` is the batch driver for every command.
+tries of each step to the hook.  The audit is also what checks the
+sample: a step only grafts leaves of the start, so the constant map's
+label is a length-L window by construction, and a plain run returns it
+unchecked, while the audit compares every map, labels included, with
+the reference trie built from length-L windows.  :func:`run` picks the
+kernel's family, and :func:`run_many` is the batch driver for every
+command.
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ from .errors import (
     UnsupportedOperation,
 )
 from .kernels import Kernel, RenewalSqrtKernel, check_enumeration
-from .tries import (Alphabet, Context, ContextTrie, complete_trie, internal_node,
-                    iter_leaves_below, node_depth, prune_minimal)
+from .tries import (Alphabet, Context, ContextTrie, complete_trie, iter_leaves_below,
+                    minimal_node, node_depth, prune_minimal)
 from .update_rule import (DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, context_layouts,
                           depth_message, phi_contexts)
 
@@ -303,18 +306,12 @@ def _backward(
 # (SliceTable.depths).  The engine keeps one invariant of its own: each
 # label has one leaf object.  The initial map creates every leaf and later
 # steps only graft them, so a node whose children are all the same leaf
-# object becomes that leaf - the rule of tries.prune_minimal, collapsed by
-# identity.  Grafted subtrees come from a minimal map, so only the nodes a
-# step rebuilds need the rule.  (The initial map is built reduced too; it
-# differs from the complete trie only for a one-symbol alphabet, whose
-# chain of L nodes is one leaf here: that map is constant before any draw.)
-
-
-def _node(kids: tuple) -> tuple:
-    first = kids[0]
-    if first[1] is None and kids.count(first) == len(kids):
-        return first
-    return internal_node(kids)
+# object becomes that leaf - tries.minimal_node, the rule of
+# tries.prune_minimal, whose count finds them by identity.  Grafted
+# subtrees come from a minimal map, so only the nodes a step rebuilds need
+# the rule.  (The initial map is built reduced too; it differs from the
+# complete trie only for a one-symbol alphabet, whose chain of L nodes is
+# one leaf here: that map is constant before any draw.)
 
 
 def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
@@ -330,17 +327,13 @@ def _initial_map(symbols: Tuple[str, ...], length: int) -> tuple:
     level = [(1, None, w) for w in itertools.product(symbols, repeat=length)]
     for k in range(length - 1, -1, -1):
         stride = len(symbols) ** k
-        level = [_node(tuple(level[j::stride])) for j in range(stride)]
+        level = [minimal_node(tuple(level[j::stride])) for j in range(stride)]
     return level[0]
 
 
-def _window(length: int, leaf: tuple) -> Context:
-    """The label of the coalesced map's leaf, checked to be a length-L
-    window; bound to its length as a method, it is a sample function."""
-    sample = leaf[2]
-    if len(sample) != length:
-        raise InvariantViolation(f"coalesced label {sample} is not a length-{length} window")
-    return sample
+# The sample function of a finite-order kernel's maps: a constant map is
+# one leaf, and its label is the sample.
+_leaf_label = itemgetter(2)
 
 
 # -- the slice table ---------------------------------------------------------
@@ -483,9 +476,9 @@ class SliceTable:
     program per gap, for maps at most ``bound`` deep, serves every run of
     those lengths (:func:`_program_source`): every length up to the order
     shares the table of bound ``order``, and each longer length has its
-    own.  :meth:`add_start` adds a length: ``starts[length]`` is the pair
-    (interned initial map, sample function) that every run of that length
-    starts from, both built once.
+    own.  :meth:`add_start` adds a length: ``starts[length]`` is the
+    interned initial map that every run of that length starts from, built
+    once.
 
     The table is also a memo of whole steps, which its step function
     ``step`` (:func:`_shared_step`, built once with the table) reads and
@@ -540,7 +533,7 @@ class SliceTable:
         self.memo_cap = MEMO_CAP if 2 * bound < sys.getrecursionlimit() else 0
         self.maps: Dict[tuple, tuple] = {}
         self.depths: Dict[int, Optional[int]] = {}
-        self.starts: Dict[int, Tuple[tuple, Callable[[tuple], Context]]] = {}
+        self.starts: Dict[int, tuple] = {}
         self.step = _shared_step(self)
         self._add(0.0)
 
@@ -553,7 +546,7 @@ class SliceTable:
         self.size(start)
         self.maps[start] = start
         self.depths[id(start)] = None
-        self.starts[length] = start, MethodType(_window, length)
+        self.starts[length] = start
 
     def lookup(self, u: float) -> SliceEntry:
         """The entry of the gap holding the draw ``u`` (0 <= u < 1); the
@@ -654,7 +647,8 @@ def _interpret(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
     walk steps fill a slot for every distinct prefix of the slice leaves'
     paths into ``root``, the grafts' tree sizes add up to the node touches,
     and the getters rebuild the slice's internal nodes above the grafts, in
-    post-order, with the collapse rule of :func:`_node`."""
+    post-order, with the collapse rule of
+    :func:`~ciaftp.tries.minimal_node`."""
     slots = [root]
     append = slots.append
     for parent, child in entry.walk:
@@ -664,7 +658,7 @@ def _interpret(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
     for graft in entry.grafts:
         touches += slots[graft][0]
     for get in entry.nodes:
-        # _node, inlined
+        # minimal_node, inlined
         kids = get(slots)
         first = kids[0]
         if first[1] is None and kids.count(first) == arity:
@@ -699,8 +693,9 @@ def _program_source(entry: SliceEntry, arity: int, bound: int) -> str:
     each of its children.
 
     After the walk, each internal node is one conditional expression with
-    the collapse rule of :func:`_node` (one leaf object per label, so equal
-    leaves are the same object); the return adds the grafts' tree sizes to
+    the collapse rule of :func:`~ciaftp.tries.minimal_node` (one leaf
+    object per label, so equal leaves are the same object); the return
+    adds the grafts' tree sizes to
     ``touch_base``.  Only integers reach the source: slot indices, tree
     sizes and node touches.
 
@@ -920,12 +915,12 @@ def _comb_root(comb: Comb) -> tuple:
     runs, node = comb
     for side, count in reversed(runs):
         for _ in range(count):
-            node = _node((side, node))
+            node = minimal_node((side, node))
     return node
 
 
-def _comb_sample(length: int, comb: Comb) -> Context:
-    return _window(length, comb[1])
+def _comb_sample(comb: Comb) -> Context:
+    return comb[1][2]
 
 
 class _Audit:
@@ -1010,16 +1005,16 @@ def run(
     if isinstance(kernel, RenewalSqrtKernel):
         state = _comb_start(kernel, length)
         constant = not state[0]
-        # kernel.slice_depth is read once, here.  The comb's functions are
-        # bound as methods, so each run's are the same Python functions,
+        # kernel.slice_depth is read once, here.  The comb's step function
+        # is bound as a method, so each run's is the same Python function,
         # whose calls CPython keeps specialized; a new closure per run would
         # miss that specialization, and a functools.partial gets none.
         step_fn = MethodType(_comb_step, kernel.slice_depth)
-        size, sample, root_of = _comb_size, MethodType(_comb_sample, length), _comb_root
+        size, sample, root_of = _comb_size, _comb_sample, _comb_root
     else:
         table = slice_table(kernel, length)
-        state, sample = table.starts[length]
-        step_fn = table.step
+        state = table.starts[length]
+        step_fn, sample = table.step, _leaf_label
         constant = state[1] is None
         size = table.size
     if on_iteration is not None:
@@ -1034,7 +1029,7 @@ def run(
 PwTable = Tuple[List[Context], int]
 
 
-def _pw_step(kernel: Kernel, layouts: tuple, order: int, n_sym: int, state: PwTable,
+def _pw_step(layouts: tuple, order: int, n_sym: int, state: PwTable,
              u: float) -> Tuple[PwTable, StepReport]:
     """The step function of the composite map ``state`` = (table, m): the
     window of every history of length m, by history number in
@@ -1046,13 +1041,6 @@ def _pw_step(kernel: Kernel, layouts: tuple, order: int, n_sym: int, state: PwTa
     when its table holds one distinct value."""
     table, m = state
     values = phi_contexts(layouts, u)
-    if None in values:
-        depth = kernel.order
-        ctx = next(itertools.islice(itertools.product(kernel.alphabet.symbols, repeat=depth),
-                                    values.index(None), None))
-        raise InvariantViolation(
-            f"order-{depth} kernel unresolved at depth-{depth} context {ctx} for u={u!r}"
-        )
     m_next = max(order, m - 1)
     size = n_sym ** m_next
     # history i's next history (i |G| + g) mod |G|^m starts at
@@ -1093,7 +1081,9 @@ def pw_extended(
 ) -> RunResult:
     """The classical baseline: the composite map over the full extended
     state space, with the same update rule and the same draw discipline as
-    :func:`run`."""
+    :func:`run`.  A kernel with a context of its order that leaves some
+    draws unresolved is refused before any draw is read
+    (:func:`~ciaftp.update_rule.context_layouts`)."""
     if max_iter < 1 or max_depth < 1 or max_nodes < 1:
         raise ValueError("limits must be positive")
     order = kernel.order
@@ -1108,7 +1098,7 @@ def pw_extended(
     check_enumeration(len(symbols), m, f"histories of length {m}")
     # history i's window is its last L symbols: window number i mod |G|^L
     table = list(itertools.product(symbols, repeat=length)) * len(symbols) ** (m - length)
-    step_fn = partial(_pw_step, kernel, context_layouts(kernel), order, len(symbols))
+    step_fn = partial(_pw_step, context_layouts(kernel), order, len(symbols))
     return _backward(step_fn, (table, m), table.count(table[0]) == len(table),
                      _pw_size, _pw_sample, rng, max_depth, max_iter, max_nodes, trace, start_ns)
 

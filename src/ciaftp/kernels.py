@@ -202,7 +202,9 @@ class ContextTreeKernel(Kernel):
 
 
 def memoryless_kernel(alphabet: Alphabet, probs: Distribution) -> ContextTreeKernel:
-    return ContextTreeKernel(ContextTrie.from_leaves(alphabet, {(): tuple(probs)}))
+    kernel = ContextTreeKernel(ContextTrie.from_leaves(alphabet, {(): tuple(probs)}))
+    kernel.family = "memoryless"
+    return kernel
 
 
 def full_markov_kernel(
@@ -219,7 +221,9 @@ def full_markov_kernel(
     if len(table) != len(leaves):
         extra = next(c for c in table if c not in leaves)
         raise KernelSpecError(f"context {extra} does not have length {order}")
-    return ContextTreeKernel(ContextTrie.from_leaves(alphabet, leaves))
+    kernel = ContextTreeKernel(ContextTrie.from_leaves(alphabet, leaves))
+    kernel.family = "full_markov"
+    return kernel
 
 
 class RenewalSqrtKernel(Kernel):

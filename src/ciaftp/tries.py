@@ -114,9 +114,11 @@ def internal_node(kids: tuple) -> tuple:
 def minimal_node(kids: tuple) -> tuple:
     """The node over ``kids`` (its children in alphabet order) under the
     rule of :func:`prune_minimal`: the first child when all of them are
-    leaves with equal labels."""
+    leaves with equal labels.  ``tuple.count`` compares each child with
+    the first leaf by identity, then by ``==``, so children that are one
+    leaf object are found without reading their labels."""
     first = kids[0]
-    if first[1] is None and all(k[1] is None and k[2] == first[2] for k in kids):
+    if first[1] is None and kids.count(first) == len(kids):
         return first
     return internal_node(kids)
 

@@ -21,7 +21,9 @@ scan stops there at the latest.  :func:`phi_contexts` applies the same
 rule to every context of exactly ``order`` symbols at once, in
 ``itertools.product`` order, by bisection in each context's layout
 (:func:`context_layouts`, built once per kernel by the same helper): the
-extended baseline's one evaluation per draw.
+extended baseline's one evaluation per draw.  Building the layouts
+refuses a kernel whose context of its order leaves some draw unresolved,
+so the evaluation never meets one.
 
 :func:`build_slice` expands the slice node by node from the kernel's
 lower-bound rows alone, for finite and infinite memory alike, and builds
@@ -41,7 +43,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .errors import MaxDepthExceeded
+from .errors import InvariantViolation, MaxDepthExceeded
 from .kernels import Distribution, Kernel, resolves
 from .tries import Context, ContextTrie, Symbol, minimal_node
 
@@ -155,23 +157,34 @@ def context_layouts(kernel: Kernel) -> Tuple[tuple, ...]:
     number in place of its symbol, kept as one tuple of |G|^order entries
     in ``kernel.context_layouts``: a bisection in an entry's running
     maximum finds the first interval end above a draw, as ``phi``'s scan
-    does."""
+    does.
+
+    A layout whose running maximum ends below 1.0 leaves the draws above
+    its end unresolved at a context of the full order, which a kernel of
+    that order must resolve: the first such context raises
+    InvariantViolation, once per kernel, and nothing is kept."""
     layouts = kernel.context_layouts
     if layouts is None:
         order = kernel.order
         # every layout has order + 1 levels of |G| intervals, so one tuple
         # of answers serves them all
-        answers = tuple(range(kernel.alphabet.size)) * (order + 1) + (None,)
-        layouts = kernel.context_layouts = tuple(
-            (_layout(kernel, key), answers)
-            for key in itertools.product(kernel.alphabet.symbols, repeat=order))
+        answers = tuple(range(kernel.alphabet.size)) * (order + 1)
+        entries = []
+        for key in itertools.product(kernel.alphabet.symbols, repeat=order):
+            ends = _layout(kernel, key)
+            if ends[-1] < 1.0:
+                raise InvariantViolation(
+                    f"order-{order} kernel leaves the draws from {ends[-1]!r} on unresolved"
+                    f" at depth-{order} context {key}")
+            entries.append((ends, answers))
+        layouts = kernel.context_layouts = tuple(entries)
     return layouts
 
 
-def phi_contexts(layouts: Tuple[tuple, ...], u: float) -> List[Optional[int]]:
+def phi_contexts(layouts: Tuple[tuple, ...], u: float) -> List[int]:
     """:func:`phi`'s rule at each context of :func:`context_layouts`, in
-    its order: the number of the update value, or None where the context
-    leaves ``u`` unresolved."""
+    its order: the number of the update value.  Every layout ends at 1.0,
+    so it is never None."""
     return [answers[bisect_right(ends, u)] for ends, answers in layouts]
 
 

@@ -359,9 +359,10 @@ class _UnresolvedDesk(ContextTreeKernel):
 
 @pytest.mark.parametrize("length", [1, 2, 4])
 def test_pw_extended_refuses_a_context_that_leaves_a_draw_unresolved(length):
-    # negative control for the guard: a draw in the unresolved band raises
-    # InvariantViolation naming the context, whatever the table's depth,
-    # and a draw below it still steps
+    # negative control for the guard: a kernel whose order-2 context leaves
+    # a band of draws unresolved is refused by the first call, whatever the
+    # table's depth, naming the context, before the stream is read and
+    # with no layouts kept, so a second call is refused the same way
     k = _UnresolvedDesk()
     assert update_rule.phi(k, 0.95, ("0", "1")) is None
     assert update_rule.phi(k, 0.85, ("0", "1")) is not None
@@ -372,10 +373,12 @@ def test_pw_extended_refuses_a_context_that_leaves_a_draw_unresolved(length):
         def __init__(self, draws):
             self.draws = iter(draws)
 
-    with pytest.raises(InvariantViolation, match=r"depth-2 context \('0', '1'\) for u=0\.95"):
-        pw_extended(k, length, Draws([0.95]))
-    with pytest.raises(InvariantViolation, match=r"context \('0', '1'\) for u=0\.97"):
-        pw_extended(k, length, Draws([0.85, 0.5, 0.97] + [0.99] * 20))
+    for _ in range(2):
+        stream = Draws([0.85, 0.5, 0.97])
+        with pytest.raises(InvariantViolation, match=r"depth-2 context \('0', '1'\)$"):
+            pw_extended(k, length, stream)
+        assert list(stream.draws) == [0.85, 0.5, 0.97]
+        assert k.context_layouts is None
 
 
 def test_one_symbol_map_is_constant_before_any_draw():
@@ -882,7 +885,7 @@ def test_step_memo_holds_at_most_its_cap(monkeypatch):
     got = [_outcome(k, 1, seed, **budget) for budget in MEMO_BUDGETS for seed in seeds]
     assert got == want
     assert _transitions(table) == stored  # a full memo takes no new transition
-    start, _ = table.starts[1]
+    start = table.starts[1]
     assert list(k.slice_cache) == [1] and table.maps[start] is start
     assert len(table.maps) == engine.MEMO_CAP
     assert all(table.maps[root] is root for root in table.maps)
@@ -949,7 +952,7 @@ def test_wide_windows_share_their_start_and_the_memo(monkeypatch):
     monkeypatch.undo()
     assert len(built) == 1
     table = slice_table(k, 13)
-    start, _ = table.starts[13]
+    start = table.starts[13]
     assert list(table.starts) == [13]
     # a binary tree of n nodes has (n + 1) / 2 leaves
     assert table.maps[start] is start and (start[0] + 1) // 2 == 2**13
@@ -1081,7 +1084,7 @@ def test_a_start_deeper_than_its_tables_bound_is_refused():
         k = load_kernel(str(KERNELS / f"{name}.json"))
         table = engine.SliceTable(k, k.order + 1)
         table.add_start(k.order + 1)
-        start, _ = table.starts[k.order + 1]
+        start = table.starts[k.order + 1]
         assert table.maps[start] is start and tries.node_depth(start) == k.order + 1
         low = engine.SliceTable(k, k.order)
         low.add_start(k.order)
@@ -1170,7 +1173,7 @@ def test_audit_checks_memo_hits(tamper):
     before = _outcome(k, 3, seed)
     table = slice_table(k, 3)
     entry = table.lookup(RngStream(seed).uniform())
-    start, _ = table.starts[3]
+    start = table.starts[3]
     # the stored pair: (next map, (touches, depth, regenerated, reach, constant))
     after, (touches, *rest, constant) = entry.memo[id(start)]
     assert not constant
@@ -1188,6 +1191,40 @@ def test_audit_checks_memo_hits(tamper):
         assert (got[0], got[1]) == (leaf[2], -1) != (before[0], before[1])
     with pytest.raises(InvariantViolation):
         run(k, 3, RngStream(seed), on_iteration=lambda a: None)
+
+
+def _relabeled(node, label):
+    """``node`` rebuilt with each leaf's label ``w`` replaced by ``label(w)``."""
+    if node[1] is None:
+        return (1, None, label(node[2]))
+    return tries.internal_node(tuple(_relabeled(kid, label) for kid in node[1:]))
+
+
+@pytest.mark.parametrize("family", ["table", "comb"])
+def test_audit_checks_the_label_a_plain_run_returns(family):
+    # negative control for the label check, which only the audit makes: the
+    # L=3 start with each window w relabeled w + w[-1:], the same map but
+    # for labels of length 4; plain runs return such a label unchecked,
+    # with the touches they had, and an audited run raises at its first
+    # step, whose reference map has the length-3 windows
+    seeds = range(5)
+    if family == "table":
+        k = desk_vlmc()
+        want = [_outcome(k, 3, seed) for seed in seeds]
+        starts = slice_table(k, 3).starts
+        starts[3] = _relabeled(starts[3], lambda w: w + w[-1:])
+    else:
+        k = RenewalSqrtKernel()
+        want = [_outcome(k, 3, seed) for seed in seeds]
+        runs, spine = k.slice_cache[3]
+        k.slice_cache[3] = ([(_relabeled(side, lambda w: w + w[-1:]), count)
+                             for side, count in runs], _relabeled(spine, lambda w: w + w[-1:]))
+    got = [_outcome(k, 3, seed) for seed in seeds]
+    assert [(o[0] + o[0][-1:],) + o[1:] for o in want] == got
+    seen = []
+    with pytest.raises(InvariantViolation):
+        run(k, 3, RngStream(0), on_iteration=seen.append)
+    assert seen == []
 
 
 def test_compiled_hot_path_skips_the_reference(monkeypatch):
@@ -1277,7 +1314,7 @@ def _collapsed(node, depth, cut, rng):
         while node[1] is not None:
             node = node[1 + int(rng.integers(len(node) - 1))]
         return node
-    return engine._node(tuple(_collapsed(kid, depth + 1, cut, rng) for kid in node[1:]))
+    return tries.minimal_node(tuple(_collapsed(kid, depth + 1, cut, rng) for kid in node[1:]))
 
 
 def _collapsed_maps(symbols, length, rng):
@@ -1440,12 +1477,12 @@ def test_deep_kernels_run_without_interning():
     assert not any(row.error for row in serial)
     assert max(row.diagnostics.max_slice_depth for row in serial) == 1000
     table = slice_table(k, 1)
-    start, _ = table.starts[1]
+    start = table.starts[1]
     assert table.memo_cap == 0 and list(table.maps) == [start]
     assert not any(entry.memo for entry in table.entries)
     # L=2 shares the table of bound 1000, which interns its start too
     assert slice_table(k, 2) is table
-    assert list(table.maps) == [start, table.starts[2][0]]
+    assert list(table.maps) == [start, table.starts[2]]
     assert run_many(k, 1, 0, 0, 40, timing=False, jobs=2) == serial
     assert run_many(pickle.loads(pickle.dumps(k)), 1, 0, 0, 40, timing=False) == serial
     # at order 600 the audit passes, and reports what the plain run does
@@ -1507,7 +1544,7 @@ def test_compose_compiles_a_program_at_its_compile_after_th_run(monkeypatch):
     k = load_kernel(str(KERNELS / "order6.json"))
     table = slice_table(k, 1)
     entry = table.lookup(0.5)
-    root, _ = table.starts[1]
+    root = table.starts[1]
     want = engine._interpret(root, entry, 2)
     interpreted, compiled = [], []
     interpret, compile_program = engine._interpret, engine._compile_program

@@ -31,6 +31,8 @@ from ciaftp.kernels import (
 
 from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
 
+KERNELS = Path(__file__).resolve().parent.parent / "kernels"
+
 
 def test_desk_lower_bounds():
     k = desk_vlmc()
@@ -406,6 +408,17 @@ def test_spec_roundtrip():
     assert dict(k2.trie.leaves()) == dict(k.trie.leaves())
     r = parse_kernel_spec(kernel_to_spec(RenewalSqrtKernel()))
     assert isinstance(r, RenewalSqrtKernel)
+    # every shipped spec, and a chain from each constructor, keeps its type
+    for path in sorted(KERNELS.glob("*.json")):
+        spec = json.loads(path.read_text())
+        assert json.loads(kernel_to_spec(load_kernel(str(path))))["type"] == spec["type"], path
+    built = [(order1_chain(), "full_markov"),
+             (memoryless_kernel(BINARY, (0.25, 0.75)), "memoryless")]
+    for kernel, family in built:
+        assert kernel.family == family
+        again = parse_kernel_spec(kernel_to_spec(kernel))
+        assert again.family == family
+        assert dict(again.trie.leaves()) == dict(kernel.trie.leaves())
 
 
 def test_random_vlmc_ignores_the_hash_seed():

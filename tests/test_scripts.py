@@ -164,3 +164,14 @@ def test_ab_runs_refuses_sides_that_differ(tmp_path):
          "--block-seeds", "4"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode != 0 and "differ" in proc.stderr
+
+
+def test_code_lines(tmp_path):
+    # a docstring, a comment and a blank line are left out: one statement
+    # counts one line, and a statement spanning lines counts each of them
+    package = tmp_path / "ciaftp"
+    package.mkdir()
+    (package / "one.py").write_text('"""A docstring,\nover two lines."""\n\n# a comment\nX = 1\n')
+    (package / "two.py").write_text("def f():\n    '''Doc.'''\n    return (1,  # one\n            2)\n")
+    out = run_script("code_lines.py", ["--src", str(tmp_path)], tmp_path).splitlines()
+    assert out == ["one.py 1", "two.py 3", "total 4"]
