@@ -36,8 +36,8 @@ None, label)`` for a leaf:
   leaves: a parent that is a leaf fills every graft below it at once.  At
   window length L every map is at most max(order, L) deep, and a table
   serves every length of one such bound, so every length up to the order
-  shares one: a node at the bound is a leaf, so the compiled program
-  neither tests nor walks below it.  On order6 at
+  shares one: a node at the bound is a leaf, so every program's walk ends
+  there, and the compiled program does not test it.  On order6 at
   L=1 a compiled run costs about a fifth of an interpreted one.  Few
   distinct maps occur, so the table is also an exact memo of whole steps,
   which interns at most :data:`MEMO_CAP` maps: a step that repeats a
@@ -355,8 +355,12 @@ class SliceEntry:
 
     A slice leaf's *walk path* into the previous map is the index of its
     emitted symbol, then its context's symbol indices from newest to
-    oldest.  The program fills a list of slots, slot 0 being the previous
-    map's root, in three flat passes:
+    oldest, cut after its first ``bound`` steps, ``bound`` being its
+    table's: every map the program runs on is at most that deep, so the
+    node there is a leaf, which a deeper slot would only hold again.  The
+    program fills a list of slots, slot 0 being the previous map's root, in
+    three flat passes, which both ways of running it read
+    (:func:`_interpret`, :func:`_compile_program`):
 
     * ``walk`` has one ``(parent slot, child index)`` step per distinct
       prefix of the walk paths, in slot order: step ``j`` fills slot
@@ -385,9 +389,9 @@ class SliceEntry:
     (:func:`_shared_step`), the report's last field saying whether the next
     map is constant; ``runs``
     counts the program's interpreted runs (memo hits excluded); ``program``
-    is the program compiled into one function for the maps of its table's
-    bound (:func:`_compile_program`), which :func:`_compose` builds
-    when ``runs`` reaches :data:`COMPILE_AFTER`.
+    is the program compiled into one function (:func:`_compile_program`),
+    which :func:`_compose` builds when ``runs`` reaches
+    :data:`COMPILE_AFTER`.
     """
 
     walk: Tuple[WalkStep, ...]
@@ -402,10 +406,11 @@ class SliceEntry:
     program: Optional[Program] = field(default=None, init=False, compare=False, repr=False)
 
 
-def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
+def _compile_entry(slice_: UpdateSlice, bound: int, steps: Dict[WalkStep, WalkStep],
                    getters: Dict[Tuple[int, ...], NodeGetter]) -> SliceEntry:
     """The :class:`SliceEntry` of a slice built by
-    :func:`~ciaftp.update_rule.build_slice`.
+    :func:`~ciaftp.update_rule.build_slice`, for maps at most ``bound``
+    deep: each leaf's walk path ends after its first ``bound`` steps.
 
     Equal walk steps and node getters are kept once in ``steps`` and
     ``getters``, which the entries of one table share.
@@ -424,7 +429,7 @@ def _compile_entry(slice_: UpdateSlice, steps: Dict[WalkStep, WalkStep],
         node, path, closing = stack.pop()
         if node[1] is None:
             slot = 0
-            for i in (alphabet.index(node[2]),) + path:
+            for i in ((alphabet.index(node[2]),) + path)[:bound]:
                 step = (slot, i)
                 slot = slot_of.get(step)
                 if slot is None:
@@ -472,13 +477,14 @@ class SliceTable:
     map is at most max(order, d - 1) deep after a map d deep.  A slice
     depends only on the draw, and a step only on the map and the slice, so
     the length decides only the start and that depth.  So a table serves
-    every length whose max(order, L) is its ``bound``, and one compiled
-    program per gap, for maps at most ``bound`` deep, serves every run of
-    those lengths (:func:`_program_source`): every length up to the order
-    shares the table of bound ``order``, and each longer length has its
-    own.  :meth:`add_start` adds a length: ``starts[length]`` is the
-    interned initial map that every run of that length starts from, built
-    once.
+    every length whose max(order, L) is its ``bound``, and one program per
+    gap, for maps at most ``bound`` deep, serves every run of those
+    lengths: its walk ends at the bound (:class:`SliceEntry`), where a map
+    holds only leaves, and it runs interpreted or compiled.  Every length
+    up to the order shares the table of bound ``order``, and each longer
+    length has its own.  :meth:`add_start` adds a length:
+    ``starts[length]`` is the interned initial map that every run of that
+    length starts from, built once.
 
     The table is also a memo of whole steps, which its step function
     ``step`` (:func:`_shared_step`, built once with the table) reads and
@@ -559,7 +565,7 @@ class SliceTable:
     def _add(self, u: float) -> SliceEntry:
         """Expand, compile and insert the gap of a draw in no known gap."""
         slice_ = build_slice(self._kernel(), u, self._max_depth)
-        entry = _compile_entry(slice_, self._steps, self._getters)
+        entry = _compile_entry(slice_, self.bound, self._steps, self._getters)
         lo, hi = slice_.gap
         i = bisect_right(self.lows, lo)
         self.lows.insert(i, lo)
@@ -570,8 +576,8 @@ class SliceTable:
     def size(self, root: tuple) -> Tuple[int, int]:
         """(leaf count, depth) of the map ``root``.  The depth of an
         interned map is walked once and kept in ``depths``; any other map's
-        is walked on every call.  A walked depth past ``bound``, which the
-        compiled programs take for granted, raises InvariantViolation."""
+        is walked on every call.  A walked depth past ``bound``, which every
+        program takes for granted, raises InvariantViolation."""
         depths = self.depths
         depth = depths.get(id(root))
         if depth is None:
@@ -648,7 +654,9 @@ def _interpret(root: tuple, entry: SliceEntry, arity: int) -> Tuple[tuple, int]:
     paths into ``root``, the grafts' tree sizes add up to the node touches,
     and the getters rebuild the slice's internal nodes above the grafts, in
     post-order, with the collapse rule of
-    :func:`~ciaftp.tries.minimal_node`."""
+    :func:`~ciaftp.tries.minimal_node`.  It reads the walk the compiled
+    program reads, which ends at the table's bound, so both run one
+    program."""
     slots = [root]
     append = slots.append
     for parent, child in entry.walk:
@@ -699,25 +707,18 @@ def _program_source(entry: SliceEntry, arity: int, bound: int) -> str:
     ``touch_base``.  Only integers reach the source: slot indices, tree
     sizes and node touches.
 
-    The map's nodes at depth ``bound`` are leaves: a slot at that depth
-    is a leaf, and a slot below it holds that leaf.  Such a slot is never
-    tested nor unpacked, and the slots below it are not filled: the nodes
-    and the return read the leaf itself.  Each such graft adds its size of
-    1 to the constant, and a node with such a leaf among its children
-    collapses exactly when its children are one object, with no leaf test.
-    A walk is at most one level deeper than the kernel's order, so from a
-    window length of the order plus 2 on, no slot reaches the bound.
+    The walk ends at depth ``bound`` (:class:`SliceEntry`), where the
+    map's nodes are leaves: a slot at that depth is never tested, each
+    graft there adds its size of 1 to the constant, and a node with such a
+    leaf among its children collapses exactly when its children are one
+    object, with no leaf test.  A walk path is at most one step longer
+    than the kernel's order, so from a window length of the order plus 2
+    on, no slot reaches the bound.
     """
     walk = [tuple(map(int, step)) for step in entry.walk]
     depth = [0]
     for parent, _ in walk:
         depth.append(depth[parent] + 1)
-    # the slot whose variable holds each walk slot: past the bound, its
-    # ancestor at the bound
-    hold = list(range(len(depth)))
-    for slot, (parent, _) in enumerate(walk, 1):
-        if depth[parent] >= bound:
-            hold[slot] = hold[parent]
 
     def known_leaf(slot: int) -> bool:
         return slot < len(depth) and depth[slot] >= bound
@@ -726,14 +727,11 @@ def _program_source(entry: SliceEntry, arity: int, bound: int) -> str:
     taken: Dict[int, Dict[int, int]] = {}
     # the variables of the grafts in each walk slot's subtree; a child's
     # slot is larger than its parent's, so one backward pass collects them
-    below: Dict[int, Dict[int, None]] = {}
-    for g in grafts:
-        below.setdefault(hold[g], {})[hold[g]] = None
+    below: Dict[int, Dict[int, None]] = {g: {g: None} for g in grafts}
     for slot in range(len(walk), 0, -1):
         parent, child = walk[slot - 1]
-        if hold[slot] == slot:
-            taken.setdefault(parent, {})[child] = slot
-            below.setdefault(parent, {}).update(below[slot])
+        taken.setdefault(parent, {})[child] = slot
+        below.setdefault(parent, {}).update(below[slot])
 
     lines = ["def program(s0):"]
     # (parent slot, indentation level), popped in the order of the lines
@@ -759,7 +757,7 @@ def _program_source(entry: SliceEntry, arity: int, bound: int) -> str:
     for i, get in enumerate(entry.nodes):
         # a getter applied to the slot numbers picks its children's slots
         kid_slots = get(slots)
-        kids = [f"s{hold[slot] if slot < first else slot}" for slot in kid_slots]
+        kids = [f"s{slot}" for slot in kid_slots]
         leafy = [known_leaf(slot) for slot in kid_slots]
         sizes = "".join(f"{k}[0] + " for k, leaf in zip(kids, leafy) if not leaf)
         same = " is ".join(kids) + ("" if any(leafy) else f" and {kids[0]}[1] is None")

@@ -443,6 +443,9 @@ def parse_kernel_spec(text: str) -> Kernel:
         raise KernelSpecError("memoryless kernels take exactly the empty context")
     if family == "full_markov":
         d = trie.depth()
+        if d == 0:
+            raise KernelSpecError(
+                "full_markov needs contexts of length >= 1; an order-0 chain is memoryless")
         if any(len(c) != d for c in trie.leaf_contexts()):
             raise KernelSpecError("full_markov requires all contexts of one length")
 

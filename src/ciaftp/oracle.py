@@ -92,32 +92,16 @@ def build_extended(kernel: Kernel, order: Optional[int] = None) -> ExtendedChain
 
 
 def _check_mixing(T) -> None:
-    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.csgraph import connected_components, shortest_path
 
     n_comp, _ = connected_components(T, directed=True, connection="strong")
     if n_comp != 1:
         raise ReducibleChain(f"{n_comp} strongly connected components")
-    # period = gcd over all edges of (level(u) + 1 - level(v)), levels from
-    # a BFS tree rooted at state 0
-    n = T.shape[0]
-    indptr, indices = T.indptr, T.indices
-    level = np.full(n, -1)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            g = math.gcd(g, int(level[u] + 1 - level[v]))
-            if g == 1:
-                return
+    # period = gcd over all edges u -> v of (level(u) + 1 - level(v)), the
+    # levels being the BFS distances from state 0
+    level = shortest_path(T, unweighted=True, indices=0).astype(np.int64)
+    tails = np.repeat(np.arange(T.shape[0]), np.diff(T.indptr))
+    g = int(np.gcd.reduce(level[tails] + 1 - level[T.indices]))
     if g != 1:
         raise PeriodicChain(f"chain has period {g}")
 

@@ -1056,21 +1056,30 @@ def test_window_lengths_up_to_the_order_share_one_table(monkeypatch):
 def test_a_map_deeper_than_its_tables_bound_is_refused(name, length):
     # traced runs size each map after a step: none is deeper than its
     # table's bound, max(order, L), and at L <= order some map reaches it
-    # (past the order only the start does, which no step sizes); on a
-    # fresh table whose bound is lowered by one, traced and audited runs
-    # raise, while plain runs, which size nothing, still sample as before
+    # (past the order only the start does, which no step sizes).  On a
+    # fresh table whose bound is lowered by one, every gap found from then
+    # on walks one level short, interpreted or compiled: plain runs, which
+    # size nothing, sample otherwise on some seed, traced runs raise on the
+    # first map past the lowered bound, and audited runs raise too
     path = str(KERNELS / f"{name}.json")
     k = load_kernel(path)
     seeds = range(40)
     results = [run(k, length, RngStream(seed), trace=True) for seed in seeds]
     depths = [record.depth for result in results for record in result.diagnostics.records]
     assert max(depths) == slice_table(k, length).bound == k.order
-    low = load_kernel(path)
-    slice_table(low, length).bound -= 1
-    assert [run(low, length, RngStream(seed)).sample for seed in seeds] == [
+
+    def lowered():
+        low = load_kernel(path)
+        slice_table(low, length).bound -= 1
+        return low
+
+    low = lowered()
+    assert [_outcome(low, length, seed, trace=False)[0] for seed in seeds] != [
         result.sample for result in results]
-    for audit in ({"trace": True}, {"on_iteration": lambda a: None}):
-        with pytest.raises(InvariantViolation, match="past its table's bound"):
+    for audit, match in (({"trace": True}, "past its table's bound"),
+                         ({"on_iteration": lambda a: None}, None)):
+        low = lowered()
+        with pytest.raises(InvariantViolation, match=match):
             for seed in seeds:
                 run(low, length, RngStream(seed), **audit)
 
@@ -1334,62 +1343,36 @@ def test_compiled_programs_equal_the_interpreted_ones(monkeypatch):
     # for its table's bound max(order, L), gives the interpreted program's
     # new map and node touches: on the maps runs at L compose, and on start
     # maps of the bound's length collapsed at every depth up to it, on
-    # which the walk meets a leaf at every depth from 1 to the bound or to
-    # its walk depth, so every leaf branch runs.  Compiled for one level
-    # less, when that is at least 1, some program of each table gives
-    # another result on one of those maps.
+    # which the walk meets a leaf at every depth from 1 to its walk depth,
+    # so every leaf branch runs.  Every length up to the order has one
+    # table, so the maps of each of those lengths meet the same programs.
+    # A table of one level less, when that is at least 1, walks one level
+    # short: some program of it, compiled, gives another result on one of
+    # those maps.
     rng = np.random.Generator(np.random.PCG64(53))
     for name, k in _program_kernels():
         arity = k.alphabet.size
         for length in range(1, k.order + 3):
             table = slice_table(k, length)
+            assert (table is slice_table(k, 1)) == (length <= max(k.order, 1)), (name, length)
             maps = _composed_maps(monkeypatch, k, (length,), range(4))
             maps += _collapsed_maps(k.alphabet.symbols, table.bound, rng)
             assert max(map(tries.node_depth, maps)) == table.bound, (name, length)
             table.compile_all()
             assert len(set(table.lows)) == len(table.entries)
+            low = engine.SliceTable(k, table.bound - 1) if table.bound > 1 else None
             shallow = False
-            for entry in table.entries:
+            for u, entry in zip(table.lows, table.entries):
                 met = set()
-                walk = max(_walk_depths(entry))
-                for root in maps:
-                    want = engine._interpret(root, entry, arity)
+                wants = [engine._interpret(root, entry, arity) for root in maps]
+                for root, want in zip(maps, wants):
                     assert entry.program(root) == want, (name, length)
                     met |= _leaf_depths(root, entry)
-                assert met >= set(range(1, min(table.bound, walk) + 1)), (name, length)
-                if not shallow and table.bound > 1 and walk >= table.bound - 1:
-                    low = engine._compile_program(entry, arity, table.bound - 1)
-                    shallow = any(low(root) != engine._interpret(root, entry, arity)
-                                  for root in maps)
-            assert shallow == (table.bound > 1), (name, length)
-
-
-def test_bounded_programs_equal_the_interpreted_ones(monkeypatch):
-    # every window length up to the order has the order as its table's
-    # bound, so a program compiled for the order serves the maps of every
-    # such length: on maps no deeper than the order - the maps runs compose
-    # at every window length up to it, and start maps of that length
-    # collapsed at every depth - every gap's program, compiled by the table
-    # at L=1, gives the interpreted program's new map and node touches, and
-    # its walk meets a leaf at every depth from 1 to the order or its walk
-    # depth
-    rng = np.random.Generator(np.random.PCG64(59))
-    for name, k in _program_kernels():
-        if k.order < 1:
-            continue
-        assert {slice_table(k, length).bound for length in range(1, k.order + 1)} == {k.order}
-        maps = _composed_maps(monkeypatch, k, range(1, k.order + 1), range(4))
-        maps += _collapsed_maps(k.alphabet.symbols, k.order, rng)
-        assert max(map(tries.node_depth, maps)) == k.order, name
-        table = slice_table(k, 1)
-        table.compile_all()
-        arity = k.alphabet.size
-        for entry in table.entries:
-            met = set()
-            for root in maps:
-                assert entry.program(root) == engine._interpret(root, entry, arity), name
-                met |= _leaf_depths(root, entry)
-            assert met >= set(range(1, min(k.order, max(_walk_depths(entry))) + 1)), name
+                assert met >= set(range(1, max(_walk_depths(entry)) + 1)), (name, length)
+                if low and not shallow:
+                    program = engine._compile_program(low.lookup(u), arity, low.bound)
+                    shallow = [program(root) for root in maps] != wants
+            assert shallow == (low is not None), (name, length)
 
 
 def test_one_kernel_runs_every_window_length_on_its_own_table(monkeypatch):
@@ -1436,15 +1419,16 @@ def test_one_kernel_runs_every_window_length_on_its_own_table(monkeypatch):
 def test_deep_walks_compile(monkeypatch):
     # a comb context tree of order 120, contexts 0 1^j (j < 120) and 1^120:
     # a draw in [0.3, 0.9) resolves at depth 120 only, so its program walks
-    # 121 levels, deeper than CPython lets a source nest, and the maps runs
-    # compose after such draws are as deep; every program compiles, equals
-    # the interpreted one on those maps and passes the audit
+    # 120 levels, down to the bound, deeper than CPython lets a source
+    # nest, and the maps runs compose after such draws are as deep; every
+    # program compiles, equals the interpreted one on those maps and passes
+    # the audit
     k = _comb_kernel(120)
     for length in (1, 2, 3):
         table = slice_table(k, length)
         table.compile_all()
         assert all(entry.program for entry in table.entries)
-        assert max(max(_walk_depths(entry)) for entry in table.entries) == 121
+        assert max(max(_walk_depths(entry)) for entry in table.entries) == 120
         maps = _composed_maps(monkeypatch, k, (length,), range(20))
         assert max(map(tries.node_depth, maps)) >= engine._INDENT_LIMIT
         for entry in table.entries:

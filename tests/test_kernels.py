@@ -383,6 +383,11 @@ def test_parse_family_constraints():
                 "full_markov",
             )
         )
+    # a full Markov chain has order >= 1: the empty context alone is the
+    # memoryless family, which loads it
+    with pytest.raises(KernelSpecError, match="memoryless"):
+        parse_kernel_spec(spec_doc([ctx_entry("", 0.5, 0.5)], "full_markov"))
+    assert parse_kernel_spec(spec_doc([ctx_entry("", 0.5, 0.5)], "memoryless")).order == 0
     # a renewal alphabet must be the list ["0", "1"], not any other value
     for alphabet in (["a", "b"], 7, "01", None, {"0": 1}):
         with pytest.raises(KernelSpecError):

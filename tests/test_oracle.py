@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ciaftp.errors import (
 )
 from ciaftp.kernels import RenewalSqrtKernel, full_markov_kernel, memoryless_kernel
 from ciaftp.oracle import (
+    _check_mixing,
     build_extended,
     stationary,
     tv_distance,
@@ -97,6 +99,56 @@ def test_stationary_rejects_periodic():
     k = full_markov_kernel(BINARY, 1, {("0",): (0.0, 1.0), ("1",): (1.0, 0.0)})
     with pytest.raises(PeriodicChain):
         stationary(build_extended(k))
+
+
+def _period_by_definition(adj):
+    """The gcd of the k <= 2n^2 for which state 0 of the graph ``adj``
+    (boolean, n x n) returns to itself in exactly k steps, by boolean
+    matrix powers; 0 when it never does."""
+    n = len(adj)
+    step = adj.astype(np.int64)
+    power = np.eye(n, dtype=np.int64)
+    g = 0
+    for k in range(1, 2 * n * n + 1):
+        power = np.minimum(power @ step, 1)
+        if power[0, 0]:
+            g = math.gcd(g, k)
+    return g
+
+
+def test_mixing_check_finds_the_period_of_its_definition():
+    # random chains of 1-11 states, half of them with edges only from
+    # class c to class c + 1 mod p for p = 1..4: a chain whose reachability
+    # (boolean powers) is not total is reducible, and a strongly connected
+    # one is refused exactly when its period by definition is not 1
+    from scipy.sparse import csr_matrix
+
+    rng = np.random.default_rng(7)
+    periods = collections.Counter()
+    for t in range(400):
+        n = int(rng.integers(1, 12))
+        p = int(rng.integers(1, 5))
+        cls = rng.integers(0, p, n)
+        adj = rng.random((n, n)) < rng.random()
+        if t % 2:
+            adj &= cls[None, :] == (cls[:, None] + 1) % p
+        adj[np.arange(n), rng.integers(0, n, n)] |= ~adj.any(axis=1)
+        T = csr_matrix(adj / adj.sum(axis=1, keepdims=True))
+        reach = np.eye(n, dtype=np.int64)
+        for _ in range(n):
+            reach = np.minimum(reach + reach @ adj.astype(np.int64), 1)
+        if not reach.all():
+            with pytest.raises(ReducibleChain, match="strongly connected components"):
+                _check_mixing(T)
+            continue
+        period = _period_by_definition(adj)
+        periods[period] += 1
+        if period == 1:
+            _check_mixing(T)
+        else:
+            with pytest.raises(PeriodicChain, match=f"^chain has period {period}$"):
+                _check_mixing(T)
+    assert set(periods) == {1, 2, 3, 4}, periods
 
 
 def test_window_law_marginalization():

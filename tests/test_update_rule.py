@@ -209,7 +209,7 @@ def test_slice_table_matches_generic_slice():
     for name, k in _finite_kernels():
         table = slice_table(k, 1)
         assert slice_table(k, 1) is table
-        gaps = []
+        gaps, cut = [], False
         for u in _gap_probes(k):
             ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
             entry = table.lookup(u)
@@ -221,11 +221,15 @@ def test_slice_table_matches_generic_slice():
             i = [e is entry for e in table.entries].index(True)
             assert (table.lows[i], table.highs[i]) == ref.gap, (name, u)
             # the program walks every distinct prefix of the leaves' walk
-            # paths exactly once, each after its parent, grafts at the
-            # leaves' full paths and rebuilds every other slice node
-            walks = _leaf_walks(ref, k.alphabet)
+            # paths, cut at the table's bound, exactly once, each after its
+            # parent, grafts at the cut paths and rebuilds every other
+            # slice node; no walk slot is deeper than the bound
+            full = _leaf_walks(ref, k.alphabet)
+            cut |= max(map(len, full)) > table.bound
+            walks = [w[:table.bound] for w in full]
             prefixes = {w[:j] for w in walks for j in range(1, len(w) + 1)}
             paths = _slot_paths(entry)
+            assert max(map(len, paths)) <= table.bound, (name, u)
             assert len(paths) - 1 == len(prefixes), (name, u)
             assert set(paths[1:]) == prefixes, (name, u)
             assert all(parent < slot for slot, (parent, _) in enumerate(entry.walk, 1))
@@ -248,6 +252,9 @@ def test_slice_table_matches_generic_slice():
                     assert ran == refused, (name, u, max_depth)
                 else:
                     assert not isinstance(ran, str), (name, u, max_depth)
+        # a walk path is one step longer than its context, so the slices
+        # that reach the order, the bound at L=1 from order 1 on, are cut
+        assert cut == (k.order >= 1), name
         # the table holds exactly the gaps walked, in order: they tile [0, 1)
         assert list(zip(table.lows, table.highs)) == [gap for gap, _ in gaps], name
         assert all(a is b for a, (_, b) in zip(table.entries, gaps)), name
