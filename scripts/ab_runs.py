@@ -15,9 +15,13 @@ covers the sampler's calls only (``run``, or ``pw_extended`` with
 ``--algorithm pw_extended``): the streams are seeded before the timer
 starts.  Before the first block each side runs one block of seeds from
 2**40 on, untimed, so that its slice tables fill and its programs compile.
-Every seed must give the same ``(sample, tau, node_touches)`` on both
-sides (a budget error: its code, no tau, and its node touches); the script
-stops with an error at the first one that differs.  It prints, for the
+With ``--cold N`` each block instead times a cold start, the shape of
+perfbench's set-up: it loads a fresh kernel on each side and runs the
+reference seeds ``2**62 + 0 .. N-1`` on it, the load included in the time,
+with no warm-up block.  Every seed must give the same ``(sample, tau,
+node_touches)`` on both sides (a budget error: its code, no tau, and its
+node touches); the script stops with an error at the first one that
+differs.  It prints, for the
 block ratio ``a time / b time`` (above 1: side b is faster), the median and
 quartiles, the number of blocks each side won, and each side's median
 microseconds per run.
@@ -26,6 +30,8 @@ Usage:
     python scripts/ab_runs.py --a ../parent/src --b src --kernel desk_vlmc --length 3
     python scripts/ab_runs.py --a ../parent/src --b src --kernel order6 --length 1 \
         --algorithm pw_extended --blocks 40 --block-seeds 100
+    python scripts/ab_runs.py --a ../parent/src --b src --kernel order6 --length 1 \
+        --cold 10 --blocks 30
 """
 
 import argparse
@@ -33,11 +39,13 @@ import importlib
 import importlib.util
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
 
 ROOT = Path(__file__).resolve().parent.parent
 WARMUP_BASE = 2**40
+COLD_BASE = 2**62  # perfbench's reference seeds
 
 
 def load_side(name: str, src: Path):
@@ -62,18 +70,20 @@ class Side:
         self.src = src
         self.engine, errors, kernels = load_side(name, src)
         self.budget_error = errors.BudgetError
-        self.kernel = kernels.load_kernel(str(kernel_path))
+        self.load_kernel = partial(kernels.load_kernel, str(kernel_path))
+        self.kernel = self.load_kernel()
         self.length = length
         self.sampler = {"ciaftp": self.engine.run,
                         "pw_extended": self.engine.pw_extended}[algorithm]
 
-    def block(self, seeds: range):
-        """(wall ns of the block's runs, the outcome of each seed)."""
-        run, kernel, length, budget_error = (self.sampler, self.kernel, self.length,
-                                             self.budget_error)
+    def block(self, seeds: range, cold: bool = False):
+        """(wall ns of the block's runs, the outcome of each seed); a cold
+        block runs them on a kernel it loads inside the timed span."""
+        run, length, budget_error = self.sampler, self.length, self.budget_error
         streams = [self.engine.RngStream(seed) for seed in seeds]
         outcomes = []
         t0 = perf_counter_ns()
+        kernel = self.load_kernel() if cold else self.kernel
         for rng in streams:
             try:
                 result = run(kernel, length, rng)
@@ -96,21 +106,28 @@ def main() -> int:
     ap.add_argument("--block-seeds", type=int, default=250, help="seeds per block")
     ap.add_argument("--algorithm", choices=("ciaftp", "pw_extended"), default="ciaftp",
                     help="the sampler to time: run (ciaftp) or pw_extended")
+    ap.add_argument("--cold", type=int, metavar="N",
+                    help="time a fresh kernel plus the seeds 2**62 + 0..N-1 in each block"
+                         " (--block-seeds is then unused)")
     args = ap.parse_args()
+    if args.cold is not None and args.cold < 1:
+        ap.error("--cold must be at least 1")
     kernel_path = Path(args.kernel)
     if not kernel_path.is_file():
         kernel_path = ROOT / "kernels" / f"{args.kernel}.json"
     a = Side("ciaftp_a", args.a.resolve(), kernel_path, args.length, args.algorithm)
     b = Side("ciaftp_b", args.b.resolve(), kernel_path, args.length, args.algorithm)
-    size = args.block_seeds
-    warmup = range(WARMUP_BASE, WARMUP_BASE + size)
-    if a.block(warmup)[1] != b.block(warmup)[1]:
-        sys.exit("ab_runs: the two sides differ on the warm-up seeds")
+    cold = args.cold is not None
+    size = args.cold if cold else args.block_seeds
+    if not cold:
+        warmup = range(WARMUP_BASE, WARMUP_BASE + size)
+        if a.block(warmup)[1] != b.block(warmup)[1]:
+            sys.exit("ab_runs: the two sides differ on the warm-up seeds")
     ratios, a_us, b_us = [], [], []
     for i in range(args.blocks):
-        seeds = range(i * size, (i + 1) * size)
+        seeds = range(COLD_BASE, COLD_BASE + size) if cold else range(i * size, (i + 1) * size)
         first, second = (a, b) if i % 2 == 0 else (b, a)
-        timed = {first: first.block(seeds), second: second.block(seeds)}
+        timed = {first: first.block(seeds, cold), second: second.block(seeds, cold)}
         (a_ns, a_out), (b_ns, b_out) = timed[a], timed[b]
         for seed, x, y in zip(seeds, a_out, b_out):
             if x != y:
@@ -121,9 +138,14 @@ def main() -> int:
     q1, median, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
                       else ratios * 3)
     sampler = "" if args.algorithm == "ciaftp" else f" {args.algorithm}"
-    print(f"kernel {kernel_path.stem} L={args.length}{sampler}: {args.blocks} blocks of"
-          f" {size} seeds, (sample, tau, node_touches) identical on all"
-          f" {args.blocks * size} seeds")
+    if cold:
+        print(f"kernel {kernel_path.stem} L={args.length}{sampler}: {args.blocks} cold blocks"
+              f" of a fresh kernel and seeds 2**62 + 0..{size - 1},"
+              f" (sample, tau, node_touches) identical in every block")
+    else:
+        print(f"kernel {kernel_path.stem} L={args.length}{sampler}: {args.blocks} blocks of"
+              f" {size} seeds, (sample, tau, node_touches) identical on all"
+              f" {args.blocks * size} seeds")
     print(f"a: {a.src}")
     print(f"b: {b.src}")
     print(f"block ratio a/b (above 1: b faster): median {median:.3f},"

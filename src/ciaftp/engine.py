@@ -26,7 +26,11 @@ None, label)`` for a leaf:
   whose leaf labels are full length-L windows, stepped by the function
   the kernel's :class:`SliceTable` builds once (:func:`_shared_step`).  A
   step finds the draw's gap by bisection and runs the gap's program
-  (:class:`SliceEntry`, :func:`_compose`): walk each distinct prefix of
+  (:class:`SliceEntry`, :func:`_compose`).  The table expands a draw in
+  no known gap itself: each context it visits keeps its interval ends and
+  the sub-slices found below it, so a new gap expands only the contexts
+  no earlier gap has expanded for its draws, and grafts the rest.  The
+  program is: walk each distinct prefix of
   the slice leaves' paths into the previous map once, graft the subtrees
   reached by reference and rebuild only the slice's internal nodes, one
   tuple each.  So a step costs O(slice size), not O(state size).  A
@@ -69,7 +73,8 @@ length's start, or, for the renewal kernel, the comb's start.
 through ``ContextTrie.from_leaves`` and ``prune_minimal``.  Its slices
 are expanded from the kernel's lower-bound rows for every family, the
 renewal kernel included, so the comb's closed-form slice depth is checked
-against the law.  Under ``run(on_iteration=...)`` it is advanced beside
+against the law, and the slice tables' own expansion shares no code with
+it.  Under ``run(on_iteration=...)`` it is advanced beside
 the family's step function (:class:`_Audit`), which raises
 InvariantViolation on any step where they differ and hands the reference
 tries of each step to the hook.  The audit is also what checks the
@@ -108,8 +113,8 @@ from .errors import (
 from .kernels import Kernel, RenewalSqrtKernel, check_enumeration
 from .tries import (Alphabet, Context, ContextTrie, complete_trie, iter_leaves_below,
                     minimal_node, node_depth, prune_minimal)
-from .update_rule import (DEFAULT_MAX_DEPTH, UpdateSlice, build_slice, context_layouts,
-                          depth_message, phi_contexts)
+from .update_rule import (DEFAULT_MAX_DEPTH, UpdateSlice, _level_ends, build_slice,
+                          context_layouts, depth_message, phi_contexts)
 
 DEFAULT_MAX_ITER = 10**6
 DEFAULT_MAX_NODES = 10**7
@@ -406,53 +411,121 @@ class SliceEntry:
     program: Optional[Program] = field(default=None, init=False, compare=False, repr=False)
 
 
-def _compile_entry(slice_: UpdateSlice, bound: int, steps: Dict[WalkStep, WalkStep],
+# A sub-slice of a SliceTable: (lo, hi, node, touches, reach, depth), the
+# slice below one context of every draw in [lo, hi) that reaches it, its
+# leaves labeled by symbol number.
+Piece = Tuple[float, float, tuple, int, int, int]
+
+
+def _compile_entry(piece: Piece, arity: int, bound: int, steps: Dict[WalkStep, WalkStep],
                    getters: Dict[Tuple[int, ...], NodeGetter]) -> SliceEntry:
-    """The :class:`SliceEntry` of a slice built by
-    :func:`~ciaftp.update_rule.build_slice`, for maps at most ``bound``
-    deep: each leaf's walk path ends after its first ``bound`` steps.
+    """The :class:`SliceEntry` of the root :data:`Piece` of a gap, for maps
+    at most ``bound`` deep, in one post-order pass over the piece's node:
+    each leaf's walk path ends after its first ``bound`` steps.
 
     Equal walk steps and node getters are kept once in ``steps`` and
     ``getters``, which the entries of one table share.
     """
-    alphabet = slice_.trie.alphabet
-    n = alphabet.size
-    slot_of: Dict[WalkStep, int] = {}  # the slot each walk step fills
+    _, _, root, touches, reach, depth = piece
+    if root[1] is None:
+        step = (0, root[2])
+        return SliceEntry((steps.setdefault(step, step),), (1,), (), touches, depth, reach)
     walk: List[WalkStep] = []
     grafts: List[int] = []
     # children of each internal node: a walk slot, or ~i for internal node i
     nodes: List[List[int]] = []
     pending: List[int] = []
-    # post-order, children in alphabet order
-    stack = [(slice_.trie.root, (), False)]
-    while stack:
-        node, path, closing = stack.pop()
-        if node[1] is None:
-            slot = 0
-            for i in ((alphabet.index(node[2]),) + path)[:bound]:
-                step = (slot, i)
-                slot = slot_of.get(step)
-                if slot is None:
-                    slot = slot_of[step] = len(walk) + 1
-                    walk.append(steps.setdefault(step, step))
+    # along the internal nodes from the root to the one at hand, at depth
+    # d: path[j] is the child index taken into depth j (path[0] is unused),
+    # and prefix[j][g] the slot of the walk prefix (g, path[1], ...,
+    # path[j]), or 0 while there is none; only the leaves below that node
+    # share it
+    path = [0]
+    prefix = [[0] * arity]
+    last = bound - 1
+    # post-order, children in alphabet order: each internal node is left for
+    # its next internal child, and resumed at the child after it
+    stack: List[Tuple[tuple, int, int]] = []
+    node, d, c = root, 0, 0
+    while True:
+        while c < arity:
+            kid = node[1 + c]
+            if kid[1] is not None:
+                stack.append((node, d, c + 1))
+                path.append(c)
+                prefix.append([0] * arity)
+                node, d, c = kid, d + 1, 0
+                continue
+            # the walk path (g, path[1], ..., path[d], c), cut after
+            # ``bound`` steps: find its longest known prefix and add the
+            # rest; the step into the leaf itself is always new
+            g = kid[2]
+            if d < last:
+                top, j = d + 1, d
+            else:
+                top = j = last
+            while j >= 0 and not prefix[j][g]:
+                j -= 1
+            slot = prefix[j][g] if j >= 0 else 0
+            for j in range(j + 1, top + 1):
+                step = (slot, (path[j] if j <= d else c) if j else g)
+                slot = len(walk) + 1
+                if j <= d:
+                    prefix[j][g] = slot
+                walk.append(steps.setdefault(step, step))
             grafts.append(slot)
             pending.append(slot)
-        elif closing:
-            nodes.append(pending[-n:])
-            pending[-n:] = [~(len(nodes) - 1)]
-        else:
-            stack.append((node, path, True))
-            stack.extend((node[1 + i], path + (i,), False) for i in reversed(range(n)))
+            c += 1
+        nodes.append(pending[-arity:])
+        pending[-arity:] = [~(len(nodes) - 1)]
+        if not stack:
+            break
+        path.pop()
+        prefix.pop()
+        node, d, c = stack.pop()
     first = len(walk) + 1
     node_getters = []
     for kids in nodes:
-        key = tuple(r if r >= 0 else first + ~r for r in kids)
+        key = tuple([r if r >= 0 else first + ~r for r in kids])
         getter = getters.get(key)
         if getter is None:
             getter = getters[key] = itemgetter(*key)
         node_getters.append(getter)
     return SliceEntry(tuple(walk), tuple(grafts), tuple(node_getters),
-                      slice_.node_touches + len(nodes), slice_.depth, slice_.reach)
+                      touches + len(nodes), depth, reach)
+
+
+class _Context:
+    """A context a :class:`SliceTable` has visited, with what the table
+    knows of it.
+
+    ``ends`` are the right ends of its level's intervals
+    (:func:`~ciaftp.update_rule._level_ends`, the layout's one source),
+    read once from the kernel's lower-bound row, and ``lower`` is that
+    row's bounds, the previous level of its children; ``kids`` are the
+    children, in alphabet order, made when a draw first expands it.  Piece
+    ``i``, ``pieces[i]``, is the sub-slice that every draw in ``[lows[i],
+    highs[i])`` gets here, found so far in ascending order.
+    """
+
+    __slots__ = ("ctx", "ends", "lower", "kids", "lows", "highs", "pieces")
+
+    def __init__(self, kernel: Kernel, ctx: Context, pos: float, prev: Tuple[float, ...]):
+        row = kernel.lower_bounds(ctx)
+        self.ctx = ctx
+        self.ends = _level_ends(row.lower, row.mass, prev, pos)
+        self.lower = row.lower
+        self.kids: Optional[List[_Context]] = None
+        self.lows: List[float] = []
+        self.highs: List[float] = []
+        self.pieces: list = []
+
+    def insert(self, lo: float, hi: float, piece) -> None:
+        """Insert the piece of the gap ``[lo, hi)`` in ascending order."""
+        i = bisect_right(self.lows, lo)
+        self.lows.insert(i, lo)
+        self.highs.insert(i, hi)
+        self.pieces.insert(i, piece)
 
 
 class SliceTable:
@@ -462,14 +535,24 @@ class SliceTable:
 
     Gap ``i`` of the ones found so far, in ascending order, is
     ``[lows[i], highs[i])`` and its draws get ``entries[i]``.  A draw in no
-    known gap is expanded by :func:`~ciaftp.update_rule.build_slice` at the
-    kernel's order, where every draw resolves, and the gap it reports is
-    compiled and inserted.  The gap of 0 is found first, so the last gap
-    starting at or below a draw is its only candidate.  The kernel is held
-    weakly: the table lives in ``kernel.slice_cache``, so a strong one
-    would be a cycle.  Nothing else points back at the table either: the
-    entries' compiled programs share one globals dict and hold no cycle,
-    so dropping the kernel frees them at once.
+    known gap is expanded by the table (:meth:`_expand`), with the rule of
+    :func:`~ciaftp.update_rule.build_slice` at the kernel's order, where
+    every draw resolves, and the gap it finds is compiled and inserted.
+    The gap of 0 is found first, so the last gap starting at or below a
+    draw is its only candidate.  Each context the expansion visits is a
+    :class:`_Context` that keeps its interval ends, read once from the
+    kernel, and its own gap list: the sub-slices (:data:`Piece`) found
+    below it, each valid for every draw of its gap that reaches the
+    context.  The root's gap list is the table's ``lows``, ``highs`` and
+    ``entries``.  So a new gap expands only the contexts that hold no
+    piece for its draw and grafts every other sub-slice, and each
+    context's ends and pieces are computed once per table, whatever order
+    the gaps arrive in.  On order6 at L=1 the 65 gaps keep 384 pieces on
+    the 126 contexts below the root.  The kernel is held weakly: the table
+    lives in ``kernel.slice_cache``, so a strong one would be a cycle.
+    Nothing else points back at the table either: the contexts hold no
+    kernel, and the entries' compiled programs share one globals dict and
+    hold no cycle, so dropping the kernel frees them at once.
 
     Every map at window length L is at most max(order, L) deep: the start
     is L deep, and a step grafts below each slice leaf, at most the order
@@ -531,6 +614,10 @@ class SliceTable:
         self.lows: List[float] = []
         self.highs: List[float] = []
         self.entries: List[SliceEntry] = []
+        # the root's gaps are the table's own
+        self._root = _Context(kernel, (), 0.0, (0.0,) * self.arity)
+        self._root.lows, self._root.highs, self._root.pieces = self.lows, self.highs, self.entries
+        self._leaves = [(1, None, i) for i in range(self.arity)]
         self._steps: Dict[WalkStep, WalkStep] = {}
         self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
         # interning compares maps by tuple ==, which recurses one level per
@@ -563,15 +650,70 @@ class SliceTable:
         return self._add(u)
 
     def _add(self, u: float) -> SliceEntry:
-        """Expand, compile and insert the gap of a draw in no known gap."""
-        slice_ = build_slice(self._kernel(), u, self._max_depth)
-        entry = _compile_entry(slice_, self.bound, self._steps, self._getters)
-        lo, hi = slice_.gap
-        i = bisect_right(self.lows, lo)
-        self.lows.insert(i, lo)
-        self.highs.insert(i, hi)
-        self.entries.insert(i, entry)
+        """Expand the gap of a draw in no known gap (:meth:`_expand`),
+        compile its entry from the root piece and insert it in the root's
+        gap list, the table's own."""
+        piece = self._expand(u)
+        entry = _compile_entry(piece, self.arity, self.bound, self._steps, self._getters)
+        self._root.insert(piece[0], piece[1], entry)
         return entry
+
+    def _expand(self, u: float) -> Piece:
+        """The root piece of the draw ``u``, which lies in no known gap.
+
+        Depth-first from the root, children in alphabet order, by the rule
+        of :func:`~ciaftp.update_rule.build_slice`: a context whose level
+        ends above ``u`` is a leaf, labeled with the number of the symbol
+        whose interval holds ``u``, and any other one expands into all its
+        children, or raises MaxDepthExceeded past the order.  A context
+        with a piece holding ``u`` is not expanded: the piece is grafted.
+        Each new piece is stored at its context.  A piece's gap runs from
+        the largest interval end compared at or below ``u`` in its subtree
+        to the smallest compared above it (0 and 1 when there is none),
+        and its node is built by :func:`~ciaftp.tries.minimal_node` from
+        its children's when its closing frame pops.
+        """
+        kernel, root, n = self._kernel(), self._root, self.arity
+        symbols = kernel.alphabet.symbols
+        done: List[Piece] = []  # pieces whose parent is not done
+        stack = [(root, False)]
+        while stack:
+            at, closing = stack.pop()
+            if closing:
+                los, his, nodes, touches, reaches, depths = zip(*done[-n:])
+                del done[-n:]
+                node = minimal_node(nodes)
+                piece = (max(at.ends[-1], *los), min(his), node, 1 + sum(touches),
+                         max(reaches), 0 if node[1] is None else 1 + max(depths))
+            else:
+                i = bisect_right(at.lows, u) - 1
+                if i >= 0 and u < at.highs[i]:
+                    done.append(at.pieces[i])
+                    continue
+                ends = at.ends
+                level_end = ends[-1]
+                if u < level_end:
+                    lo = 0.0
+                    # u is at or above the level's start, so the first
+                    # interval ending above it holds it
+                    for g, end in enumerate(ends):
+                        if u < end:
+                            break
+                        lo = max(lo, end)
+                    piece = (lo, min(level_end, end), self._leaves[g], 1, len(at.ctx), 0)
+                else:
+                    if len(at.ctx) >= self._max_depth:
+                        raise MaxDepthExceeded(depth_message(u, self._max_depth))
+                    if at.kids is None:
+                        at.kids = [_Context(kernel, (g,) + at.ctx, level_end, at.lower)
+                                   for g in symbols]
+                    stack.append((at, True))
+                    stack.extend((kid, False) for kid in reversed(at.kids))
+                    continue
+            if at is not root:
+                at.insert(piece[0], piece[1], piece)
+            done.append(piece)
+        return done[0]
 
     def size(self, root: tuple) -> Tuple[int, int]:
         """(leaf count, depth) of the map ``root``.  The depth of an

@@ -31,9 +31,11 @@ its minimal, complete :class:`UpdateSlice` trie in the same pass.  It also
 reports the slice's reach (the depth of the deepest context it visits) and
 its gap: every comparison it makes is ``u < e`` for an interval end ``e``,
 so every draw between the nearest compared ends below and above ``u`` gets
-the same slice.  What
-the sampler does with slices, and how it stores them, is up to
-:mod:`ciaftp.engine`.
+the same slice.  It is the reference expansion: the engine's reference
+step, and so the audit, and ``ciaftp inspect`` read its slices, while the
+engine's slice tables expand their own by the same rule
+(:class:`~ciaftp.engine.SliceTable`), so the audit compares two
+expansions that share no code.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -491,3 +493,18 @@ def test_inspect_deterministic(capsys):
     assert rc1 == rc2 == 0 and out1 == out2
     # the last interval of a resolving level ends at exactly 1.0
     assert out1.splitlines()[-1] == "2,1,0.720891,1.0"
+
+
+def test_python_m_ciaftp_runs_the_cli(capsys):
+    # a checkout without the console script runs the CLI as a module, with
+    # the same bytes and exit codes as cli.main
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for args in (["sample", "--kernel", kpath("desk_vlmc"), "--length", "3", "--runs", "5",
+                  "--seed", "7", "--no-timing"],
+                 ["sample", "--kernel", kpath("desk_vlmc"), "--length", "3", "--runs", "2",
+                  "--seed", "0", "--max-iter", "1", "--no-timing"]):
+        rc, out, err = run_cli(args, capsys)
+        proc = subprocess.run([sys.executable, "-m", "ciaftp", *args], capture_output=True,
+                              env=env, cwd=REPO, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), err.encode())
+    assert rc == 1

@@ -1016,13 +1016,14 @@ def test_window_lengths_up_to_the_order_share_one_table(monkeypatch):
     # a slice depends only on the draw and a step only on the map and the
     # slice, so every length up to the order, whose maps share the bound
     # max(order, L) = order, uses one table: one fresh order6 kernel at
-    # L=1..6 expands each gap once and compiles each program at most once,
-    # and each length's runs sample what pw_extended samples
+    # L=1..6 expands each gap once from the table's root and compiles each
+    # program at most once, and each length's runs sample what pw_extended
+    # samples
     k = load_kernel(str(KERNELS / "order6.json"))
     expanded, compiled = [], []
-    build, compile_program = engine.build_slice, engine._compile_program
-    monkeypatch.setattr(engine, "build_slice",
-                        lambda *args: expanded.append(args[1]) or build(*args))
+    expand, compile_program = engine.SliceTable._expand, engine._compile_program
+    monkeypatch.setattr(engine.SliceTable, "_expand",
+                        lambda table, u: expanded.append(u) or expand(table, u))
     monkeypatch.setattr(engine, "_compile_program",
                         lambda *args: compiled.append(args[0]) or compile_program(*args))
     lengths = range(1, k.order + 1)
@@ -1255,6 +1256,62 @@ def test_compiled_hot_path_skips_the_reference(monkeypatch):
     for (k, length), samples in zip(kernels, before):
         monkeypatch.setattr(k, "lower_bounds", refuse)
         assert [run(k, length, RngStream(seed)).sample for seed in range(30)] == samples
+
+
+def test_a_cold_table_shares_no_code_with_the_reference(monkeypatch):
+    # a fresh kernel's table expands every gap it meets itself: its first
+    # runs expand no slice with build_slice, build no ContextTrie and prune
+    # nothing, and sample what audited runs, checked step by step against
+    # the reference, sample
+    cases = [(lambda: load_kernel(str(KERNELS / "order6.json")), 1), (desk_vlmc, 3)]
+    seeds = range(30)
+    want = [[run(make(), length, RngStream(seed), on_iteration=lambda a: None).sample
+             for seed in seeds] for make, length in cases]
+    fresh = [(make(), length) for make, length in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference machinery ran on a cold table")
+
+    for owner in (engine, tries):
+        monkeypatch.setattr(owner, "prune_minimal", refuse)
+    for owner, name in [(ContextTrie, "from_leaves"), (engine, "step"),
+                        (engine, "build_slice"), (update_rule, "build_slice")]:
+        monkeypatch.setattr(owner, name, refuse)
+    for (k, length), samples in zip(fresh, want):
+        assert not k.slice_cache
+        assert [run(k, length, RngStream(seed)).sample for seed in seeds] == samples
+
+
+def _entry_fields(entry):
+    """What an entry's program is made of: its walk, grafts, the slot
+    tuple of each node getter, touch base, depth and reach."""
+    slots = range(len(entry.walk) + len(entry.nodes) + 1)
+    return (entry.walk, entry.grafts, [tuple(get(slots)) for get in entry.nodes],
+            entry.touch_base, entry.depth, entry.reach)
+
+
+def test_discovery_order_cannot_change_a_table():
+    # a table stores each context's sub-slices as it meets them, in the
+    # order its draws arrive; gaps found from 0 up and the same draws
+    # shuffled give the same gaps and entries, at L=1 and past the order
+    rng = np.random.Generator(np.random.PCG64(30))
+    for name, k in _program_kernels():
+        for length in (1, k.order + 2):
+            bound = max(k.order, length)
+            ascending = engine.SliceTable(k, bound)
+            u = 0.0
+            while u < 1.0:
+                ascending.lookup(u)
+                u = ascending.highs[bisect.bisect_right(ascending.lows, u) - 1]
+            draws = ascending.lows + [(lo + hi) / 2
+                                      for lo, hi in zip(ascending.lows, ascending.highs)]
+            shuffled = engine.SliceTable(k, bound)
+            for u in rng.permutation(draws).tolist():
+                shuffled.lookup(u)
+            assert (shuffled.lows, shuffled.highs) == (ascending.lows, ascending.highs), (
+                name, length)
+            assert ([_entry_fields(e) for e in shuffled.entries]
+                    == [_entry_fields(e) for e in ascending.entries]), (name, length)
 
 
 def _program_kernels():

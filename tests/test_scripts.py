@@ -149,6 +149,31 @@ def test_ab_runs(tmp_path):
     assert len(out) == 6 and out[5].startswith("us per run (median block): a ")
 
 
+def test_ab_runs_cold(tmp_path):
+    # --cold N: each block loads a fresh kernel on each side and runs the
+    # reference seeds 2**62 + 0..N-1 on it, with the same report
+    src = str(SCRIPTS.parent / "src")
+    out = run_script("ab_runs.py", ["--a", src, "--b", src, "--kernel", "order2",
+                                    "--length", "1", "--cold", "4", "--blocks", "3"],
+                     tmp_path).splitlines()
+    assert out[0] == ("kernel order2 L=1: 3 cold blocks of a fresh kernel and seeds"
+                      " 2**62 + 0..3, (sample, tau, node_touches) identical in every block")
+    assert out[1] == out[2].replace("b: ", "a: ", 1)
+    assert out[3].startswith("block ratio a/b (above 1: b faster): median ")
+    won = out[4].replace(",", "").split()
+    assert sum(int(won[i]) for i in (3, 5, 7)) == 3
+    assert len(out) == 6 and out[5].startswith("us per run (median block): a ")
+    # a cold block runs on a kernel of its own, which leaves the side's
+    # kernel untouched, and reports what a warm block does
+    side = runpy.run_path(str(SCRIPTS / "ab_runs.py"))["Side"](
+        "ciaftp_cold", SCRIPTS.parent / "src", SCRIPTS.parent / "kernels" / "order2.json", 1,
+        "ciaftp")
+    seeds = range(2**62, 2**62 + 4)
+    cold = side.block(seeds, cold=True)[1]
+    assert not side.kernel.slice_cache
+    assert cold == side.block(seeds)[1] and side.kernel.slice_cache
+
+
 def test_ab_runs_refuses_sides_that_differ(tmp_path):
     # negative control: a copy whose streams are seeded one off samples
     # differently, and the script stops instead of timing it
