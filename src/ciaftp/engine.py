@@ -55,12 +55,15 @@ None, label)`` for a leaf:
   runs), whatever the depth;
 * :func:`pw_extended` - the full depth-d table of an order-d chain, the
   classical baseline, kept as ``(table, d)``: the window of each history,
-  by history number in ``itertools.product`` order.  A step evaluates
-  ``phi``'s rule once per context of exactly the kernel's order, one
-  bisection in that context's cached interval layout
-  (:func:`~ciaftp.update_rule.phi_contexts`), and gathers the next table by
-  index: history i moves on to history (i |G| + g) mod |G|^d, g the value
-  at its context.  It shares no slice code with the other two.
+  by history number in ``itertools.product`` order.  History i moves on to
+  history (i |G| + g) mod |G|^d, g ``phi``'s value at its context of
+  exactly the kernel's order.  Those values depend on the draw only
+  through its gap between the contexts' interval ends, so the kernel's
+  :class:`PwGaps` applies ``phi``'s rule at every such context once per
+  gap, one bisection in each context's cached interval layout
+  (:func:`~ciaftp.update_rule.phi_contexts`), and keeps the gap's gather
+  index: a step is one bisection for the gap, one gather and one count.
+  It shares no slice code with the other two.
 
 The runs of one kernel at one window length share their start, whatever
 its size, in one place: the kernel's own cache, ``kernel.slice_cache``,
@@ -94,7 +97,6 @@ import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
 from types import CodeType, FunctionType, MethodType
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -1166,39 +1168,100 @@ def run(
 # -- extended Propp-Wilson baseline ---------------------------------------
 
 
-PwTable = Tuple[List[Context], int]
+PwTable = Tuple[Tuple[Context, ...], int]
 
 
-def _pw_step(layouts: tuple, order: int, n_sym: int, state: PwTable,
-             u: float) -> Tuple[PwTable, StepReport]:
-    """The step function of the composite map ``state`` = (table, m): the
-    window of every history of length m, by history number in
-    ``itertools.product`` order, with no adaptive dictionary and no pruning
-    benefit.  ``phi`` is evaluated once per context of exactly the kernel's
-    order; history i of length m' = max(order, m - 1) draws the update
-    value g of its context, number i mod |G|^order, and moves on to history
-    (i |G| + g) mod |G|^m, whose window it takes.  The next map is constant
-    when its table holds one distinct value."""
-    table, m = state
-    values = phi_contexts(layouts, u)
-    m_next = max(order, m - 1)
-    size = n_sym ** m_next
-    # history i's next history (i |G| + g) mod |G|^m starts at
-    # (i |G| mod |G|^m), which runs through range(0, |G|^m, |G|) once, or
-    # |G| times when m' = m, and its context number i mod |G|^order runs
-    # through the values size / |G|^order times
-    firsts = range(0, len(table), n_sym)
-    if size > len(firsts):
-        firsts = list(firsts) * n_sym
-    if size > len(values):
-        values *= size // len(values)
-    new_table = [table[first + g] for first, g in zip(firsts, values)]
-    # every node of the full depth-m trie is held, not only the leaves;
-    # a one-symbol table is constant from the start, so n_sym >= 2
-    touches = (n_sym ** (m_next + 1) - 1) // (n_sym - 1)
-    # phi resolves at the full order: no slice, so no depth budget
-    return (new_table, m_next), (touches, 0, False, 0,
-                                 new_table.count(new_table[0]) == size)
+class PwGaps:
+    """What :func:`pw_extended`'s runs of one finite-order kernel share:
+    the draws' gaps, each with its gather indices, and each window
+    length's start.
+
+    ``phi``'s values at the contexts of the kernel's order depend on a
+    draw only through the gap between interval ends that holds it
+    (:func:`~ciaftp.update_rule.phi_contexts`).  Gap ``i`` of the ones
+    found so far, in ascending order, is ``[lows[i], highs[i])``, and its
+    draws get ``values[i]``; the gap of 0 is found first, so the last gap
+    starting at or below a draw is its only candidate, and a draw in no
+    known gap evaluates the values once and inserts its gap.  A step of a
+    table of histories of length m gathers through the index of its gap
+    and m (:meth:`_gather`), which is kept once the next table is at the
+    order, where every run spends all but its first max(0, L - order - 1)
+    steps: so what is kept is at most two indices of |G|^order entries per
+    gap, whatever L.  The object holds no kernel and lives in
+    ``kernel.pw_gaps``, which a pickled kernel leaves behind.
+    """
+
+    __slots__ = ("layouts", "symbols", "order", "lows", "highs", "values", "gathers",
+                 "starts")
+
+    def __init__(self, kernel: Kernel):
+        # refuses a kernel that leaves draws unresolved, before any draw
+        self.layouts = context_layouts(kernel)
+        self.symbols = kernel.alphabet.symbols
+        self.order = max(kernel.order, 1)
+        self.lows: List[float] = []
+        self.highs: List[float] = []
+        self.values: List[List[int]] = []
+        # per gap: m -> (getter, m', touches), for the m with m' = order
+        self.gathers: List[Dict[int, tuple]] = []
+        self.starts: Dict[int, Tuple[PwTable, bool]] = {}
+        self._add(0.0)
+
+    def _add(self, u: float) -> int:
+        """Evaluate the draw ``u`` and insert its gap; returns its index."""
+        values, (lo, hi) = phi_contexts(self.layouts, u)
+        i = bisect_right(self.lows, lo)
+        self.lows.insert(i, lo)
+        self.highs.insert(i, hi)
+        self.values.insert(i, values)
+        self.gathers.insert(i, {})
+        return i
+
+    def _gather(self, i: int, m: int) -> tuple:
+        """``(getter, m', touches)`` of a step from histories of length m in
+        gap ``i``.  History j of length m' = max(order, m - 1) draws the
+        value g at its context, number j mod |G|^order, and moves on to
+        history (j |G| + g) mod |G|^m, whose window it takes; every node
+        of the full depth-m' trie is held, not only the leaves."""
+        n, order, values = len(self.symbols), self.order, self.values[i]
+        m_next = max(order, m - 1)
+        size, count = n ** m, len(values)
+        getter = itemgetter(*[(j * n + values[j % count]) % size
+                              for j in range(n ** m_next)])
+        # a one-symbol table is constant from the start, so n >= 2
+        gather = (getter, m_next, (n ** (m_next + 1) - 1) // (n - 1))
+        if m_next == order:
+            self.gathers[i][m] = gather
+        return gather
+
+    def start(self, length: int) -> Tuple[PwTable, bool]:
+        """The start at window length L, and whether it is constant:
+        history i of length m = max(order, L) has its last L symbols,
+        window number i mod |G|^L."""
+        start = self.starts.get(length)
+        if start is None:
+            m = max(self.order, length)
+            windows = list(itertools.product(self.symbols, repeat=length))
+            table = tuple(windows * len(self.symbols) ** (m - length))
+            start = self.starts[length] = ((table, m), table.count(table[0]) == len(table))
+        return start
+
+    def step(self, state: PwTable, u: float) -> Tuple[PwTable, StepReport]:
+        """The step function of the composite map ``state`` = (table, m):
+        the window of every history of length m, by history number in
+        ``itertools.product`` order, with no adaptive dictionary and no
+        pruning benefit: one bisection for the draw's gap, one gather and
+        one count.  The next map is constant when its table holds one
+        distinct value."""
+        table, m = state
+        i = bisect_right(self.lows, u) - 1
+        if not u < self.highs[i]:
+            i = self._add(u)
+        getter, m_next, touches = self.gathers[i].get(m) or self._gather(i, m)
+        new_table = getter(table)
+        # phi resolves at the full order: no slice, so no depth budget
+        return (new_table, m_next), (touches, 0, False, 0,
+                                     new_table.count(new_table[0]) == len(new_table))
 
 
 def _pw_size(state: PwTable) -> Tuple[int, int]:
@@ -1221,9 +1284,11 @@ def pw_extended(
 ) -> RunResult:
     """The classical baseline: the composite map over the full extended
     state space, with the same update rule and the same draw discipline as
-    :func:`run`.  A kernel with a context of its order that leaves some
-    draws unresolved is refused before any draw is read
-    (:func:`~ciaftp.update_rule.context_layouts`)."""
+    :func:`run`.  The kernel's runs share one :class:`PwGaps`, kept in
+    ``kernel.pw_gaps``: its gaps, each with ``phi``'s values and gather
+    indices, and each length's start.  A kernel with a context of its
+    order that leaves some draws unresolved is refused before any draw is
+    read (:func:`~ciaftp.update_rule.context_layouts`), and keeps none."""
     if max_iter < 1 or max_depth < 1 or max_nodes < 1:
         raise ValueError("limits must be positive")
     order = kernel.order
@@ -1232,15 +1297,14 @@ def pw_extended(
     if length < 1:
         raise ValueError("window length must be >= 1")
     start_ns = time.perf_counter_ns()
-    order = max(order, 1)
-    symbols = kernel.alphabet.symbols
-    m = max(order, length)
-    check_enumeration(len(symbols), m, f"histories of length {m}")
-    # history i's window is its last L symbols: window number i mod |G|^L
-    table = list(itertools.product(symbols, repeat=length)) * len(symbols) ** (m - length)
-    step_fn = partial(_pw_step, context_layouts(kernel), order, len(symbols))
-    return _backward(step_fn, (table, m), table.count(table[0]) == len(table),
-                     _pw_size, _pw_sample, rng, max_depth, max_iter, max_nodes, trace, start_ns)
+    m = max(order, 1, length)
+    check_enumeration(kernel.alphabet.size, m, f"histories of length {m}")
+    gaps = kernel.pw_gaps
+    if gaps is None:
+        gaps = kernel.pw_gaps = PwGaps(kernel)
+    state, constant = gaps.start(length)
+    return _backward(gaps.step, state, constant, _pw_size, _pw_sample, rng, max_depth,
+                     max_iter, max_nodes, trace, start_ns)
 
 
 # -- batch driver ---------------------------------------------------------

@@ -95,13 +95,17 @@ class Kernel:
         self.slice_cache: Dict[int, object] = {}
         # the interval layouts of a finite-order kernel's contexts of
         # exactly ``order`` symbols, in product order
-        # (update_rule.context_layouts, read by engine.pw_extended)
+        # (update_rule.context_layouts), and what engine.pw_extended's
+        # runs share: the draws' gaps, each with its values at those
+        # contexts and its gather indices, and each length's start
+        # (engine.PwGaps), grown as runs meet new gaps
         self.context_layouts: Optional[tuple] = None
+        self.pw_gaps: Optional[object] = None
 
     def __getstate__(self) -> dict:
         # a slice table holds its kernel weakly and cannot be pickled:
         # every process builds its own caches
-        return dict(self.__dict__, slice_cache={}, context_layouts=None)
+        return dict(self.__dict__, slice_cache={}, context_layouts=None, pw_gaps=None)
 
     # Markov order, or None for infinite memory
     order: Optional[int] = None
@@ -158,15 +162,33 @@ class ContextTreeKernel(Kernel):
         row = self._rows.get(s)
         if row is None:
             hit = self.trie.find_suffix(s)
-            if hit is not None:
-                dist = hit[1]
-                row = LowerBoundRow(dist, 1.0)
-            else:
-                dists = [label for _, label in iter_leaves_below(self.trie, s)]
-                lower = tuple(min(d[i] for d in dists) for i in range(self.alphabet.size))
-                row = LowerBoundRow(lower, math.fsum(lower))
-            self._rows[s] = row
+            if hit is None:
+                # s ends at an internal node, and every internal node's row
+                # is filled at the first such call
+                self._fill_internal_rows()
+                return self._rows[s]
+            row = self._rows[s] = LowerBoundRow(hit[1], 1.0)
         return row
+
+    def _fill_internal_rows(self) -> None:
+        """The row of every internal node of the trie, in one post-order
+        pass: a node's lower bound for a symbol is the minimum over the
+        leaves below it, so the elementwise minimum of its children's (a
+        leaf child's is its distribution), taken in the order of the
+        leaves, and its mass is the ``fsum`` of that tuple."""
+        symbols, rows = self.alphabet.symbols, self._rows
+        internal = []  # parents before their children
+        stack = [(EMPTY, self.trie.root)]
+        while stack:
+            ctx, node = stack.pop()
+            if node[1] is not None:
+                internal.append((ctx, node))
+                stack.extend(((g,) + ctx, kid) for g, kid in zip(symbols, node[1:]))
+        for ctx, node in reversed(internal):
+            kids = [kid[2] if kid[1] is None else rows[(g,) + ctx].lower
+                    for g, kid in zip(symbols, node[1:])]
+            lower = tuple(map(min, zip(*kids)))
+            rows[ctx] = LowerBoundRow(lower, math.fsum(lower))
 
     def min_mass(self, k: int) -> float:
         # a depth-k context either passes a leaf at depth <= k, and resolves

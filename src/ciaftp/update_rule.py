@@ -20,10 +20,12 @@ finite-order kernel level ``order`` resolves and closes at 1.0, so the
 scan stops there at the latest.  :func:`phi_contexts` applies the same
 rule to every context of exactly ``order`` symbols at once, in
 ``itertools.product`` order, by bisection in each context's layout
-(:func:`context_layouts`, built once per kernel by the same helper): the
-extended baseline's one evaluation per draw.  Building the layouts
-refuses a kernel whose context of its order leaves some draw unresolved,
-so the evaluation never meets one.
+(:func:`context_layouts`, built once per kernel by the same helper), and
+reports the gap between the layouts' ends that holds ``u``, where every
+draw gets the same values: the extended baseline evaluates it once per
+gap (:class:`~ciaftp.engine.PwGaps`).  Building the layouts refuses a
+kernel whose context of its order leaves some draw unresolved, so the
+evaluation never meets one.
 
 :func:`build_slice` expands the slice node by node from the kernel's
 lower-bound rows alone, for finite and infinite memory alike, and builds
@@ -183,11 +185,25 @@ def context_layouts(kernel: Kernel) -> Tuple[tuple, ...]:
     return layouts
 
 
-def phi_contexts(layouts: Tuple[tuple, ...], u: float) -> List[int]:
+def phi_contexts(layouts: Tuple[tuple, ...],
+                 u: float) -> Tuple[List[int], Tuple[float, float]]:
     """:func:`phi`'s rule at each context of :func:`context_layouts`, in
-    its order: the number of the update value.  Every layout ends at 1.0,
-    so it is never None."""
-    return [answers[bisect_right(ends, u)] for ends, answers in layouts]
+    its order: the number of the update value, never None, as every
+    layout ends at 1.0; and the gap ``[lo, hi)`` of the draws that get the
+    same numbers.  In each layout ``u`` lies between the end below its
+    bisection point (0 when there is none) and the end at it; every draw
+    between the largest of the lower ends and the smallest of the upper
+    ones bisects to the same point in every layout."""
+    values = []
+    lo, hi = 0.0, 1.0
+    for ends, answers in layouts:
+        i = bisect_right(ends, u)
+        values.append(answers[i])
+        if i and ends[i - 1] > lo:
+            lo = ends[i - 1]
+        if ends[i] < hi:
+            hi = ends[i]
+    return values, (lo, hi)
 
 
 def depth_message(u: float, max_depth: int) -> str:

@@ -436,26 +436,32 @@ def test_run_many_jobs_after_a_run():
 
 def test_run_many_pw_jobs_after_a_run():
     # pw_extended's layouts stay behind too, one per context of exactly
-    # order symbols, kept apart from the slice tables: after runs of both
-    # samplers the slice cache holds run's lengths only, a pickled kernel
-    # carries neither cache, and each worker builds its own and gives the
-    # serial rows
+    # order symbols, and so do its gaps and starts, kept apart from the
+    # slice tables: after runs of both samplers the slice cache holds run's
+    # lengths only, a pickled kernel carries none of the caches, and each
+    # worker builds its own and gives the serial rows, at L = 2 and at L = 4,
+    # where the table shrinks to the order
     k = load_kernel(str(KERNELS / "order2.json"))
     run(k, 3, RngStream(0))
     pw_extended(k, 2, RngStream(0))
     pw_extended(k, 4, RngStream(0))
     run(k, 1, RngStream(0))
-    context_layouts = k.context_layouts
+    context_layouts, gaps = k.context_layouts, k.pw_gaps
     assert len(context_layouts) == k.alphabet.size ** k.order == 4
+    assert gaps.layouts is context_layouts and sorted(gaps.starts) == [2, 4]
     assert sorted(k.slice_cache) == [1, 3]
     copy = pickle.loads(pickle.dumps(k))
-    assert (copy.context_layouts, copy.slice_cache) == (None, {})
+    assert (copy.context_layouts, copy.pw_gaps, copy.slice_cache) == (None, None, {})
     assert not hasattr(copy, "layouts")
     for length in (2, 4):
         serial = run_many(k, length, 40, 0, 8, algorithm="pw_extended", timing=False)
         assert run_many(k, length, 40, 0, 8, algorithm="pw_extended", timing=False,
                         jobs=2) == serial
-    assert k.context_layouts is context_layouts
+        # the workers' rows are those of a fresh kernel in this process
+        fresh = load_kernel(str(KERNELS / "order2.json"))
+        assert run_many(fresh, length, 40, 0, 8, algorithm="pw_extended",
+                        timing=False) == serial
+    assert k.context_layouts is context_layouts and k.pw_gaps is gaps
     assert sorted(k.slice_cache) == [1, 3]
 
 

@@ -19,7 +19,9 @@ from ciaftp.errors import (
     UnsupportedOperation,
 )
 from ciaftp.kernels import (
+    ContextTreeKernel,
     Kernel,
+    LowerBoundRow,
     RenewalSqrtKernel,
     expected_depth_bound,
     full_markov_kernel,
@@ -29,7 +31,9 @@ from ciaftp.kernels import (
     parse_kernel_spec,
 )
 
-from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
+from ciaftp.tries import ContextTrie, iter_leaves_below
+
+from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_csd, random_vlmc
 
 KERNELS = Path(__file__).resolve().parent.parent / "kernels"
 
@@ -51,6 +55,61 @@ def test_desk_lower_bounds():
     assert leaf.resolved and leaf.lower == (0.4, 0.6)
     # longer histories resolve through their suffix
     assert k.lower_bounds(("1", "0", "1")).lower == (0.4, 0.6)
+
+
+def _rows_by_leaves(k, ctx):
+    """The row at ``ctx`` as the minimum over every leaf below it, one
+    leaf scan per context; a context that ends at or passes a leaf
+    resolves to that leaf's law."""
+    hit = k.trie.find_suffix(ctx)
+    if hit is not None:
+        return LowerBoundRow(hit[1], 1.0)
+    dists = [label for _, label in iter_leaves_below(k.trie, ctx)]
+    lower = tuple(min(d[i] for d in dists) for i in range(k.alphabet.size))
+    return LowerBoundRow(lower, math.fsum(lower))
+
+
+def _vlmc_with_zeros(rng, alphabet, splits):
+    """A random context tree whose laws have zeros, some of them -0.0, so
+    that a minimum's sign depends on which leaf it is taken from."""
+    leaves = {}
+    for ctx in sorted(random_csd(rng, alphabet, splits)):
+        x = rng.random(alphabet.size) * (rng.random(alphabet.size) < 0.6)
+        x[rng.integers(alphabet.size)] += 1.0
+        probs = [float(v) for v in x / x.sum()]
+        probs[-1] = 1.0 - math.fsum(probs[:-1])
+        leaves[ctx] = tuple(-0.0 if p == 0.0 and rng.random() < 0.5 else p for p in probs)
+    return ContextTreeKernel(ContextTrie.from_leaves(alphabet, leaves))
+
+
+def test_internal_rows_are_the_minima_over_the_leaves_below():
+    # a fresh kernel fills every internal row at the first internal
+    # context asked for, once, from its children's rows: at every node of
+    # every shipped finite kernel and of random trees with zero (and -0.0)
+    # probabilities, asked in a random order, the row is bit for bit the
+    # minimum over the leaves below, signs of zeros included
+    rng = np.random.Generator(np.random.PCG64(31))
+    kernels = [(p.name, load_kernel(str(p))) for p in sorted(KERNELS.glob("*.json"))]
+    kernels += [(f"zeros{a.size}-{i}", _vlmc_with_zeros(rng, a, int(rng.integers(1, 12))))
+                for a in (BINARY, TERNARY) for i in range(6)]
+    for name, k in kernels:
+        if k.order is None:
+            continue
+        fills = []
+        fill = k._fill_internal_rows
+        k._fill_internal_rows = lambda: fills.append(1) or fill()
+        nodes = [()]
+        for ctx in nodes:
+            if k.trie.find_suffix(ctx) is None:
+                nodes += [(g,) + ctx for g in k.alphabet.symbols]
+        assert len(nodes) == k.trie.node_count(), name
+        for i in rng.permutation(len(nodes)):
+            got, want = k.lower_bounds(nodes[i]), _rows_by_leaves(k, nodes[i])
+            assert ([p.hex() for p in got.lower], got.mass.hex()) == (
+                [p.hex() for p in want.lower], want.mass.hex()), (name, nodes[i])
+        assert len(fills) == (k.order > 0), name
+    assert any(math.copysign(1.0, p) < 0 for _, k in kernels[-12:]
+               for ctx, _ in k.trie.leaves() for p in k.lower_bounds(ctx[1:]).lower)
 
 
 def test_desk_oscillation():

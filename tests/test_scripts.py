@@ -172,6 +172,20 @@ def test_ab_runs_cold(tmp_path):
     cold = side.block(seeds, cold=True)[1]
     assert not side.kernel.slice_cache
     assert cold == side.block(seeds)[1] and side.kernel.slice_cache
+    # the same of pw_extended, the shape of perfbench's set-up: a cold
+    # block builds the gaps of a kernel of its own
+    out = run_script("ab_runs.py", ["--a", src, "--b", src, "--kernel", "desk_vlmc",
+                                    "--length", "3", "--algorithm", "pw_extended",
+                                    "--cold", "4", "--blocks", "2"], tmp_path).splitlines()
+    assert out[0] == ("kernel desk_vlmc L=3 pw_extended: 2 cold blocks of a fresh kernel and"
+                      " seeds 2**62 + 0..3, (sample, tau, node_touches) identical in every block")
+    assert len(out) == 6 and out[5].startswith("us per run (median block): a ")
+    side = runpy.run_path(str(SCRIPTS / "ab_runs.py"))["Side"](
+        "ciaftp_cold_pw", SCRIPTS.parent / "src", SCRIPTS.parent / "kernels" / "desk_vlmc.json",
+        3, "pw_extended")
+    cold = side.block(seeds, cold=True)[1]
+    assert side.kernel.pw_gaps is None
+    assert cold == side.block(seeds)[1] and side.kernel.pw_gaps is not None
 
 
 def test_ab_runs_refuses_sides_that_differ(tmp_path):

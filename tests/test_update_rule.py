@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -556,7 +557,55 @@ def test_phi_contexts_is_phi_at_every_context_of_the_order():
             assert layout == want, (name, ctx)
         for u in draws:
             want = [number[phi(k, float(u), ctx)] for ctx in contexts]
-            assert update_rule.phi_contexts(layouts, float(u)) == want, (name, u)
+            values, (lo, hi) = update_rule.phi_contexts(layouts, float(u))
+            assert values == want and lo <= u < hi, (name, u)
+
+
+def _pw_step_by_phi(layouts, order, n, state, u):
+    """pw_extended's step evaluated at the draw itself: ``phi_contexts``
+    at ``u``, then history i of length m' = max(order, m - 1) takes the
+    window of history (i n + g) mod n^m, g the value at its context."""
+    table, m = state
+    values, _ = update_rule.phi_contexts(layouts, u)
+    m_next = max(order, m - 1)
+    new = tuple(table[(i * n + values[i % len(values)]) % len(table)]
+                for i in range(n ** m_next))
+    touches = (n ** (m_next + 1) - 1) // (n - 1)
+    return (new, m_next), (touches, 0, False, 0, new.count(new[0]) == len(new))
+
+
+def test_pw_gaps_are_exact():
+    # pw_extended's gaps, grown on a fresh kernel by draws at every layout
+    # end, the double below each end and random draws, in a random order,
+    # at L = 1 and L = order + 2 (stepped from the start and along a chain,
+    # so every m from the start's down to the order): each gap holds its
+    # draws, phi_contexts gives the gap's values at both of its ends and
+    # other values at its upper end, and each step equals the step that
+    # evaluates phi_contexts at the draw itself
+    rng = np.random.Generator(np.random.PCG64(12))
+    for name, k in _finite_kernels():
+        layouts = update_rule.context_layouts(k)
+        ends = sorted({e for layout, _ in layouts for e in layout if e < 1.0})
+        draws = [0.0, TOP, *ends, *(math.nextafter(e, 0.0) for e in ends), *rng.random(20)]
+        gaps = engine.PwGaps(k)
+        order, n = max(k.order, 1), k.alphabet.size
+        for length in (1, k.order + 2):
+            start = state = gaps.start(length)[0]
+            for j in rng.permutation(len(draws)):
+                u = float(draws[j])
+                for before in (start, state):
+                    got = gaps.step(before, u)
+                    assert got == _pw_step_by_phi(layouts, order, n, before, u), (name, u)
+                state = got[0]
+                i = bisect_right(gaps.lows, u) - 1
+                lo, hi, values = gaps.lows[i], gaps.highs[i], gaps.values[i]
+                assert lo <= u < hi, (name, u)
+                assert update_rule.phi_contexts(layouts, lo)[0] == values, (name, lo)
+                below = math.nextafter(hi, 0.0)
+                assert update_rule.phi_contexts(layouts, below)[0] == values, (name, below)
+                assert hi == 1.0 or update_rule.phi_contexts(layouts, hi)[0] != values, name
+        assert all(a < b <= c for a, b, c in zip(gaps.lows, gaps.highs, gaps.lows[1:])), name
+        assert k.pw_gaps is None, name
 
 
 def test_phi_on_infinite_memory_scans_and_stores_nothing():
