@@ -26,11 +26,11 @@ None, label)`` for a leaf:
   whose leaf labels are full length-L windows, stepped by the function
   the kernel's :class:`SliceTable` builds once (:func:`_shared_step`).  A
   step finds the draw's gap by bisection and runs the gap's program
-  (:class:`SliceEntry`, :func:`_compose`).  The table expands a draw in
-  no known gap itself: each context it visits keeps its interval ends and
-  the sub-slices found below it, so a new gap expands only the contexts
-  no earlier gap has expanded for its draws, and grafts the rest.  The
-  program is: walk each distinct prefix of
+  (:class:`SliceEntry`, :func:`_compose`).  The table finds every gap
+  when it is built, in one sweep from 0 up: each context the sweep
+  visits keeps its interval ends and the last sub-slice found below it,
+  so a gap expands only the contexts no earlier gap has expanded for its
+  draws, and grafts the rest.  The program is: walk each distinct prefix of
   the slice leaves' paths into the previous map once, graft the subtrees
   reached by reference and rebuild only the slice's internal nodes, one
   tuple each.  So a step costs O(slice size), not O(state size).  A
@@ -59,10 +59,11 @@ None, label)`` for a leaf:
   history (i |G| + g) mod |G|^d, g ``phi``'s value at its context of
   exactly the kernel's order.  Those values depend on the draw only
   through its gap between the contexts' interval ends, so the kernel's
-  :class:`PwGaps` applies ``phi``'s rule at every such context once per
-  gap, one bisection in each context's cached interval layout
-  (:func:`~ciaftp.update_rule.phi_contexts`), and keeps the gap's gather
-  index: a step is one bisection for the gap, one gather and one count.
+  :class:`PwGaps` finds every gap when it is built, applying ``phi``'s
+  rule at every such context once per gap, one bisection in each
+  context's interval layout (:func:`~ciaftp.update_rule.phi_contexts`),
+  and keeps the gap's gather index: a step is one bisection for the gap,
+  one gather and one count.
   It shares no slice code with the other two.
 
 The runs of one kernel at one window length share their start, whatever
@@ -100,7 +101,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from types import CodeType, FunctionType, MethodType
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
-from weakref import ref
 
 import numpy as np
 
@@ -116,7 +116,7 @@ from .kernels import Kernel, RenewalSqrtKernel, check_enumeration
 from .tries import (Alphabet, Context, ContextTrie, complete_trie, iter_leaves_below,
                     minimal_node, node_depth, prune_minimal)
 from .update_rule import (DEFAULT_MAX_DEPTH, UpdateSlice, _level_ends, build_slice,
-                          context_layouts, depth_message, phi_contexts)
+                          context_layouts, depth_message, phi_contexts, unresolved_message)
 
 DEFAULT_MAX_ITER = 10**6
 DEFAULT_MAX_NODES = 10**7
@@ -498,19 +498,20 @@ def _compile_entry(piece: Piece, arity: int, bound: int, steps: Dict[WalkStep, W
 
 
 class _Context:
-    """A context a :class:`SliceTable` has visited, with what the table
-    knows of it.
+    """A context the sweep that builds a :class:`SliceTable` has visited,
+    with what the sweep knows of it.
 
     ``ends`` are the right ends of its level's intervals
     (:func:`~ciaftp.update_rule._level_ends`, the layout's one source),
     read once from the kernel's lower-bound row, and ``lower`` is that
     row's bounds, the previous level of its children; ``kids`` are the
-    children, in alphabet order, made when a draw first expands it.  Piece
-    ``i``, ``pieces[i]``, is the sub-slice that every draw in ``[lows[i],
-    highs[i])`` gets here, found so far in ascending order.
+    children, in alphabet order, made when a draw first expands it.
+    ``piece`` is the last sub-slice found here, or None: the sweep's draws
+    ascend, so a later draw that reaches the context lies in that piece's
+    gap or above it.
     """
 
-    __slots__ = ("ctx", "ends", "lower", "kids", "lows", "highs", "pieces")
+    __slots__ = ("ctx", "ends", "lower", "kids", "piece")
 
     def __init__(self, kernel: Kernel, ctx: Context, pos: float, prev: Tuple[float, ...]):
         row = kernel.lower_bounds(ctx)
@@ -518,16 +519,65 @@ class _Context:
         self.ends = _level_ends(row.lower, row.mass, prev, pos)
         self.lower = row.lower
         self.kids: Optional[List[_Context]] = None
-        self.lows: List[float] = []
-        self.highs: List[float] = []
-        self.pieces: list = []
+        self.piece: Optional[Piece] = None
 
-    def insert(self, lo: float, hi: float, piece) -> None:
-        """Insert the piece of the gap ``[lo, hi)`` in ascending order."""
-        i = bisect_right(self.lows, lo)
-        self.lows.insert(i, lo)
-        self.highs.insert(i, hi)
-        self.pieces.insert(i, piece)
+
+def _expand(kernel: Kernel, root: _Context, u: float, leaves: List[tuple]) -> Piece:
+    """The root piece of the draw ``u``, at or above every gap the sweep
+    has found below ``root``.
+
+    Depth-first from the root, children in alphabet order, by the rule of
+    :func:`~ciaftp.update_rule.build_slice`: a context whose level ends
+    above ``u`` is a leaf, ``leaves[g]`` for the number g of the symbol
+    whose interval holds ``u``, and any other one expands into all its
+    children.  A context at the kernel's order that leaves ``u``
+    unresolved refuses the kernel with InvariantViolation, naming it.  A
+    context whose last piece holds ``u`` is not expanded: the piece is
+    grafted.  Each new piece is stored at its context.  A piece's gap runs
+    from the largest interval end compared at or below ``u`` in its
+    subtree to the smallest compared above it (0 and 1 when there is
+    none), and its node is built by :func:`~ciaftp.tries.minimal_node` from
+    its children's when its closing frame pops.
+    """
+    order, n = kernel.order, len(leaves)
+    done: List[Piece] = []  # pieces whose parent is not done
+    stack = [(root, False)]
+    while stack:
+        at, closing = stack.pop()
+        if closing:
+            los, his, nodes, touches, reaches, depths = zip(*done[-n:])
+            del done[-n:]
+            node = minimal_node(nodes)
+            piece = (max(at.ends[-1], *los), min(his), node, 1 + sum(touches),
+                     max(reaches), 0 if node[1] is None else 1 + max(depths))
+        else:
+            piece = at.piece
+            if piece is not None and u < piece[1]:
+                done.append(piece)
+                continue
+            ends = at.ends
+            level_end = ends[-1]
+            if u < level_end:
+                lo = 0.0
+                # u is at or above the level's start, so the first
+                # interval ending above it holds it
+                for g, end in enumerate(ends):
+                    if u < end:
+                        break
+                    lo = max(lo, end)
+                piece = (lo, min(level_end, end), leaves[g], 1, len(at.ctx), 0)
+            else:
+                if len(at.ctx) >= order:
+                    raise InvariantViolation(unresolved_message(order, level_end, at.ctx))
+                if at.kids is None:
+                    at.kids = [_Context(kernel, (g,) + at.ctx, level_end, at.lower)
+                               for g in kernel.alphabet.symbols]
+                stack.append((at, True))
+                stack.extend((kid, False) for kid in reversed(at.kids))
+                continue
+        at.piece = piece
+        done.append(piece)
+    return done[0]
 
 
 class SliceTable:
@@ -535,26 +585,26 @@ class SliceTable:
     memo of the steps composed with them, for every window length of one
     depth bound.
 
-    Gap ``i`` of the ones found so far, in ascending order, is
-    ``[lows[i], highs[i])`` and its draws get ``entries[i]``.  A draw in no
-    known gap is expanded by the table (:meth:`_expand`), with the rule of
+    Gap ``i``, in ascending order, is ``[lows[i], lows[i + 1])``, the last
+    one ending at 1.0, and its draws get ``entries[i]``.  The table finds
+    every gap when it is built, in one sweep from 0 up: the draw at the end
+    of each gap is expanded (:func:`_expand`), with the rule of
     :func:`~ciaftp.update_rule.build_slice` at the kernel's order, where
-    every draw resolves, and the gap it finds is compiled and inserted.
-    The gap of 0 is found first, so the last gap starting at or below a
-    draw is its only candidate.  Each context the expansion visits is a
-    :class:`_Context` that keeps its interval ends, read once from the
-    kernel, and its own gap list: the sub-slices (:data:`Piece`) found
-    below it, each valid for every draw of its gap that reaches the
-    context.  The root's gap list is the table's ``lows``, ``highs`` and
-    ``entries``.  So a new gap expands only the contexts that hold no
-    piece for its draw and grafts every other sub-slice, and each
-    context's ends and pieces are computed once per table, whatever order
-    the gaps arrive in.  On order6 at L=1 the 65 gaps keep 384 pieces on
-    the 126 contexts below the root.  The kernel is held weakly: the table
-    lives in ``kernel.slice_cache``, so a strong one would be a cycle.
-    Nothing else points back at the table either: the contexts hold no
-    kernel, and the entries' compiled programs share one globals dict and
-    hold no cycle, so dropping the kernel frees them at once.
+    every draw resolves, and the gap it finds, which must start at that
+    draw, is compiled (:func:`_compile_entry`).  Each context the sweep
+    visits is a :class:`_Context` that keeps its interval ends, read once
+    from the kernel, and the last sub-slice (:data:`Piece`) found below
+    it, valid for every draw of its gap that reaches the context.  So a gap
+    expands only the contexts that hold no piece for its draw and grafts
+    every other sub-slice, and each context's ends and pieces are computed
+    once.  On order6 at L=1 the 65 gaps make 384 pieces on the 126
+    contexts below the root.  A kernel with a context of its order that
+    leaves some draws unresolved is refused by the sweep, before any run,
+    with the message :func:`pw_extended` refuses it with.  The context
+    tree and the kernel are locals of the build: the table keeps the
+    kernel's ``symbols`` only, and the entries' compiled programs share one
+    globals dict and hold no cycle, so dropping the kernel frees them at
+    once.
 
     Every map at window length L is at most max(order, L) deep: the start
     is L deep, and a step grafts below each slice leaf, at most the order
@@ -609,19 +659,24 @@ class SliceTable:
     """
 
     def __init__(self, kernel: Kernel, bound: int):
-        self._kernel = ref(kernel)
-        self._max_depth = max(kernel.order, 1)
+        self.symbols = kernel.alphabet.symbols
         self.bound = bound
-        self.arity = kernel.alphabet.size
+        self.arity = n = len(self.symbols)
         self.lows: List[float] = []
-        self.highs: List[float] = []
         self.entries: List[SliceEntry] = []
-        # the root's gaps are the table's own
-        self._root = _Context(kernel, (), 0.0, (0.0,) * self.arity)
-        self._root.lows, self._root.highs, self._root.pieces = self.lows, self.highs, self.entries
-        self._leaves = [(1, None, i) for i in range(self.arity)]
-        self._steps: Dict[WalkStep, WalkStep] = {}
-        self._getters: Dict[Tuple[int, ...], NodeGetter] = {}
+        root = _Context(kernel, (), 0.0, (0.0,) * n)
+        leaves = [(1, None, i) for i in range(n)]
+        steps: Dict[WalkStep, WalkStep] = {}
+        getters: Dict[Tuple[int, ...], NodeGetter] = {}
+        u = 0.0
+        while u < 1.0:
+            piece = _expand(kernel, root, u, leaves)
+            if not piece[0] == u < piece[1]:
+                raise InvariantViolation(
+                    f"the sweep at u={u!r} found the gap [{piece[0]!r}, {piece[1]!r})")
+            self.lows.append(u)
+            self.entries.append(_compile_entry(piece, n, bound, steps, getters))
+            u = piece[1]
         # interning compares maps by tuple ==, which recurses one level per
         # trie level; maps as deep as the bound may take at most half the
         # recursion limit, else only the starts are interned
@@ -630,92 +685,21 @@ class SliceTable:
         self.depths: Dict[int, Optional[int]] = {}
         self.starts: Dict[int, tuple] = {}
         self.step = _shared_step(self)
-        self._add(0.0)
 
     def add_start(self, length: int) -> None:
         """Build, check and intern the start of window length ``length``.
         Past the order the start is the only map as deep as the bound, and
         no step leads back to it, so no run sizes it: it is checked here,
         once, before it is registered, so that its depth is not kept."""
-        start = _initial_map(self._kernel().alphabet.symbols, length)
+        start = _initial_map(self.symbols, length)
         self.size(start)
         self.maps[start] = start
         self.depths[id(start)] = None
         self.starts[length] = start
 
     def lookup(self, u: float) -> SliceEntry:
-        """The entry of the gap holding the draw ``u`` (0 <= u < 1); the
-        same bisection as the step function's, which inlines it."""
-        i = bisect_right(self.lows, u) - 1
-        if u < self.highs[i]:
-            return self.entries[i]
-        return self._add(u)
-
-    def _add(self, u: float) -> SliceEntry:
-        """Expand the gap of a draw in no known gap (:meth:`_expand`),
-        compile its entry from the root piece and insert it in the root's
-        gap list, the table's own."""
-        piece = self._expand(u)
-        entry = _compile_entry(piece, self.arity, self.bound, self._steps, self._getters)
-        self._root.insert(piece[0], piece[1], entry)
-        return entry
-
-    def _expand(self, u: float) -> Piece:
-        """The root piece of the draw ``u``, which lies in no known gap.
-
-        Depth-first from the root, children in alphabet order, by the rule
-        of :func:`~ciaftp.update_rule.build_slice`: a context whose level
-        ends above ``u`` is a leaf, labeled with the number of the symbol
-        whose interval holds ``u``, and any other one expands into all its
-        children, or raises MaxDepthExceeded past the order.  A context
-        with a piece holding ``u`` is not expanded: the piece is grafted.
-        Each new piece is stored at its context.  A piece's gap runs from
-        the largest interval end compared at or below ``u`` in its subtree
-        to the smallest compared above it (0 and 1 when there is none),
-        and its node is built by :func:`~ciaftp.tries.minimal_node` from
-        its children's when its closing frame pops.
-        """
-        kernel, root, n = self._kernel(), self._root, self.arity
-        symbols = kernel.alphabet.symbols
-        done: List[Piece] = []  # pieces whose parent is not done
-        stack = [(root, False)]
-        while stack:
-            at, closing = stack.pop()
-            if closing:
-                los, his, nodes, touches, reaches, depths = zip(*done[-n:])
-                del done[-n:]
-                node = minimal_node(nodes)
-                piece = (max(at.ends[-1], *los), min(his), node, 1 + sum(touches),
-                         max(reaches), 0 if node[1] is None else 1 + max(depths))
-            else:
-                i = bisect_right(at.lows, u) - 1
-                if i >= 0 and u < at.highs[i]:
-                    done.append(at.pieces[i])
-                    continue
-                ends = at.ends
-                level_end = ends[-1]
-                if u < level_end:
-                    lo = 0.0
-                    # u is at or above the level's start, so the first
-                    # interval ending above it holds it
-                    for g, end in enumerate(ends):
-                        if u < end:
-                            break
-                        lo = max(lo, end)
-                    piece = (lo, min(level_end, end), self._leaves[g], 1, len(at.ctx), 0)
-                else:
-                    if len(at.ctx) >= self._max_depth:
-                        raise MaxDepthExceeded(depth_message(u, self._max_depth))
-                    if at.kids is None:
-                        at.kids = [_Context(kernel, (g,) + at.ctx, level_end, at.lower)
-                                   for g in symbols]
-                    stack.append((at, True))
-                    stack.extend((kid, False) for kid in reversed(at.kids))
-                    continue
-            if at is not root:
-                at.insert(piece[0], piece[1], piece)
-            done.append(piece)
-        return done[0]
+        """The entry of the gap holding the draw ``u`` (0 <= u < 1)."""
+        return self.entries[bisect_right(self.lows, u) - 1]
 
     def size(self, root: tuple) -> Tuple[int, int]:
         """(leaf count, depth) of the map ``root``.  The depth of an
@@ -735,16 +719,13 @@ class SliceTable:
         return ((arity - 1) * root[0] + 1) // arity, depth
 
     def compile_all(self) -> None:
-        """Find every gap, from 0 up, and compile each program that is not
-        compiled yet, so that every later program run is a compiled one
+        """Compile each gap's program that is not compiled yet, so that
+        every later program run is a compiled one
         (``scripts/run_outcomes.py`` diffs those runs against interpreted
         ones)."""
-        u = 0.0
-        while u < 1.0:
-            entry = self.lookup(u)
+        for entry in self.entries:
             if entry.program is None:
                 entry.program = _compile_program(entry, self.arity, self.bound)
-            u = self.highs[bisect_right(self.lows, u) - 1]
 
 
 def slice_table(kernel: Kernel, length: int) -> SliceTable:
@@ -752,7 +733,8 @@ def slice_table(kernel: Kernel, length: int) -> SliceTable:
     in ``kernel.slice_cache`` under that length.  A length's first call
     takes the cached table of its bound max(order, L), or builds one, and
     adds the length's start to it; an infinite-memory kernel has none,
-    whatever its cache holds."""
+    whatever its cache holds.  A kernel the table's sweep refuses is
+    refused before anything is cached."""
     cache = kernel.slice_cache
     table = cache.get(length)
     if not isinstance(table, SliceTable):
@@ -937,19 +919,15 @@ def _shared_step(table: SliceTable) -> StepFunction:
     (:func:`_compose`) and, while the table's ``maps`` has room, interns
     the result and stores the pair it returns.  Node touches count what
     :func:`step` counts: the slice's touches plus the nodes of the unpruned
-    composition.  The function reads the table's lists and dicts, which the
-    table changes in place, and reaches the table itself only to insert a
-    new gap, through a weak reference: the table holds the function, so a
-    strong one would be a cycle.
+    composition.  The table's gaps are all found when it is built, so the
+    function reads its lists and dicts and never the table itself.
     """
-    lows, highs, entries = table.lows, table.highs, table.entries
+    lows, entries = table.lows, table.entries
     maps, depths, memo_cap = table.maps, table.depths, table.memo_cap
     arity, bound = table.arity, table.bound
-    table_ref = ref(table)
 
     def shared_step(root: tuple, u: float) -> Tuple[tuple, StepReport]:
-        i = bisect_right(lows, u) - 1
-        entry = entries[i] if u < highs[i] else table_ref()._add(u)
+        entry = entries[bisect_right(lows, u) - 1]
         hit = entry.memo.get(id(root))
         if hit is not None:
             return hit
@@ -1178,44 +1156,41 @@ class PwGaps:
 
     ``phi``'s values at the contexts of the kernel's order depend on a
     draw only through the gap between interval ends that holds it
-    (:func:`~ciaftp.update_rule.phi_contexts`).  Gap ``i`` of the ones
-    found so far, in ascending order, is ``[lows[i], highs[i])``, and its
-    draws get ``values[i]``; the gap of 0 is found first, so the last gap
-    starting at or below a draw is its only candidate, and a draw in no
-    known gap evaluates the values once and inserts its gap.  A step of a
-    table of histories of length m gathers through the index of its gap
-    and m (:meth:`_gather`), which is kept once the next table is at the
-    order, where every run spends all but its first max(0, L - order - 1)
-    steps: so what is kept is at most two indices of |G|^order entries per
-    gap, whatever L.  The object holds no kernel and lives in
+    (:func:`~ciaftp.update_rule.phi_contexts`).  Gap ``i``, in ascending
+    order, is ``[lows[i], lows[i + 1])``, the last one ending at 1.0, and
+    its draws get ``values[i]``.  Every gap is found when the object is
+    built, in one sweep from 0 up that evaluates the values at each gap's
+    start, which must be where the last gap ended: a sweep of its own,
+    which shares no code with :class:`SliceTable`'s.  ``layouts`` are the
+    contexts' layouts (:func:`~ciaftp.update_rule.context_layouts`), whose
+    build refuses a kernel that leaves draws unresolved, before any draw.
+    A step of a table of histories of length m gathers through the index of
+    its gap and m (:meth:`_gather`), which is kept once the next table is
+    at the order, where every run spends all but its first max(0, L -
+    order - 1) steps: so what is kept is at most two indices of |G|^order
+    entries per gap, whatever L.  The object holds no kernel and lives in
     ``kernel.pw_gaps``, which a pickled kernel leaves behind.
     """
 
-    __slots__ = ("layouts", "symbols", "order", "lows", "highs", "values", "gathers",
-                 "starts")
+    __slots__ = ("layouts", "symbols", "order", "lows", "values", "gathers", "starts")
 
     def __init__(self, kernel: Kernel):
-        # refuses a kernel that leaves draws unresolved, before any draw
         self.layouts = context_layouts(kernel)
         self.symbols = kernel.alphabet.symbols
         self.order = max(kernel.order, 1)
         self.lows: List[float] = []
-        self.highs: List[float] = []
         self.values: List[List[int]] = []
+        u = 0.0
+        while u < 1.0:
+            values, (lo, hi) = phi_contexts(self.layouts, u)
+            if not lo == u < hi:
+                raise InvariantViolation(f"the sweep at u={u!r} found the gap [{lo!r}, {hi!r})")
+            self.lows.append(u)
+            self.values.append(values)
+            u = hi
         # per gap: m -> (getter, m', touches), for the m with m' = order
-        self.gathers: List[Dict[int, tuple]] = []
+        self.gathers: List[Dict[int, tuple]] = [{} for _ in self.lows]
         self.starts: Dict[int, Tuple[PwTable, bool]] = {}
-        self._add(0.0)
-
-    def _add(self, u: float) -> int:
-        """Evaluate the draw ``u`` and insert its gap; returns its index."""
-        values, (lo, hi) = phi_contexts(self.layouts, u)
-        i = bisect_right(self.lows, lo)
-        self.lows.insert(i, lo)
-        self.highs.insert(i, hi)
-        self.values.insert(i, values)
-        self.gathers.insert(i, {})
-        return i
 
     def _gather(self, i: int, m: int) -> tuple:
         """``(getter, m', touches)`` of a step from histories of length m in
@@ -1255,8 +1230,6 @@ class PwGaps:
         distinct value."""
         table, m = state
         i = bisect_right(self.lows, u) - 1
-        if not u < self.highs[i]:
-            i = self._add(u)
         getter, m_next, touches = self.gathers[i].get(m) or self._gather(i, m)
         new_table = getter(table)
         # phi resolves at the full order: no slice, so no depth budget
@@ -1288,7 +1261,7 @@ def pw_extended(
     ``kernel.pw_gaps``: its gaps, each with ``phi``'s values and gather
     indices, and each length's start.  A kernel with a context of its
     order that leaves some draws unresolved is refused before any draw is
-    read (:func:`~ciaftp.update_rule.context_layouts`), and keeps none."""
+    read (:func:`~ciaftp.update_rule.context_layouts`), and keeps nothing."""
     if max_iter < 1 or max_depth < 1 or max_nodes < 1:
         raise ValueError("limits must be positive")
     order = kernel.order

@@ -91,21 +91,21 @@ class Kernel:
         # what the engine's runs of this kernel share, built on first use
         # and keyed by window length: the slice table (engine.slice_table)
         # of a finite-order kernel, one object under every length of one
-        # depth bound max(order, L), or the renewal comb's start
+        # depth bound max(order, L), with every gap found when it is built,
+        # or the renewal comb's start
         self.slice_cache: Dict[int, object] = {}
-        # the interval layouts of a finite-order kernel's contexts of
-        # exactly ``order`` symbols, in product order
-        # (update_rule.context_layouts), and what engine.pw_extended's
-        # runs share: the draws' gaps, each with its values at those
-        # contexts and its gather indices, and each length's start
-        # (engine.PwGaps), grown as runs meet new gaps
-        self.context_layouts: Optional[tuple] = None
+        # what engine.pw_extended's runs of a finite-order kernel share:
+        # the layouts of its contexts of exactly ``order`` symbols, every
+        # draw's gap, each with its values at those contexts and its gather
+        # indices, and each length's start (engine.PwGaps), all gaps found
+        # when it is built
         self.pw_gaps: Optional[object] = None
 
     def __getstate__(self) -> dict:
-        # a slice table holds its kernel weakly and cannot be pickled:
-        # every process builds its own caches
-        return dict(self.__dict__, slice_cache={}, context_layouts=None, pw_gaps=None)
+        # the caches hold functions made at run time (step functions,
+        # compiled programs), which do not pickle: every process builds its
+        # own
+        return dict(self.__dict__, slice_cache={}, pw_gaps=None)
 
     # Markov order, or None for infinite memory
     order: Optional[int] = None

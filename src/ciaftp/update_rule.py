@@ -20,12 +20,13 @@ finite-order kernel level ``order`` resolves and closes at 1.0, so the
 scan stops there at the latest.  :func:`phi_contexts` applies the same
 rule to every context of exactly ``order`` symbols at once, in
 ``itertools.product`` order, by bisection in each context's layout
-(:func:`context_layouts`, built once per kernel by the same helper), and
-reports the gap between the layouts' ends that holds ``u``, where every
-draw gets the same values: the extended baseline evaluates it once per
-gap (:class:`~ciaftp.engine.PwGaps`).  Building the layouts refuses a
-kernel whose context of its order leaves some draw unresolved, so the
-evaluation never meets one.
+(:func:`context_layouts`, built by the same helper), and reports the gap
+between the layouts' ends that holds ``u``, where every draw gets the
+same values: the extended baseline evaluates it once per gap, for every
+gap when it is built (:class:`~ciaftp.engine.PwGaps`).  Building the
+layouts refuses a kernel whose context of its order leaves some draw
+unresolved, so the evaluation never meets one; the engine's slice tables
+refuse such a kernel with the same message.
 
 :func:`build_slice` expands the slice node by node from the kernel's
 lower-bound rows alone, for finite and infinite memory alike, and builds
@@ -158,31 +159,34 @@ def phi(kernel: Kernel, u: float, s: Context) -> Optional[Symbol]:
 def context_layouts(kernel: Kernel) -> Tuple[tuple, ...]:
     """The layouts of a finite-order kernel's contexts of exactly ``order``
     symbols, in ``itertools.product`` order, with each interval's symbol
-    number in place of its symbol, kept as one tuple of |G|^order entries
-    in ``kernel.context_layouts``: a bisection in an entry's running
-    maximum finds the first interval end above a draw, as ``phi``'s scan
-    does.
+    number in place of its symbol, as one tuple of |G|^order entries: a
+    bisection in an entry's running maximum finds the first interval end
+    above a draw, as ``phi``'s scan does.  Nothing is stored; the extended
+    baseline keeps the tuple (:class:`~ciaftp.engine.PwGaps`).
 
     A layout whose running maximum ends below 1.0 leaves the draws above
     its end unresolved at a context of the full order, which a kernel of
     that order must resolve: the first such context raises
-    InvariantViolation, once per kernel, and nothing is kept."""
-    layouts = kernel.context_layouts
-    if layouts is None:
-        order = kernel.order
-        # every layout has order + 1 levels of |G| intervals, so one tuple
-        # of answers serves them all
-        answers = tuple(range(kernel.alphabet.size)) * (order + 1)
-        entries = []
-        for key in itertools.product(kernel.alphabet.symbols, repeat=order):
-            ends = _layout(kernel, key)
-            if ends[-1] < 1.0:
-                raise InvariantViolation(
-                    f"order-{order} kernel leaves the draws from {ends[-1]!r} on unresolved"
-                    f" at depth-{order} context {key}")
-            entries.append((ends, answers))
-        layouts = kernel.context_layouts = tuple(entries)
-    return layouts
+    InvariantViolation (:func:`unresolved_message`)."""
+    order = kernel.order
+    # every layout has order + 1 levels of |G| intervals, so one tuple of
+    # answers serves them all
+    answers = tuple(range(kernel.alphabet.size)) * (order + 1)
+    entries = []
+    for key in itertools.product(kernel.alphabet.symbols, repeat=order):
+        ends = _layout(kernel, key)
+        if ends[-1] < 1.0:
+            raise InvariantViolation(unresolved_message(order, ends[-1], key))
+        entries.append((ends, answers))
+    return tuple(entries)
+
+
+def unresolved_message(order: int, end: float, ctx: Context) -> str:
+    """The message of the InvariantViolation that refuses a kernel whose
+    context ``ctx`` of its order leaves the draws from ``end`` on
+    unresolved."""
+    return (f"order-{order} kernel leaves the draws from {end!r} on unresolved"
+            f" at depth-{order} context {ctx}")
 
 
 def phi_contexts(layouts: Tuple[tuple, ...],

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Set
+import json
+import runpy
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from ciaftp.kernels import ContextTreeKernel, full_markov_kernel, memoryless_kernel
+from ciaftp.kernels import (ContextTreeKernel, Kernel, full_markov_kernel, load_kernel,
+                            memoryless_kernel, parse_kernel_spec)
 from ciaftp.tries import Alphabet, Context, ContextTrie
+
+KERNELS = Path(__file__).resolve().parent.parent / "kernels"
 
 BINARY = Alphabet(("0", "1"))
 TERNARY = Alphabet(("a", "b", "c"))
@@ -73,3 +79,18 @@ def random_context(rng: np.random.Generator, alphabet: Alphabet, length: int) ->
 
 def all_contexts(alphabet: Alphabet, length: int):
     return itertools.product(alphabet.symbols, repeat=length)
+
+
+def program_kernels() -> List[Tuple[str, Kernel]]:
+    """``(name, kernel)`` for every finite shipped kernel, the ternary spec
+    of ``scripts/run_outcomes.py``, then 16 random binary and 16 random
+    ternary VLMCs."""
+    kernels = [(path.stem, load_kernel(str(path))) for path in sorted(KERNELS.glob("*.json"))]
+    kernels = [(name, k) for name, k in kernels if k.order is not None]
+    spec = runpy.run_path(str(KERNELS.parent / "scripts" / "run_outcomes.py"))["SPECS"]
+    kernels.append(("ternary_vlmc", parse_kernel_spec(json.dumps(spec["ternary_vlmc"]))))
+    rng = np.random.Generator(np.random.PCG64(29))
+    for alphabet in (BINARY, TERNARY):
+        kernels += [(f"random{alphabet.size}-{i}",
+                     random_vlmc(rng, alphabet, int(rng.integers(1, 8)))) for i in range(16)]
+    return kernels

@@ -1,9 +1,9 @@
-import bisect
 import concurrent.futures
 import dataclasses
 import functools
 import gc
 import json
+import math
 import os
 import pickle
 import runpy
@@ -39,7 +39,7 @@ from ciaftp.kernels import (ContextTreeKernel, LowerBoundRow, RenewalSqrtKernel,
                             memoryless_kernel, parse_kernel_spec)
 from ciaftp.tries import Alphabet, ContextTrie, dominates, prefix_closure, prune_minimal
 
-from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, random_vlmc
+from helpers import BINARY, TERNARY, desk_vlmc, order1_chain, program_kernels, random_vlmc
 
 KERNELS = Path(__file__).resolve().parent.parent / "kernels"
 
@@ -300,6 +300,33 @@ def test_renewal_never_coalesces_in_one_step():
         assert res.diagnostics.regeneration_times == []
 
 
+def test_windows_nest():
+    # the draws define one stationary process, and every coalesced window is
+    # a piece of it: on the same stream the window of length L is the last
+    # L symbols of the window of length L + 2, for every shipped kernel,
+    # through run and, on finite kernels, through pw_extended (runs that
+    # fail a budget are left out).  Negative control: the longer window
+    # drawn on the stream with its first draw dropped differs on some seed
+    for path in sorted(KERNELS.glob("*.json")):
+        k = load_kernel(str(path))
+        for sampler in (run,) if k.order is None else (run, pw_extended):
+            pairs = shifted = 0
+            for length in (1, 2, 3, 5):
+                for seed in range(40):
+                    late = RngStream(seed)
+                    late.uniform()
+                    try:
+                        short, long, later = (sampler(k, n, rng).sample for n, rng in (
+                            (length, RngStream(seed)), (length + 2, RngStream(seed)),
+                            (length + 2, late)))
+                    except BudgetError:
+                        continue
+                    assert long[-length:] == short, (path.stem, sampler, length, seed)
+                    pairs += 1
+                    shifted += later[-length:] != short
+            assert pairs > 100 and shifted, (path.stem, sampler)
+
+
 def test_pw_extended_agrees_with_adaptive():
     # same draws, same composed map: identical sample and coalescence time
     for k, length in [(order1_chain(), 1), (desk_vlmc(), 3), (desk_vlmc(), 1)]:
@@ -360,9 +387,11 @@ class _UnresolvedDesk(ContextTreeKernel):
 @pytest.mark.parametrize("length", [1, 2, 4])
 def test_pw_extended_refuses_a_context_that_leaves_a_draw_unresolved(length):
     # negative control for the guard: a kernel whose order-2 context leaves
-    # a band of draws unresolved is refused by the first call, whatever the
-    # table's depth, naming the context, before the stream is read and
-    # with no layouts kept, so a second call is refused the same way
+    # a band of draws unresolved is refused by the first call of either
+    # sampler, whatever the table's depth, naming the context with one
+    # message, before the stream is read and with nothing cached, so a
+    # second call is refused the same way; run_many raises it too, before
+    # any run, for either algorithm
     k = _UnresolvedDesk()
     assert update_rule.phi(k, 0.95, ("0", "1")) is None
     assert update_rule.phi(k, 0.85, ("0", "1")) is not None
@@ -373,12 +402,19 @@ def test_pw_extended_refuses_a_context_that_leaves_a_draw_unresolved(length):
         def __init__(self, draws):
             self.draws = iter(draws)
 
-    for _ in range(2):
-        stream = Draws([0.85, 0.5, 0.97])
+    for sampler in (pw_extended, run):
+        for _ in range(2):
+            stream = Draws([0.85, 0.5, 0.97])
+            with pytest.raises(InvariantViolation, match=(
+                    r"^order-2 kernel leaves the draws from 0\.8999999999999999 on"
+                    r" unresolved at depth-2 context \('0', '1'\)$")):
+                sampler(k, length, stream)
+            assert list(stream.draws) == [0.85, 0.5, 0.97]
+            assert k.pw_gaps is None and not k.slice_cache
+    for algorithm in ("ciaftp", "pw_extended"):
         with pytest.raises(InvariantViolation, match=r"depth-2 context \('0', '1'\)$"):
-            pw_extended(k, length, stream)
-        assert list(stream.draws) == [0.85, 0.5, 0.97]
-        assert k.context_layouts is None
+            run_many(k, 1, 0, 0, 20, algorithm=algorithm, timing=False)
+    assert k.pw_gaps is None and not k.slice_cache
 
 
 def test_one_symbol_map_is_constant_before_any_draw():
@@ -446,12 +482,12 @@ def test_run_many_pw_jobs_after_a_run():
     pw_extended(k, 2, RngStream(0))
     pw_extended(k, 4, RngStream(0))
     run(k, 1, RngStream(0))
-    context_layouts, gaps = k.context_layouts, k.pw_gaps
-    assert len(context_layouts) == k.alphabet.size ** k.order == 4
-    assert gaps.layouts is context_layouts and sorted(gaps.starts) == [2, 4]
+    gaps = k.pw_gaps
+    assert len(gaps.layouts) == k.alphabet.size ** k.order == 4
+    assert gaps.layouts == update_rule.context_layouts(k) and sorted(gaps.starts) == [2, 4]
     assert sorted(k.slice_cache) == [1, 3]
     copy = pickle.loads(pickle.dumps(k))
-    assert (copy.context_layouts, copy.pw_gaps, copy.slice_cache) == (None, None, {})
+    assert (copy.pw_gaps, copy.slice_cache) == (None, {})
     assert not hasattr(copy, "layouts")
     for length in (2, 4):
         serial = run_many(k, length, 40, 0, 8, algorithm="pw_extended", timing=False)
@@ -461,7 +497,7 @@ def test_run_many_pw_jobs_after_a_run():
         fresh = load_kernel(str(KERNELS / "order2.json"))
         assert run_many(fresh, length, 40, 0, 8, algorithm="pw_extended",
                         timing=False) == serial
-    assert k.context_layouts is context_layouts and k.pw_gaps is gaps
+    assert k.pw_gaps is gaps
     assert sorted(k.slice_cache) == [1, 3]
 
 
@@ -1022,29 +1058,35 @@ def test_window_lengths_up_to_the_order_share_one_table(monkeypatch):
     # a slice depends only on the draw and a step only on the map and the
     # slice, so every length up to the order, whose maps share the bound
     # max(order, L) = order, uses one table: one fresh order6 kernel at
-    # L=1..6 expands each gap once from the table's root and compiles each
-    # program at most once, and each length's runs sample what pw_extended
-    # samples
+    # L=1..6 expands each gap once from the table's root, in ascending
+    # order, when the table is built, and compiles each program at most
+    # once; the runs grow no gap list, and each length's runs sample what
+    # pw_extended samples
     k = load_kernel(str(KERNELS / "order6.json"))
     expanded, compiled = [], []
-    expand, compile_program = engine.SliceTable._expand, engine._compile_program
-    monkeypatch.setattr(engine.SliceTable, "_expand",
-                        lambda table, u: expanded.append(u) or expand(table, u))
+    expand, compile_program = engine._expand, engine._compile_program
+    monkeypatch.setattr(engine, "_expand",
+                        lambda *args: expanded.append(args[2]) or expand(*args))
     monkeypatch.setattr(engine, "_compile_program",
                         lambda *args: compiled.append(args[0]) or compile_program(*args))
+    table = slice_table(k, 1)
+    lows, entries = table.lows, table.entries
+    built = list(lows), [id(entry) for entry in entries]
+    assert expanded == lows
     lengths = range(1, k.order + 1)
     seeds = range(200)
     samples = {length: [run(k, length, RngStream(seed)).sample for seed in seeds]
                for length in lengths}
     monkeypatch.undo()
-    table = k.slice_cache[1]
     assert sorted(k.slice_cache) == list(lengths)
     assert all(k.slice_cache[length] is table for length in lengths)
     assert table.bound == k.order and sorted(table.starts) == list(lengths)
-    # one expansion per gap, each in a gap of its own
-    assert len(expanded) == len(table.entries) == len(set(table.lows)) > 40
-    assert [bisect.bisect_right(table.lows, u) for u in sorted(expanded)] == list(
-        range(1, len(table.entries) + 1))
+    # one expansion per gap, from 0 up, and after 1200 runs the same gap
+    # list, the same objects with the same lengths
+    assert expanded == sorted(set(expanded)) == lows and len(entries) == 65
+    assert expanded[0] == 0.0
+    assert table.lows is lows and table.entries is entries
+    assert (lows, [id(entry) for entry in entries]) == built
     # a program per gap, compiled at most once
     assert compiled and len({id(entry) for entry in compiled}) == len(compiled)
     assert all(any(entry is e for e in table.entries) for entry in compiled)
@@ -1059,15 +1101,45 @@ def test_window_lengths_up_to_the_order_share_one_table(monkeypatch):
     assert (sorted(tables[0].starts), list(tables[2].starts)) == ([1, 2], [3])
 
 
+def test_a_sweep_refuses_a_gap_that_does_not_start_at_its_draw(monkeypatch):
+    # negative control for the sweeps that build a slice table and
+    # pw_extended's gaps: an expansion whose gaps after the first start one
+    # double below the draw they were found for is refused, and so is a
+    # run, which then caches nothing; the same builds pass unpatched
+    k = desk_vlmc()
+    assert engine.SliceTable(k, 2).lows == engine.PwGaps(k).lows == [0.0, 0.1, 0.4, 0.7]
+    expand, phi_contexts = engine._expand, engine.phi_contexts
+
+    def early(*args):
+        lo, *rest = expand(*args)
+        return (math.nextafter(lo, 0.0) if lo else lo, *rest)
+
+    def early_pw(layouts, u):
+        values, (lo, hi) = phi_contexts(layouts, u)
+        return values, (math.nextafter(lo, 0.0) if lo else lo, hi)
+
+    monkeypatch.setattr(engine, "_expand", early)
+    monkeypatch.setattr(engine, "phi_contexts", early_pw)
+    refused = r"^the sweep at u=0\.1 found the gap \[0\.09999999999999999, 0\.4\)$"
+    for build in (lambda: engine.SliceTable(k, 2), lambda: engine.PwGaps(k),
+                  lambda: run(k, 1, RngStream(0)), lambda: pw_extended(k, 1, RngStream(0))):
+        with pytest.raises(InvariantViolation, match=refused):
+            build()
+    assert not k.slice_cache and k.pw_gaps is None
+
+
 @pytest.mark.parametrize("name, length", [("order1", 1), ("desk_vlmc", 2), ("order6", 1)])
 def test_a_map_deeper_than_its_tables_bound_is_refused(name, length):
     # traced runs size each map after a step: none is deeper than its
     # table's bound, max(order, L), and at L <= order some map reaches it
     # (past the order only the start does, which no step sizes).  On a
-    # fresh table whose bound is lowered by one, every gap found from then
-    # on walks one level short, interpreted or compiled: plain runs, which
-    # size nothing, sample otherwise on some seed, traced runs raise on the
-    # first map past the lowered bound, and audited runs raise too
+    # fresh kernel whose table is built with its bound lowered by one,
+    # every gap's program walks one level short, interpreted or compiled:
+    # plain runs, which size nothing, sample otherwise on some seed, traced
+    # runs raise on the first map past the lowered bound, and audited runs
+    # raise too.  A start deeper than the lowered bound is registered past
+    # add_start's check (test_a_start_deeper_than_its_tables_bound_is_refused
+    # covers that check)
     path = str(KERNELS / f"{name}.json")
     k = load_kernel(path)
     seeds = range(40)
@@ -1077,7 +1149,14 @@ def test_a_map_deeper_than_its_tables_bound_is_refused(name, length):
 
     def lowered():
         low = load_kernel(path)
-        slice_table(low, length).bound -= 1
+        table = engine.SliceTable(low, k.order - 1)
+        if length <= table.bound:
+            table.add_start(length)
+        else:
+            start = table.starts[length] = engine._initial_map(low.alphabet.symbols, length)
+            table.maps[start] = start
+            table.depths[id(start)] = None
+        low.slice_cache[length] = table
         return low
 
     low = lowered()
@@ -1288,53 +1367,6 @@ def test_a_cold_table_shares_no_code_with_the_reference(monkeypatch):
         assert [run(k, length, RngStream(seed)).sample for seed in seeds] == samples
 
 
-def _entry_fields(entry):
-    """What an entry's program is made of: its walk, grafts, the slot
-    tuple of each node getter, touch base, depth and reach."""
-    slots = range(len(entry.walk) + len(entry.nodes) + 1)
-    return (entry.walk, entry.grafts, [tuple(get(slots)) for get in entry.nodes],
-            entry.touch_base, entry.depth, entry.reach)
-
-
-def test_discovery_order_cannot_change_a_table():
-    # a table stores each context's sub-slices as it meets them, in the
-    # order its draws arrive; gaps found from 0 up and the same draws
-    # shuffled give the same gaps and entries, at L=1 and past the order
-    rng = np.random.Generator(np.random.PCG64(30))
-    for name, k in _program_kernels():
-        for length in (1, k.order + 2):
-            bound = max(k.order, length)
-            ascending = engine.SliceTable(k, bound)
-            u = 0.0
-            while u < 1.0:
-                ascending.lookup(u)
-                u = ascending.highs[bisect.bisect_right(ascending.lows, u) - 1]
-            draws = ascending.lows + [(lo + hi) / 2
-                                      for lo, hi in zip(ascending.lows, ascending.highs)]
-            shuffled = engine.SliceTable(k, bound)
-            for u in rng.permutation(draws).tolist():
-                shuffled.lookup(u)
-            assert (shuffled.lows, shuffled.highs) == (ascending.lows, ascending.highs), (
-                name, length)
-            assert ([_entry_fields(e) for e in shuffled.entries]
-                    == [_entry_fields(e) for e in ascending.entries]), (name, length)
-
-
-def _program_kernels():
-    """``(name, kernel)`` for every finite shipped kernel, the ternary spec
-    of ``scripts/run_outcomes.py``, then 16 random binary and 16 random
-    ternary VLMCs."""
-    kernels = [(path.stem, load_kernel(str(path))) for path in sorted(KERNELS.glob("*.json"))]
-    kernels = [(name, k) for name, k in kernels if k.order is not None]
-    spec = runpy.run_path(str(KERNELS.parent / "scripts" / "run_outcomes.py"))["SPECS"]
-    kernels.append(("ternary_vlmc", parse_kernel_spec(json.dumps(spec["ternary_vlmc"]))))
-    rng = np.random.Generator(np.random.PCG64(29))
-    for alphabet in (BINARY, TERNARY):
-        kernels += [(f"random{alphabet.size}-{i}",
-                     random_vlmc(rng, alphabet, int(rng.integers(1, 8)))) for i in range(16)]
-    return kernels
-
-
 def _composed_maps(monkeypatch, k, lengths, seeds):
     """The distinct maps runs of ``k`` hand to ``engine._compose``."""
     maps = {}
@@ -1413,7 +1445,7 @@ def test_compiled_programs_equal_the_interpreted_ones(monkeypatch):
     # short: some program of it, compiled, gives another result on one of
     # those maps.
     rng = np.random.Generator(np.random.PCG64(53))
-    for name, k in _program_kernels():
+    for name, k in program_kernels():
         arity = k.alphabet.size
         for length in range(1, k.order + 3):
             table = slice_table(k, length)

@@ -3,7 +3,6 @@ import itertools
 import math
 import tracemalloc
 import weakref
-from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,7 @@ from helpers import (
     all_contexts,
     desk_vlmc,
     order1_chain,
+    program_kernels,
     random_context,
     random_vlmc,
 )
@@ -205,65 +205,78 @@ def _one_draw_run(k, u, max_depth):
 
 
 def test_slice_table_matches_generic_slice():
-    # the table's entry for a draw is compiled from the slice build_slice
-    # expands for it: at both ends of every gap, which run from 0 to 1
-    for name, k in _finite_kernels():
-        table = slice_table(k, 1)
-        assert slice_table(k, 1) is table
-        gaps, cut = [], False
-        for u in _gap_probes(k):
-            ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
-            entry = table.lookup(u)
-            # both ends of a gap report it and get the same entry
-            if gaps and gaps[-1][0] == ref.gap:
-                assert gaps[-1][1] is entry, (name, u)
+    # a table, built whole at L=1 and past the order (L = order + 2), holds
+    # an entry compiled from the slice build_slice expands for each of its
+    # draws: at both ends of every gap, which run from 0 to 1, each ending
+    # where the next one starts
+    for name, k in _finite_kernels() + program_kernels():
+        for length in (1, k.order + 2):
+            _check_table(name, k, length)
+
+
+def _check_table(name, k, length):
+    """The checks of ``test_slice_table_matches_generic_slice`` on the
+    table of ``k`` at window length ``length``."""
+    table = slice_table(k, length)
+    assert slice_table(k, length) is table
+    ends = table.lows[1:] + [1.0]
+    assert table.lows[0] == 0.0, name
+    gaps, cut = [], False
+    for u in _gap_probes(k):
+        ref = build_slice(k, u, DEFAULT_MAX_DEPTH)
+        entry = table.lookup(u)
+        # both ends of a gap report it and get the same entry
+        if gaps and gaps[-1][0] == ref.gap:
+            assert gaps[-1][1] is entry, (name, u)
+        else:
+            gaps.append((ref.gap, entry))
+        i = [e is entry for e in table.entries].index(True)
+        assert (table.lows[i], ends[i]) == ref.gap, (name, u)
+        # the program walks every distinct prefix of the leaves' walk
+        # paths, cut at the table's bound, exactly once, each after its
+        # parent, grafts at the cut paths and rebuilds every other
+        # slice node; no walk slot is deeper than the bound
+        full = _leaf_walks(ref, k.alphabet)
+        cut |= max(map(len, full)) > table.bound
+        walks = [w[:table.bound] for w in full]
+        prefixes = {w[:j] for w in walks for j in range(1, len(w) + 1)}
+        paths = _slot_paths(entry)
+        assert max(map(len, paths)) <= table.bound, (name, u)
+        assert len(paths) - 1 == len(prefixes), (name, u)
+        assert set(paths[1:]) == prefixes, (name, u)
+        assert all(parent < slot for slot, (parent, _) in enumerate(entry.walk, 1))
+        assert sorted(paths[slot] for slot in entry.grafts) == sorted(walks), (name, u)
+        assert len(entry.nodes) == ref.trie.node_count() - len(walks), (name, u)
+        assert (entry.depth, entry.touch_base, entry.reach) == (
+            ref.depth, ref.node_touches + ref.trie.node_count() - ref.trie.leaf_count(),
+            ref.reach
+        ), (name, u)
+        # the map reports a regeneration exactly for a depth-0 slice
+        assert (entry.depth == 0) == ref.is_regeneration, (name, u)
+        # below the kernel order, the expansion refuses exactly the
+        # draws whose reach exceeds the budget, and run refuses them
+        # with the same message (checked on the L=1 table)
+        for max_depth in range(1, k.order if length == 1 else 1):
+            refused = _slice_or_error(lambda: build_slice(k, u, max_depth))
+            assert isinstance(refused, str) == (entry.reach > max_depth), (name, u)
+            ran = _slice_or_error(lambda: _one_draw_run(k, u, max_depth))
+            if isinstance(refused, str):
+                assert ran == refused, (name, u, max_depth)
             else:
-                gaps.append((ref.gap, entry))
-            i = [e is entry for e in table.entries].index(True)
-            assert (table.lows[i], table.highs[i]) == ref.gap, (name, u)
-            # the program walks every distinct prefix of the leaves' walk
-            # paths, cut at the table's bound, exactly once, each after its
-            # parent, grafts at the cut paths and rebuilds every other
-            # slice node; no walk slot is deeper than the bound
-            full = _leaf_walks(ref, k.alphabet)
-            cut |= max(map(len, full)) > table.bound
-            walks = [w[:table.bound] for w in full]
-            prefixes = {w[:j] for w in walks for j in range(1, len(w) + 1)}
-            paths = _slot_paths(entry)
-            assert max(map(len, paths)) <= table.bound, (name, u)
-            assert len(paths) - 1 == len(prefixes), (name, u)
-            assert set(paths[1:]) == prefixes, (name, u)
-            assert all(parent < slot for slot, (parent, _) in enumerate(entry.walk, 1))
-            assert sorted(paths[slot] for slot in entry.grafts) == sorted(walks), (name, u)
-            assert len(entry.nodes) == ref.trie.node_count() - len(walks), (name, u)
-            assert (entry.depth, entry.touch_base, entry.reach) == (
-                ref.depth, ref.node_touches + ref.trie.node_count() - ref.trie.leaf_count(),
-                ref.reach
-            ), (name, u)
-            # the map reports a regeneration exactly for a depth-0 slice
-            assert (entry.depth == 0) == ref.is_regeneration, (name, u)
-            # below the kernel order, the expansion refuses exactly the
-            # draws whose reach exceeds the budget, and run refuses them
-            # with the same message
-            for max_depth in range(1, k.order):
-                refused = _slice_or_error(lambda: build_slice(k, u, max_depth))
-                assert isinstance(refused, str) == (entry.reach > max_depth), (name, u)
-                ran = _slice_or_error(lambda: _one_draw_run(k, u, max_depth))
-                if isinstance(refused, str):
-                    assert ran == refused, (name, u, max_depth)
-                else:
-                    assert not isinstance(ran, str), (name, u, max_depth)
-        # a walk path is one step longer than its context, so the slices
-        # that reach the order, the bound at L=1 from order 1 on, are cut
-        assert cut == (k.order >= 1), name
-        # the table holds exactly the gaps walked, in order: they tile [0, 1)
-        assert list(zip(table.lows, table.highs)) == [gap for gap, _ in gaps], name
-        assert all(a is b for a, (_, b) in zip(table.entries, gaps)), name
+                assert not isinstance(ran, str), (name, u, max_depth)
+    # a walk path is one step longer than its context, so the slices that
+    # reach the order, the bound at L=1 from order 1 on, are cut, and no
+    # slice reaches the bound past the order
+    assert cut == (length == 1 and k.order >= 1), name
+    # the table holds exactly the gaps walked, in order: they tile [0, 1)
+    assert list(zip(table.lows, ends)) == [gap for gap, _ in gaps], name
+    assert len(table.entries) == len(gaps), name
+    assert all(a is b for a, (_, b) in zip(table.entries, gaps)), name
 
 
 def test_slice_table_does_not_keep_its_kernel_alive():
-    # the table holds its kernel weakly, so dropping the kernel frees the
-    # table at once, without the cyclic garbage collector
+    # the table holds no kernel, so dropping the kernel frees the table at
+    # once, without the cyclic garbage collector
     k = load_kernel(str(KERNELS / "order6.json"))
     gc.disable()
     try:
@@ -532,7 +545,7 @@ def test_phi_matches_a_scan_of_the_layout():
                         want = next((iv.symbol for iv in table if u < iv.beta), None)
                         assert phi(k, float(u), s) == want, (name, s, u)
         # phi scans and stores nothing on the kernel
-        assert k.context_layouts is None and not k.slice_cache, name
+        assert k.pw_gaps is None and not k.slice_cache, name
 
 
 def test_phi_contexts_is_phi_at_every_context_of_the_order():
@@ -544,7 +557,8 @@ def test_phi_contexts_is_phi_at_every_context_of_the_order():
                  for i, (name, k) in enumerate(_finite_kernels()) if k.order]
     for name, k in _finite_kernels() + shrinking:
         layouts = update_rule.context_layouts(k)
-        assert update_rule.context_layouts(k) is layouts is k.context_layouts, name
+        # the layouts are built again on each call, and stored nowhere
+        assert update_rule.context_layouts(k) == layouts and k.pw_gaps is None, name
         contexts = list(itertools.product(k.alphabet.symbols, repeat=k.order))
         assert len(layouts) == len(contexts), name
         number = {g: i for i, g in enumerate(k.alphabet.symbols)}
@@ -575,19 +589,28 @@ def _pw_step_by_phi(layouts, order, n, state, u):
 
 
 def test_pw_gaps_are_exact():
-    # pw_extended's gaps, grown on a fresh kernel by draws at every layout
-    # end, the double below each end and random draws, in a random order,
-    # at L = 1 and L = order + 2 (stepped from the start and along a chain,
-    # so every m from the start's down to the order): each gap holds its
-    # draws, phi_contexts gives the gap's values at both of its ends and
-    # other values at its upper end, and each step equals the step that
-    # evaluates phi_contexts at the draw itself
+    # pw_extended's gaps, built whole on a fresh kernel, run from 0 to 1,
+    # each ending where the next one starts: phi_contexts gives each gap's
+    # values and the gap itself at its start, the same values at the double
+    # below its end, and other values at its end unless that is 1.0.  At
+    # L = 1 and L = order + 2, from the start and along a chain (so every m
+    # from the start's down to the order), on draws at every layout end,
+    # the double below each end and random draws, in a random order, each
+    # step equals the step that evaluates phi_contexts at the draw itself
     rng = np.random.Generator(np.random.PCG64(12))
     for name, k in _finite_kernels():
         layouts = update_rule.context_layouts(k)
+        gaps = engine.PwGaps(k)
+        assert gaps.layouts == layouts and gaps.lows[0] == 0.0, name
+        assert len(gaps.lows) == len(gaps.values) == len(gaps.gathers), name
+        highs = gaps.lows[1:] + [1.0]
+        for lo, hi, values in zip(gaps.lows, highs, gaps.values):
+            assert update_rule.phi_contexts(layouts, lo) == (values, (lo, hi)), (name, lo)
+            below = math.nextafter(hi, 0.0)
+            assert update_rule.phi_contexts(layouts, below)[0] == values, (name, below)
+            assert hi == 1.0 or update_rule.phi_contexts(layouts, hi)[0] != values, name
         ends = sorted({e for layout, _ in layouts for e in layout if e < 1.0})
         draws = [0.0, TOP, *ends, *(math.nextafter(e, 0.0) for e in ends), *rng.random(20)]
-        gaps = engine.PwGaps(k)
         order, n = max(k.order, 1), k.alphabet.size
         for length in (1, k.order + 2):
             start = state = gaps.start(length)[0]
@@ -597,14 +620,6 @@ def test_pw_gaps_are_exact():
                     got = gaps.step(before, u)
                     assert got == _pw_step_by_phi(layouts, order, n, before, u), (name, u)
                 state = got[0]
-                i = bisect_right(gaps.lows, u) - 1
-                lo, hi, values = gaps.lows[i], gaps.highs[i], gaps.values[i]
-                assert lo <= u < hi, (name, u)
-                assert update_rule.phi_contexts(layouts, lo)[0] == values, (name, lo)
-                below = math.nextafter(hi, 0.0)
-                assert update_rule.phi_contexts(layouts, below)[0] == values, (name, below)
-                assert hi == 1.0 or update_rule.phi_contexts(layouts, hi)[0] != values, name
-        assert all(a < b <= c for a, b, c in zip(gaps.lows, gaps.highs, gaps.lows[1:])), name
         assert k.pw_gaps is None, name
 
 
@@ -616,7 +631,7 @@ def test_phi_on_infinite_memory_scans_and_stores_nothing():
     assert phi(k, 0.9, ones) == "0"  # level 99
     assert phi(k, 0.9, ones + ("0",)) == "1"
     assert phi(k, 0.5, ("1",)) is None
-    assert k.context_layouts is None
+    assert k.pw_gaps is None
 
 
 def test_phi_refuses_draws_outside_the_unit_interval():
@@ -624,7 +639,7 @@ def test_phi_refuses_draws_outside_the_unit_interval():
         for u in (1.0, -0.0 - 1e-300, math.inf, math.nan):
             with pytest.raises(ValueError):
                 phi(k, u, ("0", "1"))
-        assert k.context_layouts is None
+        assert k.pw_gaps is None
 
 
 def _levels_per_suffix(kernel, w):
