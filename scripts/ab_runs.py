@@ -15,16 +15,16 @@ covers the sampler's calls only (``run``, or ``pw_extended`` with
 ``--algorithm pw_extended``): the streams are seeded before the timer
 starts.  Before the first block each side runs one block of seeds from
 2**40 on, untimed, so that its slice tables fill and its programs compile.
-With ``--cold N`` each block instead times a cold start, the shape of
-perfbench's set-up: it loads a fresh kernel on each side and runs the
-reference seeds ``2**62 + 0 .. N-1`` on it, the load included in the time,
-with no warm-up block.  Every seed must give the same ``(sample, tau,
-node_touches)`` on both sides (a budget error: its code, no tau, and its
-node touches); the script stops with an error at the first one that
-differs.  It prints, for the
-block ratio ``a time / b time`` (above 1: side b is faster), the median and
-quartiles, the number of blocks each side won, and each side's median
-microseconds per run.
+With ``--cold N`` each block instead times a cold start, what a fresh
+``run_many`` pays and the shape of perfbench's set-up: it loads a fresh
+kernel on each side and runs the reference seeds ``2**62 + 0 .. N-1`` on
+it, with no warm-up block; the time covers the load, the seeding of each
+run's stream, just before the run, and the runs.  Every seed must give the
+same ``(sample, tau, node_touches)`` on both sides (a budget error: its
+code, no tau, and its node touches); the script stops with an error at the
+first one that differs.  It prints, for the block ratio ``a time / b
+time`` (above 1: side b is faster), the median and quartiles, the number
+of blocks each side won, and each side's median microseconds per run.
 
 Usage:
     python scripts/ab_runs.py --a ../parent/src --b src --kernel desk_vlmc --length 3
@@ -78,9 +78,12 @@ class Side:
 
     def block(self, seeds: range, cold: bool = False):
         """(wall ns of the block's runs, the outcome of each seed); a cold
-        block runs them on a kernel it loads inside the timed span."""
+        block runs them on a kernel it loads inside the timed span, and
+        seeds each run's stream there too, just before the run."""
         run, length, budget_error = self.sampler, self.length, self.budget_error
-        streams = [self.engine.RngStream(seed) for seed in seeds]
+        streams = map(self.engine.RngStream, seeds)
+        if not cold:
+            streams = list(streams)
         outcomes = []
         t0 = perf_counter_ns()
         kernel = self.load_kernel() if cold else self.kernel
@@ -107,7 +110,8 @@ def main() -> int:
     ap.add_argument("--algorithm", choices=("ciaftp", "pw_extended"), default="ciaftp",
                     help="the sampler to time: run (ciaftp) or pw_extended")
     ap.add_argument("--cold", type=int, metavar="N",
-                    help="time a fresh kernel plus the seeds 2**62 + 0..N-1 in each block"
+                    help="time a fresh kernel, and the streams and runs of the seeds"
+                         " 2**62 + 0..N-1 on it, in each block"
                          " (--block-seeds is then unused)")
     args = ap.parse_args()
     if args.cold is not None and args.cold < 1:

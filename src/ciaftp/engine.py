@@ -88,6 +88,16 @@ unchecked, while the audit compares every map, labels included, with
 the reference trie built from length-L windows.  :func:`run` picks the
 kernel's family, and :func:`run_many` is the batch driver for every
 command.
+
+A run's draws come from :class:`RngStream`, numpy's ``PCG64`` seeded as
+``PCG64(seed)`` seeds it.  Runs use consecutive seeds, and the module
+keeps one block of their seeding words: a seed at the block's end hashes
+the next 8, 16, ..., up to 1024 seeds in one numpy pass of
+``SeedSequence``'s pool hash (:func:`_seed_words`), and ``PCG64`` reads a
+seed's words from the block through numpy's ``ISeedSequence`` interface.
+Any other seed - the first of a series, a jump, a seed of 2^64 - 1024 or
+more, a negative one or one that is not an int - is seeded by
+``PCG64(seed)`` itself.
 """
 
 from __future__ import annotations
@@ -139,12 +149,25 @@ class RngStream:
     a short run draws few doubles it does not use, and a long one makes
     few generator calls.  The iterator holds a generator, so a stream does
     not pickle.
+
+    The generator is numpy's own ``PCG64``, seeded as ``PCG64(seed)`` is:
+    from the 4 words of ``SeedSequence(seed).generate_state(4, np.uint64)``.
+    That hash is most of what a stream costs, so consecutive seeds share
+    one numpy pass (:func:`_pcg64`): an int seed in [0, 2^64 - 1024) that
+    lies in the current block of hashed words, or at its end, where it
+    hashes the next block, takes its words from the block, and ``PCG64``
+    reads them through numpy's ``ISeedSequence`` interface
+    (:class:`_SeedWords`).  Every other seed - the first of a series, a
+    jump, a seed of 2^64 - 1024 or more, a negative one or one that is not
+    an int - goes to ``PCG64(seed)`` itself, so numpy's refusals and its
+    handling of large seeds are unchanged.  Both paths give the same words,
+    and so the same draws.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self.draws = itertools.chain.from_iterable(
-            _blocks(np.random.Generator(np.random.PCG64(seed))))
+            _blocks(np.random.Generator(_pcg64(seed))))
 
     def uniform(self) -> float:
         return next(self.draws)
@@ -156,6 +179,118 @@ def _blocks(gen: np.random.Generator) -> Iterator[List[float]]:
     while True:
         yield gen.random(size).tolist()
         size = min(2 * size, 1024)
+
+
+# -- stream seeding in blocks -------------------------------------------------
+#
+# numpy's SeedSequence with its default pool of 4 words, from numpy's
+# bit_generator.pyx.  A seed below 2^64 is 2 entropy words, its low and high
+# 32 bits; numpy gives a seed below 2^32 one word, and hashes the missing
+# pool words exactly as a zero high word.  The hash constants run through the
+# same sequence for every seed, so each hashmix's pair (xor constant,
+# multiplier) is fixed by its place in the hash.
+
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_XSHIFT = 16
+_POOL = 4
+_SEED_BLOCK_MAX = 1024
+_SEED_BLOCK_END = 2**64 - _SEED_BLOCK_MAX  # a block never reaches 2^64
+
+
+def _hash_constants(init: int, mult: int, n: int) -> List[Tuple[int, int]]:
+    """The (xor constant, multiplier) of ``n`` hashmix calls in turn."""
+    pairs = []
+    for _ in range(n):
+        after = init * mult & 0xFFFFFFFF
+        pairs.append((init, after))
+        init = after
+    return pairs
+
+
+def _hash_tables():
+    mixing = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+    fill = np.array(mixing[:_POOL], np.uint32).T
+    # row s: the pairs of the hashmix of pool word s into every other word
+    # (the diagonal is unused)
+    mix = np.zeros((2, _POOL, _POOL), np.uint32)
+    pairs = iter(mixing[_POOL:])
+    for s in range(_POOL):
+        for d in range(_POOL):
+            if d != s:
+                mix[:, s, d] = next(pairs)
+    out = np.array(_hash_constants(_INIT_B, _MULT_B, 2 * _POOL), np.uint32).T
+    return fill, mix, out
+
+
+_FILL, _MIX, _OUT = _hash_tables()
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every seed ``s``
+    of the ``uint64`` array ``seeds``, one row each."""
+    # mix_entropy: hash the entropy words into the pool, then each pool
+    # word into every other one
+    pool = np.zeros((len(seeds), _POOL), np.uint32)
+    pool[:, 0] = seeds  # the low 32 bits
+    pool[:, 1] = seeds >> np.uint64(32)
+    pool ^= _FILL[0]
+    pool *= _FILL[1]
+    pool ^= pool >> _XSHIFT
+    for s in range(_POOL):
+        hashed = pool[:, s, None] ^ _MIX[0, s]
+        hashed *= _MIX[1, s]
+        hashed ^= hashed >> _XSHIFT
+        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+        mixed ^= mixed >> _XSHIFT
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    # generate_state: 8 32-bit words, hashed from the pool's words cycled
+    state = np.tile(pool, 2)
+    state ^= _OUT[0]
+    state *= _OUT[1]
+    state ^= state >> _XSHIFT
+    # as numpy does: little-endian 32-bit pairs, then native 64-bit words
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """One seed's hashed words, as the seed sequence ``PCG64`` reads."""
+
+    __slots__ = ("seed", "words")
+
+    def __init__(self, seed: int, words: np.ndarray):
+        self.seed = seed
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == _POOL and dtype is np.uint64:
+            return self.words
+        return np.random.SeedSequence(self.seed).generate_state(n_words, dtype)
+
+
+# The current block of seeding words, (lo, hi, words of lo .. hi - 1): read
+# once per call and replaced whole, so no caller mixes two blocks.
+_seed_block: Tuple[int, int, list] = (-1, -1, [])
+
+
+def _pcg64(seed) -> np.random.PCG64:
+    """``np.random.PCG64(seed)``, seeded from the current block of words
+    when ``seed`` is in it or at its end; a seed at its end hashes the next
+    block, twice as large as this one (8 at first, up to 1024)."""
+    global _seed_block
+    lo, hi, words = _seed_block
+    if type(seed) is int and 0 <= seed < _SEED_BLOCK_END:
+        if lo <= seed < hi:
+            return np.random.PCG64(_SeedWords(seed, words[seed - lo]))
+        if seed == hi:
+            size = min(max(2 * (hi - lo), 8), _SEED_BLOCK_MAX)
+            words = list(_seed_words(np.arange(size, dtype=np.uint64) + np.uint64(seed)))
+            _seed_block = (seed, seed + size, words)
+            return np.random.PCG64(_SeedWords(seed, words[0]))
+        _seed_block = (seed + 1, seed + 1, [])
+    return np.random.PCG64(seed)
 
 
 @dataclass

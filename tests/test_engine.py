@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -59,6 +60,78 @@ def test_rng_stream_blocks_match_scalar_draws():
     rng = RngStream(2024)
     gen = np.random.Generator(np.random.PCG64(2024))
     assert [rng.uniform() for _ in range(100)] == [gen.random() for _ in range(100)]
+
+
+def _numpy_draws(seed, n=40):
+    return np.random.Generator(np.random.PCG64(seed)).random(n).tolist()
+
+
+def _stream_draws(seed, n=40):
+    rng = RngStream(seed)
+    return [rng.uniform() for _ in range(n)]
+
+
+def test_seed_block_hash_is_numpys_seed_sequence():
+    # the block hash gives numpy's seeding words on random seeds below 2^64,
+    # both halves of the 64 bits included
+    seeds = np.random.Generator(np.random.PCG64(34)).integers(
+        0, 2**64, 10**4, dtype=np.uint64, endpoint=False)
+    words = engine._seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (10**4, 4)
+    for s, row in zip(seeds.tolist(), words):
+        assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
+    # edge seeds, and seeds on either side of 2^32, where numpy's entropy
+    # grows from one word to two
+    edges = [0, 1, 2**31, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**63, 2**64 - 1]
+    for s, row in zip(edges, engine._seed_words(np.array(edges, dtype=np.uint64))):
+        assert row.tolist() == np.random.SeedSequence(s).generate_state(4, np.uint64).tolist()
+    # any other request of the hand-off is numpy's own
+    handoff = engine._SeedWords(2**40, words[0])
+    assert (handoff.generate_state(8) == np.random.SeedSequence(2**40).generate_state(8)).all()
+
+
+def test_rng_stream_seeds_in_blocks_as_numpy_does():
+    # RngStream(seed) draws what Generator(PCG64(seed)) draws, whichever
+    # path seeds it: series from 0, across 2^32, and up to and past 2^64,
+    # where no block may reach 2^64
+    series = [range(0, 2100), range(2**32 - 700, 2**32 + 700), range(2**62, 2**62 + 40),
+              range(2**64 - 1100, 2**64 + 5)]
+    for seeds in series:
+        for seed in seeds:
+            assert _stream_draws(seed) == _numpy_draws(seed), seed
+            lo, hi, words = engine._seed_block
+            assert hi - lo == len(words) <= 1024 and hi < 2**64
+    # blocks were hashed, of every size up to 1024
+    engine._pcg64(5000)
+    for size in (8, 16, 32, 64, 128, 256, 512, 1024, 1024):
+        lo = engine._seed_block[1]
+        engine._pcg64(lo)
+        assert engine._seed_block[:2] == (lo, lo + size)
+    # jumps: back into the current block, back before it, forward past it
+    lo, hi, _ = engine._seed_block
+    for seed in (lo + 3, lo, hi - 1, 17, 18, 19, 10**12, hi + 5, hi + 6, 2**70, 7):
+        assert _stream_draws(seed) == _numpy_draws(seed), seed
+    # two streams alive at once, read in turn across a block's end
+    for first in range(30, 60, 2):
+        a, b = RngStream(first), RngStream(first + 1)
+        ga, gb = (np.random.Generator(np.random.PCG64(s)) for s in (first, first + 1))
+        for _ in range(40):
+            assert (a.uniform(), b.uniform()) == (ga.random(), gb.random()), first
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 9.0, "9"])
+def test_rng_stream_refuses_what_numpy_refuses(seed, monkeypatch):
+    # a negative seed or one that is not an int goes to numpy, also when it
+    # equals the current block's end
+    monkeypatch.setattr(engine, "_seed_block", (-1, -1, []))
+    engine._pcg64(0)
+    engine._pcg64(1)
+    assert engine._seed_block[:2] == (1, 9)
+    with pytest.raises(Exception) as numpy_error:
+        np.random.PCG64(seed)
+    with pytest.raises(type(numpy_error.value)) as error:
+        RngStream(seed)
+    assert str(error.value) == str(numpy_error.value)
 
 
 def test_init_state():
@@ -325,6 +398,71 @@ def test_windows_nest():
                     pairs += 1
                     shifted += later[-length:] != short
             assert pairs > 100 and shifted, (path.stem, sampler)
+
+
+class _Prepended:
+    """The draws ``first``, then the draws of the stream ``rng``."""
+
+    seed = None
+
+    def __init__(self, first, rng):
+        self.draws = itertools.chain(first, rng.draws)
+
+
+def _forward(kernel, window, draws):
+    """``window`` extended by ``phi`` on each draw in turn, one window per
+    step, up to the first step whose ``phi`` needs a symbol older than the
+    window."""
+    windows = []
+    for u in draws:
+        g = update_rule.phi(kernel, u, window)
+        if g is None:
+            break
+        window += (g,)
+        windows.append(window)
+    return windows
+
+
+def test_forward_steps_equal_later_backward_runs():
+    # the draws define one stationary process: the window of length L on the
+    # stream u_0, u_-1, ..., extended forward by phi on u_1..u_m, is the
+    # backward window of length L + m on u_m, ..., u_1, u_0, u_-1, ..., for
+    # every shipped kernel at L >= its order, through run and, on finite
+    # kernels, through pw_extended (runs that fail a budget are left out).
+    # A step whose phi needs a symbol older than the window (on the renewal
+    # kernel, 24 of 60 windows here) is counted, and it and the steps after
+    # it are skipped.
+    # Negative control: a forward pass whose second step reads u_1 again
+    # differs from the backward windows on some seed
+    n = 3
+    for path in sorted(KERNELS.glob("*.json")):
+        k = load_kernel(str(path))
+        base = max(k.order or 0, 1)
+        for sampler in (run,) if k.order is None else (run, pw_extended):
+            compared = older = twice_differs = 0
+            for length in (base, base + 1):
+                for seed in range(30):
+                    ahead = RngStream(2**40 + seed)
+                    draws = [ahead.uniform() for _ in range(n)]
+                    try:
+                        window = sampler(k, length, RngStream(seed)).sample
+                    except BudgetError:
+                        continue
+                    forward = _forward(k, window, draws)
+                    twice = _forward(k, window, draws[:1] + draws[:1] + draws[2:])
+                    older += len(forward) < n
+                    for m, extended in enumerate(forward, 1):
+                        try:
+                            later = sampler(k, length + m, _Prepended(
+                                draws[m - 1::-1], RngStream(seed))).sample
+                        except BudgetError:
+                            continue
+                        assert extended == later, (path.stem, sampler, length, seed, m)
+                        compared += 1
+                        twice_differs += m <= len(twice) and twice[m - 1] != later
+            assert compared >= 80 and twice_differs, (path.stem, sampler, compared)
+            # only infinite memory reaches past the window, and it does
+            assert (older > 0) == (k.order is None), (path.stem, sampler, older)
 
 
 def test_pw_extended_agrees_with_adaptive():

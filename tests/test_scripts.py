@@ -1,9 +1,11 @@
 """Smoke tests of the experiment scripts the README lists, at tiny sizes."""
 
+import os
 import runpy
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -149,9 +151,9 @@ def test_ab_runs(tmp_path):
     assert len(out) == 6 and out[5].startswith("us per run (median block): a ")
 
 
-def test_ab_runs_cold(tmp_path):
-    # --cold N: each block loads a fresh kernel on each side and runs the
-    # reference seeds 2**62 + 0..N-1 on it, with the same report
+def test_ab_runs_cold(tmp_path, monkeypatch):
+    # --cold N: each block loads a fresh kernel on each side and seeds and
+    # runs the reference seeds 2**62 + 0..N-1 on it, with the same report
     src = str(SCRIPTS.parent / "src")
     out = run_script("ab_runs.py", ["--a", src, "--b", src, "--kernel", "order2",
                                     "--length", "1", "--cold", "4", "--blocks", "3"],
@@ -172,6 +174,17 @@ def test_ab_runs_cold(tmp_path):
     cold = side.block(seeds, cold=True)[1]
     assert not side.kernel.slice_cache
     assert cold == side.block(seeds)[1] and side.kernel.slice_cache
+    # a cold block seeds each run's stream inside its timed span, as a fresh
+    # run_many does, and a warm block before it: with each stream 20 ms
+    # slower to seed, only the cold block's time grows by it
+    seed_stream = side.engine.RngStream
+
+    def slow_stream(seed):
+        time.sleep(0.02)
+        return seed_stream(seed)
+
+    monkeypatch.setattr(side.engine, "RngStream", slow_stream)
+    assert side.block(seeds, cold=True)[0] >= 4 * 0.02e9 > side.block(seeds)[0]
     # the same of pw_extended, the shape of perfbench's set-up: a cold
     # block builds the gaps of a kernel of its own
     out = run_script("ab_runs.py", ["--a", src, "--b", src, "--kernel", "desk_vlmc",
@@ -189,14 +202,26 @@ def test_ab_runs_cold(tmp_path):
 
 
 def test_ab_runs_refuses_sides_that_differ(tmp_path):
-    # negative control: a copy whose streams are seeded one off samples
-    # differently, and the script stops instead of timing it
+    # negative control: a copy whose streams are seeded one off, on numpy's
+    # path and on the block path alike, samples differently, and the script
+    # stops instead of timing it
     other = tmp_path / "other"
     shutil.copytree(SCRIPTS.parent / "src" / "ciaftp", other / "ciaftp")
     engine = other / "ciaftp" / "engine.py"
     text = engine.read_text()
-    assert "np.random.PCG64(seed)" in text
-    engine.write_text(text.replace("np.random.PCG64(seed)", "np.random.PCG64(seed + 1)"))
+    for seeding in ("return np.random.PCG64(seed)",
+                    "np.arange(size, dtype=np.uint64) + np.uint64(seed)"):
+        assert text.count(seeding) == 1, seeding
+        text = text.replace(seeding, seeding.replace("seed)", "seed + 1)"))
+    engine.write_text(text)
+    # seed 0 takes numpy's path and 1..19 the block path
+    one_off = ("import numpy as np\n"
+               "from ciaftp.engine import RngStream\n"
+               "assert all(RngStream(s).uniform()\n"
+               "           == np.random.Generator(np.random.PCG64(s + 1)).random()\n"
+               "           for s in range(20))\n")
+    subprocess.run([sys.executable, "-c", one_off], cwd=tmp_path, check=True, timeout=300,
+                   env=dict(os.environ, PYTHONPATH=str(other)))
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "ab_runs.py"), "--a", str(SCRIPTS.parent / "src"),
          "--b", str(other), "--kernel", "desk_vlmc", "--length", "2", "--blocks", "2",
